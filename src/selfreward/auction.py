@@ -26,8 +26,36 @@ neuron that are averaged: augmentation happens inside the agent, so only
 the bare offer crosses the wire.  A decision layer maps (PG, SZ, LSR, ST)
 to buy / hold / quit logits, and a frozen judge scores each decision:
 holding at a high price and buying at a low one read True, quitting on a
-desirable fish reads False.  During the first few rounds agents may run a
-few self-labelled fine-tuning steps on perturbed copies of the offer.
+desirable fish reads False.  The sensors (``es_forward_values``), the
+decision layer (``decide_values``) and the judge (``pfc``) are plain numpy
+over rows, with any number of leading batch axes; bidding and fine-tuning
+share this one forward.
+
+During the first few rounds agents may fine-tune the decision layer on
+perturbed copies of the offer, labelling each batch with their own judge
+(``srd_finetune``).  The sensors are frozen, so the loss is a linear ->
+threshold gate -> linear -> cross-entropy chain whose gradient is written
+out in closed form, for all agents of a round at once:
+
+    z       = sum over the batch rows r of the judge logits [True, False]
+    dz      = softmax(z) - onehot(argmax z)
+    dpre_r  = (O^T dz) * tau'(pre_r)       pre_r: gate pre-activations of row r
+    dl_r    = G_l^T dpre_r                 G_l: the gate rows' logit columns
+    dW      = sum_r dl_r x_r^T,   db = sum_r dl_r
+
+where O is the judge's output layer and x_r the row's sensor state.  Two
+rules keep each agent's result what it would be stepping alone, offer by
+offer:
+
+* stream order: an agent's ``noise_rng`` is drawn as a per-offer loop
+  draws it.  Per epoch, one permutation of the variants, then the clone
+  noise of all variants in permuted order; one (V, 8, D_ic - 1) normal draw
+  yields the same numbers as V draws of (8, D_ic - 1).  No draw depends on
+  the weights, so every draw is taken before the first step.
+* zero padding: agents differ in batch size and epoch count, so their step
+  lists and batch rows are padded to the longest under a 0/1 row mask.  A
+  padded row adds exact zeros to z and to the gradient, so an agent with no
+  step left keeps its weights bit for bit.
 
 The decision-layer magnitudes used here were chosen so that demand is
 price-elastic (agents flip from buy to hold as the price climbs) and so
@@ -41,28 +69,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    DiffTensor,
-    SgdSettings,
-    as_tensor,
-    backward,
-    concat,
-    pick,
-    sgd_step,
-)
-
 __all__ = [
     "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Offer",
     "TrialResult", "base_offer", "make_offer_variants", "run_auction",
     "run_experiment", "screen_model", "server_step", "srd_finetune",
 ]
-from .layers import (
-    conv1d,
-    cross_entropy_self,
-    fully_connected,
-    selective_activation,
-    threshold_activation,
-)
 
 BUY, HOLD, QUIT = 0, 1, 2
 DECISION_NAMES = ("buy", "hold", "quit")
@@ -88,15 +99,28 @@ BIAS_SPREAD = 0.1
 
 JUDGE_FALSE_BIAS = 0.3
 
+LEAK_SLOPE = 0.01
+
 # Judge gate rows over (PG, SZ, LSR, ST, B, L, Q): PGL, BC, FQ.
-_PFC_GATES_W = as_tensor(np.array([
+_PFC_GATES_W = np.array([
     [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0],               # PGL: PG + L - 1
     [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],              # BC: B - PG
     [0.0, 1 / 3, 1 / 3, 1 / 3, 0.0, 0.0, 1.0],         # FQ: Q + mean(quality) - 1
-]))
-_PFC_GATES_B = as_tensor(np.array([-1.0, 0.0, -1.0]))
-_PFC_OUT_W = as_tensor(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-_PFC_OUT_B = as_tensor(np.array([0.0, JUDGE_FALSE_BIAS]))
+])
+_PFC_GATES_B = np.array([-1.0, 0.0, -1.0])
+_PFC_OUT_W = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+_PFC_OUT_B = np.array([0.0, JUDGE_FALSE_BIAS])
+
+
+def _tau(x: np.ndarray) -> np.ndarray:
+    """Threshold gate: tanh after a leaky rectifier."""
+    return np.tanh(np.where(x >= 0, x, LEAK_SLOPE * x))
+
+
+def _judge_gates(x_es: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gate pre-activations and gates (PGL, BC, FQ) for rows of state."""
+    pre = np.concatenate([x_es, logits], axis=-1) @ _PFC_GATES_W.T + _PFC_GATES_B
+    return pre, _tau(pre)
 
 
 @dataclass
@@ -178,9 +202,9 @@ class FsnModel:
         self.config = config or AuctionConfig()
         self.es_rows = es_weight_rows(base_price=self.config.base_price)
         self.es_biases = ES_BIASES.copy()
-        self.w_dec = DiffTensor(W_DECISION.copy(), requires_grad=True)
+        self.w_dec = W_DECISION.copy()
         bias_noise = rng.uniform(-BIAS_SPREAD, BIAS_SPREAD, size=3)
-        self.b_dec = DiffTensor(B_DECISION + bias_noise, requires_grad=True)
+        self.b_dec = B_DECISION + bias_noise
         # optimizer settings differ per agent; epochs == 0 opts out entirely
         self.epochs = int(rng.integers(0, 3))
         self.batch_size = int(rng.integers(4, 16))
@@ -191,39 +215,35 @@ class FsnModel:
     def malicious(self) -> bool:
         return False
 
-    def trainable(self) -> list[DiffTensor]:
-        return [self.w_dec, self.b_dec]
-
-    # -- forward passes -------------------------------------------------------
-
     def _interleaved(self, x: np.ndarray) -> np.ndarray:
-        """Clone each variable D_ic times; clones beyond the first get noise."""
+        """Clone each variable D_ic times; clones beyond the first get noise.
+
+        Offer rows (..., 8) become blocks (..., 8, D_ic), one row of clones
+        per variable; read row by row, that is the interleaved layout.
+        """
         cfg = self.config
-        block = np.repeat(x[:, None], cfg.d_ic, axis=1)
-        block[:, 1:] += self.noise_rng.normal(0.0, cfg.clone_noise, size=(8, cfg.d_ic - 1))
-        return block.ravel()
+        block = x[..., None].repeat(cfg.d_ic, axis=-1)
+        block[..., 1:] += self.noise_rng.normal(0.0, cfg.clone_noise,
+                                                size=(*x.shape, cfg.d_ic - 1))
+        return block
 
-    def es_forward(self, x: np.ndarray) -> DiffTensor:
-        """Sensor activations (PG, SZ, LSR, ST) for one offer vector."""
+    def es_forward_values(self, x: np.ndarray) -> np.ndarray:
+        """Sensor activations (PG, SZ, LSR, ST) for offer rows (..., 8)."""
         cfg = self.config
-        arr = as_tensor(self._interleaved(x))
-        outs = []
-        for i in range(4):
-            conv = conv1d(arr, as_tensor(self.es_rows[i]), dilation=cfg.d_ic)
-            pre = conv1d(conv, as_tensor(np.full(cfg.d_ic, 1.0 / cfg.d_ic))) \
-                + as_tensor(self.es_biases[i])
-            if i == ST:
-                outs.append(selective_activation(pre, cfg.selective_eps))
-            else:
-                outs.append(threshold_activation(pick(pre, 0)))
-        return concat(outs)
+        pre = (self.es_rows @ self._interleaved(x)).sum(axis=-1) / cfg.d_ic \
+            + self.es_biases
+        out = _tau(pre)
+        st = pre[..., ST]
+        out[..., ST] = cfg.selective_eps / (st * st + cfg.selective_eps)
+        return out
 
-    def decide(self, x_es: DiffTensor) -> tuple[DiffTensor, int]:
-        logits = fully_connected(x_es, self.w_dec, self.b_dec)
-        return logits, int(np.argmax(logits.values))
+    def decide_values(self, x_es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Buy / hold / quit logits for sensor rows (..., 4), and their argmax."""
+        logits = x_es @ self.w_dec.T + self.b_dec
+        return logits, logits.argmax(axis=-1)
 
-    def pfc(self, x_es: DiffTensor, logits: DiffTensor) -> DiffTensor:
-        """Judge logits [True, False] for the sensor state and decision.
+    def pfc(self, x_es: np.ndarray, logits: np.ndarray) -> np.ndarray:
+        """Judge logits [True, False] for rows of sensor state and decision logits.
 
         Gate neurons over (PG, SZ, LSR, ST, B, L, Q):
         PGL = tau(PG + L - 1)  held out at a high price (a correct call),
@@ -231,33 +251,15 @@ class FsnModel:
         FQ  = tau(Q + (SZ + LSR + ST)/3 - 1)  quit on a desirable fish.
         True sums PGL and BC; False carries FQ plus a small default bias.
         """
-        state = concat([x_es, logits])
-        gates = threshold_activation(fully_connected(state, _PFC_GATES_W, _PFC_GATES_B))
-        return fully_connected(gates, _PFC_OUT_W, _PFC_OUT_B)
-
-    # -- fast evaluation path ---------------------------------------------------
-
-    def es_forward_values(self, x: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        arr = self._interleaved(x).reshape(8, cfg.d_ic)
-        pre = self.es_rows @ arr
-        pre = pre.mean(axis=1) + self.es_biases
-        out = np.empty(4)
-        leaked = np.where(pre[:3] >= 0, pre[:3], 0.01 * pre[:3])
-        out[:3] = np.tanh(leaked)
-        out[ST] = cfg.selective_eps / (pre[ST] ** 2 + cfg.selective_eps)
-        return out
-
-    def decide_values(self, x_es: np.ndarray) -> tuple[np.ndarray, int]:
-        logits = self.w_dec.values @ x_es + self.b_dec.values
-        return logits, int(np.argmax(logits))
+        _, gates = _judge_gates(x_es, logits)
+        return gates @ _PFC_OUT_W.T + _PFC_OUT_B
 
     def decide_offer(self, offer: Offer) -> int:
         _, decision = self.decide_values(self.es_forward_values(offer.as_array()))
-        return decision
+        return int(decision)
 
     def export_params(self) -> dict:
-        return {"w_dec": self.w_dec.values.copy(), "b_dec": self.b_dec.values.copy()}
+        return {"w_dec": self.w_dec.copy(), "b_dec": self.b_dec.copy()}
 
 
 class AlwaysHoldModel:
@@ -289,38 +291,75 @@ def screen_model(model, config: AuctionConfig | None = None) -> bool:
         return False
     if not np.allclose(model.es_rows, es_weight_rows(base_price=config.base_price)):
         return False
-    signs = np.sign(model.w_dec.values[BUY])
+    signs = np.sign(model.w_dec[BUY])
     if not (signs[PG] < 0 and all(signs[i] > 0 for i in (SZ, LSR, ST))):
         return False
     probe = Offer(price=0.25 * config.base_price)
     return model.decide_offer(probe) == BUY
 
 
-def srd_finetune(model, variants: list[Offer], k: int) -> None:
-    """Self-labelled fine-tuning on the variant set; decision layer only.
+def srd_finetune(models, variants: list[Offer], k: int) -> None:
+    """One round of self-labelled fine-tuning for a round's agents, in lockstep.
 
-    A no-op after the allowed window, for malicious models, and for agents
-    whose sampled epoch count is zero.  The sensor stage holds no trainable
-    weights, so its activations enter the loss graph as constants.
+    Only the decision layer learns.  Malicious models, agents whose sampled
+    epoch count is zero, and every agent once k reaches its config's
+    ``finetune_rounds`` sit the round out.
+
+    Each learner first draws its randomness in per-offer stream order: per
+    epoch a permutation of the variants, then the clone noise of every
+    variant through ``es_forward_values``.  Its sensor rows are laid out
+    epoch after epoch in permuted order, so a batch is a run of consecutive
+    rows.  Then all learners take their SGD steps together on stacked
+    (n, 3, 4) weights, with the closed-form gradient in the module
+    docstring and each agent's own learning rate.  Steps and batch rows past
+    an agent's own schedule are masked to exact zeros.
     """
-    if k >= model.config.finetune_rounds or model.malicious or model.epochs == 0:
+    learners = [m for m in models
+                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
+    if not learners:
         return
-    settings = SgdSettings(model.learning_rate)
-    order_rng = model.noise_rng
-    arrays = [v.as_array() for v in variants]
-    for _ in range(model.epochs):
-        order = order_rng.permutation(len(arrays))
-        for start in range(0, len(order), model.batch_size):
-            batch = order[start:start + model.batch_size]
-            z = None
-            for idx in batch:
-                x_es = as_tensor(model.es_forward_values(arrays[idx]))
-                logits, _ = model.decide(x_es)
-                judged = model.pfc(x_es, logits)
-                z = judged if z is None else z + judged
-            loss = cross_entropy_self(z)
-            backward(loss)
-            sgd_step(model.trainable(), settings)
+    offers = np.array([v.as_array() for v in variants])
+    n_var, n = len(offers), len(learners)
+    agents = np.arange(n)
+    epochs = np.array([m.epochs for m in learners])
+    batch = np.array([m.batch_size for m in learners])
+
+    x_es = np.zeros((n, epochs.max() * n_var, 4))
+    for i, m in enumerate(learners):
+        for e in range(m.epochs):
+            order = m.noise_rng.permutation(n_var)
+            x_es[i, e * n_var:(e + 1) * n_var] = m.es_forward_values(offers[order])
+
+    # step s of agent i covers rows [first, last) of x_es[i]
+    per_epoch = -(-n_var // batch)
+    steps = np.arange((epochs * per_epoch).max())
+    epoch, j = np.divmod(steps, per_epoch[:, None])
+    first = epoch * n_var + j * batch[:, None]
+    last = epoch * n_var + np.minimum((j + 1) * batch[:, None], n_var)
+    rows = first[..., None] + np.arange(batch.max())
+    live = (rows < last[..., None]) & (epoch < epochs[:, None])[..., None]
+    xs = x_es[agents[:, None, None], np.where(live, rows, 0)]
+    keep = live[..., None].astype(float)
+
+    w = np.stack([m.w_dec for m in learners])
+    b = np.stack([m.b_dec for m in learners])
+    lr = np.array([m.learning_rate for m in learners])
+    for s in steps:
+        x, kept = xs[:, s], keep[:, s]
+        logits = x @ w.transpose(0, 2, 1) + b[:, None, :]
+        pre, gates = _judge_gates(x, logits)
+        z = ((gates @ _PFC_OUT_W.T + _PFC_OUT_B) * kept).sum(axis=1)
+        top = z.max(axis=1, keepdims=True)
+        lse = top + np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+        dz = np.exp(z - lse)
+        dz[agents, z.argmax(axis=1)] -= 1.0
+        slope = (1.0 - gates * gates) * np.where(pre >= 0, 1.0, LEAK_SLOPE)
+        dpre = (dz @ _PFC_OUT_W)[:, None, :] * slope * kept
+        dlogits = dpre @ _PFC_GATES_W[:, 4:]
+        w = w - lr[:, None, None] * (dlogits.transpose(0, 2, 1) @ x)
+        b = b - lr[:, None] * dlogits.sum(axis=1)
+    for m, w_i, b_i in zip(learners, w, b):
+        m.w_dec, m.b_dec = w_i, b_i
 
 
 @dataclass
@@ -450,8 +489,8 @@ def run_auction(r: float, n: int = 64, optim: bool = False,
                          price=config.base_price)
     while not state.terminated:
         if optim and state.k < config.finetune_rounds:
-            for i in state.active_indices():
-                srd_finetune(state.agents[i], variants, state.k)
+            srd_finetune([state.agents[i] for i in state.active_indices()],
+                         variants, state.k)
         server_step(state)
 
     result = TrialResult(

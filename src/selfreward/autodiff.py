@@ -378,10 +378,15 @@ class SgdSettings:
 
 
 def sgd_step(params: Iterable[DiffTensor], settings: SgdSettings) -> None:
-    """values <- values - lr * grad, then zero the grads."""
+    """values <- values - lr * grad, then zero the grads.
+
+    ``values`` is rebound to a new array, never written in place: local
+    gradient rules hold the arrays they were recorded with, so a graph
+    recorded before a step still backpropagates at its recorded values.
+    """
     for p in params:
         if p._grad is not None:
-            p.values -= settings.learning_rate * np.asarray(p._grad)
+            p.values = p.values - settings.learning_rate * np.asarray(p._grad)
             p._grad = None
 
 

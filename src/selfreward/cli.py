@@ -22,11 +22,23 @@ from .reporting import ConfigError, PlotSpec, RunManifest, emit_plot, write_csv
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
+    """Override options from the --config JSON file, type-checked.
+
+    A value must have the type of the option's default; an int may stand
+    for a float, and a string for an option whose default is None.
+    """
     if getattr(args, "config", None):
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
         for key, value in overrides.items():
-            if not hasattr(args, key):
+            if key in ("func", "config") or key.startswith("_") or not hasattr(args, key):
                 raise ConfigError(f"config file sets unknown option {key!r}")
+            default = args._parser.get_default(key)
+            if not (type(value) is type(default)
+                    or (type(default) is float and type(value) is int)
+                    or (default is None and isinstance(value, str))):
+                expected = "str" if default is None else type(default).__name__
+                raise ConfigError(f"config file sets {key!r} to {value!r}; "
+                                  f"expected {expected}")
             setattr(args, key, value)
 
 
@@ -53,8 +65,8 @@ def cmd_fish_run(args) -> int:
     config = fish1d.FishConfig()
     nn, pfc = fish1d.FishNN(config), fish1d.FishPFC()
     if args.trained:
-        params = load_params(args.trained)
-        nn.import_params(params)
+        nn.import_params(load_params(args.trained, scenario="fish1d",
+                                     template=nn.export_params()))
     world, state = fish1d.make_world(args.seed, config)
     trace = fish1d.run_episode(nn, pfc, world, state, args.steps)
     trace_csv = out_dir / "trace.csv"
@@ -88,8 +100,9 @@ def _parse_r_grid(text: str) -> list[float]:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as err:
         raise ConfigError(f"bad --r-grid {text!r}; expected start:stop:count") from err
-    if count < 1 or start <= 0 or stop < start:
-        raise ConfigError(f"bad --r-grid {text!r}")
+    if count < 1 or start <= 0 or stop < start or stop > 1:
+        raise ConfigError(f"bad --r-grid {text!r}; need 0 < start <= stop <= 1 "
+                          f"and count >= 1")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 
@@ -97,6 +110,8 @@ def cmd_auction_run(args) -> int:
     started = time.time()
     out_dir = Path(args.out)
     r_grid = _parse_r_grid(args.r_grid)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     conditions = ["Optim", "malicious-Optim"] if args.optim else \
         ["noOptim", "malicious-noOptim"]
     if args.malicious_frac == 0:
@@ -154,7 +169,8 @@ def cmd_lava_eval(args) -> int:
     config = lava_mod.PRESETS[bank.preset]
     params = lava_mod.Robot2NNParams()
     if args.params:
-        params.load(load_params(args.params))
+        params.load(load_params(args.params, scenario="lavaland",
+                                template=params.export()))
     result = lava_mod.evaluate(params, bank, config, seed=args.seed, jobs=args.jobs)
     report = Path(args.report)
     report.mkdir(parents=True, exist_ok=True)
@@ -209,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trained", help="parameter JSON from `fish1d train`")
     run.add_argument("--out", required=True)
     run.add_argument("--config", help="JSON file overriding options")
-    run.set_defaults(func=cmd_fish_run)
+    run.set_defaults(func=cmd_fish_run, _parser=run)
     train = fish.add_parser("train", help="self-reward training")
     train.add_argument("--iters", type=int, default=12000)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--out", required=True, help="parameter JSON to write")
     train.add_argument("--config", help="JSON file overriding options")
-    train.set_defaults(func=cmd_fish_train)
+    train.set_defaults(func=cmd_fish_train, _parser=train)
 
     auction = sub.add_parser("auction", help="fish-sale auction").add_subparsers(
         dest="command", required=True)
@@ -229,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     arun.add_argument("--seed", type=int, default=0)
     arun.add_argument("--out", required=True)
     arun.add_argument("--config", help="JSON file overriding options")
-    arun.set_defaults(func=cmd_auction_run)
+    arun.set_defaults(func=cmd_auction_run, _parser=arun)
 
     lava = sub.add_parser("lavaland", help="2-D tile-world navigation").add_subparsers(
         dest="command", required=True)

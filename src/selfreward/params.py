@@ -43,8 +43,13 @@ def save_params(path, params: dict, meta: dict | None = None) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
 
 
-def load_params(path) -> dict:
-    """Read a parameter document back into a name -> float64 array mapping."""
+def load_params(path, scenario: str | None = None, template: dict | None = None) -> dict:
+    """Read a parameter document back into a name -> float64 array mapping.
+
+    With ``scenario``, a document whose ``meta.scenario`` names another
+    scenario is refused.  With ``template`` (name -> array), the document
+    must hold exactly those names, each with the template array's shape.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
@@ -59,6 +64,11 @@ def load_params(path) -> dict:
         raise ParamsVersionError(
             f"{path}: unsupported format_version {doc['format_version']!r}, "
             f"expected {FORMAT_VERSION}")
+    meta = doc.get("meta")
+    found = meta.get("scenario") if isinstance(meta, dict) else None
+    if scenario is not None and found is not None and found != scenario:
+        raise ParamsError(f"{path}: parameters are for scenario {found!r}, "
+                          f"not {scenario!r}")
     out = {}
     try:
         for name, entry in doc["params"].items():
@@ -66,10 +76,14 @@ def load_params(path) -> dict:
             out[name] = arr.reshape(entry["shape"])
     except (KeyError, TypeError, ValueError) as err:
         raise ParamsParseError(f"{path}: bad parameter entry: {err}") from err
+    if template is not None:
+        missing = sorted(set(template) - set(out))
+        unexpected = sorted(set(out) - set(template))
+        if missing or unexpected:
+            raise ParamsError(f"{path}: parameter names do not match: "
+                              f"missing {missing}, unexpected {unexpected}")
+        for name, arr in template.items():
+            if out[name].shape != np.shape(arr):
+                raise ParamsError(f"{path}: parameter {name!r} has shape "
+                                  f"{out[name].shape}, expected {np.shape(arr)}")
     return out
-
-
-def load_meta(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    doc = json.loads(text)
-    return doc.get("meta", {})

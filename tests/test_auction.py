@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from selfreward.autodiff import as_tensor
+from selfreward.autodiff import DiffTensor, SgdSettings, backward, concat, sgd_step
 from selfreward.auction import (
     BUY,
     HOLD,
@@ -16,6 +16,11 @@ from selfreward.auction import (
     FsnModel,
     Offer,
     base_offer,
+    W_DECISION,
+    _PFC_GATES_B,
+    _PFC_GATES_W,
+    _PFC_OUT_B,
+    _PFC_OUT_W,
     es_weight_rows,
     make_offer_variants,
     run_auction,
@@ -24,6 +29,7 @@ from selfreward.auction import (
     server_step,
     srd_finetune,
 )
+from selfreward.layers import cross_entropy_self, fully_connected, threshold_activation
 
 
 def fresh_model(seed=0, **config_kw):
@@ -80,7 +86,7 @@ def hand_es(x, eps=0.01):
 def test_es_forward_base_offer_zero_noise():
     m = fresh_model(clone_noise=0.0)
     x = base_offer().as_array()
-    got = m.es_forward(x).values
+    got = m.es_forward_values(x)
     want = hand_es(x)
     np.testing.assert_allclose(got, want, atol=1e-12)
     # named expectations: PG ~ tau(1 + small), ST ~ 1
@@ -91,30 +97,35 @@ def test_es_forward_base_offer_zero_noise():
 def test_es_forward_subtype_mismatch_drops_st():
     m = fresh_model(clone_noise=0.0)
     x = Offer(subtype=(0.5, -0.5, 0.5)).as_array()
-    got = m.es_forward(x).values
+    got = m.es_forward_values(x)
     assert got[3] == pytest.approx(hand_es(x)[3], abs=1e-12)
     assert got[3] < 0.1  # mismatch suppresses the match detector
 
 
 def test_es_forward_high_demand_raises_lsr():
     m = fresh_model(clone_noise=0.0)
-    lo = m.es_forward(Offer(demand=0.0).as_array()).values[2]
-    hi = m.es_forward(Offer(demand=1.0).as_array()).values[2]
+    lo = m.es_forward_values(Offer(demand=0.0).as_array())[2]
+    hi = m.es_forward_values(Offer(demand=1.0).as_array())[2]
     assert lo < 0.05
     assert hi == pytest.approx(math.tanh(1.001 * 1.0 + 0.0095), abs=1e-6)
 
 
-def test_es_fast_path_matches_graph_path():
+def test_es_forward_rows_match_single_offers():
+    offers = np.array([Offer(price=p, demand=d).as_array()
+                       for p, d in ((4.0, 0.1), (5.0, 0.5), (6.5, 0.9))])
     a = fresh_model(seed=5)
     b = fresh_model(seed=5)
-    x = base_offer().as_array()
-    np.testing.assert_allclose(a.es_forward(x).values, b.es_forward_values(x),
-                               atol=1e-12)
+    rows = a.es_forward_values(offers)
+    assert rows.shape == (3, 4)
+    single = np.stack([b.es_forward_values(x) for x in offers])
+    np.testing.assert_allclose(rows, single, rtol=0, atol=1e-12)
+    # one draw for the batch consumes the stream exactly as three draws do
+    assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
 
 
 def test_es_clone_layout_interleaves_variables():
     m = fresh_model(clone_noise=0.0)
-    arr = m._interleaved(np.arange(8.0))
+    arr = m._interleaved(np.arange(8.0)).ravel()
     assert arr.shape == (40,)
     np.testing.assert_allclose(arr[:5], 0.0)
     np.testing.assert_allclose(arr[5:10], 1.0)
@@ -153,24 +164,24 @@ def test_malicious_model_always_holds():
 
 def test_pfc_approves_holding_at_high_price():
     m = fresh_model()
-    x_es = as_tensor(np.array([0.9, 0.75, 0.4, 0.99]))
-    logits = as_tensor(np.array([0.4, 1.5, 0.2]))  # hold winning
-    out = m.pfc(x_es, logits).values
+    x_es = np.array([0.9, 0.75, 0.4, 0.99])
+    logits = np.array([0.4, 1.5, 0.2])  # hold winning
+    out = m.pfc(x_es, logits)
     assert out[0] > out[1]
 
 
 def test_pfc_flags_quitting_on_desirable_fish():
     m = fresh_model()
-    x_es = as_tensor(np.array([0.3, 0.95, 0.9, 0.99]))
-    logits = as_tensor(np.array([0.1, 0.2, 1.8]))  # quit winning
-    out = m.pfc(x_es, logits).values
+    x_es = np.array([0.3, 0.95, 0.9, 0.99])
+    logits = np.array([0.1, 0.2, 1.8])  # quit winning
+    out = m.pfc(x_es, logits)
     assert out[1] > out[0]
 
 
 def test_pfc_defaults_false_on_quiet_input():
     from selfreward.auction import JUDGE_FALSE_BIAS
     m = fresh_model()
-    out = m.pfc(as_tensor(np.zeros(4)), as_tensor(np.zeros(3))).values
+    out = m.pfc(np.zeros(4), np.zeros(3))
     assert out[1] > out[0]
     assert out[1] == pytest.approx(math.tanh(-0.01) + JUDGE_FALSE_BIAS, abs=1e-9)
 
@@ -179,7 +190,7 @@ def test_pfc_matches_hand_formula():
     m = fresh_model()
     x_es = np.array([0.8, 0.7, 0.5, 0.9])
     logits = np.array([1.1, 0.9, -0.2])
-    out = m.pfc(as_tensor(x_es), as_tensor(logits)).values
+    out = m.pfc(x_es, logits)
 
     def tau(v):
         return math.tanh(v) if v >= 0 else math.tanh(0.01 * v)
@@ -198,7 +209,7 @@ def test_finetune_noop_after_window():
     m = fresh_model(seed=2)
     m.epochs = 2
     before = m.export_params()
-    srd_finetune(m, make_offer_variants(base_offer(), 16, seed=0), k=4)
+    srd_finetune([m], make_offer_variants(base_offer(), 16, seed=0), k=4)
     after = m.export_params()
     np.testing.assert_array_equal(before["w_dec"], after["w_dec"])
     np.testing.assert_array_equal(before["b_dec"], after["b_dec"])
@@ -208,7 +219,7 @@ def test_finetune_noop_for_zero_epochs():
     m = fresh_model(seed=2)
     m.epochs = 0
     before = m.export_params()
-    srd_finetune(m, make_offer_variants(base_offer(), 16, seed=0), k=0)
+    srd_finetune([m], make_offer_variants(base_offer(), 16, seed=0), k=0)
     np.testing.assert_array_equal(before["w_dec"], m.export_params()["w_dec"])
 
 
@@ -220,6 +231,87 @@ def test_finetune_sampled_settings_in_range():
         assert 1e-7 <= m.learning_rate <= 1e-4
 
 
+def engine_finetune(model, variants, k):
+    """Reference: one agent, offer by offer, through the autodiff engine.
+
+    Each batch sums the judge logits of its offers, built from the engine's
+    layers, and takes one SGD step on a cross-entropy against the judge's
+    own verdict.
+    """
+    if k >= model.config.finetune_rounds or model.malicious or model.epochs == 0:
+        return
+    w = DiffTensor(model.w_dec.copy(), requires_grad=True)
+    b = DiffTensor(model.b_dec.copy(), requires_grad=True)
+    settings = SgdSettings(model.learning_rate)
+    arrays = [v.as_array() for v in variants]
+    for _ in range(model.epochs):
+        order = model.noise_rng.permutation(len(arrays))
+        for start in range(0, len(order), model.batch_size):
+            z = None
+            for idx in order[start:start + model.batch_size]:
+                x_es = DiffTensor(model.es_forward_values(arrays[idx]))
+                logits = fully_connected(x_es, w, b)
+                gates = threshold_activation(
+                    fully_connected(concat([x_es, logits]), _PFC_GATES_W, _PFC_GATES_B))
+                judged = fully_connected(gates, _PFC_OUT_W, _PFC_OUT_B)
+                z = judged if z is None else z + judged
+            backward(cross_entropy_self(z))
+            sgd_step([w, b], settings)
+    model.w_dec, model.b_dec = w.values, b.values
+
+
+def lockstep_agents(settings=((2, 4), (1, 15), (2, 7), (0, 5), (1, 6))):
+    """Agents with mixed (epochs, batch_size) and large learning rates."""
+    agents = []
+    for seed, (epochs, batch_size) in enumerate(settings):
+        m = fresh_model(seed=seed)
+        m.epochs, m.batch_size, m.learning_rate = epochs, batch_size, 0.1
+        agents.append(m)
+    return agents
+
+
+def test_lockstep_finetune_matches_engine_reference():
+    variants = make_offer_variants(base_offer(), 16, seed=4)
+    ours = lockstep_agents() + [AlwaysHoldModel(np.random.default_rng(0))]
+    ref = lockstep_agents()
+    for k in range(5):  # the last round lies past the fine-tuning window
+        srd_finetune(ours, variants, k)
+        for m in ref:
+            engine_finetune(m, variants, k)
+    for a, b in zip(ours, ref):
+        np.testing.assert_allclose(a.w_dec, b.w_dec, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.b_dec, b.b_dec, rtol=0, atol=1e-12)
+        assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+    # every agent with epochs > 0 moved well past the tolerance
+    moved = [np.abs(m.w_dec - W_DECISION).max() > 1e-3 for m in ours[:5]]
+    assert moved == [True, True, True, False, True]
+
+
+def test_lockstep_padding_leaves_finished_agent_bit_identical():
+    # the first agent's two steps run at the same array shapes in both
+    # rounds; only the number of padded steps after them differs
+    variants = make_offer_variants(base_offer(), 16, seed=4)
+    finished = []
+    for long_epochs in (1, 2):
+        short, long = lockstep_agents(((1, 15), (long_epochs, 4)))
+        srd_finetune([short, long], variants, 0)
+        finished.append(short)
+    assert not np.array_equal(finished[0].w_dec, W_DECISION)
+    np.testing.assert_array_equal(finished[0].w_dec, finished[1].w_dec)
+    np.testing.assert_array_equal(finished[0].b_dec, finished[1].b_dec)
+
+
+def test_optim_auction_deterministic_and_moves_weights():
+    a, state_a = run_auction(0.0625, optim=True, seed=3, return_state=True)
+    b, state_b = run_auction(0.0625, optim=True, seed=3, return_state=True)
+    assert a.prices == b.prices and a.rounds == b.rounds
+    for x, y in zip(state_a.agents, state_b.agents):
+        np.testing.assert_array_equal(x.w_dec, y.w_dec)
+    _, plain = run_auction(0.0625, optim=False, seed=3, return_state=True)
+    assert any(not np.array_equal(x.w_dec, y.w_dec)
+               for x, y in zip(state_a.agents, plain.agents))
+
+
 def test_finetune_does_not_lower_cheap_buy_logit():
     m = fresh_model(seed=3)
     m.epochs = 2
@@ -228,7 +320,7 @@ def test_finetune_does_not_lower_cheap_buy_logit():
     x = m.es_forward_values(cheap)
     before = m.decide_values(x)[0][BUY]
     for k in range(4):
-        srd_finetune(m, make_offer_variants(base_offer(), 16, seed=1), k)
+        srd_finetune([m], make_offer_variants(base_offer(), 16, seed=1), k)
     after = m.decide_values(x)[0][BUY]
     assert after >= before - 1e-9
 
@@ -350,7 +442,7 @@ def test_screening():
     assert screen_model(honest)
     assert not screen_model(AlwaysHoldModel(np.random.default_rng(0)))
     tampered = fresh_model(seed=4)
-    tampered.w_dec.values[BUY, 0] = +1.0  # price now pushes for buying
+    tampered.w_dec[BUY, 0] = +1.0  # price now pushes for buying
     assert not screen_model(tampered)
 
 
@@ -375,6 +467,6 @@ def test_matched_seeds_share_honest_agent_construction():
     _, mal = run_auction(0.5, malicious_frac=0.5, seed=11, return_state=True)
     # agent 40 exists in both worlds with identical sampled settings
     h, m = honest.agents[40], mal.agents[40]
-    np.testing.assert_array_equal(h.b_dec.values, m.b_dec.values)
+    np.testing.assert_array_equal(h.b_dec, m.b_dec)
     assert (h.epochs, h.batch_size, h.learning_rate) == \
         (m.epochs, m.batch_size, m.learning_rate)

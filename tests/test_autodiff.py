@@ -145,6 +145,16 @@ def test_sgd_step_no_grad_leaves_value():
     assert p.values == pytest.approx(1.5)
 
 
+def test_graph_recorded_before_sgd_step_keeps_its_values():
+    p = parameter(2.0)
+    squared = p * p  # recorded at p = 2
+    backward(p * 1.0)
+    sgd_step([p], SgdSettings(learning_rate=1.0))  # p: 2 -> 1
+    assert p.values == pytest.approx(1.0)
+    backward(squared)
+    assert p.grad == pytest.approx(4.0)  # d(p*p)/dp at the recorded p = 2
+
+
 def test_sgd_settings_validation():
     with pytest.raises(ValueError):
         SgdSettings(learning_rate=0.0)

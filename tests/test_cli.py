@@ -144,3 +144,87 @@ def test_config_file_unknown_key_exits_two(tmp_path, capsys):
                    "--out", str(tmp_path / "x"), "--config", str(cfg)])
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_auction_nonpositive_trials_exits_two(tmp_path, capsys, trials):
+    out = tmp_path / "auction"
+    rc = dispatch(["auction", "run", "--r-grid", "0.25:0.25:1", "--trials", trials,
+                   "--out", str(out)])
+    assert rc == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_auction_r_grid_above_one_rejected_before_running(tmp_path, capsys, monkeypatch):
+    from selfreward import auction
+
+    def no_auctions(*args, **kwargs):
+        raise AssertionError("an auction ran before the grid was checked")
+
+    monkeypatch.setattr(auction, "run_auction", no_auctions)
+    rc = dispatch(["auction", "run", "--r-grid", "0.5:2:4", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "r-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [{"trials": "3"}, {"trials": 2.5},
+                                       {"optim": 1}, {"seed": True}, {"out": 3}])
+def test_config_file_wrong_type_exits_two(tmp_path, capsys, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    rc = dispatch(["auction", "run", "--r-grid", "0.25:0.25:1", "--trials", "1",
+                   "--out", str(tmp_path / "a"), "--config", str(cfg)])
+    assert rc == 2
+    assert next(iter(overrides)) in capsys.readouterr().err
+
+
+def test_config_file_int_for_float_and_str_for_none(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "a"
+    cfg.write_text(json.dumps({"malicious_frac": 1, "trials": 1, "out": str(out)}))
+    assert dispatch(["auction", "run", "--r-grid", "0.25:0.25:1",
+                     "--out", str(tmp_path / "ignored"), "--config", str(cfg)]) == 0
+    rows = (out / "results.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2  # honest and malicious condition, one trial each
+
+
+def _params_file(tmp_path, name, params, scenario):
+    from selfreward.params import save_params
+
+    path = tmp_path / name
+    save_params(path, params, meta={"scenario": scenario})
+    return path
+
+
+def test_lavaland_eval_rejects_fish_params(tmp_path, capsys):
+    from selfreward.fish1d import FishConfig, FishNN
+
+    fish = _params_file(tmp_path, "fish.json", FishNN(FishConfig()).export_params(),
+                        "fish1d")
+    bank = tmp_path / "bank.json"
+    assert dispatch(["lavaland", "gen", "--count", "2", "--preset", "lava-a",
+                     "--out", str(bank)]) == 0
+    rc = dispatch(["lavaland", "eval", "--bank", str(bank), "--params", str(fish),
+                   "--report", str(tmp_path / "r")])
+    assert rc == 2
+    assert "fish1d" in capsys.readouterr().err
+
+
+def test_fish_run_rejects_lavaland_params(tmp_path, capsys):
+    from selfreward.lavaland import Robot2NNParams
+
+    lava = _params_file(tmp_path, "lava.json", Robot2NNParams().export(), "lavaland")
+    rc = dispatch(["fish1d", "run", "--steps", "10", "--trained", str(lava),
+                   "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert "lavaland" in capsys.readouterr().err
+
+
+def test_fish_run_rejects_params_with_wrong_names(tmp_path, capsys):
+    import numpy as np
+
+    bad = _params_file(tmp_path, "bad.json", {"w_act": np.zeros((3, 3))}, "fish1d")
+    rc = dispatch(["fish1d", "run", "--steps", "10", "--trained", str(bad),
+                   "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert "b_act" in capsys.readouterr().err

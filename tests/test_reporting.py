@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from selfreward.params import (
+    ParamsError,
     ParamsParseError,
     ParamsVersionError,
     load_params,
@@ -51,6 +52,22 @@ def test_params_unknown_version(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParamsVersionError):
         load_params(path)
+
+
+def test_params_checked_against_scenario_and_template(tmp_path):
+    path = tmp_path / "p.json"
+    save_params(path, {"w": np.ones((2, 3))}, meta={"scenario": "fish1d"})
+    template = {"w": np.zeros((2, 3))}
+    assert load_params(path, scenario="fish1d", template=template)["w"].shape == (2, 3)
+    with pytest.raises(ParamsError, match="scenario 'fish1d'"):
+        load_params(path, scenario="lavaland")
+    with pytest.raises(ParamsError, match="shape"):
+        load_params(path, template={"w": np.zeros(6)})
+    with pytest.raises(ParamsError, match="missing \\['b'\\]"):
+        load_params(path, template={"w": np.zeros((2, 3)), "b": np.zeros(2)})
+    # a document without meta.scenario is checked by its names alone
+    save_params(path, {"w": np.ones((2, 3))})
+    assert "w" in load_params(path, scenario="lavaland", template=template)
 
 
 def test_params_not_a_document(tmp_path):
