@@ -28,11 +28,6 @@ class ShapeError(ValueError):
 _RECORDING = True
 
 
-def recording() -> bool:
-    """Whether operations are currently appended to the record."""
-    return _RECORDING
-
-
 @contextlib.contextmanager
 def no_grad():
     """Suspend recording: everything inside is treated as a constant."""
@@ -388,6 +383,18 @@ def sgd_step(params: Iterable[DiffTensor], settings: SgdSettings) -> None:
         if p._grad is not None:
             p.values = p.values - settings.learning_rate * np.asarray(p._grad)
             p._grad = None
+
+
+def assign(p: DiffTensor, values) -> None:
+    """Rebind ``p.values`` to a float64 copy of ``values``, of p's shape.
+
+    Like ``sgd_step`` this never writes in place, so a graph recorded before
+    the assignment still backpropagates at its recorded values.
+    """
+    values = np.array(values, dtype=np.float64)
+    if values.shape != p.shape:
+        raise ShapeError(f"assign: shape {values.shape} does not match {p.shape}")
+    p.values = values
 
 
 def zero_grads(params: Iterable[DiffTensor]) -> None:

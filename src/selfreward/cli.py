@@ -61,6 +61,8 @@ def _write_manifest(args, scenario: str, preset: str, out_dir: Path,
 
 def cmd_fish_run(args) -> int:
     started = time.time()
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be at least 0, got {args.steps}")
     out_dir = Path(args.out)
     config = fish1d.FishConfig()
     nn, pfc = fish1d.FishNN(config), fish1d.FishPFC()
@@ -83,6 +85,8 @@ def cmd_fish_run(args) -> int:
 
 
 def cmd_fish_train(args) -> int:
+    if args.iters < 0:
+        raise ConfigError(f"--iters must be at least 0, got {args.iters}")
     nn, _, losses = fish1d.srd_train(args.iters, fish1d.FishConfig(), seed=args.seed)
     save_params(args.out, nn.export_params(),
                 meta={"scenario": "fish1d", "iters": args.iters, "seed": args.seed})
@@ -112,6 +116,9 @@ def cmd_auction_run(args) -> int:
     r_grid = _parse_r_grid(args.r_grid)
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    if not 0 <= args.malicious_frac <= 1:
+        raise ConfigError(f"--malicious-frac must lie in [0, 1], "
+                          f"got {args.malicious_frac}")
     conditions = ["Optim", "malicious-Optim"] if args.optim else \
         ["noOptim", "malicious-noOptim"]
     if args.malicious_frac == 0:

@@ -22,32 +22,42 @@ softmaxed action probabilities) through fixed rows:
 * m1 = tau(a_ft - F + m): moved toward visible food,
 * ex = tau(-a_fh - a_ft + m): explored when nothing was visible.
 
-The judge sums the gates into [True, False] logits.  Training accumulates
-the last ``mem`` judgments into z, takes the cross entropy of z against its
-own argmax, and backpropagates into the action layer only: the fish teaches
-itself to eat more eagerly without any external reward.
+The judge sums the gates into [True, False] logits.  Training keeps the last
+``mem`` judgments in a decision memory and sums them into z; the loss is the
+cross entropy of z against its own argmax, and only the action layer learns:
+the fish teaches itself to eat more eagerly without any external reward.
+
+Detectors and judge are frozen, so a judgment's dependence on the action
+layer theta = [w_act.ravel(), b_act] is fixed once the judgment is made.  The
+memory stores each verdict together with its 2 x 8 Jacobian, taken at push
+time, and one training step is
+
+    J_i      = O diag(tau'(pre_i)) G_p (diag p_i - p_i p_i^T) [I_2 kron x_i^T | I_2]
+    dz       = softmax(z) - onehot(argmax z)
+    dL/dtheta = (sum_i J_i)^T dz
+
+where O is the judge's output layer, pre_i the gate pre-activations, G_p the
+gate rows' columns that read the action probabilities p_i = softmax(logits_i),
+and x_i = [a_fh, a_ft, F] the action layer's input.  A step costs the same
+whatever ``mem`` is.  The graph forward (``FishNN.sense``/``decide``,
+``pfc_judge``) states the same network for the engine, which the tests use as
+the reference for this gradient.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    DiffTensor,
-    SgdSettings,
-    as_tensor,
-    backward,
-    concat,
-    parameter,
-    sgd_step,
-)
+from .autodiff import DiffTensor, SgdSettings, as_tensor, assign, concat, parameter
+# Unused here since training left the engine; bench/test_bench.py still checks
+# that the tracer rebinds fish1d.backward.  Drop it with that check.
+from .autodiff import backward  # noqa: F401
 from .layers import (
+    LEAK_SLOPE,
     conv1d,
-    cross_entropy_self,
+    cross_entropy_self_values,
     fully_connected,
     selective_activation,
     softmax,
@@ -71,6 +81,11 @@ PFC_ROWS = (
     (0.0, 1.0, -1.0, 0.0, 1.0),   # m1
     (-1.0, -1.0, 0.0, 0.0, 1.0),  # ex
 )
+_PFC_MATRIX = np.array(PFC_ROWS)
+_PFC_PROB_COLS = _PFC_MATRIX[:, 3:]  # G_p: the columns reading e and m
+
+# theta = [w_act.ravel(), b_act]: the 2 x 3 action weights, then the 2 biases
+N_THETA = 8
 
 # True-row weights the e1 gate heavily: near the eat/move boundary the e1
 # pre-activation saturates while m1 does not, and an even weighting would
@@ -153,9 +168,6 @@ class FishNN:
         ]))
         self.b_act = parameter(np.array([config.eat_bias, 0.0]))
 
-    def trainable(self) -> list[DiffTensor]:
-        return [self.w_act, self.b_act]
-
     def sense(self, window: np.ndarray) -> tuple[DiffTensor, DiffTensor]:
         eps = self.config.selective_eps
         a_fh = selective_activation(conv1d(window, self.conv_fh, self.bias_fh), eps)
@@ -169,19 +181,11 @@ class FishNN:
         return logits, int(np.argmax(logits.values))
 
     def sense_values(self, window: np.ndarray) -> tuple[float, float]:
-        """Plain-float twin of sense() for the evaluation loop."""
+        """Plain-float forward of sense()."""
         eps = self.config.selective_eps
-        y_fh = float(window @ self._fh_k) + FH_BIAS
-        y_ft = float(window @ self._ft_k) + FT_BIAS
+        y_fh = float(window @ self.conv_fh.values) + FH_BIAS
+        y_ft = float(window @ self.conv_ft.values) + FT_BIAS
         return eps / (y_fh * y_fh + eps), eps / (y_ft * y_ft + eps)
-
-    @property
-    def _fh_k(self) -> np.ndarray:
-        return self.conv_fh.values
-
-    @property
-    def _ft_k(self) -> np.ndarray:
-        return self.conv_ft.values
 
     def decide_values(self, a_fh: float, a_ft: float,
                       energy: float) -> tuple[np.ndarray, int]:
@@ -192,8 +196,8 @@ class FishNN:
         return {"w_act": self.w_act.values.copy(), "b_act": self.b_act.values.copy()}
 
     def import_params(self, params: dict) -> None:
-        self.w_act.values[...] = params["w_act"]
-        self.b_act.values[...] = params["b_act"]
+        assign(self.w_act, params["w_act"])
+        assign(self.b_act, params["b_act"])
 
 
 class FishPFC:
@@ -210,14 +214,33 @@ class FishPFC:
         return fully_connected(gates, self.judge_w, self.judge_b)
 
     def judge_values(self, v0: np.ndarray) -> np.ndarray:
-        """Plain-float twin of judge() for the evaluation loop."""
-        pre = np.asarray(PFC_ROWS) @ v0
-        leaked = np.where(pre >= 0, pre, 0.01 * pre)
-        gates = np.tanh(leaked)
-        return self.judge_w.values @ gates + self.judge_b.values
+        """Plain-float forward of judge()."""
+        return self.judge_values_and_gates(v0)[0]
+
+    def judge_values_and_gates(
+            self, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """judge_values(v0), the gate pre-activations, and the gates."""
+        pre = _PFC_MATRIX @ v0
+        gates = np.tanh(np.where(pre >= 0, pre, LEAK_SLOPE * pre))
+        return self.judge_w.values @ gates + self.judge_b.values, pre, gates
+
+    def jacobian(self, v0: np.ndarray, pre: np.ndarray,
+                 gates: np.ndarray) -> np.ndarray:
+        """d verdict / d theta (2 x 8) for the decision judged on v0.
+
+        v0 = [x, p] holds the action layer's input x and its softmaxed
+        output p; pre and gates come from ``judge_values_and_gates(v0)``.
+        """
+        x, p = v0[:3], v0[3:]
+        slope = (1.0 - gates * gates) * np.where(pre >= 0, 1.0, LEAK_SLOPE)
+        d_probs = (self.judge_w.values * slope) @ _PFC_PROB_COLS
+        # rows of d_probs (diag p - p p^T), as the softmax vjp writes them
+        d_logits = p * (d_probs - (d_probs @ p)[:, None])
+        return np.concatenate(((d_logits[:, :, None] * x).reshape(2, 6), d_logits),
+                              axis=1)
 
 
-def pfc_judge(pfc: FishPFC, nn: FishNN, a_fh: DiffTensor, a_ft: DiffTensor,
+def pfc_judge(pfc: FishPFC, a_fh: DiffTensor, a_ft: DiffTensor,
               energy: float, logits: DiffTensor) -> DiffTensor:
     """Assemble v0 = [a_fh, a_ft, F, softmax(logits)] and run the judge."""
     probs = softmax(logits)
@@ -226,23 +249,42 @@ def pfc_judge(pfc: FishPFC, nn: FishNN, a_fh: DiffTensor, a_ft: DiffTensor,
 
 
 class DecisionMemory:
-    """Sliding window over the last ``mem`` judge outputs; z is their sum."""
+    """The last ``mem`` verdicts and their Jacobians; z is the verdicts' sum.
+
+    A ring buffer: slot ``pushed % mem`` takes the next judgment, so the
+    oldest one sits there once the memory is full.  Slots not yet written
+    hold zeros, which add nothing to z or to the gradient.
+    """
 
     def __init__(self, mem: int = 8):
+        if mem < 1:
+            raise ValueError(f"mem must be at least 1, got {mem}")
         self.mem = mem
-        self.buffer: deque[DiffTensor] = deque(maxlen=mem)
+        self.pushed = 0
+        self.verdicts = np.zeros((mem, 2))
+        self.jacobians = np.zeros((mem, 2, N_THETA))
+        self._slots = np.arange(mem)
 
-    def push(self, judgment: DiffTensor) -> None:
-        self.buffer.append(judgment)
+    def push(self, verdict: np.ndarray, jacobian: np.ndarray) -> None:
+        slot = self.pushed % self.mem
+        self.verdicts[slot] = verdict
+        self.jacobians[slot] = jacobian
+        self.pushed += 1
 
     @property
     def full(self) -> bool:
-        return len(self.buffer) == self.mem
+        return self.pushed >= self.mem
 
-    def z(self) -> DiffTensor:
-        if not self.buffer:
+    def z(self) -> np.ndarray:
+        """Sum of the stored verdicts, added oldest first."""
+        if not self.pushed:
             raise ValueError("decision memory is empty")
-        return reduce(lambda a, b: a + b, self.buffer)
+        # a sum over the leading axis adds row after row, in this order
+        return self.verdicts[(self._slots + self.pushed) % self.mem].sum(axis=0)
+
+    def gradient(self, dz: np.ndarray) -> np.ndarray:
+        """d loss / d theta = (sum_i J_i)^T dz, for dz = d loss / dz."""
+        return dz @ self.jacobians.sum(axis=0)
 
 
 def world_step(world: FishWorld, state: FishState, action: int,
@@ -268,6 +310,16 @@ def make_world(seed: int | None, config: FishConfig) -> tuple[FishWorld, FishSta
     return FishWorld(phase, config.food_period), FishState(config.initial_energy)
 
 
+def sense_and_decide(nn: FishNN, world: FishWorld,
+                     state: FishState) -> tuple[int, np.ndarray]:
+    """The action, and the judge's input v0 = [a_fh, a_ft, F, e, m]."""
+    a_fh, a_ft = nn.sense_values(world.window)
+    logits, action = nn.decide_values(a_fh, a_ft, state.energy)
+    shifted = np.exp(logits - logits.max())
+    probs = shifted / shifted.sum()
+    return action, np.array([a_fh, a_ft, state.energy, probs[0], probs[1]])
+
+
 def run_episode(nn: FishNN, pfc: FishPFC, world: FishWorld, state: FishState,
                 steps: int) -> list[dict]:
     """Run the live loop without learning; one trace record per step.
@@ -278,11 +330,7 @@ def run_episode(nn: FishNN, pfc: FishPFC, world: FishWorld, state: FishState,
     trace = []
     config = nn.config
     for step in range(steps):
-        a_fh, a_ft = nn.sense_values(world.window)
-        logits, action = nn.decide_values(a_fh, a_ft, state.energy)
-        shifted = np.exp(logits - logits.max())
-        probs = shifted / shifted.sum()
-        v0 = np.array([a_fh, a_ft, state.energy, probs[0], probs[1]])
+        action, v0 = sense_and_decide(nn, world, state)
         verdict = pfc.judge_values(v0)
         trace.append({
             "step": step,
@@ -300,27 +348,27 @@ def srd_train(steps: int, config: FishConfig | None = None,
               seed: int | None = None) -> tuple[FishNN, FishPFC, list[float]]:
     """Live training loop: act, judge, and descend the self-labelled loss.
 
-    Every step pushes the judge output into the decision memory; once the
-    window is full, loss = cross_entropy(z, argmax z) is backpropagated into
-    the action layer and one SGD step applied.  Detectors and judge stay
-    frozen throughout.
+    Every step pushes the judge output and its Jacobian into the decision
+    memory; once the window is full, loss = cross_entropy(z, argmax z) is
+    taken and one SGD step applied to the action layer with the gradient in
+    the module docstring.  Detectors and judge stay frozen throughout.
     """
     config = config or FishConfig()
     nn = FishNN(config)
     pfc = FishPFC()
     world, state = make_world(seed, config)
     memory = DecisionMemory(config.mem)
-    settings = SgdSettings(config.learning_rate)
+    lr = SgdSettings(config.learning_rate).learning_rate
     losses: list[float] = []
     for _ in range(steps):
-        a_fh, a_ft = nn.sense(world.window)
-        logits, action = nn.decide(a_fh, a_ft, state.energy)
-        verdict = pfc_judge(pfc, nn, a_fh, a_ft, state.energy, logits)
-        memory.push(verdict)
+        action, v0 = sense_and_decide(nn, world, state)
+        verdict, pre, gates = pfc.judge_values_and_gates(v0)
+        memory.push(verdict, pfc.jacobian(v0, pre, gates))
         if memory.full:
-            loss = cross_entropy_self(memory.z())
-            backward(loss)
-            sgd_step(nn.trainable(), settings)
-            losses.append(loss.item())
+            loss, dz = cross_entropy_self_values(memory.z())
+            grad = memory.gradient(dz)
+            nn.w_act.values = nn.w_act.values - lr * grad[:6].reshape(2, 3)
+            nn.b_act.values = nn.b_act.values - lr * grad[6:]
+            losses.append(loss)
         world_step(world, state, action, config)
     return nn, pfc, losses

@@ -30,7 +30,7 @@ score toward 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,7 @@ from .autodiff import (
     DiffTensor,
     SgdSettings,
     as_tensor,
+    assign,
     backward,
     concat,
     gather,
@@ -240,7 +241,7 @@ class Robot2NNParams:
     def load(self, arrays: dict) -> None:
         for t, seq in self.kernels.items():
             for i in range(N_LAYERS):
-                seq[i].values[...] = arrays[f"{t}/{i}"]
+                assign(seq[i], arrays[f"{t}/{i}"])
 
 
 def deconv_seq(kernels: list[DiffTensor], grid: DiffTensor) -> DiffTensor:

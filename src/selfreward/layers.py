@@ -165,18 +165,22 @@ def cross_entropy_self(z) -> DiffTensor:
     Ties resolve to the lowest index, matching every other argmax here.
     """
     z = as_tensor(z)
-    label = int(np.argmax(z.values))
-    m = z.values.max()
-    lse = m + np.log(np.exp(z.values - m).sum())
-    out = np.asarray(lse - z.values[label])
-    p = np.exp(z.values - lse)
+    loss, gz = cross_entropy_self_values(z.values)
 
     def vjp(g):
-        gz = p.copy()
-        gz[label] -= 1.0
         return (float(g) * gz,)
 
-    return record(out, (z,), vjp)
+    return record(np.asarray(loss), (z,), vjp)
+
+
+def cross_entropy_self_values(z: np.ndarray) -> tuple[float, np.ndarray]:
+    """cross_entropy_self on a plain array: (loss, softmax(z) - onehot(argmax z))."""
+    label = int(np.argmax(z))
+    m = z.max()
+    lse = m + np.log(np.exp(z - m).sum())
+    gz = np.exp(z - lse)
+    gz[label] -= 1.0
+    return float(lse - z[label]), gz
 
 
 def stable_pose_activation(x, pose, epsilon: float = DEFAULT_EPSILON) -> DiffTensor:

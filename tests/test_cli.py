@@ -167,6 +167,37 @@ def test_auction_r_grid_above_one_rejected_before_running(tmp_path, capsys, monk
     assert "r-grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("frac", ["1.5", "-0.25", "nan"])
+def test_auction_malicious_frac_outside_unit_interval_rejected_before_running(
+        tmp_path, capsys, monkeypatch, frac):
+    from selfreward import auction
+
+    def no_auctions(*args, **kwargs):
+        raise AssertionError("an auction ran before --malicious-frac was checked")
+
+    monkeypatch.setattr(auction, "run_auction", no_auctions)
+    rc = dispatch(["auction", "run", "--r-grid", "0.25:0.5:2", "--trials", "3",
+                   "--malicious-frac", frac, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--malicious-frac" in capsys.readouterr().err
+
+
+def test_fish_train_negative_iters_exits_two(tmp_path, capsys):
+    out = tmp_path / "params.json"
+    rc = dispatch(["fish1d", "train", "--iters", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "--iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fish_run_negative_steps_exits_two(tmp_path, capsys):
+    out = tmp_path / "fish"
+    rc = dispatch(["fish1d", "run", "--steps", "-5", "--out", str(out)])
+    assert rc == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("overrides", [{"trials": "3"}, {"trials": 2.5},
                                        {"optim": 1}, {"seed": True}, {"out": 3}])
 def test_config_file_wrong_type_exits_two(tmp_path, capsys, overrides):

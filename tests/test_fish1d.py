@@ -1,9 +1,23 @@
 """Fish scenario: detectors, decisions, world dynamics, judge, training."""
 
+import operator
+from collections import deque
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from selfreward.autodiff import as_tensor, no_grad
+from selfreward import fish1d
+from selfreward.autodiff import (
+    SgdSettings,
+    ShapeError,
+    as_tensor,
+    backward,
+    no_grad,
+    pick,
+    sgd_step,
+    total,
+)
 from selfreward.fish1d import (
     ACTION_NAMES,
     EAT,
@@ -18,9 +32,11 @@ from selfreward.fish1d import (
     make_world,
     pfc_judge,
     run_episode,
+    sense_and_decide,
     srd_train,
     world_step,
 )
+from selfreward.layers import cross_entropy_self
 
 EPS = 0.01
 A_OFF = EPS / (0.25 + EPS)  # detector response to an empty window
@@ -190,7 +206,7 @@ def test_judge_worked_trace(pfc, nn):
     # hungry fish eating available food: e1 saturates, verdict True
     a_fh, a_ft = nn.sense(np.array([0.5, 0.0, 0.0]))
     logits, _ = nn.decide(a_fh, a_ft, 0.2)
-    out = pfc_judge(pfc, nn, a_fh, a_ft, 0.2, logits)
+    out = pfc_judge(pfc, a_fh, a_ft, 0.2, logits)
     assert out.values[0] > out.values[1]
 
 
@@ -198,20 +214,58 @@ def test_judge_worked_trace(pfc, nn):
 
 
 def test_memory_sums_last_mem_judgments():
+    rng = np.random.default_rng(4)
+    for size in (1, 3, 8):
+        mem = DecisionMemory(size)
+        verdicts = [rng.normal(size=2) * 10.0 ** rng.integers(-8, 8) for _ in range(20)]
+        for i, verdict in enumerate(verdicts):
+            mem.push(verdict, np.zeros((2, 8)))
+            # bit for bit the oldest-first sum of the window
+            expected = reduce(operator.add, verdicts[max(0, i + 1 - size):i + 1])
+            assert mem.z().tobytes() == expected.tobytes()
+            assert mem.full == (i + 1 >= size)
+
+
+def test_memory_gradient_sums_the_window_jacobians():
+    rng = np.random.default_rng(5)
     mem = DecisionMemory(3)
-    pairs = [np.array([i * 1.0, -i * 1.0]) for i in range(1, 6)]
-    sums = []
-    for i, p in enumerate(pairs):
-        mem.push(as_tensor(p))
-        expected = np.sum(pairs[max(0, i - 2):i + 1], axis=0)
-        np.testing.assert_allclose(mem.z().values, expected)
-        sums.append(expected)
-    assert len(mem.buffer) == 3
+    jacobians = [rng.normal(size=(2, 8)) for _ in range(5)]
+    dz = rng.normal(size=2)
+    for i, jac in enumerate(jacobians):
+        mem.push(np.zeros(2), jac)
+        window = jacobians[max(0, i - 2):i + 1]
+        np.testing.assert_allclose(mem.gradient(dz), sum(j.T @ dz for j in window),
+                                   rtol=1e-13, atol=1e-15)
 
 
 def test_memory_empty_z_raises():
     with pytest.raises(ValueError):
         DecisionMemory(4).z()
+    with pytest.raises(ValueError):
+        DecisionMemory(0)
+
+
+def test_cached_jacobian_matches_engine_gradient_of_each_verdict():
+    rng = np.random.default_rng(6)
+    pfc = FishPFC()
+    for _ in range(40):
+        nn = FishNN(FishConfig())
+        nn.import_params({"w_act": nn.w_act.values + rng.normal(0, 0.5, (2, 3)),
+                          "b_act": rng.normal(0, 0.5, 2)})
+        world, state = make_world(int(rng.integers(1000)), nn.config)
+        state.energy = float(rng.uniform(0.05, 1.0))
+        _, v0 = sense_and_decide(nn, world, state)
+        _, pre, gates = pfc.judge_values_and_gates(v0)
+        jac = pfc.jacobian(v0, pre, gates)
+        a_fh, a_ft = nn.sense(world.window)
+        logits, _ = nn.decide(a_fh, a_ft, state.energy)
+        verdict = pfc_judge(pfc, a_fh, a_ft, state.energy, logits)
+        for c in range(2):
+            backward(pick(verdict, c))
+            want = np.concatenate([nn.w_act.grad.ravel(), nn.b_act.grad])
+            np.testing.assert_allclose(jac[c], want, rtol=1e-12, atol=1e-15)
+            nn.w_act.zero_grad()
+            nn.b_act.zero_grad()
 
 
 # -- episodes and training -----------------------------------------------------
@@ -248,6 +302,65 @@ def test_short_training_moves_eat_weight_up():
     before = FishNN(FishConfig()).w_act.values[EAT, 0]
     nn, _, _ = srd_train(1500, seed=2)
     assert nn.w_act.values[EAT, 0] > before
+
+
+def engine_srd_train(steps, seed, config=None):
+    """srd_train written on the engine: graph forward, one backward through
+    the last ``mem`` judgment graphs per step, sgd_step.  Reference loop."""
+    config = config or FishConfig()
+    nn, pfc = FishNN(config), FishPFC()
+    world, state = make_world(seed, config)
+    memory = deque(maxlen=config.mem)
+    settings = SgdSettings(config.learning_rate)
+    losses, actions = [], []
+    for _ in range(steps):
+        a_fh, a_ft = nn.sense(world.window)
+        logits, action = nn.decide(a_fh, a_ft, state.energy)
+        memory.append(pfc_judge(pfc, a_fh, a_ft, state.energy, logits))
+        if len(memory) == config.mem:
+            loss = cross_entropy_self(reduce(operator.add, memory))
+            backward(loss)
+            sgd_step([nn.w_act, nn.b_act], settings)
+            losses.append(loss.item())
+        actions.append(action)
+        world_step(world, state, action, config)
+    return nn, losses, actions
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_closed_form_fish_training_matches_engine(seed, monkeypatch):
+    steps = 2000
+    ref_nn, ref_losses, ref_actions = engine_srd_train(steps, seed)
+    actions = []
+
+    def recording_step(world, state, action, config):
+        actions.append(action)
+        return world_step(world, state, action, config)
+
+    monkeypatch.setattr(fish1d, "world_step", recording_step)
+    nn, _, losses = srd_train(steps, seed=seed)
+    assert actions == ref_actions
+    np.testing.assert_allclose(nn.w_act.values, ref_nn.w_act.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(nn.b_act.values, ref_nn.b_act.values, rtol=0, atol=1e-12)
+    assert len(losses) == len(ref_losses) == steps - FishConfig().mem + 1
+    np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-12)
+
+
+def test_graph_recorded_before_import_params_keeps_its_values():
+    nn = FishNN(FishConfig())
+    before = nn.w_act.values.copy()
+    squared = total(nn.w_act * nn.w_act)  # recorded at the initial weights
+    params = {"w_act": before + 1.0, "b_act": np.array([0.25, -0.25])}
+    nn.import_params(params)
+    params["w_act"][...] = 0.0  # the imported weights are the model's own copy
+    np.testing.assert_array_equal(nn.w_act.values, before + 1.0)
+    np.testing.assert_array_equal(nn.b_act.values, [0.25, -0.25])
+    backward(squared)
+    np.testing.assert_array_equal(nn.w_act.grad, 2.0 * before)
+    with pytest.raises(ShapeError):
+        nn.import_params({"w_act": np.zeros((3, 2)), "b_act": np.zeros(2)})
+    with pytest.raises(ShapeError):
+        nn.import_params({"w_act": np.zeros((2, 3)), "b_act": 0.0})
 
 
 def test_training_raises_average_energy():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from selfreward.autodiff import as_tensor, backward, parameter
+from selfreward.autodiff import ShapeError, as_tensor, backward, parameter, total
 from selfreward.layers import selective_core
 from selfreward.lavaland import (
     KNOWN_TILES,
@@ -144,6 +144,22 @@ def test_unknown_mask_threshold_is_strict():
 def test_parameter_count_is_180():
     assert Robot2NNParams().count() == 180
     assert len(Robot2NNParams().trainable()) == 20
+
+
+def test_graph_recorded_before_load_keeps_its_values():
+    params = Robot2NNParams()
+    kernel = params.kernels["dirt"][0]
+    before = kernel.values.copy()
+    squared = total(kernel * kernel)  # recorded at the initial kernel
+    arrays = {name: arr + 1.0 for name, arr in params.export().items()}
+    params.load(arrays)
+    np.testing.assert_array_equal(kernel.values, before + 1.0)
+    arrays["dirt/0"][...] = 0.0  # the loaded kernel holds its own copy
+    np.testing.assert_array_equal(kernel.values, before + 1.0)
+    backward(squared)
+    np.testing.assert_array_equal(kernel.grad, 2.0 * before)
+    with pytest.raises(ShapeError):
+        params.load({**params.export(), "dirt/0": np.zeros(9)})
 
 
 def test_deconv_seq_bounded_bump_shape_preserving():

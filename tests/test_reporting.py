@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from selfreward.params import (
     ParamsError,
@@ -33,6 +36,25 @@ def test_params_roundtrip_bit_exact(tmp_path):
     for name in params:
         assert loaded[name].shape == params[name].shape
         np.testing.assert_array_equal(loaded[name], params[name])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(
+    st.text(min_size=1, max_size=8),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+               elements=st.floats(allow_nan=False)),
+    max_size=4))
+def test_params_roundtrip_any_names_shapes_and_floats(tmp_path, params):
+    path = tmp_path / "p.json"
+    save_params(path, params, meta={"scenario": "fish1d"})
+    template = {name: np.zeros(arr.shape) for name, arr in params.items()}
+    loaded = load_params(path, scenario="fish1d", template=template)
+    assert loaded.keys() == params.keys()
+    for name, arr in params.items():
+        assert loaded[name].dtype == np.float64 and loaded[name].shape == arr.shape
+        # bit for bit, signed zeros and infinities included
+        assert loaded[name].tobytes() == arr.tobytes()
 
 
 def test_params_truncated_file_reports_offset(tmp_path):
