@@ -160,6 +160,8 @@ def cmd_lava_gen(args) -> int:
 
 def cmd_lava_train(args) -> int:
     bank = lava_mod.load_bank(args.bank)
+    if not bank.maps:
+        raise ConfigError(f"{args.bank}: bank has no maps to train on")
     config = lava_mod.PRESETS[bank.preset]
     params = lava_mod.Robot2NNParams()
     losses = lava_mod.srd_train_lavaland(params, bank, config, seed=args.seed)
@@ -172,6 +174,8 @@ def cmd_lava_train(args) -> int:
 
 def cmd_lava_eval(args) -> int:
     started = time.time()
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     bank = lava_mod.load_bank(args.bank)
     config = lava_mod.PRESETS[bank.preset]
     params = lava_mod.Robot2NNParams()

@@ -8,16 +8,15 @@ the map shows that tile and ~0 elsewhere.  Colors no detector recognizes
 light up ``w_unknown`` instead; lava is exactly such a color, so the robot
 can avoid what its designer forgot to model.
 
-Each tile type also owns a DeconvSeq: five 3x3 transposed convolutions
-(each followed by tanh and max-abs normalization) that smear the
-detector's evidence into a smooth score field.  Kernels start with center
-1 and sides 0.1, so each tile mostly scores itself and bleeds a little
-into its neighborhood.  Grass and dirt detectors are first multiplied by
-the favourability gradient (w_target - w_self), which tilts their fields
-so tiles near the target score higher than tiles near the start.  The
-per-type fields, scaled by hand-picked preferences (target strongly
-positive, grass negative, dirt mildly positive), sum into the score grid
-the planner walks on.
+Each tile type also owns a DeconvSeq: five 3x3 transposed convolutions,
+each followed by tanh, that smear the detector's evidence into a smooth
+score field.  Kernels start with center 1 and sides 0.1, so each tile
+mostly scores itself and bleeds a little into its neighborhood.  Grass and
+dirt detectors are first multiplied by the favourability gradient
+(w_target - w_self), which tilts their fields so tiles near the target
+score higher than tiles near the start.  The per-type fields, scaled by
+hand-picked preferences (target strongly positive, grass negative, dirt
+mildly positive), sum into the score grid the planner walks on.
 
 Planning is stochastic hill climbing: look at the four neighbors, take the
 best of the top two with 9:1 odds, mark departed tiles strongly negative
@@ -25,34 +24,36 @@ to prevent oscillation, stop at the target or after 36 steps.  The robot
 imagines ``n_plans`` such rollouts, executes the best-scoring one, and
 trains its 180 kernel weights by pushing every imagined plan's normalized
 score toward 1.
+
+Training takes the gradient in closed form, with no recorded graph.
+``deconv_seq`` runs the four DeconvSeqs stacked and keeps every layer's
+tanh output.  A walk reads plain floats and notes which steps landed on a
+*live* tile, one whose value is still v_sigma's: not pinned, not blended
+away as unknown, not departed.  A plan's score is the mean of its steps,
+so its derivative with respect to v_sigma is 1/steps on those tiles and
+zero elsewhere.  ``kernel_gradient`` carries the loss derivative from
+there through the preferences and back through the five tanh-deconv layers
+to all 180 kernel values at once.  Every float operation comes in the order
+``autodiff.backward`` takes on the same model written as a graph (the
+tests keep that graph as the reference), so the trained kernels equal it
+bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import (
-    DiffTensor,
-    SgdSettings,
-    as_tensor,
-    assign,
-    backward,
-    concat,
-    gather,
-    max_abs,
-    mean,
-    no_grad,
-    parameter,
-    scatter_constant,
-    sgd_step,
-    square,
-    tanh,
-)
-from .layers import deconv3x3, selective_core
+from .autodiff import ShapeError
+# Unused here since lavaland left the engine; bench/test_bench.py still checks
+# that the tracer rebinds lavaland.backward.  Drop it with that check.
+from .autodiff import backward  # noqa: F401
+from .layers import deconv_shifts, selective_core
 
 PALETTE = {
     "target": np.array([1.0, 1.0, 0.0]),
@@ -64,6 +65,8 @@ KNOWN_TILES = ("target", "grass", "dirt")  # what the designer modelled
 SCORED_TILES = ("target", "self", "grass", "dirt")
 TILE_CHARS = {"grass": "g", "dirt": "d", "lava": "l", "target": "y"}
 CHAR_TILES = {c: t for t, c in TILE_CHARS.items()}
+PALETTE_RGB = np.array(list(PALETTE.values()))  # rows in PALETTE order
+CHAR_INDEX = {TILE_CHARS[t]: i for i, t in enumerate(PALETTE)}
 
 N_LAYERS = 5
 KERNEL_INIT_CENTER = 1.0
@@ -132,12 +135,12 @@ class TileMap:
                 return (r, c)
         raise ValueError("map has no target tile")
 
+    def palette_index(self) -> np.ndarray:
+        """Row of PALETTE_RGB shown by every tile, as an (H, W) array."""
+        return np.array([[CHAR_INDEX[ch] for ch in row] for row in self.tiles])
+
     def rgb(self) -> np.ndarray:
-        img = np.zeros((self.height, self.width, 3))
-        for r, row in enumerate(self.tiles):
-            for c, ch in enumerate(row):
-                img[r, c] = PALETTE[CHAR_TILES[ch]]
-        return img
+        return PALETTE_RGB[self.palette_index()]
 
     def terrain_at(self, pos: tuple) -> str:
         return CHAR_TILES[self.tiles[pos[0]][pos[1]]]
@@ -193,11 +196,58 @@ def save_bank(path, bank: MapBank) -> None:
 
 
 def load_bank(path) -> MapBank:
+    """Read a bank written by ``save_bank``, refusing what the planner cannot use.
+
+    A ValueError names the file and, for a bad map, the map's index.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != 1:
-        raise ValueError(f"{path}: unsupported bank version {doc.get('format_version')!r}")
-    maps = [TileMap(tiles=m["tiles"], spawn=tuple(m["spawn"])) for m in doc["maps"]]
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != 1:
+        raise ValueError(f"{path}: unsupported bank version {version!r}")
+    for key in ("preset", "seed", "maps"):
+        if key not in doc:
+            raise ValueError(f"{path}: bank has no {key!r} entry")
+    if not isinstance(doc["preset"], str) or doc["preset"] not in PRESETS:
+        raise ValueError(f"{path}: unknown preset {doc['preset']!r}; "
+                         f"choose from {sorted(PRESETS)}")
+    if type(doc["seed"]) is not int or not isinstance(doc["maps"], list):
+        raise ValueError(f"{path}: 'seed' must be an integer and 'maps' a list")
+    maps = [_checked_map(m, f"{path}: map {i}") for i, m in enumerate(doc["maps"])]
     return MapBank(preset=doc["preset"], seed=doc["seed"], maps=maps)
+
+
+def _checked_map(entry, where: str) -> TileMap:
+    """A TileMap from a bank entry: rectangular rows of known tile characters,
+    exactly one target, and a [row, col] spawn inside the map, off lava and
+    off the target."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: not an object with 'tiles' and 'spawn'")
+    tiles, spawn = entry.get("tiles"), entry.get("spawn")
+    if not (isinstance(tiles, list) and tiles
+            and all(isinstance(row, str) and row for row in tiles)):
+        raise ValueError(f"{where}: 'tiles' must be a non-empty list of non-empty strings")
+    if len({len(row) for row in tiles}) != 1:
+        raise ValueError(f"{where}: rows are not all the same length")
+    flat = "".join(tiles)
+    unknown = sorted(set(flat) - set(CHAR_INDEX))
+    if unknown:
+        raise ValueError(f"{where}: unknown tile characters {unknown}; "
+                         f"expected {sorted(CHAR_INDEX)}")
+    if flat.count(TILE_CHARS["target"]) != 1:
+        raise ValueError(f"{where}: {flat.count(TILE_CHARS['target'])} target tiles, "
+                         f"expected exactly one")
+    if not (isinstance(spawn, list) and len(spawn) == 2
+            and all(type(v) is int for v in spawn)):
+        raise ValueError(f"{where}: spawn {spawn!r} is not a [row, col] pair of integers")
+    tile_map = TileMap(tiles=tiles, spawn=tuple(spawn))
+    r, c = spawn
+    if not (0 <= r < tile_map.height and 0 <= c < tile_map.width):
+        raise ValueError(f"{where}: spawn {spawn} lies outside the "
+                         f"{tile_map.height}x{tile_map.width} map")
+    if tile_map.terrain_at(tile_map.spawn) in ("lava", "target"):
+        raise ValueError(f"{where}: spawn {spawn} is on "
+                         f"{tile_map.terrain_at(tile_map.spawn)}")
+    return tile_map
 
 
 # -- detectors ---------------------------------------------------------------------
@@ -210,6 +260,20 @@ def get_aba(x_attn: np.ndarray, tile_rgb: np.ndarray,
     return selective_core(residual, eps)
 
 
+@functools.lru_cache(maxsize=8)
+def _palette_responses(eps: float) -> np.ndarray:
+    """Response of each KNOWN_TILES detector (rows) to each PALETTE color.
+
+    Every pixel of a map shows one palette color and get_aba works pixel by
+    pixel, so indexing a row by ``TileMap.palette_index`` gives get_aba's
+    grid on the map's image exactly.  Read-only: the cache shares it.
+    """
+    responses = np.stack([get_aba(PALETTE_RGB[None], PALETTE[t], eps)[0]
+                          for t in KNOWN_TILES])
+    responses.flags.writeable = False
+    return responses
+
+
 def unknown_mask(detectors: dict, tau_recog: float = 1e-4) -> np.ndarray:
     """1.0 where no named detector recognizes the tile, else 0.0."""
     total = sum(detectors[t] for t in KNOWN_TILES)
@@ -220,51 +284,105 @@ def unknown_mask(detectors: dict, tau_recog: float = 1e-4) -> np.ndarray:
 
 
 class Robot2NNParams:
-    """Four DeconvSeqs of five 3x3 kernels: 180 trainable values."""
+    """Four DeconvSeqs of five 3x3 kernels: 180 trainable values.
+
+    ``kernels`` is one (4, 5, 3, 3) array, indexed by SCORED_TILES position,
+    then layer.  Updates rebind it to a new array, so fields built earlier
+    keep the kernels they were built with.
+    """
 
     def __init__(self):
         init = np.full((3, 3), KERNEL_INIT_SIDE)
         init[1, 1] = KERNEL_INIT_CENTER
-        self.kernels = {t: [parameter(init.copy()) for _ in range(N_LAYERS)]
-                        for t in SCORED_TILES}
-
-    def trainable(self) -> list[DiffTensor]:
-        return [k for seq in self.kernels.values() for k in seq]
+        self.kernels = np.tile(init, (len(SCORED_TILES), N_LAYERS, 1, 1))
 
     def count(self) -> int:
-        return sum(k.values.size for k in self.trainable())
+        return self.kernels.size
 
     def export(self) -> dict:
-        return {f"{t}/{i}": seq[i].values.copy()
-                for t, seq in self.kernels.items() for i in range(N_LAYERS)}
+        return {f"{t}/{i}": self.kernels[j, i].copy()
+                for j, t in enumerate(SCORED_TILES) for i in range(N_LAYERS)}
 
     def load(self, arrays: dict) -> None:
-        for t, seq in self.kernels.items():
+        kernels = np.empty_like(self.kernels)
+        for j, t in enumerate(SCORED_TILES):
             for i in range(N_LAYERS):
-                assign(seq[i], arrays[f"{t}/{i}"])
+                values = np.asarray(arrays[f"{t}/{i}"], dtype=np.float64)
+                if values.shape != (3, 3):
+                    raise ShapeError(f"kernel {t}/{i}: shape {values.shape} is not (3, 3)")
+                kernels[j, i] = values
+        self.kernels = kernels
 
 
-def deconv_seq(kernels: list[DiffTensor], grid: DiffTensor) -> DiffTensor:
-    """Five rounds of transposed convolution, each followed by tanh.
+@functools.lru_cache(maxsize=64)
+def _deconv_taps(n: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of a 3x3 transposed convolution of n stacked h x w grids.
 
-    The tanh bounds every field to (-1, 1), so per-type scores stay
+    The grids are flat rows of an (n, h*w + 1) array whose last column is a
+    zero slot.  Entry [g, s, c] of the first array indexes the input cell
+    that ``layers.deconv_shifts`` term s deposits into output cell c of grid
+    g; the second array is its transpose (the output cell that input cell c
+    feeds through term s).  A tap that falls outside the grid indexes the
+    zero slot.  Read-only: the cache shares them.
+    """
+    fwd = np.full((9, h * w), h * w)
+    bwd = np.full((9, h * w), h * w)
+    cells = np.arange(h * w).reshape(h, w)
+    for s, (_, _, dst, src) in enumerate(deconv_shifts(h, w)):
+        fwd[s].reshape(h, w)[dst] = cells[src]
+        bwd[s].reshape(h, w)[src] = cells[dst]
+    rows = (np.arange(n) * (h * w + 1))[:, None, None]
+    fwd, bwd = fwd + rows, bwd + rows
+    fwd.flags.writeable = bwd.flags.writeable = False
+    return fwd, bwd
+
+
+def _deconv_stack(grids_ext: np.ndarray, taps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Transposed 3x3 convolution of n flat grids with n kernels at once.
+
+    ``grids_ext`` is (n, h*w + 1) with a zero last column, ``kernels`` is
+    (n, 3, 3).  Every cell sums its nine terms in ``layers.deconv_shifts``
+    order, as ``layers.deconv3x3`` does; the terms of dropped deposits are
+    exact zeros, so each sum rounds the same way.
+    """
+    terms = grids_ext.take(taps)
+    terms *= kernels.reshape(len(kernels), 9, 1)
+    return np.add.reduce(terms, axis=1)  # over the 9 terms, one after another
+
+
+def deconv_seq(kernels: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """Stacked DeconvSeqs: grids (n, H, W) through kernels (n, 5, 3, 3).
+
+    Each layer is ``layers.deconv3x3`` on every grid at once, followed by
+    tanh.  The tanh bounds every field to (-1, 1), so per-type scores stay
     comparable in relative terms and a near-zero input yields a near-zero
     field instead of being rescaled into full-strength noise.
+
+    Returns the (6, n, H*W + 1) activations: the input grids, then each
+    layer's tanh output, flattened, each row followed by a zero slot.  The
+    last is the field; the others feed ``kernel_gradient``.
     """
-    x = grid
-    for k in kernels:
-        x = tanh(deconv3x3(x, k))
-    return x
+    n, h, w = grids.shape
+    taps, _ = _deconv_taps(n, h, w)
+    activations = np.zeros((kernels.shape[1] + 1, n, h * w + 1))
+    activations[0, :, :-1] = grids.reshape(n, -1)
+    for layer in range(kernels.shape[1]):
+        activations[layer + 1, :, :-1] = np.tanh(
+            _deconv_stack(activations[layer], taps, kernels[:, layer]))
+    return activations
 
 
 @dataclass
 class ScoreField:
-    """Everything the planner needs for one map."""
+    """Everything the planner and the kernel gradient need for one map."""
 
     detectors: dict          # named numpy grids incl. "self"
     w_unknown: np.ndarray
-    v1: dict                 # per-type DiffTensor fields
-    v_sigma: DiffTensor
+    kernels: np.ndarray      # the (4, 5, 3, 3) kernels the fields were built with
+    activations: np.ndarray  # deconv_seq's output
+    preferences: np.ndarray  # (4,) in SCORED_TILES order
+    v1: dict                 # per-type fields, scaled by their preference
+    v_sigma: np.ndarray
     spawn: tuple
     target: tuple
 
@@ -272,23 +390,24 @@ class ScoreField:
 def build_fields(tile_map: TileMap, params: Robot2NNParams,
                  config: LavaConfig) -> ScoreField:
     """Detector grids, per-type score fields, and their sum."""
-    x_attn = tile_map.rgb()
-    detectors = {t: get_aba(x_attn, PALETTE[t], config.selective_eps)
-                 for t in KNOWN_TILES}
-    w_self = np.zeros(x_attn.shape[:2])
+    tiles = tile_map.palette_index()
+    detectors = dict(zip(KNOWN_TILES, _palette_responses(config.selective_eps)[:, tiles]))
+    w_self = np.zeros(tiles.shape)
     w_self[tile_map.spawn] = 1.0
     detectors["self"] = w_self
     w_unk = unknown_mask(detectors, config.tau_recog)
 
     gradient_field = detectors["target"] - w_self
-    prefs = config.preferences
-    v1 = {}
-    for t in SCORED_TILES:
-        base = detectors[t] if t in ("target", "self") else gradient_field * detectors[t]
-        v1[t] = deconv_seq(params.kernels[t], as_tensor(base)) * prefs[t]
-    v_sigma = v1["target"] + v1["self"] + v1["grass"] + v1["dirt"]
-    return ScoreField(detectors=detectors, w_unknown=w_unk, v1=v1,
-                      v_sigma=v_sigma, spawn=tile_map.spawn, target=tile_map.target)
+    base = np.stack([detectors[t] if t in ("target", "self") else gradient_field * detectors[t]
+                     for t in SCORED_TILES])
+    activations = deconv_seq(params.kernels, base)
+    prefs = np.array([config.preferences[t] for t in SCORED_TILES])
+    v1 = (activations[-1, :, :-1] * prefs[:, None]).reshape(base.shape)
+    v_sigma = v1[0] + v1[1] + v1[2] + v1[3]
+    return ScoreField(detectors=detectors, w_unknown=w_unk, kernels=params.kernels,
+                      activations=activations, preferences=prefs,
+                      v1=dict(zip(SCORED_TILES, v1)), v_sigma=v_sigma,
+                      spawn=tile_map.spawn, target=tile_map.target)
 
 
 # -- planning -----------------------------------------------------------------------
@@ -296,23 +415,30 @@ def build_fields(tile_map: TileMap, params: Robot2NNParams,
 
 @dataclass
 class PlanRecord:
+    """One imagined walk: the tiles it chose, its score and whether it arrived."""
+
     trajectory: list
-    v_plan: DiffTensor
+    score: float
     reached: bool
+    live_steps: list  # flat indices of the tiles that were live when stepped onto
 
     @property
     def steps(self) -> int:
         return len(self.trajectory)
-
-    @property
-    def score(self) -> float:
-        return self.v_plan.item()
 
 
 def _neighbors(pos: tuple, h: int, w: int) -> list[tuple]:
     r, c = pos
     cand = ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))  # up, down, left, right
     return [(rr, cc) for rr, cc in cand if 0 <= rr < h and 0 <= cc < w]
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_tables(h: int, w: int) -> tuple[tuple, tuple]:
+    """(row, col) of every flat index, and each index's neighbors as flat indices."""
+    coords = tuple((r, c) for r in range(h) for c in range(w))
+    return coords, tuple(tuple(r * w + c for r, c in _neighbors(pos, h, w))
+                         for pos in coords)
 
 
 def make_plan(fields: ScoreField, rng: np.random.Generator,
@@ -324,41 +450,69 @@ def make_plan(fields: ScoreField, rng: np.random.Generator,
     each departed tile is marked with the anti-return value so the walk
     cannot oscillate.  The plan score is the mean of the values the walk
     saw when stepping onto each chosen tile.
+
+    A tile is live while its value is still v_sigma's: not pinned, not
+    blended away, not departed.  Only live steps pass gradient back to
+    v_sigma, and a walk steps onto a live tile at most once (it departs it
+    on the next step), so ``live_steps`` holds no index twice.
     """
     h, w = fields.w_unknown.shape
     if h < 2 and w < 2:
         raise ValueError("map too small to plan on")
-    v0 = max_abs(fields.v_sigma)  # frozen: no gradient through the peak
-    grid = scatter_constant(fields.v_sigma, [fields.target], v0)
-    grid = scatter_constant(grid, [fields.spawn], -v0)
-    mask = fields.w_unknown
+    coords, neighbors = _grid_tables(h, w)
+    target = fields.target[0] * w + fields.target[1]
+    pos = fields.spawn[0] * w + fields.spawn[1]
+    v0 = float(np.max(np.abs(fields.v_sigma)))  # frozen: no gradient through the peak
+    grid = fields.v_sigma.ravel().tolist()
+    live = [True] * len(grid)
+    grid[target], grid[pos] = v0, -v0
+    live[target] = live[pos] = False
     # zero avoidance disables the transform entirely: unrecognized tiles then
     # keep their spillover values and read as ordinary ground
-    if config.unknown_avoidance > 0 and mask.any():
-        grid = grid * as_tensor(1.0 - mask) + as_tensor(-config.unknown_avoidance * v0 * mask)
+    peak = v0  # of the whole grid: v_sigma's entries lie within +/- v0
+    if config.unknown_avoidance > 0 and fields.w_unknown.any():
+        penalty = -config.unknown_avoidance * v0
+        for i in np.flatnonzero(fields.w_unknown).tolist():
+            grid[i] = penalty
+            live[i] = False
+        peak = max(peak, abs(penalty))
 
-    pos = fields.spawn
     trajectory: list[tuple] = []
-    visited_values: list[DiffTensor] = []
+    seen: list[float] = []
+    live_steps: list[int] = []
     reached = False
     for _ in range(config.max_steps):
-        options = _neighbors(pos, h, w)
-        vals = np.array([grid.values[p] for p in options])
-        order = np.argsort(-vals, kind="stable")
-        if len(order) >= 2 and rng.random() >= config.explore_odds:
-            chosen = options[order[1]]
-        else:
-            chosen = options[order[0]]
-        visited_values.append(gather(grid, [chosen]))
-        trajectory.append(chosen)
-        if chosen == fields.target:
+        options = neighbors[pos]
+        # best and runner-up, ties to the earlier option (a stable sort)
+        best, second = options[0], None
+        for j in options[1:]:
+            if grid[j] > grid[best]:
+                best, second = j, best
+            elif second is None or grid[j] > grid[second]:
+                second = j
+        if second is not None and rng.random() >= config.explore_odds:
+            best = second
+        seen.append(grid[best])
+        trajectory.append(coords[best])
+        if live[best]:
+            live_steps.append(best)
+        if best == target:
             reached = True
             break
-        # the peak is re-read from the mutated grid, still gradient-free
-        grid = scatter_constant(grid, [pos], config.anti_return * max_abs(grid))
-        pos = chosen
-    v_plan = mean(concat(visited_values))
-    return PlanRecord(trajectory=trajectory, v_plan=v_plan, reached=reached)
+        # the peak is re-read from the marked grid, still gradient-free; it
+        # can only fall when the departed tile held it and the target (never
+        # departed, always at |v0|) does not
+        departed = abs(grid[pos])
+        grid[pos] = config.anti_return * peak
+        live[pos] = False
+        if departed == peak != v0:
+            peak = max(map(abs, grid))
+        else:
+            peak = max(peak, abs(grid[pos]))
+        pos = best
+    score = float(np.array(seen).sum() / len(seen))
+    return PlanRecord(trajectory=trajectory, score=score, reached=reached,
+                      live_steps=live_steps)
 
 
 def imagine_and_act(fields: ScoreField, rng: np.random.Generator,
@@ -369,31 +523,80 @@ def imagine_and_act(fields: ScoreField, rng: np.random.Generator,
     return executed, plans
 
 
-def plan_quality_loss(plans: list[PlanRecord]) -> DiffTensor:
-    """Sum of (1 - tanh(score / peak))^2 over plans; peak frozen."""
+def plan_quality_loss(plans: list[PlanRecord]) -> tuple[float, np.ndarray]:
+    """Sum of (1 - tanh(score / peak))^2 over plans; peak frozen.
+
+    Returns the loss and its derivative with respect to each plan's score.
+    """
     peak = max(abs(p.score) for p in plans)
     scale = 1.0 / peak if peak > 0 else 1.0
-    loss = None
-    for p in plans:
-        term = square(1.0 - tanh(p.v_plan * scale))
-        loss = term if loss is None else loss + term
-    return loss
+    th = np.tanh(np.array([p.score for p in plans]) * scale)
+    miss = 1.0 - th
+    terms = (miss * miss).tolist()
+    loss = terms[0]
+    for term in terms[1:]:
+        loss += term
+    return loss, -(2.0 * miss) * (1.0 - th * th) * scale
+
+
+def kernel_gradient(fields: ScoreField, plans: list[PlanRecord],
+                    d_scores: np.ndarray) -> np.ndarray:
+    """dL/dK for all four DeconvSeqs at once, shape (4, 5, 3, 3).
+
+    A plan's score is the mean of its steps, so each live step passes
+    d_score / steps to its tile of v_sigma; pinned, blended and departed
+    tiles pass nothing.  v_sigma's gradient reaches each type's field
+    through its preference, then runs back through the five tanh-deconv
+    layers.  Float operations come in the order ``autodiff.backward`` takes
+    on the same model written as a graph, so the result equals it bit for
+    bit.
+    """
+    h, w = fields.v_sigma.shape
+    kernels, acts = fields.kernels, fields.activations
+    n_types, n_layers = kernels.shape[:2]
+    _, taps = _deconv_taps(n_types, h, w)
+    g_sigma = np.zeros(h * w)
+    for plan, d_score in zip(plans, d_scores.tolist()):
+        g_sigma[plan.live_steps] += d_score / plan.steps
+    grad = g_sigma * fields.preferences[:, None]
+    # gradient at each layer's deconv output, then at its input
+    d_out = np.zeros((n_layers, n_types, h * w + 1))
+    for layer in reversed(range(n_layers)):
+        out = acts[layer + 1, :, :-1]
+        d_out[layer, :, :-1] = grad * (1.0 - out * out)
+        if layer:
+            grad = _deconv_stack(d_out[layer], taps, kernels[:, layer])
+    # every layer's kernel gradient, one shift at a time
+    x = acts[:-1, :, :-1].reshape(n_layers, n_types, h, w)
+    g = d_out[:, :, :-1].reshape(n_layers, n_types, h, w)
+    d_kernels = np.empty((n_layers, n_types, 3, 3))
+    for ky, kx, (dr, dc), (sr, sc) in deconv_shifts(h, w):
+        d_kernels[:, :, ky, kx] = (x[:, :, sr, sc] * g[:, :, dr, dc]).reshape(
+            n_layers, n_types, -1).sum(axis=2)
+    return d_kernels.transpose(1, 0, 2, 3)
 
 
 def srd_train_lavaland(params: Robot2NNParams, bank: MapBank,
                        config: LavaConfig, seed: int = 0) -> list[float]:
-    """One epoch of self-reward training over the bank; returns map losses."""
-    settings = SgdSettings(config.learning_rate)
+    """One epoch of self-reward training over the bank; returns map losses.
+
+    A map whose loss is not finite stops training with a ValueError naming
+    it, before its update touches the kernels.
+    """
+    if not config.learning_rate > 0:
+        raise ValueError(f"learning_rate must be positive, got {config.learning_rate}")
     losses = []
     for i, tile_map in enumerate(bank.maps):
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=seed, spawn_key=(2, i)))
         fields = build_fields(tile_map, params, config)
         _, plans = imagine_and_act(fields, rng, config)
-        loss = plan_quality_loss(plans)
-        backward(loss)
-        sgd_step(params.trainable(), settings)
-        losses.append(loss.item())
+        loss, d_scores = plan_quality_loss(plans)
+        if not math.isfinite(loss):
+            raise ValueError(f"map {i}: self-reward loss is {loss}; training stopped")
+        params.kernels = params.kernels - config.learning_rate * kernel_gradient(
+            fields, plans, d_scores)
+        losses.append(loss)
     return losses
 
 
@@ -424,9 +627,8 @@ class EvalResult:
 
 def _evaluate_one(tile_map: TileMap, params: Robot2NNParams,
                   config: LavaConfig, rng: np.random.Generator) -> EpisodeResult:
-    with no_grad():
-        fields = build_fields(tile_map, params, config)
-        executed, _ = imagine_and_act(fields, rng, config)
+    fields = build_fields(tile_map, params, config)
+    executed, _ = imagine_and_act(fields, rng, config)
     traversed = {"grass": 0, "dirt": 0, "lava": 0, "target": 0}
     for pos in executed.trajectory:
         traversed[tile_map.terrain_at(pos)] += 1
@@ -449,19 +651,26 @@ def _evaluate_chunk(args) -> list[EpisodeResult]:
 
 def evaluate(params: Robot2NNParams, bank: MapBank, config: LavaConfig,
              seed: int = 0, jobs: int = 1) -> EvalResult:
-    """Run every map in the bank; accuracy is the fraction reaching target."""
+    """Run every map in the bank; accuracy is the fraction reaching target.
+
+    The bank is split into at most ``jobs`` chunks, and more than one chunk
+    runs in a pool of one process per chunk.  Every map draws from its own
+    stream, so the result does not depend on ``jobs``.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not bank.maps:
         raise ValueError("evaluation bank is empty")
     arrays = params.export()
-    if jobs <= 1:
-        episodes = _evaluate_chunk((bank.maps, arrays, config, seed, 0))
+    chunk = (len(bank.maps) + jobs - 1) // jobs
+    tasks = [(bank.maps[i:i + chunk], arrays, config, seed, i)
+             for i in range(0, len(bank.maps), chunk)]
+    if len(tasks) == 1:
+        episodes = _evaluate_chunk(tasks[0])
     else:
         import multiprocessing as mp
 
-        chunk = (len(bank.maps) + jobs - 1) // jobs
-        tasks = [(bank.maps[i:i + chunk], arrays, config, seed, i)
-                 for i in range(0, len(bank.maps), chunk)]
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(len(tasks)) as pool:
             episodes = [e for part in pool.map(_evaluate_chunk, tasks) for e in part]
     accuracy = float(np.mean([e.reached for e in episodes]))
     return EvalResult(accuracy=accuracy, episodes=episodes)
@@ -470,14 +679,14 @@ def evaluate(params: Robot2NNParams, bank: MapBank, config: LavaConfig,
 def inspect_kernels(params: Robot2NNParams) -> list[dict]:
     """All 180 kernel values plus a per-kernel center-dominance flag."""
     rows = []
-    for t in SCORED_TILES:
-        for layer, k in enumerate(params.kernels[t]):
-            dominant = bool(abs(k.values[1, 1]) >= np.max(np.abs(k.values)))
+    for t, seq in zip(SCORED_TILES, params.kernels):
+        for layer, k in enumerate(seq):
+            dominant = bool(abs(k[1, 1]) >= np.max(np.abs(k)))
             for r in range(3):
                 for c in range(3):
                     rows.append({
                         "seq": t, "layer": layer, "row": r, "col": c,
-                        "value": float(k.values[r, c]),
+                        "value": float(k[r, c]),
                         "center_dominant": dominant,
                     })
     return rows

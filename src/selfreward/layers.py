@@ -9,6 +9,8 @@ a monotone saturating gate.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .autodiff import DiffTensor, ShapeError, as_tensor, record
@@ -72,6 +74,24 @@ def fully_connected(x, weight, bias) -> DiffTensor:
     return record(out, (x, weight, bias), vjp)
 
 
+@functools.lru_cache(maxsize=64)
+def deconv_shifts(h: int, w: int) -> tuple:
+    """The nine terms of a 3x3 transposed convolution on an h x w grid.
+
+    Each term ``(ky, kx, dst, src)`` adds ``kernel[ky, kx] * grid[src]`` into
+    ``out[dst]``; ``dst`` and ``src`` are (row slice, column slice) pairs and
+    deposits that would fall outside the grid are dropped.  The terms come in
+    accumulation order, which fixes the rounding of every output cell.
+    """
+    terms = []
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            dst = (slice(max(dy, 0), h + min(dy, 0)), slice(max(dx, 0), w + min(dx, 0)))
+            src = (slice(max(-dy, 0), h + min(-dy, 0)), slice(max(-dx, 0), w + min(-dx, 0)))
+            terms.append((1 + dy, 1 + dx, dst, src))
+    return tuple(terms)
+
+
 def deconv3x3(grid, kernel) -> DiffTensor:
     """Shape-preserving 3x3 transposed convolution, unit stride.
 
@@ -84,29 +104,19 @@ def deconv3x3(grid, kernel) -> DiffTensor:
         raise ShapeError(f"deconv3x3: expected a 2-D grid, got {grid.shape}")
     if kernel.values.shape != (3, 3):
         raise ShapeError(f"deconv3x3: kernel must be (3, 3), got {kernel.shape}")
-    h, w = grid.values.shape
+    shifts = deconv_shifts(*grid.values.shape)
     gv, kv = grid.values, kernel.values
 
-    def _shift_slices(dy, dx):
-        # destination and source index ranges for an offset (dy, dx)
-        dst = (slice(max(dy, 0), h + min(dy, 0)), slice(max(dx, 0), w + min(dx, 0)))
-        src = (slice(max(-dy, 0), h + min(-dy, 0)), slice(max(-dx, 0), w + min(-dx, 0)))
-        return dst, src
-
     out = np.zeros_like(gv)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            dst, src = _shift_slices(dy, dx)
-            out[dst] += kv[1 + dy, 1 + dx] * gv[src]
+    for ky, kx, dst, src in shifts:
+        out[dst] += kv[ky, kx] * gv[src]
 
     def vjp(g):
         ggrid = np.zeros_like(gv)
         gkernel = np.zeros((3, 3))
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                dst, src = _shift_slices(dy, dx)
-                ggrid[src] += kv[1 + dy, 1 + dx] * g[dst]
-                gkernel[1 + dy, 1 + dx] = (gv[src] * g[dst]).sum()
+        for ky, kx, dst, src in shifts:
+            ggrid[src] += kv[ky, kx] * g[dst]
+            gkernel[ky, kx] = (gv[src] * g[dst]).sum()
         return ggrid, gkernel
 
     return record(out, (grid, kernel), vjp)

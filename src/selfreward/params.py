@@ -76,6 +76,9 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
             out[name] = arr.reshape(entry["shape"])
     except (KeyError, TypeError, ValueError) as err:
         raise ParamsParseError(f"{path}: bad parameter entry: {err}") from err
+    for name, arr in out.items():
+        if not np.isfinite(arr).all():  # json reads NaN, Infinity and 1e999
+            raise ParamsError(f"{path}: parameter {name!r} holds a non-finite value")
     if template is not None:
         missing = sorted(set(template) - set(out))
         unexpected = sorted(set(out) - set(template))

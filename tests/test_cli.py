@@ -259,3 +259,121 @@ def test_fish_run_rejects_params_with_wrong_names(tmp_path, capsys):
                    "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "b_act" in capsys.readouterr().err
+
+
+def _bank_doc(**overrides):
+    """A two-map bank document whose map 1 can be broken by the caller."""
+    good = {"tiles": ["dgd", "dyd", "ddd"], "spawn": [0, 0]}
+    doc = {"format_version": 1, "preset": "lava-a", "seed": 0,
+           "maps": [good, dict(good)]}
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("case,doc,message", [
+    ("ragged rows", _bank_doc(maps=[{}, {"tiles": ["dgd", "dy", "ddd"], "spawn": [0, 0]}]),
+     "map 1: rows are not all the same length"),
+    ("two targets", _bank_doc(maps=[{}, {"tiles": ["dgy", "dyd", "ddd"], "spawn": [0, 0]}]),
+     "map 1: 2 target tiles"),
+    ("spawn on lava", _bank_doc(maps=[{}, {"tiles": ["lgd", "dyd", "ddd"], "spawn": [0, 0]}]),
+     "map 1: spawn [0, 0] is on lava"),
+    ("negative spawn", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyd", "ddd"], "spawn": [-1, 0]}]),
+     "map 1: spawn [-1, 0] lies outside the 3x3 map"),
+    ("unknown tile", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyx", "ddd"], "spawn": [0, 0]}]),
+     "map 1: unknown tile characters ['x']"),
+    ("spawn out of bounds", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyd", "ddd"],
+                                                 "spawn": [0, 3]}]),
+     "map 1: spawn [0, 3] lies outside the 3x3 map"),
+    ("spawn on target", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyd", "ddd"], "spawn": [1, 1]}]),
+     "map 1: spawn [1, 1] is on target"),
+    ("missing maps", {"format_version": 1, "preset": "lava-a", "seed": 0},
+     "bank has no 'maps' entry"),
+    ("unknown preset", _bank_doc(preset="lava-z"), "unknown preset 'lava-z'"),
+    ("no maps", _bank_doc(maps=[]), "bank has no maps to train on"),
+])
+def test_lavaland_train_refuses_malformed_bank(tmp_path, capsys, case, doc, message):
+    if doc.get("maps"):  # map 0 stays good, so the message must name map 1
+        doc["maps"][0] = _bank_doc()["maps"][0]
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(doc))
+    out = tmp_path / "params.json"
+    rc = dispatch(["lavaland", "train", "--bank", str(bank), "--out", str(out)])
+    assert rc == 2, case
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # refused before any training
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_lavaland_eval_refuses_non_finite_params(tmp_path, capsys, token):
+    from selfreward.lavaland import Robot2NNParams
+
+    path = _params_file(tmp_path, "lava.json", Robot2NNParams().export(), "lavaland")
+    doc = json.loads(path.read_text())
+    doc["params"]["grass/3"]["values"][4] = "TOKEN"
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+    bank = tmp_path / "bank.json"
+    assert dispatch(["lavaland", "gen", "--count", "2", "--preset", "lava-a",
+                     "--out", str(bank)]) == 0
+    rc = dispatch(["lavaland", "eval", "--bank", str(bank), "--params", str(path),
+                   "--report", str(tmp_path / "r")])
+    assert rc == 2
+    assert "'grass/3' holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_lavaland_train_stops_on_non_finite_loss(tmp_path, capsys, monkeypatch):
+    from selfreward import lavaland
+
+    bank = tmp_path / "bank.json"
+    assert dispatch(["lavaland", "gen", "--count", "3", "--preset", "project-a",
+                     "--out", str(bank)]) == 0
+    monkeypatch.setitem(lavaland.PRESETS, "project-a",
+                        lavaland.LavaConfig(p_grass=float("nan")))
+    out = tmp_path / "params.json"
+    rc = dispatch(["lavaland", "train", "--bank", str(bank), "--out", str(out)])
+    assert rc == 2
+    assert "map 0: self-reward loss is nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_lavaland_eval_jobs_below_one_exits_two(tmp_path, capsys, jobs):
+    rc = dispatch(["lavaland", "eval", "--bank", str(tmp_path / "never-read.json"),
+                   "--report", str(tmp_path / "r"), "--jobs", jobs])
+    assert rc == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_lavaland_eval_pool_never_larger_than_its_chunks(tmp_path, monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for multiprocessing.Pool: records its size, runs in process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    bank = tmp_path / "bank.json"
+    assert dispatch(["lavaland", "gen", "--count", "3", "--preset", "project-a",
+                     "--out", str(bank)]) == 0
+    reports = {}
+    for jobs in ("1", "2", "64"):
+        reports[jobs] = tmp_path / f"r{jobs}"
+        assert dispatch(["lavaland", "eval", "--bank", str(bank), "--jobs", jobs,
+                         "--report", str(reports[jobs])]) == 0
+    assert sizes == [2, 3]  # jobs=1 runs in process; 64 jobs on 3 maps start 3
+    for jobs in ("2", "64"):
+        for name in ("accuracy.json", "histograms.csv"):
+            assert (reports[jobs] / name).read_bytes() == (reports["1"] / name).read_bytes()

@@ -2,13 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from selfreward.autodiff import ShapeError, as_tensor, backward, parameter, total
-from selfreward.layers import selective_core
+from selfreward.autodiff import (
+    ShapeError,
+    SgdSettings,
+    as_tensor,
+    backward,
+    concat,
+    gather,
+    max_abs,
+    mean,
+    parameter,
+    scatter_constant,
+    sgd_step,
+    square,
+    tanh,
+)
+from selfreward.layers import deconv3x3, selective_core
 from selfreward.lavaland import (
     KNOWN_TILES,
     PALETTE,
     PRESETS,
+    SCORED_TILES,
     EvalResult,
     LavaConfig,
     MapBank,
@@ -23,6 +40,7 @@ from selfreward.lavaland import (
     get_aba,
     imagine_and_act,
     inspect_kernels,
+    kernel_gradient,
     load_bank,
     make_plan,
     plan_quality_loss,
@@ -40,6 +58,103 @@ def small_config(**kw):
 
 def tiny_map():
     return TileMap(tiles=["ddgd", "dgdd", "dddd", "dydd"], spawn=(0, 0))
+
+
+# -- engine oracle -------------------------------------------------------------------
+# Lavaland training written as a graph on the engine: the reference that the
+# closed-form training must match.  Each DeconvSeq is recorded layer by layer,
+# each walk is a chain of scatter_constant copies with one gather per step,
+# and each map ends in one backward and an sgd_step.
+
+
+def _neighbor_tiles(pos, h, w):
+    r, c = pos
+    cand = ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+    return [(rr, cc) for rr, cc in cand if 0 <= rr < h and 0 <= cc < w]
+
+
+def _engine_v_sigma(tile_map, kernels, config):
+    """(v_sigma tensor, unknown mask) with kernels as nested lists of tensors."""
+    x_attn = tile_map.rgb()
+    detectors = {t: get_aba(x_attn, PALETTE[t], config.selective_eps) for t in KNOWN_TILES}
+    w_self = np.zeros(x_attn.shape[:2])
+    w_self[tile_map.spawn] = 1.0
+    detectors["self"] = w_self
+    gradient_field = detectors["target"] - w_self
+    v_sigma = None
+    for t, seq in zip(SCORED_TILES, kernels):
+        x = as_tensor(detectors[t] if t in ("target", "self")
+                      else gradient_field * detectors[t])
+        for k in seq:
+            x = tanh(deconv3x3(x, k))
+        v = x * config.preferences[t]
+        v_sigma = v if v_sigma is None else v_sigma + v
+    return v_sigma, unknown_mask(detectors, config.tau_recog)
+
+
+def _engine_plan(v_sigma, w_unknown, spawn, target, rng, config):
+    """(trajectory, plan score tensor)."""
+    h, w = w_unknown.shape
+    v0 = max_abs(v_sigma)
+    grid = scatter_constant(v_sigma, [target], v0)
+    grid = scatter_constant(grid, [spawn], -v0)
+    if config.unknown_avoidance > 0 and w_unknown.any():
+        grid = grid * as_tensor(1.0 - w_unknown) + as_tensor(
+            -config.unknown_avoidance * v0 * w_unknown)
+    pos, trajectory, visited = spawn, [], []
+    for _ in range(config.max_steps):
+        options = _neighbor_tiles(pos, h, w)
+        vals = np.array([grid.values[p] for p in options])
+        order = np.argsort(-vals, kind="stable")
+        if len(order) >= 2 and rng.random() >= config.explore_odds:
+            chosen = options[order[1]]
+        else:
+            chosen = options[order[0]]
+        visited.append(gather(grid, [chosen]))
+        trajectory.append(chosen)
+        if chosen == target:
+            break
+        grid = scatter_constant(grid, [pos], config.anti_return * max_abs(grid))
+        pos = chosen
+    return trajectory, mean(concat(visited))
+
+
+def _engine_loss(scores):
+    peak = max(abs(v.item()) for v in scores)
+    scale = 1.0 / peak if peak > 0 else 1.0
+    loss = None
+    for v in scores:
+        term = square(1.0 - tanh(v * scale))
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def _engine_kernels(params):
+    return [[parameter(k) for k in seq] for seq in params.kernels]
+
+
+def _engine_map_step(tile_map, kernels, rng, config):
+    """One map of engine training up to backward: (loss, plan trajectories)."""
+    v_sigma, w_unknown = _engine_v_sigma(tile_map, kernels, config)
+    plans = [_engine_plan(v_sigma, w_unknown, tile_map.spawn, tile_map.target, rng, config)
+             for _ in range(config.n_plans)]
+    loss = _engine_loss([v for _, v in plans])
+    backward(loss)
+    return loss.item(), [t for t, _ in plans]
+
+
+def _engine_train(bank, config, seed):
+    """(kernels (4, 5, 3, 3), losses, per-map plan trajectories)."""
+    kernels = _engine_kernels(Robot2NNParams())
+    flat = [k for seq in kernels for k in seq]
+    losses, trajectories = [], []
+    for i, tile_map in enumerate(bank.maps):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
+        loss, paths = _engine_map_step(tile_map, kernels, rng, config)
+        sgd_step(flat, SgdSettings(config.learning_rate))
+        losses.append(loss)
+        trajectories.append(paths)
+    return np.array([[k.values for k in seq] for seq in kernels]), losses, trajectories
 
 
 # -- map generation ------------------------------------------------------------
@@ -62,6 +177,35 @@ def test_bank_roundtrip(tmp_path):
     assert loaded.preset == "lava-a"
     assert [m.tiles for m in loaded.maps] == [m.tiles for m in bank.maps]
     assert [m.spawn for m in loaded.maps] == [m.spawn for m in bank.maps]
+
+
+@st.composite
+def valid_banks(draw):
+    maps = []
+    for _ in range(draw(st.integers(0, 4))):
+        h = draw(st.integers(1, 5))
+        w = draw(st.integers(2 if h == 1 else 1, 5))
+        cells = draw(st.lists(st.sampled_from("gdl"), min_size=h * w, max_size=h * w))
+        target, spawn = draw(st.lists(st.integers(0, h * w - 1), min_size=2, max_size=2,
+                                      unique=True))
+        cells[target] = "y"
+        if cells[spawn] == "l":
+            cells[spawn] = draw(st.sampled_from("gd"))
+        maps.append(TileMap(tiles=["".join(cells[r * w:(r + 1) * w]) for r in range(h)],
+                            spawn=(spawn // w, spawn % w)))
+    return MapBank(preset=draw(st.sampled_from(sorted(PRESETS))),
+                   seed=draw(st.integers(0, 2 ** 64)), maps=maps)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid_banks())
+def test_bank_roundtrip_any_valid_bank(tmp_path, bank):
+    path = tmp_path / "bank.json"
+    save_bank(path, bank)
+    assert load_bank(path) == bank
+    save_bank(tmp_path / "again.json", load_bank(path))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_map_structure():
@@ -142,50 +286,81 @@ def test_unknown_mask_threshold_is_strict():
 
 
 def test_parameter_count_is_180():
-    assert Robot2NNParams().count() == 180
-    assert len(Robot2NNParams().trainable()) == 20
+    params = Robot2NNParams()
+    assert params.count() == 180
+    assert params.kernels.shape == (4, 5, 3, 3)
+    assert len(params.export()) == 20
 
 
 def test_graph_recorded_before_load_keeps_its_values():
+    # fields built before a load keep the kernels and values they were built with
     params = Robot2NNParams()
-    kernel = params.kernels["dirt"][0]
-    before = kernel.values.copy()
-    squared = total(kernel * kernel)  # recorded at the initial kernel
+    before = params.kernels
+    fields = build_fields(tiny_map(), params, small_config())
+    v_sigma = fields.v_sigma.copy()
     arrays = {name: arr + 1.0 for name, arr in params.export().items()}
     params.load(arrays)
-    np.testing.assert_array_equal(kernel.values, before + 1.0)
-    arrays["dirt/0"][...] = 0.0  # the loaded kernel holds its own copy
-    np.testing.assert_array_equal(kernel.values, before + 1.0)
-    backward(squared)
-    np.testing.assert_array_equal(kernel.grad, 2.0 * before)
+    np.testing.assert_array_equal(params.kernels, before + 1.0)
+    arrays["dirt/0"][...] = 0.0  # the loaded kernels hold their own copy
+    np.testing.assert_array_equal(params.kernels, before + 1.0)
+    assert fields.kernels is before
+    np.testing.assert_array_equal(fields.kernels, Robot2NNParams().kernels)
+    np.testing.assert_array_equal(fields.v_sigma, v_sigma)
     with pytest.raises(ShapeError):
         params.load({**params.export(), "dirt/0": np.zeros(9)})
+
+
+def _field(kernels, grid):
+    """deconv_seq's last layer for one grid, as an (H, W) array."""
+    out = deconv_seq(kernels[None], grid[None])[-1, 0, :-1]
+    return out.reshape(grid.shape)
 
 
 def test_deconv_seq_bounded_bump_shape_preserving():
     params = Robot2NNParams()
     grid = np.zeros((5, 5))
     grid[2, 2] = 1.0
-    out = deconv_seq(params.kernels["target"], as_tensor(grid))
-    assert out.values.shape == (5, 5)
-    assert np.max(np.abs(out.values)) < 1.0  # tanh keeps magnitudes inside 1
-    assert out.values[2, 2] == np.max(out.values)  # bump peaks at the source
-    assert out.values[0, 0] < out.values[1, 1] < out.values[2, 2]
+    out = _field(params.kernels[SCORED_TILES.index("target")], grid)
+    assert out.shape == (5, 5)
+    assert np.max(np.abs(out)) < 1.0  # tanh keeps magnitudes inside 1
+    assert out[2, 2] == np.max(out)  # bump peaks at the source
+    assert out[0, 0] < out[1, 1] < out[2, 2]
 
 
 def test_deconv_seq_zero_grid_passes_through():
     params = Robot2NNParams()
-    out = deconv_seq(params.kernels["dirt"], as_tensor(np.zeros((4, 4))))
-    np.testing.assert_array_equal(out.values, 0.0)
+    out = _field(params.kernels[SCORED_TILES.index("dirt")], np.zeros((4, 4)))
+    np.testing.assert_array_equal(out, 0.0)
+
+
+def test_deconv_seq_matches_engine_layers_bitwise():
+    rng = np.random.default_rng(0)
+    kernels = rng.normal(size=(3, 5, 3, 3))
+    grids = rng.normal(size=(3, 4, 7))
+    stacked = deconv_seq(kernels, grids)
+    for n in range(3):
+        x = as_tensor(grids[n])
+        for layer in range(5):
+            x = tanh(deconv3x3(x, kernels[n, layer]))
+            np.testing.assert_array_equal(stacked[layer + 1, n, :-1], x.values.ravel())
+    np.testing.assert_array_equal(stacked[:, :, -1], 0.0)  # the zero slot stays zero
 
 
 def test_fields_compose_and_sum():
     cfg = small_config()
     params = Robot2NNParams()
     fields = build_fields(tiny_map(), params, cfg)
-    total = sum(fields.v1[t].values for t in fields.v1)
-    np.testing.assert_allclose(fields.v_sigma.values, total, atol=1e-12)
+    total = sum(fields.v1[t] for t in fields.v1)
+    np.testing.assert_allclose(fields.v_sigma, total, atol=1e-12)
     assert fields.spawn == (0, 0) and fields.target == (3, 1)
+    # the detector lookup equals get_aba on the image, and the stacked
+    # forward equals the engine's per-type DeconvSeqs, bit for bit
+    img = tiny_map().rgb()
+    for t in KNOWN_TILES:
+        np.testing.assert_array_equal(fields.detectors[t], get_aba(img, PALETTE[t]))
+    v_sigma, w_unknown = _engine_v_sigma(tiny_map(), _engine_kernels(params), cfg)
+    np.testing.assert_array_equal(fields.v_sigma, v_sigma.values)
+    np.testing.assert_array_equal(fields.w_unknown, w_unknown)
 
 
 def test_grass_contribution_nonpositive_scale():
@@ -193,8 +368,7 @@ def test_grass_contribution_nonpositive_scale():
     fields = build_fields(tiny_map(), Robot2NNParams(), cfg)
     assert cfg.p_grass < 0
     # grass field values carry the negative preference where grass dominates
-    assert fields.v1["grass"].values.min() < 0 or \
-        np.allclose(fields.v1["grass"].values, 0)
+    assert fields.v1["grass"].min() < 0 or np.allclose(fields.v1["grass"], 0)
 
 
 def test_no_grass_map_leaves_grass_field_marginal():
@@ -203,9 +377,9 @@ def test_no_grass_map_leaves_grass_field_marginal():
     m = TileMap(tiles=["dddd", "dddd", "dydd", "dddd"], spawn=(0, 0))
     cfg = small_config(height=4, width=4)
     fields = build_fields(m, Robot2NNParams(), cfg)
-    grass_peak = np.max(np.abs(fields.v1["grass"].values))
+    grass_peak = np.max(np.abs(fields.v1["grass"]))
     assert grass_peak < 0.1 * abs(cfg.p_grass)
-    assert grass_peak < 0.1 * np.max(np.abs(fields.v1["target"].values))
+    assert grass_peak < 0.1 * np.max(np.abs(fields.v1["target"]))
 
 
 # -- planning -----------------------------------------------------------------------
@@ -303,14 +477,16 @@ def test_loss_bounded_and_decreasing_in_scores():
     bank = generate_maps(2, "project-a", seed=6)
     fields = build_fields(bank.maps[0], Robot2NNParams(), cfg)
     _, plans = imagine_and_act(fields, np.random.default_rng(2), cfg)
-    loss = plan_quality_loss(plans)
-    assert 0.0 <= loss.item() <= 4.0 * cfg.n_plans
+    loss, d_scores = plan_quality_loss(plans)
+    assert 0.0 <= loss <= 4.0 * cfg.n_plans
     # nudging any single plan score up lowers the loss (frozen normalizer)
-    peak = max(abs(p.score) for p in plans)
-    for p in plans:
-        v = p.score / peak
-        d_term = -2 * (1 - np.tanh(v)) * (1 - np.tanh(v) ** 2) / peak
-        assert d_term < 0
+    assert d_scores.shape == (cfg.n_plans,) and np.all(d_scores < 0)
+    # loss and derivative equal the engine's, bit for bit
+    scores = [parameter(p.score) for p in plans]
+    engine_loss = _engine_loss(scores)
+    backward(engine_loss)
+    assert loss == engine_loss.item()
+    np.testing.assert_array_equal(d_scores, [float(v.grad) for v in scores])
 
 
 def test_gradients_reach_kernels_not_frozen_scalars():
@@ -319,11 +495,72 @@ def test_gradients_reach_kernels_not_frozen_scalars():
     params = Robot2NNParams()
     fields = build_fields(bank.maps[0], params, cfg)
     _, plans = imagine_and_act(fields, np.random.default_rng(0), cfg)
-    backward(plan_quality_loss(plans))
-    moved = sum(float(np.abs(k.grad).sum()) for k in params.trainable())
-    assert moved > 0.0
-    # detector grids are plain arrays: structurally outside the record
+    grad = kernel_gradient(fields, plans, plan_quality_loss(plans)[1])
+    assert grad.shape == params.kernels.shape
+    assert all(np.abs(grad[j]).sum() > 0.0 for j in range(len(SCORED_TILES)))
+    # the engine's backward through the same walks gives the same gradient
+    kernels = _engine_kernels(params)
+    _, paths = _engine_map_step(bank.maps[0], kernels, np.random.default_rng(0), cfg)
+    assert paths == [p.trajectory for p in plans]
+    np.testing.assert_array_equal(grad, [[k.grad for k in seq] for seq in kernels])
+    # detector grids are plain arrays, constant under training
     assert isinstance(fields.detectors["grass"], np.ndarray)
+
+
+@pytest.mark.parametrize("preset,seed", [("project-a", 0), ("lava-a", 3)])
+def test_closed_form_lavaland_training_matches_engine(preset, seed):
+    cfg = PRESETS[preset]
+    bank = generate_maps(64, preset, seed=seed)
+    if cfg.lava_frac > 0:  # unknown avoidance blends lava away on most maps
+        unknown = [build_fields(m, Robot2NNParams(), cfg).w_unknown.any() for m in bank.maps]
+        assert sum(unknown) > len(bank.maps) // 2
+    want_kernels, want_losses, want_paths = _engine_train(bank, cfg, seed)
+    params = Robot2NNParams()
+    losses = srd_train_lavaland(params, bank, cfg, seed=seed)
+    np.testing.assert_allclose(params.kernels, want_kernels, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(losses, want_losses, rtol=0, atol=1e-12)
+    # the same walks, replayed from the same per-map streams
+    trained = Robot2NNParams()
+    for i, tile_map in enumerate(bank.maps):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
+        fields = build_fields(tile_map, trained, cfg)
+        _, plans = imagine_and_act(fields, rng, cfg)
+        assert [p.trajectory for p in plans] == want_paths[i], i
+        trained.kernels = trained.kernels - cfg.learning_rate * kernel_gradient(
+            fields, plans, plan_quality_loss(plans)[1])
+    np.testing.assert_array_equal(trained.kernels, params.kernels)
+
+
+def test_tile_revisited_after_departure_passes_no_gradient():
+    # a positive anti-return value draws the walk back onto departed tiles
+    cfg = small_config(anti_return=0.9, n_plans=1)
+    tile_map = TileMap(tiles=["dgdd", "ddgd", "dddd", "gddy"], spawn=(0, 0))
+    params = Robot2NNParams()
+    fields = build_fields(tile_map, params, cfg)
+    for seed in range(20):
+        plan = make_plan(fields, np.random.default_rng(seed), cfg)
+        h, w = fields.v_sigma.shape
+        flat = [r * w + c for r, c in plan.trajectory]
+        revisits = [i for n, i in enumerate(flat) if i in flat[:n]]
+        if revisits:
+            break
+    assert revisits, "no walk came back to a departed tile"
+    assert sorted(plan.live_steps) == sorted(set(plan.live_steps))
+    for tile in revisits:
+        assert plan.live_steps.count(tile) <= 1
+    # the engine's gradient of the plan score with respect to v_sigma:
+    # 1/steps on each tile stepped onto while live, nothing for a revisit
+    v_sigma = parameter(fields.v_sigma)
+    path, score = _engine_plan(v_sigma, fields.w_unknown, tile_map.spawn, tile_map.target,
+                               np.random.default_rng(seed), cfg)
+    assert path == plan.trajectory and score.item() == plan.score
+    backward(score)
+    want = np.zeros(h * w)
+    want[plan.live_steps] = 1.0 / plan.steps
+    np.testing.assert_array_equal(v_sigma.grad.ravel(), want)
+    for tile in revisits:  # the first visit's share, if it was live; none for the revisit
+        assert v_sigma.grad.ravel()[tile] == (1.0 / plan.steps if tile in plan.live_steps
+                                              else 0.0)
 
 
 def test_empty_training_bank_is_noop():
@@ -334,6 +571,16 @@ def test_empty_training_bank_is_noop():
     assert losses == []
     for name, arr in params.export().items():
         np.testing.assert_array_equal(arr, before[name])
+
+
+def test_non_finite_loss_stops_training_before_the_update():
+    bank = generate_maps(3, "project-a", seed=1)
+    params = Robot2NNParams()
+    params.kernels[SCORED_TILES.index("self"), 4, 0, 0] = np.nan
+    before = params.kernels
+    with pytest.raises(ValueError, match="map 0: self-reward loss is nan"):
+        srd_train_lavaland(params, bank, PRESETS["project-a"], seed=0)
+    assert params.kernels is before
 
 
 def test_training_moves_parameters_deterministically():
@@ -387,7 +634,7 @@ def test_inspect_kernels_schema():
 
 def test_center_dominance_flag_flips():
     params = Robot2NNParams()
-    params.kernels["dirt"][2].values[0, 0] = 5.0
+    params.kernels[SCORED_TILES.index("dirt"), 2, 0, 0] = 5.0
     rows = inspect_kernels(params)
     flagged = [r for r in rows if r["seq"] == "dirt" and r["layer"] == 2]
     assert all(not r["center_dominant"] for r in flagged)

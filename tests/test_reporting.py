@@ -43,7 +43,7 @@ def test_params_roundtrip_bit_exact(tmp_path):
 @given(st.dictionaries(
     st.text(min_size=1, max_size=8),
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
-               elements=st.floats(allow_nan=False)),
+               elements=st.floats(allow_nan=False, allow_infinity=False)),
     max_size=4))
 def test_params_roundtrip_any_names_shapes_and_floats(tmp_path, params):
     path = tmp_path / "p.json"
@@ -53,8 +53,17 @@ def test_params_roundtrip_any_names_shapes_and_floats(tmp_path, params):
     assert loaded.keys() == params.keys()
     for name, arr in params.items():
         assert loaded[name].dtype == np.float64 and loaded[name].shape == arr.shape
-        # bit for bit, signed zeros and infinities included
+        # bit for bit, signed zeros and subnormals included
         assert loaded[name].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_non_finite_value_refused(tmp_path, value):
+    # json writes NaN/Infinity and reads them back; load_params refuses them
+    path = tmp_path / "p.json"
+    save_params(path, {"ok": np.zeros(2), "w": np.array([[0.5, value]])})
+    with pytest.raises(ParamsError, match="'w' holds a non-finite value"):
+        load_params(path)
 
 
 def test_params_truncated_file_reports_offset(tmp_path):
