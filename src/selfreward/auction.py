@@ -57,6 +57,23 @@ offer:
   padded row adds exact zeros to z and to the gradient, so an agent with no
   step left keeps its weights bit for bit.
 
+A round's agents also bid and are screened together.  ``decide_offers``
+stacks the ``FsnModel`` agents (those sharing the config values the
+forward reads, so in an auction all of them) into (n, 4, 8) sensor kernels
+and (n, 3, 4) decision weights and runs one forward over the (n, 8, D_ic)
+clone blocks; any other agent answers through its own ``decide_offer``.
+``screen_models`` checks every model's kernels against one template per
+config and sends all probes through one ``decide_offers`` call.
+``decide_offer`` and ``screen_model`` are one-row calls into these.  Each
+agent still fills its own rows of clone noise from its own ``noise_rng``,
+so its stream is drawn in the same order as if it ran alone: the screening
+probe, then per fine-tuning round and epoch the permutation and the
+(V, 8, D_ic - 1) noise, then one (8, D_ic - 1) draw per round it bids in.
+A standard normal draw scaled by ``clone_noise`` gives the numbers
+``normal(0, clone_noise)`` gives, and each stacked product runs the same
+small matrix product per agent as a single-agent call, so every decision
+is the one the agent would take alone, bit for bit.
+
 The decision-layer magnitudes used here were chosen so that demand is
 price-elastic (agents flip from buy to hold as the price climbs) and so
 that impatient agents in a dead market occasionally quit; the sign pattern
@@ -65,14 +82,16 @@ of every weight keeps its stated meaning.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Offer",
-    "TrialResult", "base_offer", "make_offer_variants", "run_auction",
-    "run_experiment", "screen_model", "server_step", "srd_finetune",
+    "TrialResult", "base_offer", "decide_offers", "make_offer_variants",
+    "run_auction", "run_experiment", "screen_model", "screen_models", "server_step",
+    "srd_finetune",
 ]
 
 BUY, HOLD, QUIT = 0, 1, 2
@@ -100,6 +119,11 @@ BIAS_SPREAD = 0.1
 JUDGE_FALSE_BIAS = 0.3
 
 LEAK_SLOPE = 0.01
+
+# Learners per stacked sensor forward in fine-tuning.  Its clone blocks
+# hold (agents, variants, 8, D_ic) floats; at 16 agents they stay below the
+# lockstep SGD's own arrays, so fine-tuning peaks no higher than stepping.
+FINETUNE_FORWARD_AGENTS = 16
 
 # Judge gate rows over (PG, SZ, LSR, ST, B, L, Q): PGL, BC, FQ.
 _PFC_GATES_W = np.array([
@@ -195,12 +219,38 @@ def es_weight_rows(delta: float = DELTA, base_price: float = BASE_PRICE) -> np.n
 ES_BIASES = np.array([0.0, 0.0, 0.0, -0.5])
 
 
+@functools.lru_cache(maxsize=8)
+def _es_template(base_price: float) -> np.ndarray:
+    """The sensor kernels for one base price, built once and read-only."""
+    rows = es_weight_rows(base_price=base_price)
+    rows.flags.writeable = False
+    return rows
+
+
+def _clone(x: np.ndarray, noise: np.ndarray, config: AuctionConfig) -> np.ndarray:
+    """Clone each variable D_ic times; clones beyond the first get noise.
+
+    Offer rows (..., 8) become blocks (..., 8, D_ic), one row of clones per
+    variable; read row by row, that is the interleaved layout.  ``noise``
+    holds standard normal draws (..., 8, D_ic - 1); it is scaled in place.
+    """
+    block = x[..., None].repeat(config.d_ic, axis=-1)
+    noise *= config.clone_noise
+    block[..., 1:] += noise
+    return block
+
+
+def _decision_logits(x_es: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Buy / hold / quit logits for sensor rows (..., R, 4) of layers (..., 3, 4)."""
+    return x_es @ w.swapaxes(-1, -2) + b[..., None, :]
+
+
 class FsnModel:
     """One agent's negotiator: frozen sensors, trainable decision layer."""
 
     def __init__(self, rng: np.random.Generator, config: AuctionConfig | None = None):
         self.config = config or AuctionConfig()
-        self.es_rows = es_weight_rows(base_price=self.config.base_price)
+        self.es_rows = _es_template(self.config.base_price).copy()
         self.es_biases = ES_BIASES.copy()
         self.w_dec = W_DECISION.copy()
         bias_noise = rng.uniform(-BIAS_SPREAD, BIAS_SPREAD, size=3)
@@ -215,31 +265,13 @@ class FsnModel:
     def malicious(self) -> bool:
         return False
 
-    def _interleaved(self, x: np.ndarray) -> np.ndarray:
-        """Clone each variable D_ic times; clones beyond the first get noise.
-
-        Offer rows (..., 8) become blocks (..., 8, D_ic), one row of clones
-        per variable; read row by row, that is the interleaved layout.
-        """
-        cfg = self.config
-        block = x[..., None].repeat(cfg.d_ic, axis=-1)
-        block[..., 1:] += self.noise_rng.normal(0.0, cfg.clone_noise,
-                                                size=(*x.shape, cfg.d_ic - 1))
-        return block
-
     def es_forward_values(self, x: np.ndarray) -> np.ndarray:
         """Sensor activations (PG, SZ, LSR, ST) for offer rows (..., 8)."""
-        cfg = self.config
-        pre = (self.es_rows @ self._interleaved(x)).sum(axis=-1) / cfg.d_ic \
-            + self.es_biases
-        out = _tau(pre)
-        st = pre[..., ST]
-        out[..., ST] = cfg.selective_eps / (st * st + cfg.selective_eps)
-        return out
+        return _stacked_sensors([self], x[None])[0]
 
     def decide_values(self, x_es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Buy / hold / quit logits for sensor rows (..., 4), and their argmax."""
-        logits = x_es @ self.w_dec.T + self.b_dec
+        logits = _decision_logits(x_es[..., None, :], self.w_dec, self.b_dec)[..., 0, :]
         return logits, logits.argmax(axis=-1)
 
     def pfc(self, x_es: np.ndarray, logits: np.ndarray) -> np.ndarray:
@@ -255,8 +287,7 @@ class FsnModel:
         return gates @ _PFC_OUT_W.T + _PFC_OUT_B
 
     def decide_offer(self, offer: Offer) -> int:
-        _, decision = self.decide_values(self.es_forward_values(offer.as_array()))
-        return int(decision)
+        return int(decide_offers([self], offer)[0])
 
     def export_params(self) -> dict:
         return {"w_dec": self.w_dec.copy(), "b_dec": self.b_dec.copy()}
@@ -279,23 +310,89 @@ class AlwaysHoldModel:
         return {}
 
 
-def screen_model(model, config: AuctionConfig | None = None) -> bool:
+def _forward_groups(models) -> list[list[int]]:
+    """Indices of the FsnModels among models, grouped by the config values
+    their forward reads, so that each group stacks into one forward."""
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(models):
+        if isinstance(m, FsnModel):
+            c = m.config
+            groups.setdefault((c.d_ic, c.clone_noise, c.selective_eps), []).append(i)
+    return list(groups.values())
+
+
+def _stacked_sensors(group: list[FsnModel], x: np.ndarray) -> np.ndarray:
+    """Sensor activations (PG, SZ, LSR, ST) for offer rows x (n, ..., 8).
+
+    ``x[i]`` holds the offers of ``group[i]``, whose clone noise comes from
+    its own ``noise_rng``; the models' kernels and biases are stacked and
+    broadcast over the rows.  A group shares the config values the forward
+    reads (see ``_forward_groups``).
+    """
+    config = group[0].config
+    noise = np.empty((*x.shape, config.d_ic - 1))
+    for m, rows in zip(group, noise):
+        m.noise_rng.standard_normal(out=rows)
+    batch_axes = tuple(range(1, x.ndim - 1))
+    es_rows = np.expand_dims(np.array([m.es_rows for m in group]), batch_axes)
+    es_biases = np.expand_dims(np.array([m.es_biases for m in group]), batch_axes)
+    pre = (es_rows @ _clone(x, noise, config)).sum(axis=-1) / config.d_ic + es_biases
+    out = _tau(pre)
+    st = pre[..., ST]
+    out[..., ST] = config.selective_eps / (st * st + config.selective_eps)
+    return out
+
+
+def decide_offers(models, offer: Offer) -> np.ndarray:
+    """Buy / hold / quit decision of every model on one offer.
+
+    The FsnModels run one stacked forward per forward config, each filling
+    its own row of clone noise from its own ``noise_rng``; any other agent
+    answers through its own ``decide_offer``.
+    """
+    decisions = np.empty(len(models), dtype=int)
+    x = offer.as_array()
+    for idx in _forward_groups(models):
+        group = [models[i] for i in idx]
+        x_es = _stacked_sensors(group, np.broadcast_to(x, (len(group), len(x))))
+        w = np.array([m.w_dec for m in group])
+        b = np.array([m.b_dec for m in group])
+        decisions[idx] = _decision_logits(x_es[:, None, :], w, b)[:, 0].argmax(axis=-1)
+    for i, m in enumerate(models):
+        if not isinstance(m, FsnModel):
+            decisions[i] = m.decide_offer(offer)
+    return decisions
+
+
+def screen_models(models, config: AuctionConfig | None = None) -> list[bool]:
     """Dummy screener: accept only constructor-shaped, non-hold-only models.
 
-    Checks the sensor weights against the interpretable template, the
-    decision sign pattern (PG against buying, quality for it), and probes a
-    very cheap offer, which every sensible negotiator buys.
+    Checks each model's sensor weights against the interpretable template,
+    the decision sign pattern (PG against buying, quality for it), and
+    probes a very cheap offer, which every sensible negotiator buys.  Only
+    models that pass the first two checks are probed, all in one
+    ``decide_offers`` call.
     """
     config = config or AuctionConfig()
-    if not isinstance(model, FsnModel):
-        return False
-    if not np.allclose(model.es_rows, es_weight_rows(base_price=config.base_price)):
-        return False
-    signs = np.sign(model.w_dec[BUY])
-    if not (signs[PG] < 0 and all(signs[i] > 0 for i in (SZ, LSR, ST))):
-        return False
-    probe = Offer(price=0.25 * config.base_price)
-    return model.decide_offer(probe) == BUY
+    template = _es_template(config.base_price)
+    verdicts = np.zeros(len(models), dtype=bool)
+    fsn = [i for i, m in enumerate(models)
+           if isinstance(m, FsnModel) and np.shape(m.es_rows) == template.shape]
+    if fsn:
+        # np.allclose per model, with its default tolerances
+        shaped = np.isclose(np.array([models[i].es_rows for i in fsn]),
+                            template).all(axis=(1, 2))
+        signs = np.sign(np.array([models[i].w_dec[BUY] for i in fsn]))
+        shaped &= (signs[:, PG] < 0) & (signs[:, [SZ, LSR, ST]] > 0).all(axis=1)
+        probed = [i for i, ok in zip(fsn, shaped) if ok]
+        probe = Offer(price=0.25 * config.base_price)
+        verdicts[probed] = decide_offers([models[i] for i in probed], probe) == BUY
+    return verdicts.tolist()
+
+
+def screen_model(model, config: AuctionConfig | None = None) -> bool:
+    """``screen_models`` for one model."""
+    return screen_models([model], config)[0]
 
 
 def srd_finetune(models, variants: list[Offer], k: int) -> None:
@@ -307,28 +404,42 @@ def srd_finetune(models, variants: list[Offer], k: int) -> None:
 
     Each learner first draws its randomness in per-offer stream order: per
     epoch a permutation of the variants, then the clone noise of every
-    variant through ``es_forward_values``.  Its sensor rows are laid out
-    epoch after epoch in permuted order, so a batch is a run of consecutive
-    rows.  Then all learners take their SGD steps together on stacked
-    (n, 3, 4) weights, with the closed-form gradient in the module
-    docstring and each agent's own learning rate.  Steps and batch rows past
-    an agent's own schedule are masked to exact zeros.
+    variant.  Its sensor rows are laid out epoch after epoch in permuted
+    order, so a batch is a run of consecutive rows; one stacked sensor
+    forward per epoch fills the rows of up to ``FINETUNE_FORWARD_AGENTS``
+    learners still in that epoch.  Then all learners take their SGD steps
+    together (``_lockstep_sgd``).
     """
     learners = [m for m in models
                 if not m.malicious and m.epochs and k < m.config.finetune_rounds]
     if not learners:
         return
     offers = np.array([v.as_array() for v in variants])
-    n_var, n = len(offers), len(learners)
+    n_var = len(offers)
+    x_es = np.zeros((len(learners), max(m.epochs for m in learners) * n_var, 4))
+    for group in _forward_groups(learners):
+        for e in range(max(learners[i].epochs for i in group)):
+            live = [i for i in group if learners[i].epochs > e]
+            for start in range(0, len(live), FINETUNE_FORWARD_AGENTS):
+                idx = live[start:start + FINETUNE_FORWARD_AGENTS]
+                orders = [learners[i].noise_rng.permutation(n_var) for i in idx]
+                x_es[idx, e * n_var:(e + 1) * n_var] = _stacked_sensors(
+                    [learners[i] for i in idx], offers[np.array(orders)])
+    _lockstep_sgd(learners, x_es, n_var)
+
+
+def _lockstep_sgd(learners, x_es: np.ndarray, n_var: int) -> None:
+    """Every learner's SGD steps over its sensor rows x_es (n, rows, 4), together.
+
+    The steps run on stacked (n, 3, 4) weights, with the closed-form
+    gradient in the module docstring and each agent's own learning rate.
+    Steps and batch rows past an agent's own schedule are masked to exact
+    zeros.
+    """
+    n = len(learners)
     agents = np.arange(n)
     epochs = np.array([m.epochs for m in learners])
     batch = np.array([m.batch_size for m in learners])
-
-    x_es = np.zeros((n, epochs.max() * n_var, 4))
-    for i, m in enumerate(learners):
-        for e in range(m.epochs):
-            order = m.noise_rng.permutation(n_var)
-            x_es[i, e * n_var:(e + 1) * n_var] = m.es_forward_values(offers[order])
 
     # step s of agent i covers rows [first, last) of x_es[i]
     per_epoch = -(-n_var // batch)
@@ -346,7 +457,7 @@ def srd_finetune(models, variants: list[Offer], k: int) -> None:
     lr = np.array([m.learning_rate for m in learners])
     for s in steps:
         x, kept = xs[:, s], keep[:, s]
-        logits = x @ w.transpose(0, 2, 1) + b[:, None, :]
+        logits = _decision_logits(x, w, b)
         pre, gates = _judge_gates(x, logits)
         z = ((gates @ _PFC_OUT_W.T + _PFC_OUT_B) * kept).sum(axis=1)
         top = z.max(axis=1, keepdims=True)
@@ -400,11 +511,11 @@ def server_step(state: AuctionState) -> AuctionState:
         raise RuntimeError("cannot step a terminated auction")
     cfg = state.config
     active_before = state.active_indices()
-    offer = state.current_offer()
-    decisions = {i: state.agents[i].decide_offer(offer) for i in active_before}
+    decisions = decide_offers([state.agents[i] for i in active_before],
+                              state.current_offer())
 
-    buyers = [i for i, d in decisions.items() if d == BUY]
-    quitters = [i for i, d in decisions.items() if d == QUIT]
+    buyers = [i for i, d in zip(active_before, decisions) if d == BUY]
+    quitters = [i for i, d in zip(active_before, decisions) if d == QUIT]
     n_buy = len(buyers)
 
     for i in quitters:
@@ -468,15 +579,11 @@ def run_auction(r: float, n: int = 64, optim: bool = False,
         else:
             agents.append(FsnModel(agent_rng, config))
 
-    # screening: flagged models enter only when malicious mode is explicit
-    admitted = []
-    for agent in agents:
-        if screen_model(agent, config):
-            admitted.append(agent)
-        elif malicious_frac > 0:
-            admitted.append(agent)
-        else:
-            raise RuntimeError("screener flagged a model outside malicious mode")
+    # screening: flagged models enter only when malicious mode is explicit;
+    # every model is screened either way, since the probe draws clone noise
+    passed = screen_models(agents, config)
+    if malicious_frac == 0 and not all(passed):
+        raise RuntimeError("screener flagged a model outside malicious mode")
 
     variants_seed = np.random.SeedSequence(entropy=root.entropy,
                                            spawn_key=root.spawn_key + (0,))
@@ -485,7 +592,7 @@ def run_auction(r: float, n: int = 64, optim: bool = False,
         scale=config.variant_scale, flip_prob=config.variant_flip_prob)
 
     stock = round(r * n)
-    state = AuctionState(config=config, stock=stock, agents=admitted,
+    state = AuctionState(config=config, stock=stock, agents=agents,
                          price=config.base_price)
     while not state.terminated:
         if optim and state.k < config.finetune_rounds:

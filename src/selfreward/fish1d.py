@@ -46,6 +46,7 @@ the reference for this gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,7 +352,9 @@ def srd_train(steps: int, config: FishConfig | None = None,
     Every step pushes the judge output and its Jacobian into the decision
     memory; once the window is full, loss = cross_entropy(z, argmax z) is
     taken and one SGD step applied to the action layer with the gradient in
-    the module docstring.  Detectors and judge stay frozen throughout.
+    the module docstring.  Detectors and judge stay frozen throughout.  A
+    step whose loss is not finite stops training with a ValueError naming
+    it, before its update touches the action layer.
     """
     config = config or FishConfig()
     nn = FishNN(config)
@@ -360,12 +363,14 @@ def srd_train(steps: int, config: FishConfig | None = None,
     memory = DecisionMemory(config.mem)
     lr = SgdSettings(config.learning_rate).learning_rate
     losses: list[float] = []
-    for _ in range(steps):
+    for step in range(steps):
         action, v0 = sense_and_decide(nn, world, state)
         verdict, pre, gates = pfc.judge_values_and_gates(v0)
         memory.push(verdict, pfc.jacobian(v0, pre, gates))
         if memory.full:
             loss, dz = cross_entropy_self_values(memory.z())
+            if not math.isfinite(loss):
+                raise ValueError(f"step {step}: self-reward loss is {loss}; training stopped")
             grad = memory.gradient(dz)
             nn.w_act.values = nn.w_act.values - lr * grad[:6].reshape(2, 3)
             nn.b_act.values = nn.b_act.values - lr * grad[6:]

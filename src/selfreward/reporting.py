@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,7 +115,12 @@ def emit_plot(spec: PlotSpec) -> Path:
         si = header.index(spec.series_column) if spec.series_column else None
         for row in raw_rows:
             key = row[si] if si is not None else ""
-            series.setdefault(key, []).append((float(row[xi]), float(row[yi])))
+            point = (float(row[xi]), float(row[yi]))
+            points = series.setdefault(key, [])
+            # a non-finite point (say, the mean price of an auction with no
+            # sale) has no place on the axes; its series keeps its label
+            if all(map(math.isfinite, point)):
+                points.append(point)
 
     xs = [p[0] for pts in series.values() for p in pts] or [0.0, 1.0]
     ys = [p[1] for pts in series.values() for p in pts] or [0.0, 1.0]

@@ -1,14 +1,17 @@
 """Auction scenario: offers, sensors, decisions, server machine, trends."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from selfreward import auction
 from selfreward.autodiff import DiffTensor, SgdSettings, backward, concat, sgd_step
 from selfreward.auction import (
     BUY,
     HOLD,
+    LEAK_SLOPE,
     QUIT,
     AlwaysHoldModel,
     AuctionConfig,
@@ -16,6 +19,7 @@ from selfreward.auction import (
     FsnModel,
     Offer,
     base_offer,
+    decide_offers,
     W_DECISION,
     _PFC_GATES_B,
     _PFC_GATES_W,
@@ -26,6 +30,7 @@ from selfreward.auction import (
     run_auction,
     run_experiment,
     screen_model,
+    screen_models,
     server_step,
     srd_finetune,
 )
@@ -83,6 +88,28 @@ def hand_es(x, eps=0.01):
     return out
 
 
+def reference_sensors(m, x):
+    """The single-agent sensor forward as first written: clone noise from one
+    ``normal(0, clone_noise)`` draw, then the model's own (4, 8) kernels."""
+    cfg = m.config
+    block = x[..., None].repeat(cfg.d_ic, axis=-1)
+    block[..., 1:] += m.noise_rng.normal(0.0, cfg.clone_noise,
+                                         size=(*x.shape, cfg.d_ic - 1))
+    pre = (m.es_rows @ block).sum(axis=-1) / cfg.d_ic + m.es_biases
+    out = np.tanh(np.where(pre >= 0, pre, LEAK_SLOPE * pre))
+    st = pre[..., 3]
+    out[..., 3] = cfg.selective_eps / (st * st + cfg.selective_eps)
+    return out
+
+
+def reference_decide(m, offer):
+    """One agent on one offer, alone: the per-agent loop's decision."""
+    if not isinstance(m, FsnModel):
+        return m.decide_offer(offer)
+    logits = reference_sensors(m, offer.as_array()) @ m.w_dec.T + m.b_dec
+    return int(logits.argmax())
+
+
 def test_es_forward_base_offer_zero_noise():
     m = fresh_model(clone_noise=0.0)
     x = base_offer().as_array()
@@ -124,11 +151,11 @@ def test_es_forward_rows_match_single_offers():
 
 
 def test_es_clone_layout_interleaves_variables():
-    m = fresh_model(clone_noise=0.0)
-    arr = m._interleaved(np.arange(8.0)).ravel()
+    noise = np.ones((8, 4))
+    arr = auction._clone(np.arange(8.0), noise, AuctionConfig(clone_noise=0.5)).ravel()
     assert arr.shape == (40,)
-    np.testing.assert_allclose(arr[:5], 0.0)
-    np.testing.assert_allclose(arr[5:10], 1.0)
+    np.testing.assert_array_equal(arr[:5], [0.0, 0.5, 0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(arr[5:10], [1.0, 1.5, 1.5, 1.5, 1.5])
 
 
 # -- decisions ---------------------------------------------------------------------
@@ -151,6 +178,37 @@ def test_lowering_price_strictly_raises_buy_logit():
         x = m.es_forward_values(Offer(price=p).as_array())
         logits.append(m.decide_values(x)[0][BUY])
     assert all(b > a for a, b in zip(logits, logits[1:]))
+
+
+def mixed_population():
+    """FSN agents (two forward configs), a malicious model and stubs."""
+    agents = [fresh_model(seed=s) for s in range(6)]
+    agents[1].w_dec = agents[1].w_dec + 0.3
+    agents[2].es_rows = agents[2].es_rows * 2.0
+    agents[3].es_biases = agents[3].es_biases - 0.5
+    agents += [fresh_model(seed=6, d_ic=3), fresh_model(seed=7, d_ic=3, clone_noise=0.2),
+               AlwaysHoldModel(np.random.default_rng(0)), StubAgent(BUY), StubAgent(QUIT)]
+    order = np.random.default_rng(1).permutation(len(agents))
+    return [agents[i] for i in order]
+
+
+def test_decide_offers_matches_per_agent_loop():
+    batched = mixed_population()
+    looped = copy.deepcopy(batched)
+    reference = copy.deepcopy(batched)
+    seen = set()
+    for price in (1.0, 4.0, 5.0, 5.5, 6.0, 9.0, 0.5, 5.25):
+        offer = Offer(price=price, demand=price / 10)
+        got = decide_offers(batched, offer)
+        assert got.tolist() == [m.decide_offer(offer) for m in looped]
+        assert got.tolist() == [reference_decide(m, offer) for m in reference]
+        seen.update(got.tolist())
+    assert seen == {BUY, HOLD, QUIT}
+    for group in (looped, reference):
+        for a, b in zip(batched, group):
+            if isinstance(a, FsnModel):
+                assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+    assert decide_offers([], base_offer()).shape == (0,)
 
 
 def test_malicious_model_always_holds():
@@ -446,6 +504,38 @@ def test_screening():
     assert not screen_model(tampered)
 
 
+def reference_screen(m, config):
+    """The screener as first written: np.allclose on the template, the sign
+    pattern, then a probe, one model at a time."""
+    if not isinstance(m, FsnModel):
+        return False
+    if not np.allclose(m.es_rows, es_weight_rows(base_price=config.base_price)):
+        return False
+    signs = np.sign(m.w_dec[BUY])
+    if not (signs[0] < 0 and all(signs[i] > 0 for i in (1, 2, 3))):
+        return False
+    return reference_decide(m, Offer(price=0.25 * config.base_price)) == BUY
+
+
+def test_screen_models_matches_screen_model():
+    flipped, nudged, moved = (fresh_model(seed=s) for s in (5, 6, 7))
+    flipped.w_dec = -flipped.w_dec
+    nudged.es_rows = nudged.es_rows + 1e-10  # inside np.allclose's tolerance
+    moved.es_rows = moved.es_rows + 1e-3
+    models = [fresh_model(seed=4), AlwaysHoldModel(np.random.default_rng(0)),
+              flipped, nudged, moved, fresh_model(seed=8)]
+    singles, reference = copy.deepcopy(models), copy.deepcopy(models)
+    config = AuctionConfig()
+    verdicts = screen_models(models, config)
+    assert verdicts == [True, False, False, True, False, True]
+    assert verdicts == [screen_model(m, config) for m in singles]
+    assert verdicts == [reference_screen(m, config) for m in reference]
+    for group in (singles, reference):
+        for a, b in zip(models, group):
+            if isinstance(a, FsnModel):
+                assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+
+
 def test_flagged_models_only_admitted_in_malicious_mode():
     result = run_auction(0.25, malicious_frac=0.5, seed=2)
     assert result.available == 16  # runs fine with flagged agents admitted
@@ -470,3 +560,78 @@ def test_matched_seeds_share_honest_agent_construction():
     np.testing.assert_array_equal(h.b_dec, m.b_dec)
     assert (h.epochs, h.batch_size, h.learning_rate) == \
         (m.epochs, m.batch_size, m.learning_rate)
+
+
+def reference_finetune(models, variants, k):
+    """srd_finetune with each learner's sensor rows filled one epoch at a
+    time through the single-agent forward; the steps are the library's."""
+    learners = [m for m in models
+                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
+    if not learners:
+        return
+    offers = np.array([v.as_array() for v in variants])
+    n_var = len(offers)
+    x_es = np.zeros((len(learners), max(m.epochs for m in learners) * n_var, 4))
+    for i, m in enumerate(learners):
+        for e in range(m.epochs):
+            order = m.noise_rng.permutation(n_var)
+            x_es[i, e * n_var:(e + 1) * n_var] = reference_sensors(m, offers[order])
+    auction._lockstep_sgd(learners, x_es, n_var)
+
+
+class ReferenceAgent:
+    """Bids alone through ``reference_decide``; not an FsnModel, so
+    ``server_step`` asks it through its own ``decide_offer``."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def decide_offer(self, offer):
+        return reference_decide(self.model, offer)
+
+
+def reference_auction(r, optim, malicious_frac, seed, n=64):
+    """run_auction as a per-agent loop: screening, fine-tuning rows and
+    bidding agent by agent.  Returns prices, rounds and the agents."""
+    config = AuctionConfig()
+    root = np.random.SeedSequence(seed)
+    agents = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=root.entropy, spawn_key=root.spawn_key + (1, i)))
+        kind = AlwaysHoldModel if i < round(malicious_frac * n) else FsnModel
+        agents.append(kind(rng, config))
+    passed = [reference_screen(m, config) for m in agents]
+    assert all(passed) or malicious_frac > 0
+    variants = make_offer_variants(
+        base_offer(), config.variant_count,
+        np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (0,)),
+        scale=config.variant_scale, flip_prob=config.variant_flip_prob)
+    bidders = [ReferenceAgent(m) if isinstance(m, FsnModel) else m for m in agents]
+    state = AuctionState(config=config, stock=round(r * n), agents=bidders,
+                         price=config.base_price)
+    while not state.terminated:
+        if optim and state.k < config.finetune_rounds:
+            reference_finetune([agents[i] for i in state.active_indices()],
+                               variants, state.k)
+        server_step(state)
+    return [p.price for p in state.ledger], state.k, agents
+
+
+@pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
+@pytest.mark.parametrize("r, malicious_frac, seed", [
+    (0.0625, 0.0, 3), (0.0625, 0.5, 4), (0.25, 0.0, 5), (0.5, 0.5, 6)])
+def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed):
+    result, state = run_auction(r, optim=optim, malicious_frac=malicious_frac,
+                                seed=seed, return_state=True)
+    prices, rounds, agents = reference_auction(r, optim, malicious_frac, seed)
+    assert result.prices == prices and result.rounds == rounds
+    assert len(prices) > 0
+    for a, b in zip(state.agents, agents):
+        if isinstance(a, FsnModel):
+            np.testing.assert_array_equal(a.w_dec, b.w_dec)
+            np.testing.assert_array_equal(a.b_dec, b.b_dec)
+            assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+    if optim:  # fine-tuning moved the weights that were compared
+        assert any(not np.array_equal(m.w_dec, W_DECISION)
+                   for m in agents if isinstance(m, FsnModel))

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from selfreward.cli import dispatch
@@ -187,6 +188,25 @@ def test_fish_train_negative_iters_exits_two(tmp_path, capsys):
     rc = dispatch(["fish1d", "train", "--iters", "-1", "--out", str(out)])
     assert rc == 2
     assert "--iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fish_train_stops_on_non_finite_loss(tmp_path, capsys, monkeypatch):
+    from selfreward.fish1d import FishPFC
+
+    judge = FishPFC.judge_values_and_gates
+    steps = []
+
+    def judge_then_spoil(self, v0):
+        verdict, pre, gates = judge(self, v0)
+        steps.append(v0)
+        return (verdict if len(steps) <= 30 else np.full_like(verdict, np.nan)), pre, gates
+
+    monkeypatch.setattr(FishPFC, "judge_values_and_gates", judge_then_spoil)
+    out = tmp_path / "params.json"
+    rc = dispatch(["fish1d", "train", "--iters", "50", "--out", str(out)])
+    assert rc == 2
+    assert "step 30: self-reward loss is nan" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -304,6 +304,37 @@ def test_short_training_moves_eat_weight_up():
     assert nn.w_act.values[EAT, 0] > before
 
 
+def nan_verdicts_from(monkeypatch, step):
+    """Make the judge's verdict NaN from training step ``step`` on."""
+    judge = FishPFC.judge_values_and_gates
+    calls = []
+
+    def judge_then_spoil(self, v0):
+        verdict, pre, gates = judge(self, v0)
+        calls.append(v0)
+        if len(calls) > step:
+            verdict = np.full_like(verdict, np.nan)
+        return verdict, pre, gates
+
+    monkeypatch.setattr(FishPFC, "judge_values_and_gates", judge_then_spoil)
+
+
+def test_non_finite_loss_stops_training_before_the_update(monkeypatch):
+    nan_verdicts_from(monkeypatch, 20)
+    updates = []
+    gradient = DecisionMemory.gradient
+
+    def counted_gradient(self, dz):
+        updates.append(dz)
+        return gradient(self, dz)
+
+    monkeypatch.setattr(DecisionMemory, "gradient", counted_gradient)
+    with pytest.raises(ValueError, match="step 20: self-reward loss is nan"):
+        srd_train(50, seed=0)
+    # steps mem-1 .. 19 updated the weights; step 20 stopped before its update
+    assert len(updates) == 20 - FishConfig().mem + 1
+
+
 def engine_srd_train(steps, seed, config=None):
     """srd_train written on the engine: graph forward, one backward through
     the last ``mem`` judgment graphs per step, sgd_step.  Reference loop."""

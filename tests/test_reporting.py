@@ -1,6 +1,7 @@
 """Parameter round-trips, CSV determinism, manifests, SVG plots."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -189,3 +190,20 @@ def test_plot_scatter_kind(tmp_path):
     emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
                        output_svg=str(out), kind="scatter"))
     assert "<circle" in out.read_text()
+
+
+def test_plot_leaves_out_non_finite_points(tmp_path):
+    # the first row's y is nan, as the mean price of an auction with no sale
+    csv = make_csv(tmp_path, [[0.25, float("nan"), "a"], [0.5, 2.0, "a"],
+                              [1.0, 4.0, "a"], [0.75, float("inf"), "b"]])
+    out = tmp_path / "p.svg"
+    emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
+                       series_column="grp", output_svg=str(out), kind="scatter"))
+    body = out.read_text()
+    assert "nan" not in body and "inf" not in body
+    assert body.count("<circle") == 2
+    # the axes span the finite points only: x from 0.5 to 1, y from 2 to 4
+    ticks = re.findall(r">([^<]*)</text>", body)
+    assert ticks[:10] == ["0.5", "0.625", "0.75", "0.875", "1",
+                          "2", "2.5", "3", "3.5", "4"]
+    assert ">b</text>" in body  # a series with no finite point keeps its label
