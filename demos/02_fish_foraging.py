@@ -34,8 +34,8 @@ print("detector table: food-here kernel [1,0,0] bias -0.5 | "
       "food-there kernel [0,1,1] bias -0.5")
 print("action layer at start:")
 nn = FishNN(config)
-print("  eat  row", nn.w_act.values[0], "bias", nn.b_act.values[0])
-print("  move row", nn.w_act.values[1], "bias", nn.b_act.values[1])
+print("  eat  row", nn.w_act[0], "bias", nn.b_act[0])
+print("  move row", nn.w_act[1], "bias", nn.b_act[1])
 print()
 
 base = describe("untrained", FishNN(config), FishPFC(), seed=0)
@@ -44,10 +44,10 @@ print("\ntraining: the judge labels each decision, the running tally of")
 print("judgments is pushed toward its own majority, 12000 live steps...")
 trained_nn, trained_pfc, losses = srd_train(12000, config, seed=0)
 print(f"final loss {losses[-1]:.4f}; trained action layer:")
-print("  eat  row", trained_nn.w_act.values[0].round(3),
-      "bias", round(float(trained_nn.b_act.values[0]), 3))
-print("  move row", trained_nn.w_act.values[1].round(3),
-      "bias", round(float(trained_nn.b_act.values[1]), 3))
+print("  eat  row", trained_nn.w_act[0].round(3),
+      "bias", round(float(trained_nn.b_act[0]), 3))
+print("  move row", trained_nn.w_act[1].round(3),
+      "bias", round(float(trained_nn.b_act[1]), 3))
 print()
 
 trained = describe("trained  ", trained_nn, trained_pfc, seed=0)

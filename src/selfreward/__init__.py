@@ -26,7 +26,6 @@ from .layers import (
     fully_connected,
     selective_activation,
     softmax,
-    stable_pose_activation,
     threshold_activation,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "fully_connected",
     "selective_activation",
     "softmax",
-    "stable_pose_activation",
     "threshold_activation",
 ]

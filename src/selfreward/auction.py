@@ -87,6 +87,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layers import selective_core, tau, tau_slope
+
 __all__ = [
     "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Offer",
     "TrialResult", "base_offer", "decide_offers", "make_offer_variants",
@@ -118,8 +120,6 @@ BIAS_SPREAD = 0.1
 
 JUDGE_FALSE_BIAS = 0.3
 
-LEAK_SLOPE = 0.01
-
 # Learners per stacked sensor forward in fine-tuning.  Its clone blocks
 # hold (agents, variants, 8, D_ic) floats; at 16 agents they stay below the
 # lockstep SGD's own arrays, so fine-tuning peaks no higher than stepping.
@@ -136,15 +136,13 @@ _PFC_OUT_W = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 _PFC_OUT_B = np.array([0.0, JUDGE_FALSE_BIAS])
 
 
-def _tau(x: np.ndarray) -> np.ndarray:
-    """Threshold gate: tanh after a leaky rectifier."""
-    return np.tanh(np.where(x >= 0, x, LEAK_SLOPE * x))
-
-
-def _judge_gates(x_es: np.ndarray, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gate pre-activations and gates (PGL, BC, FQ) for rows of state."""
+def _judge_gates(x_es: np.ndarray,
+                 logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Judge logits [True, False], gate pre-activations and gates (PGL, BC, FQ)
+    for rows of sensor state and decision logits."""
     pre = np.concatenate([x_es, logits], axis=-1) @ _PFC_GATES_W.T + _PFC_GATES_B
-    return pre, _tau(pre)
+    gates = tau(pre)
+    return gates @ _PFC_OUT_W.T + _PFC_OUT_B, pre, gates
 
 
 @dataclass
@@ -283,8 +281,7 @@ class FsnModel:
         FQ  = tau(Q + (SZ + LSR + ST)/3 - 1)  quit on a desirable fish.
         True sums PGL and BC; False carries FQ plus a small default bias.
         """
-        _, gates = _judge_gates(x_es, logits)
-        return gates @ _PFC_OUT_W.T + _PFC_OUT_B
+        return _judge_gates(x_es, logits)[0]
 
     def decide_offer(self, offer: Offer) -> int:
         return int(decide_offers([self], offer)[0])
@@ -337,9 +334,9 @@ def _stacked_sensors(group: list[FsnModel], x: np.ndarray) -> np.ndarray:
     es_rows = np.expand_dims(np.array([m.es_rows for m in group]), batch_axes)
     es_biases = np.expand_dims(np.array([m.es_biases for m in group]), batch_axes)
     pre = (es_rows @ _clone(x, noise, config)).sum(axis=-1) / config.d_ic + es_biases
-    out = _tau(pre)
+    out = tau(pre)
     st = pre[..., ST]
-    out[..., ST] = config.selective_eps / (st * st + config.selective_eps)
+    out[..., ST] = selective_core(st * st, config.selective_eps)
     return out
 
 
@@ -458,14 +455,13 @@ def _lockstep_sgd(learners, x_es: np.ndarray, n_var: int) -> None:
     for s in steps:
         x, kept = xs[:, s], keep[:, s]
         logits = _decision_logits(x, w, b)
-        pre, gates = _judge_gates(x, logits)
-        z = ((gates @ _PFC_OUT_W.T + _PFC_OUT_B) * kept).sum(axis=1)
+        judged, pre, gates = _judge_gates(x, logits)
+        z = (judged * kept).sum(axis=1)
         top = z.max(axis=1, keepdims=True)
         lse = top + np.log(np.exp(z - top).sum(axis=1, keepdims=True))
         dz = np.exp(z - lse)
         dz[agents, z.argmax(axis=1)] -= 1.0
-        slope = (1.0 - gates * gates) * np.where(pre >= 0, 1.0, LEAK_SLOPE)
-        dpre = (dz @ _PFC_OUT_W)[:, None, :] * slope * kept
+        dpre = (dz @ _PFC_OUT_W)[:, None, :] * tau_slope(pre, gates) * kept
         dlogits = dpre @ _PFC_GATES_W[:, 4:]
         w = w - lr[:, None, None] * (dlogits.transpose(0, 2, 1) @ x)
         b = b - lr[:, None] * dlogits.sum(axis=1)

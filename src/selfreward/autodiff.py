@@ -385,18 +385,6 @@ def sgd_step(params: Iterable[DiffTensor], settings: SgdSettings) -> None:
             p._grad = None
 
 
-def assign(p: DiffTensor, values) -> None:
-    """Rebind ``p.values`` to a float64 copy of ``values``, of p's shape.
-
-    Like ``sgd_step`` this never writes in place, so a graph recorded before
-    the assignment still backpropagates at its recorded values.
-    """
-    values = np.array(values, dtype=np.float64)
-    if values.shape != p.shape:
-        raise ShapeError(f"assign: shape {values.shape} does not match {p.shape}")
-    p.values = values
-
-
 def zero_grads(params: Iterable[DiffTensor]) -> None:
     for p in params:
         p.zero_grad()

@@ -28,7 +28,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     for a float, and a string for an option whose default is None.
     """
     if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{args.config}: malformed config file: {err}") from err
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{args.config}: config file must hold a JSON object, "
+                              f"not {type(overrides).__name__}")
         for key, value in overrides.items():
             if key in ("func", "config") or key.startswith("_") or not hasattr(args, key):
                 raise ConfigError(f"config file sets unknown option {key!r}")
@@ -288,13 +294,14 @@ def dispatch(argv=None) -> int:
     try:
         _apply_config_file(args)
         return args.func(args)
-    except (ConfigError, ParamsError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ConfigError, ParamsError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -39,9 +39,14 @@ time, and one training step is
 where O is the judge's output layer, pre_i the gate pre-activations, G_p the
 gate rows' columns that read the action probabilities p_i = softmax(logits_i),
 and x_i = [a_fh, a_ft, F] the action layer's input.  A step costs the same
-whatever ``mem`` is.  The graph forward (``FishNN.sense``/``decide``,
-``pfc_judge``) states the same network for the engine, which the tests use as
-the reference for this gradient.
+whatever ``mem`` is.
+
+The detector and judge weights are module constants, and ``w_act``/``b_act``
+are plain arrays that training and ``import_params`` rebind, never write in
+place.  The graph forms (``FishNN.sense``/``decide``, ``FishPFC.judge`` and
+``pfc_judge``) state the same network on the engine and read whatever the
+caller puts in ``w_act``/``b_act``: wrapped in ``parameter(...)``, they
+collect the gradient that the tests compare with the closed form above.
 """
 
 from __future__ import annotations
@@ -51,17 +56,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffTensor, SgdSettings, as_tensor, assign, concat, parameter
+from .autodiff import DiffTensor, SgdSettings, ShapeError, as_tensor, concat
 # Unused here since training left the engine; bench/test_bench.py still checks
 # that the tracer rebinds fish1d.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
 from .layers import (
-    LEAK_SLOPE,
     conv1d,
     cross_entropy_self_values,
     fully_connected,
     selective_activation,
+    selective_core,
     softmax,
+    softmax_values,
+    tau,
+    tau_slope,
     threshold_activation,
 )
 
@@ -71,9 +79,9 @@ ACTION_NAMES = ("eat", "move")
 FOOD_VALUE = 0.5
 
 # Detector table: kernel and bias per output neuron.
-FH_KERNEL = (1.0, 0.0, 0.0)
+FH_KERNEL = np.array([1.0, 0.0, 0.0])
 FH_BIAS = -0.5
-FT_KERNEL = (0.0, 1.0, 1.0)
+FT_KERNEL = np.array([0.0, 1.0, 1.0])
 FT_BIAS = -0.5
 
 # Judge gate rows over v0 = [a_fh, a_ft, F, e, m].
@@ -94,6 +102,9 @@ N_THETA = 8
 # its bias makes an all-quiet gate vector read as False.
 JUDGE_TRUE_ROW = (3.0, 1.0, 1.0)
 JUDGE_FALSE_BIAS = 1.2
+# The judge's output layer O: [True, False] logits from the gates (e1, m1, ex).
+_JUDGE_W = np.array([JUDGE_TRUE_ROW, [-w for w in JUDGE_TRUE_ROW]])
+_JUDGE_B = np.array([0.0, JUDGE_FALSE_BIAS])
 
 
 @dataclass
@@ -157,22 +168,18 @@ class FishNN:
 
     def __init__(self, config: FishConfig):
         self.config = config
-        self.conv_fh = as_tensor(FH_KERNEL)
-        self.bias_fh = as_tensor(FH_BIAS)
-        self.conv_ft = as_tensor(FT_KERNEL)
-        self.bias_ft = as_tensor(FT_BIAS)
         # rows: eat = (1, 0, -1), move = (delta, 1, 1); biases start at
         # (eat_bias, 0) so a half-full fish moves past food until trained
-        self.w_act = parameter(np.array([
+        self.w_act = np.array([
             [1.0, 0.0, -1.0],
             [config.move_delta, 1.0, 1.0],
-        ]))
-        self.b_act = parameter(np.array([config.eat_bias, 0.0]))
+        ])
+        self.b_act = np.array([config.eat_bias, 0.0])
 
     def sense(self, window: np.ndarray) -> tuple[DiffTensor, DiffTensor]:
         eps = self.config.selective_eps
-        a_fh = selective_activation(conv1d(window, self.conv_fh, self.bias_fh), eps)
-        a_ft = selective_activation(conv1d(window, self.conv_ft, self.bias_ft), eps)
+        a_fh = selective_activation(conv1d(window, FH_KERNEL, FH_BIAS), eps)
+        a_ft = selective_activation(conv1d(window, FT_KERNEL, FT_BIAS), eps)
         return a_fh, a_ft
 
     def decide(self, a_fh: DiffTensor, a_ft: DiffTensor,
@@ -184,35 +191,34 @@ class FishNN:
     def sense_values(self, window: np.ndarray) -> tuple[float, float]:
         """Plain-float forward of sense()."""
         eps = self.config.selective_eps
-        y_fh = float(window @ self.conv_fh.values) + FH_BIAS
-        y_ft = float(window @ self.conv_ft.values) + FT_BIAS
-        return eps / (y_fh * y_fh + eps), eps / (y_ft * y_ft + eps)
+        y_fh = float(window @ FH_KERNEL) + FH_BIAS
+        y_ft = float(window @ FT_KERNEL) + FT_BIAS
+        return selective_core(y_fh * y_fh, eps), selective_core(y_ft * y_ft, eps)
 
     def decide_values(self, a_fh: float, a_ft: float,
                       energy: float) -> tuple[np.ndarray, int]:
-        logits = self.w_act.values @ (a_fh, a_ft, energy) + self.b_act.values
+        logits = self.w_act @ (a_fh, a_ft, energy) + self.b_act
         return logits, int(np.argmax(logits))
 
     def export_params(self) -> dict:
-        return {"w_act": self.w_act.values.copy(), "b_act": self.b_act.values.copy()}
+        return {"w_act": self.w_act.copy(), "b_act": self.b_act.copy()}
 
     def import_params(self, params: dict) -> None:
-        assign(self.w_act, params["w_act"])
-        assign(self.b_act, params["b_act"])
+        """Take float64 copies of ``w_act`` and ``b_act``, of the same shapes."""
+        for name in ("w_act", "b_act"):
+            values = np.array(params[name], dtype=np.float64)
+            if values.shape != getattr(self, name).shape:
+                raise ShapeError(f"{name}: shape {values.shape} does not match "
+                                 f"{getattr(self, name).shape}")
+            setattr(self, name, values)
 
 
 class FishPFC:
     """Frozen judge emitting [True, False] logits for one decision."""
 
-    def __init__(self):
-        self.rows = [as_tensor(row) for row in PFC_ROWS]
-        true_row = np.array(JUDGE_TRUE_ROW)
-        self.judge_w = as_tensor(np.stack([true_row, -true_row]))
-        self.judge_b = as_tensor(np.array([0.0, JUDGE_FALSE_BIAS]))
-
     def judge(self, v0: DiffTensor) -> DiffTensor:
-        gates = concat([threshold_activation(conv1d(v0, row)) for row in self.rows])
-        return fully_connected(gates, self.judge_w, self.judge_b)
+        gates = concat([threshold_activation(conv1d(v0, row)) for row in PFC_ROWS])
+        return fully_connected(gates, _JUDGE_W, _JUDGE_B)
 
     def judge_values(self, v0: np.ndarray) -> np.ndarray:
         """Plain-float forward of judge()."""
@@ -222,8 +228,8 @@ class FishPFC:
             self, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """judge_values(v0), the gate pre-activations, and the gates."""
         pre = _PFC_MATRIX @ v0
-        gates = np.tanh(np.where(pre >= 0, pre, LEAK_SLOPE * pre))
-        return self.judge_w.values @ gates + self.judge_b.values, pre, gates
+        gates = tau(pre)
+        return _JUDGE_W @ gates + _JUDGE_B, pre, gates
 
     def jacobian(self, v0: np.ndarray, pre: np.ndarray,
                  gates: np.ndarray) -> np.ndarray:
@@ -233,8 +239,7 @@ class FishPFC:
         output p; pre and gates come from ``judge_values_and_gates(v0)``.
         """
         x, p = v0[:3], v0[3:]
-        slope = (1.0 - gates * gates) * np.where(pre >= 0, 1.0, LEAK_SLOPE)
-        d_probs = (self.judge_w.values * slope) @ _PFC_PROB_COLS
+        d_probs = (_JUDGE_W * tau_slope(pre, gates)) @ _PFC_PROB_COLS
         # rows of d_probs (diag p - p p^T), as the softmax vjp writes them
         d_logits = p * (d_probs - (d_probs @ p)[:, None])
         return np.concatenate(((d_logits[:, :, None] * x).reshape(2, 6), d_logits),
@@ -316,8 +321,7 @@ def sense_and_decide(nn: FishNN, world: FishWorld,
     """The action, and the judge's input v0 = [a_fh, a_ft, F, e, m]."""
     a_fh, a_ft = nn.sense_values(world.window)
     logits, action = nn.decide_values(a_fh, a_ft, state.energy)
-    shifted = np.exp(logits - logits.max())
-    probs = shifted / shifted.sum()
+    probs = softmax_values(logits)
     return action, np.array([a_fh, a_ft, state.energy, probs[0], probs[1]])
 
 
@@ -372,8 +376,8 @@ def srd_train(steps: int, config: FishConfig | None = None,
             if not math.isfinite(loss):
                 raise ValueError(f"step {step}: self-reward loss is {loss}; training stopped")
             grad = memory.gradient(dz)
-            nn.w_act.values = nn.w_act.values - lr * grad[:6].reshape(2, 3)
-            nn.b_act.values = nn.b_act.values - lr * grad[6:]
+            nn.w_act = nn.w_act - lr * grad[:6].reshape(2, 3)
+            nn.b_act = nn.b_act - lr * grad[6:]
             losses.append(loss)
         world_step(world, state, action, config)
     return nn, pfc, losses

@@ -200,7 +200,10 @@ def load_bank(path) -> MapBank:
 
     A ValueError names the file and, for a bad map, the map's index.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: malformed bank file: {err}") from err
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != 1:
         raise ValueError(f"{path}: unsupported bank version {version!r}")

@@ -1,10 +1,15 @@
-"""Layers and activations shared by every hand-designed controller.
+"""The neuron formulas the controllers are built from, once each.
 
-All of these are deliberately tiny: a dilated 1-D convolution, a dense
-layer, a shape-preserving 3x3 transposed convolution, and the two
-activations the controllers are built from.  The selective activation is a
-match detector (1 exactly on a zero residual); the threshold activation is
-a monotone saturating gate.
+Each formula is written once as a plain-array function: the match
+detector ``selective_core`` (eps / (r + eps), 1 exactly on a zero squared
+residual), the threshold gate ``tau`` (a monotone saturating tanh after a
+leaky rectifier) and its slope ``tau_slope``, ``softmax_values``, the
+self-labelled loss ``cross_entropy_self_values``, and the nine shifted terms
+of a 3x3 transposed convolution, ``deconv_shifts``.  The scenarios run on
+these directly.  The recorded ops (a dilated 1-D convolution, a dense layer,
+``deconv3x3``, the activations and the loss) compute their values through
+the same functions and add a vjp for the engine, which the tests use as the
+reference for each scenario's closed-form gradients.
 """
 
 from __future__ import annotations
@@ -127,13 +132,29 @@ def selective_core(sq_residual: np.ndarray, epsilon: float) -> np.ndarray:
     return epsilon / (sq_residual + epsilon)
 
 
+def tau(x: np.ndarray) -> np.ndarray:
+    """Threshold gate: tanh(x) for x >= 0, tanh(LEAK_SLOPE * x) below."""
+    return np.tanh(np.where(x >= 0, x, LEAK_SLOPE * x))
+
+
+def tau_slope(x: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """tau'(x), given gates = tau(x)."""
+    return (1.0 - gates * gates) * np.where(x >= 0, 1.0, LEAK_SLOPE)
+
+
+def softmax_values(v: np.ndarray) -> np.ndarray:
+    """Probability vector, computed with max-subtraction for stability."""
+    e = np.exp(v - v.max())
+    return e / e.sum()
+
+
 def selective_activation(x, epsilon: float = DEFAULT_EPSILON) -> DiffTensor:
     """Match detector eps / (||x||^2 + eps): 1 exactly at x = 0."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     x = as_tensor(x)
     sq = float(np.sum(x.values * x.values))
-    out = np.asarray(epsilon / (sq + epsilon))
+    out = np.asarray(selective_core(sq, epsilon))
     xv = x.values
     denom = (sq + epsilon) ** 2
 
@@ -143,12 +164,11 @@ def selective_activation(x, epsilon: float = DEFAULT_EPSILON) -> DiffTensor:
     return record(out, (x,), vjp)
 
 
-def threshold_activation(x, slope: float = LEAK_SLOPE) -> DiffTensor:
-    """tanh after a leaky rectifier: tanh(x) for x >= 0, tanh(slope*x) below."""
+def threshold_activation(x) -> DiffTensor:
+    """The threshold gate ``tau``."""
     x = as_tensor(x)
-    leaked = np.where(x.values >= 0, x.values, slope * x.values)
-    out = np.tanh(leaked)
-    local = (1.0 - out * out) * np.where(x.values >= 0, 1.0, slope)
+    out = tau(x.values)
+    local = tau_slope(x.values, out)
 
     def vjp(g):
         return (g * local,)
@@ -157,11 +177,9 @@ def threshold_activation(x, slope: float = LEAK_SLOPE) -> DiffTensor:
 
 
 def softmax(v) -> DiffTensor:
-    """Probability vector, computed with max-subtraction for stability."""
+    """``softmax_values`` of v."""
     v = as_tensor(v)
-    shifted = v.values - v.values.max()
-    e = np.exp(shifted)
-    out = e / e.sum()
+    out = softmax_values(v.values)
 
     def vjp(g):
         return (out * (g - float(g @ out)),)
@@ -191,26 +209,3 @@ def cross_entropy_self_values(z: np.ndarray) -> tuple[float, np.ndarray]:
     gz = np.exp(z - lse)
     gz[label] -= 1.0
     return float(lse - z[label]), gz
-
-
-def stable_pose_activation(x, pose, epsilon: float = DEFAULT_EPSILON) -> DiffTensor:
-    """Pose detector eps / ((x - p)^4 + eps): 1 exactly at x = pose.
-
-    The squared distance (x - p)^2 is what enters the match detector, hence
-    the fourth power in the denominator.  The inverse neuron is one minus
-    this value.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    x = as_tensor(x)
-    pose = as_tensor(pose)
-    d = x.values - pose.values
-    denom = d ** 4 + epsilon
-    out = epsilon / denom
-    common = -4.0 * epsilon * d ** 3 / (denom * denom)
-
-    def vjp(g):
-        gx = g * common
-        return gx, -gx
-
-    return record(out, (x, pose), vjp)

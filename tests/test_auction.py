@@ -11,7 +11,6 @@ from selfreward.autodiff import DiffTensor, SgdSettings, backward, concat, sgd_s
 from selfreward.auction import (
     BUY,
     HOLD,
-    LEAK_SLOPE,
     QUIT,
     AlwaysHoldModel,
     AuctionConfig,
@@ -34,7 +33,12 @@ from selfreward.auction import (
     server_step,
     srd_finetune,
 )
-from selfreward.layers import cross_entropy_self, fully_connected, threshold_activation
+from selfreward.layers import (
+    LEAK_SLOPE,
+    cross_entropy_self,
+    fully_connected,
+    threshold_activation,
+)
 
 
 def fresh_model(seed=0, **config_kw):
@@ -343,6 +347,45 @@ def test_lockstep_finetune_matches_engine_reference():
     # every agent with epochs > 0 moved well past the tolerance
     moved = [np.abs(m.w_dec - W_DECISION).max() > 1e-3 for m in ours[:5]]
     assert moved == [True, True, True, False, True]
+
+
+def test_lockstep_step_matches_central_differences():
+    """One step at learning rate 1 over one batch of every row gives
+    dW = W_before - W_after; it must equal central differences of the
+    self-label loss in the module docstring, its argmax label held fixed."""
+    n_var, step = 8, 1e-6
+    x_es = np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, n_var, 4))
+    m = fresh_model(seed=2)
+    m.epochs, m.batch_size, m.learning_rate = 1, 15, 1.0
+    w0, b0 = m.w_dec.copy(), m.b_dec.copy()
+
+    def loss(w, b, label=None):
+        state = np.concatenate([x_es[0], x_es[0] @ w.T + b], axis=1)
+        pre = state @ _PFC_GATES_W.T + _PFC_GATES_B
+        gates = np.tanh(np.where(pre >= 0, pre, LEAK_SLOPE * pre))
+        z = (gates @ _PFC_OUT_W.T + _PFC_OUT_B).sum(axis=0)
+        label = int(z.argmax()) if label is None else label
+        return math.log(np.exp(z).sum()) - z[label], label, pre
+
+    _, label, pre = loss(w0, b0)
+    # a difference straddling the gates' kink at 0 measures no derivative
+    assert np.abs(pre).min() > 1e-3
+    auction._lockstep_sgd([m], x_es, n_var)
+
+    def numeric(theta, rebuild):
+        grad = np.empty(theta.size)
+        for k in range(theta.size):
+            shift = np.zeros(theta.shape)
+            shift.flat[k] = step
+            grad[k] = (loss(*rebuild(theta + shift), label)[0]
+                       - loss(*rebuild(theta - shift), label)[0]) / (2 * step)
+        return grad.reshape(theta.shape)
+
+    want_w = numeric(w0, lambda w: (w, b0))
+    want_b = numeric(b0, lambda b: (w0, b))
+    np.testing.assert_allclose(w0 - m.w_dec, want_w, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(b0 - m.b_dec, want_b, rtol=1e-6, atol=1e-9)
+    assert np.abs(want_w).max() > 1e-2
 
 
 def test_lockstep_padding_leaves_finished_agent_bit_identical():

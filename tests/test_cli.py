@@ -1,10 +1,15 @@
 """End-to-end command-line runs on small workloads."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import selfreward
 from selfreward.cli import dispatch
 
 
@@ -26,6 +31,25 @@ def test_missing_required_flag_named(capsys):
         dispatch(["lavaland", "eval", "--report", "r"])
     assert exc.value.code == 2
     assert "--bank" in capsys.readouterr().err
+
+
+def run_module(*args):
+    """``python -m selfreward.cli ARGS`` in a fresh interpreter."""
+    src = str(Path(selfreward.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-m", "selfreward.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    version = run_module("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == selfreward.__version__ == "0.1.0"
+    bad = run_module("fish1d", "run", "--out", str(tmp_path / "f"), "--bogus")
+    assert bad.returncode == 2
+    assert "unrecognized arguments: --bogus" in bad.stderr
+    assert not (tmp_path / "f").exists()
 
 
 def test_bad_config_value_exits_two(tmp_path, capsys):
@@ -229,6 +253,42 @@ def test_config_file_wrong_type_exits_two(tmp_path, capsys, overrides):
     assert next(iter(overrides)) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "config file must hold a JSON object, not list"),
+    ("{", "malformed config file: Expecting property name"),
+])
+def test_config_file_not_an_object_exits_two(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = dispatch(["fish1d", "run", "--steps", "10", "--out", str(tmp_path / "f"),
+                   "--config", str(cfg)])
+    assert rc == 2
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("option", ["--config", "--trained", "--bank", "--params"])
+def test_directory_given_as_input_file_exits_two(tmp_path, capsys, option):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    bank = tmp_path / "bank.json"
+    assert dispatch(["lavaland", "gen", "--count", "2", "--preset", "lava-a",
+                     "--out", str(bank)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "--config": ["fish1d", "run", "--steps", "10", "--out", str(out)],
+        "--trained": ["fish1d", "run", "--steps", "10", "--out", str(out)],
+        "--bank": ["lavaland", "train", "--out", str(out)],
+        "--params": ["lavaland", "eval", "--bank", str(bank), "--report", str(out)],
+    }[option]
+    rc = dispatch([*argv, option, str(folder)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(folder) in err
+    assert not out.exists()
+
+
 def test_config_file_int_for_float_and_str_for_none(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "a"
@@ -279,6 +339,16 @@ def test_fish_run_rejects_params_with_wrong_names(tmp_path, capsys):
                    "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "b_act" in capsys.readouterr().err
+
+
+def test_lavaland_bank_that_is_not_json_exits_two(tmp_path, capsys):
+    bank = tmp_path / "bank.json"
+    bank.write_text("not json")
+    rc = dispatch(["lavaland", "eval", "--bank", str(bank), "--report",
+                   str(tmp_path / "r")])
+    assert rc == 2
+    assert f"error: {bank}: malformed bank file: Expecting value" in \
+        capsys.readouterr().err
 
 
 def _bank_doc(**overrides):

@@ -14,6 +14,7 @@ from selfreward.autodiff import (
     as_tensor,
     backward,
     no_grad,
+    parameter,
     pick,
     sgd_step,
     total,
@@ -245,18 +246,25 @@ def test_memory_empty_z_raises():
         DecisionMemory(0)
 
 
+def perturbed_fish(rng):
+    """A fish with randomized action weights, in a random world and energy."""
+    nn = FishNN(FishConfig())
+    nn.import_params({"w_act": nn.w_act + rng.normal(0, 0.5, (2, 3)),
+                      "b_act": rng.normal(0, 0.5, 2)})
+    world, state = make_world(int(rng.integers(1000)), nn.config)
+    state.energy = float(rng.uniform(0.05, 1.0))
+    return nn, world, state
+
+
 def test_cached_jacobian_matches_engine_gradient_of_each_verdict():
     rng = np.random.default_rng(6)
     pfc = FishPFC()
     for _ in range(40):
-        nn = FishNN(FishConfig())
-        nn.import_params({"w_act": nn.w_act.values + rng.normal(0, 0.5, (2, 3)),
-                          "b_act": rng.normal(0, 0.5, 2)})
-        world, state = make_world(int(rng.integers(1000)), nn.config)
-        state.energy = float(rng.uniform(0.05, 1.0))
+        nn, world, state = perturbed_fish(rng)
         _, v0 = sense_and_decide(nn, world, state)
         _, pre, gates = pfc.judge_values_and_gates(v0)
         jac = pfc.jacobian(v0, pre, gates)
+        nn.w_act, nn.b_act = parameter(nn.w_act), parameter(nn.b_act)
         a_fh, a_ft = nn.sense(world.window)
         logits, _ = nn.decide(a_fh, a_ft, state.energy)
         verdict = pfc_judge(pfc, a_fh, a_ft, state.energy, logits)
@@ -266,6 +274,34 @@ def test_cached_jacobian_matches_engine_gradient_of_each_verdict():
             np.testing.assert_allclose(jac[c], want, rtol=1e-12, atol=1e-15)
             nn.w_act.zero_grad()
             nn.b_act.zero_grad()
+
+
+def test_cached_jacobian_matches_central_differences():
+    """Every entry of d verdict / d theta against central differences of the
+    plain forward: sense_and_decide's v0, then judge_values_and_gates."""
+    rng = np.random.default_rng(8)
+    pfc = FishPFC()
+    step = 1e-6
+    for _ in range(20):
+        nn, world, state = perturbed_fish(rng)
+        _, v0 = sense_and_decide(nn, world, state)
+        _, pre, gates = pfc.judge_values_and_gates(v0)
+        # a difference straddling the gates' kink at 0 measures no derivative
+        assert np.abs(pre).min() > 1e-3
+        jac = pfc.jacobian(v0, pre, gates)
+        theta = np.concatenate([nn.w_act.ravel(), nn.b_act])
+
+        def verdict(t):
+            nn.import_params({"w_act": t[:6].reshape(2, 3), "b_act": t[6:]})
+            return pfc.judge_values_and_gates(sense_and_decide(nn, world, state)[1])[0]
+
+        numeric = np.empty((2, 8))
+        for k in range(8):
+            shift = np.zeros(8)
+            shift[k] = step
+            numeric[:, k] = (verdict(theta + shift) - verdict(theta - shift)) / (2 * step)
+        np.testing.assert_allclose(jac, numeric, rtol=1e-6, atol=1e-8)
+        assert np.abs(jac).max() > 1e-3
 
 
 # -- episodes and training -----------------------------------------------------
@@ -293,15 +329,15 @@ def test_trace_is_deterministic(nn, pfc):
 def test_zero_training_steps_changes_nothing():
     nn, _, losses = srd_train(0, seed=0)
     ref = FishNN(FishConfig())
-    np.testing.assert_array_equal(nn.w_act.values, ref.w_act.values)
-    np.testing.assert_array_equal(nn.b_act.values, ref.b_act.values)
+    np.testing.assert_array_equal(nn.w_act, ref.w_act)
+    np.testing.assert_array_equal(nn.b_act, ref.b_act)
     assert losses == []
 
 
 def test_short_training_moves_eat_weight_up():
-    before = FishNN(FishConfig()).w_act.values[EAT, 0]
+    before = FishNN(FishConfig()).w_act[EAT, 0]
     nn, _, _ = srd_train(1500, seed=2)
-    assert nn.w_act.values[EAT, 0] > before
+    assert nn.w_act[EAT, 0] > before
 
 
 def nan_verdicts_from(monkeypatch, step):
@@ -340,6 +376,7 @@ def engine_srd_train(steps, seed, config=None):
     the last ``mem`` judgment graphs per step, sgd_step.  Reference loop."""
     config = config or FishConfig()
     nn, pfc = FishNN(config), FishPFC()
+    nn.w_act, nn.b_act = parameter(nn.w_act), parameter(nn.b_act)
     world, state = make_world(seed, config)
     memory = deque(maxlen=config.mem)
     settings = SgdSettings(config.learning_rate)
@@ -371,23 +408,24 @@ def test_closed_form_fish_training_matches_engine(seed, monkeypatch):
     monkeypatch.setattr(fish1d, "world_step", recording_step)
     nn, _, losses = srd_train(steps, seed=seed)
     assert actions == ref_actions
-    np.testing.assert_allclose(nn.w_act.values, ref_nn.w_act.values, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(nn.b_act.values, ref_nn.b_act.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(nn.w_act, ref_nn.w_act.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(nn.b_act, ref_nn.b_act.values, rtol=0, atol=1e-12)
     assert len(losses) == len(ref_losses) == steps - FishConfig().mem + 1
     np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-12)
 
 
 def test_graph_recorded_before_import_params_keeps_its_values():
     nn = FishNN(FishConfig())
-    before = nn.w_act.values.copy()
-    squared = total(nn.w_act * nn.w_act)  # recorded at the initial weights
+    before = nn.w_act.copy()
+    w_act = parameter(nn.w_act)  # shares the model's array
+    squared = total(w_act * w_act)  # recorded at the initial weights
     params = {"w_act": before + 1.0, "b_act": np.array([0.25, -0.25])}
     nn.import_params(params)
     params["w_act"][...] = 0.0  # the imported weights are the model's own copy
-    np.testing.assert_array_equal(nn.w_act.values, before + 1.0)
-    np.testing.assert_array_equal(nn.b_act.values, [0.25, -0.25])
+    np.testing.assert_array_equal(nn.w_act, before + 1.0)
+    np.testing.assert_array_equal(nn.b_act, [0.25, -0.25])
     backward(squared)
-    np.testing.assert_array_equal(nn.w_act.grad, 2.0 * before)
+    np.testing.assert_array_equal(w_act.grad, 2.0 * before)
     with pytest.raises(ShapeError):
         nn.import_params({"w_act": np.zeros((3, 2)), "b_act": np.zeros(2)})
     with pytest.raises(ShapeError):

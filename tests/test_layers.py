@@ -23,7 +23,6 @@ from selfreward.layers import (
     fully_connected,
     selective_activation,
     softmax,
-    stable_pose_activation,
     threshold_activation,
 )
 
@@ -241,29 +240,6 @@ def test_cel_infimum_approached():
     assert cross_entropy_self(np.array([60.0, 0.0])).item() < 1e-20
 
 
-# -- stable pose neuron ----------------------------------------------------------
-
-
-def test_stable_pose_peak_and_half():
-    assert stable_pose_activation(1.7, 1.7).item() == pytest.approx(1.0)
-    # input to the match detector is (x-p)^2, so half-response at (x-p)^4 = eps
-    eps = 0.01
-    x = eps ** 0.25
-    assert stable_pose_activation(x, 0.0, eps).item() == pytest.approx(0.5)
-
-
-def test_stable_pose_monotone_decay():
-    vals = [stable_pose_activation(x, 0.0).item() for x in (0.5, 1.0, 2.0, 5.0)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-3
-
-
-def test_stable_pose_inverse_neuron():
-    v = stable_pose_activation(0.3, 0.0)
-    inv = 1.0 - v
-    assert inv.item() == pytest.approx(1.0 - v.item())
-
-
 # -- gradient oracle: central finite differences ----------------------------------
 
 
@@ -305,7 +281,6 @@ def _random_net(rng):
     w1_out = length - (ksize - 1) * dilation
     w1 = parameter(rng.normal(size=(3, w1_out)) * 0.4)
     b1 = parameter(rng.normal(size=3) * 0.1)
-    pose = parameter(rng.normal())
 
     def build_loss():
         conv_out = conv1d(x, kernel, bias=kbias, dilation=dilation)
@@ -313,11 +288,10 @@ def _random_net(rng):
         sel = selective_activation(h, 0.05)
         d = deconv3x3(grid, grid_kernel)
         pooled = total(threshold_activation(d)) * (1.0 / d.values.size)
-        pose_act = stable_pose_activation(pooled, pose, 0.1)
-        z = concat([sel, pose_act, softmax(h) * 0.5])
-        return cross_entropy_self(z) + sel * 0.3 + pose_act * 0.2
+        z = concat([sel, pooled, softmax(h) * 0.5])
+        return cross_entropy_self(z) + sel * 0.3 + pooled * 0.2
 
-    return [kernel, kbias, grid_kernel, w1, b1, pose], build_loss
+    return [kernel, kbias, grid_kernel, w1, b1], build_loss
 
 
 def test_gradient_oracle_random_compositions():
