@@ -21,9 +21,9 @@ from selfreward.fish1d import (
 def describe(label, nn, pfc, seed, steps=3000):
     world, state = make_world(seed, nn.config)
     trace = run_episode(nn, pfc, world, state, steps)
-    energy = np.array([r["F"] for r in trace])
-    meals = sum(r["action"] == "eat" and r["food_here"] for r in trace)
-    skipped = sum(r["action"] == "move" and r["food_here"] for r in trace)
+    energy = np.array([F for _, F, _, _, _, _ in trace])
+    meals = sum(action == "eat" and here for _, _, here, _, action, _ in trace)
+    skipped = sum(action == "move" and here for _, _, here, _, action, _ in trace)
     print(f"{label}: mean energy {energy.mean():.3f}, min {energy.min():.2f}, "
           f"meals {meals}, food passed by {skipped}")
     return energy

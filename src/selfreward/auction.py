@@ -291,9 +291,14 @@ class FsnModel:
 
 
 class AlwaysHoldModel:
-    """A malicious submission: holds forever to push the price down."""
+    """A malicious submission: holds forever to push the price down.
 
-    def __init__(self, rng: np.random.Generator, config: AuctionConfig | None = None):
+    It draws nothing: ``rng`` is taken, and may be None, only so that it is
+    built with the same arguments as an ``FsnModel``.
+    """
+
+    def __init__(self, rng: np.random.Generator | None,
+                 config: AuctionConfig | None = None):
         self.config = config or AuctionConfig()
 
     @property
@@ -566,14 +571,11 @@ def run_auction(r: float, n: int = 64, optim: bool = False,
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
     n_malicious = round(malicious_frac * n)
-    agents = []
-    for i in range(n):
+    agents = [AlwaysHoldModel(None, config) for _ in range(n_malicious)]
+    for i in range(n_malicious, n):
         agent_rng = np.random.default_rng(np.random.SeedSequence(
             entropy=root.entropy, spawn_key=root.spawn_key + (1, i)))
-        if i < n_malicious:
-            agents.append(AlwaysHoldModel(agent_rng, config))
-        else:
-            agents.append(FsnModel(agent_rng, config))
+        agents.append(FsnModel(agent_rng, config))
 
     # screening: flagged models enter only when malicious mode is explicit;
     # every model is screened either way, since the probe draws clone noise

@@ -78,14 +78,13 @@ def cmd_fish_run(args) -> int:
     world, state = fish1d.make_world(args.seed, config)
     trace = fish1d.run_episode(nn, pfc, world, state, args.steps)
     trace_csv = out_dir / "trace.csv"
-    write_csv(trace_csv,
-              ["step", "F", "food_here", "food_there", "action", "judge"],
-              [[r["step"], r["F"], int(r["food_here"]), int(r["food_there"]),
-                r["action"], r["judge"]] for r in trace])
+    write_csv(trace_csv, fish1d.TRACE_COLUMNS, trace)
     plot = out_dir / "energy.svg"
     emit_plot(PlotSpec(input_csv=str(trace_csv), x_column="step", y_column="F",
                        output_svg=str(plot), title="fish energy over time"))
     _write_manifest(args, "fish1d", "run", out_dir, [trace_csv, plot], started)
+    if not state.alive:
+        print(f"fish died after {len(trace)} steps")
     print(f"wrote {trace_csv} ({len(trace)} steps)")
     return 0
 

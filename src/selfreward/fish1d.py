@@ -43,10 +43,18 @@ whatever ``mem`` is.
 
 The detector and judge weights are module constants, and ``w_act``/``b_act``
 are plain arrays that training and ``import_params`` rebind, never write in
-place.  The graph forms (``FishNN.sense``/``decide``, ``FishPFC.judge`` and
-``pfc_judge``) state the same network on the engine and read whatever the
-caller puts in ``w_act``/``b_act``: wrapped in ``parameter(...)``, they
-collect the gradient that the tests compare with the closed form above.
+place.  The live forward runs on Python floats: the world's window is three
+floats, and ``sense_values``, ``decide_values``, the two-way softmax and
+``judge_values_and_gates`` take and return floats, since at three to five
+numbers per layer a numpy call costs more than its arithmetic.  Running and
+training share it through ``sense_and_decide``, and ``jacobian`` builds its
+2 x 8 array from the same floats.  Actions and verdicts are argmaxes with
+ties to the first entry, as ``np.argmax`` takes them.  The graph forms
+(``FishNN.sense``/``decide``, ``FishPFC.judge`` and ``pfc_judge``) state the
+same network on the engine and stay as the reference: they read whatever the
+caller puts in ``w_act``/``b_act``, so wrapped in ``parameter(...)`` they
+collect the gradient that the tests compare with the closed form above, and
+the tests check the float forward's actions and verdicts against them.
 """
 
 from __future__ import annotations
@@ -67,9 +75,9 @@ from .layers import (
     selective_activation,
     selective_core,
     softmax,
-    softmax_values,
-    tau,
-    tau_slope,
+    softmax2_float,
+    tau_float,
+    tau_slope_float,
     threshold_activation,
 )
 
@@ -79,19 +87,18 @@ ACTION_NAMES = ("eat", "move")
 FOOD_VALUE = 0.5
 
 # Detector table: kernel and bias per output neuron.
-FH_KERNEL = np.array([1.0, 0.0, 0.0])
+FH_KERNEL = (1.0, 0.0, 0.0)
 FH_BIAS = -0.5
-FT_KERNEL = np.array([0.0, 1.0, 1.0])
+FT_KERNEL = (0.0, 1.0, 1.0)
 FT_BIAS = -0.5
 
-# Judge gate rows over v0 = [a_fh, a_ft, F, e, m].
+# Judge gate rows over v0 = [a_fh, a_ft, F, e, m].  The float forward
+# writes each row out as its sum; the tests check it against these rows.
 PFC_ROWS = (
     (1.0, 0.0, -1.0, 1.0, 0.0),   # e1
     (0.0, 1.0, -1.0, 0.0, 1.0),   # m1
     (-1.0, -1.0, 0.0, 0.0, 1.0),  # ex
 )
-_PFC_MATRIX = np.array(PFC_ROWS)
-_PFC_PROB_COLS = _PFC_MATRIX[:, 3:]  # G_p: the columns reading e and m
 
 # theta = [w_act.ravel(), b_act]: the 2 x 3 action weights, then the 2 biases
 N_THETA = 8
@@ -119,21 +126,27 @@ class FishConfig:
     move_delta: float = 0.01
 
 
+# One ``run_episode`` record, as ``fish1d run`` writes it to trace.csv.
+TRACE_COLUMNS = ("step", "F", "food_here", "food_there", "action", "judge")
+
+
 class DeadFishError(RuntimeError):
     """Raised when stepping a fish whose energy already reached zero."""
 
 
 class FishWorld:
-    """Three-cell view onto an endless tape with periodic food."""
+    """Three-cell view onto an endless tape with periodic food.
+
+    ``window`` is a tuple of three floats, replaced as the fish moves or eats.
+    """
 
     def __init__(self, phase: int = 0, food_period: int = 5):
         if food_period < 4:
             raise ValueError("food_period must leave empty cells between food")
         self.food_period = food_period
         self.offset = phase % food_period
-        self.window = np.array(
-            [FOOD_VALUE if (self.offset + i) % food_period == 0 else 0.0
-             for i in range(3)])
+        self.window = tuple(FOOD_VALUE if (self.offset + i) % food_period == 0 else 0.0
+                            for i in range(3))
 
     @property
     def food_here(self) -> bool:
@@ -146,12 +159,10 @@ class FishWorld:
     def roll_left(self) -> None:
         self.offset += 1
         incoming = FOOD_VALUE if (self.offset + 2) % self.food_period == 0 else 0.0
-        self.window[0] = self.window[1]
-        self.window[1] = self.window[2]
-        self.window[2] = incoming
+        self.window = self.window[1:] + (incoming,)
 
     def consume(self) -> None:
-        self.window[0] = 0.0
+        self.window = (0.0,) + self.window[1:]
 
 
 @dataclass
@@ -188,17 +199,22 @@ class FishNN:
         logits = fully_connected(x, self.w_act, self.b_act)
         return logits, int(np.argmax(logits.values))
 
-    def sense_values(self, window: np.ndarray) -> tuple[float, float]:
-        """Plain-float forward of sense()."""
+    def sense_values(self, window: tuple[float, float, float]) -> tuple[float, float]:
+        """sense() on floats: (a_fh, a_ft) for a window of three floats."""
         eps = self.config.selective_eps
-        y_fh = float(window @ FH_KERNEL) + FH_BIAS
-        y_ft = float(window @ FT_KERNEL) + FT_BIAS
+        w0, w1, w2 = window
+        (h0, h1, h2), (t0, t1, t2) = FH_KERNEL, FT_KERNEL
+        y_fh = h0 * w0 + h1 * w1 + h2 * w2 + FH_BIAS
+        y_ft = t0 * w0 + t1 * w1 + t2 * w2 + FT_BIAS
         return selective_core(y_fh * y_fh, eps), selective_core(y_ft * y_ft, eps)
 
     def decide_values(self, a_fh: float, a_ft: float,
-                      energy: float) -> tuple[np.ndarray, int]:
-        logits = self.w_act @ (a_fh, a_ft, energy) + self.b_act
-        return logits, int(np.argmax(logits))
+                      energy: float) -> tuple[tuple[float, float], int]:
+        """decide() on floats: the (eat, move) logits and the action."""
+        (w_eat, w_move), (b_eat, b_move) = self.w_act.tolist(), self.b_act.tolist()
+        eat = w_eat[0] * a_fh + w_eat[1] * a_ft + w_eat[2] * energy + b_eat
+        move = w_move[0] * a_fh + w_move[1] * a_ft + w_move[2] * energy + b_move
+        return (eat, move), EAT if eat >= move else MOVE
 
     def export_params(self) -> dict:
         return {"w_act": self.w_act.copy(), "b_act": self.b_act.copy()}
@@ -220,30 +236,42 @@ class FishPFC:
         gates = concat([threshold_activation(conv1d(v0, row)) for row in PFC_ROWS])
         return fully_connected(gates, _JUDGE_W, _JUDGE_B)
 
-    def judge_values(self, v0: np.ndarray) -> np.ndarray:
-        """Plain-float forward of judge()."""
+    def judge_values(self, v0: tuple) -> tuple[float, float]:
+        """judge() on floats: the [True, False] logits for v0."""
         return self.judge_values_and_gates(v0)[0]
 
-    def judge_values_and_gates(
-            self, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """judge_values(v0), the gate pre-activations, and the gates."""
-        pre = _PFC_MATRIX @ v0
-        gates = tau(pre)
-        return _JUDGE_W @ gates + _JUDGE_B, pre, gates
+    def judge_values_and_gates(self, v0: tuple) -> tuple[tuple, tuple, tuple]:
+        """judge_values(v0), the gate pre-activations, and the gates.
 
-    def jacobian(self, v0: np.ndarray, pre: np.ndarray,
-                 gates: np.ndarray) -> np.ndarray:
+        v0 = (a_fh, a_ft, F, e, m); each result is a tuple of floats.
+        """
+        a_fh, a_ft, energy, e, m = v0
+        pre = (a_fh - energy + e, a_ft - energy + m, -a_fh - a_ft + m)  # PFC_ROWS
+        gates = (tau_float(pre[0]), tau_float(pre[1]), tau_float(pre[2]))
+        o_e1, o_m1, o_ex = JUDGE_TRUE_ROW
+        true = o_e1 * gates[0] + o_m1 * gates[1] + o_ex * gates[2]
+        # the false row is the true row negated, plus its bias
+        return (true, JUDGE_FALSE_BIAS - true), pre, gates
+
+    def jacobian(self, v0: tuple, pre: tuple, gates: tuple) -> np.ndarray:
         """d verdict / d theta (2 x 8) for the decision judged on v0.
 
-        v0 = [x, p] holds the action layer's input x and its softmaxed
+        v0 = (x, p) holds the action layer's input x and its softmaxed
         output p; pre and gates come from ``judge_values_and_gates(v0)``.
         """
-        x, p = v0[:3], v0[3:]
-        d_probs = (_JUDGE_W * tau_slope(pre, gates)) @ _PFC_PROB_COLS
-        # rows of d_probs (diag p - p p^T), as the softmax vjp writes them
-        d_logits = p * (d_probs - (d_probs @ p)[:, None])
-        return np.concatenate(((d_logits[:, :, None] * x).reshape(2, 6), d_logits),
-                              axis=1)
+        x0, x1, x2, e, m = v0
+        o_e1, o_m1, o_ex = JUDGE_TRUE_ROW
+        slopes = [tau_slope_float(y, g) for y, g in zip(pre, gates)]
+        # d true / d (e, m) through G_p: e1 reads e, m1 and ex read m
+        d_e = o_e1 * slopes[0]
+        d_m = o_m1 * slopes[1] + o_ex * slopes[2]
+        # times (diag p - p p^T), as the softmax vjp writes it
+        mean = d_e * e + d_m * m
+        d_eat, d_move = e * (d_e - mean), m * (d_m - mean)
+        row = (d_eat * x0, d_eat * x1, d_eat * x2, d_move * x0, d_move * x1,
+               d_move * x2, d_eat, d_move)
+        # the false row mirrors the true one, so its derivative is negated
+        return np.array((row, [-d for d in row]))
 
 
 def pfc_judge(pfc: FishPFC, a_fh: DiffTensor, a_ft: DiffTensor,
@@ -271,7 +299,7 @@ class DecisionMemory:
         self.jacobians = np.zeros((mem, 2, N_THETA))
         self._slots = np.arange(mem)
 
-    def push(self, verdict: np.ndarray, jacobian: np.ndarray) -> None:
+    def push(self, verdict: tuple[float, float], jacobian: np.ndarray) -> None:
         slot = self.pushed % self.mem
         self.verdicts[slot] = verdict
         self.jacobians[slot] = jacobian
@@ -317,34 +345,32 @@ def make_world(seed: int | None, config: FishConfig) -> tuple[FishWorld, FishSta
 
 
 def sense_and_decide(nn: FishNN, world: FishWorld,
-                     state: FishState) -> tuple[int, np.ndarray]:
-    """The action, and the judge's input v0 = [a_fh, a_ft, F, e, m]."""
+                     state: FishState) -> tuple[int, tuple]:
+    """The action, and the judge's input v0 = (a_fh, a_ft, F, e, m)."""
     a_fh, a_ft = nn.sense_values(world.window)
     logits, action = nn.decide_values(a_fh, a_ft, state.energy)
-    probs = softmax_values(logits)
-    return action, np.array([a_fh, a_ft, state.energy, probs[0], probs[1]])
+    e, m = softmax2_float(*logits)
+    return action, (a_fh, a_ft, state.energy, e, m)
 
 
 def run_episode(nn: FishNN, pfc: FishPFC, world: FishWorld, state: FishState,
-                steps: int) -> list[dict]:
+                steps: int) -> list[tuple]:
     """Run the live loop without learning; one trace record per step.
 
-    Each record holds the decision-time energy and food flags, the action
-    taken, and the judge's verdict on that decision.
+    Each record is a tuple in ``TRACE_COLUMNS`` order: the step, the
+    decision-time energy and food flags (0 or 1), the action taken, and the
+    judge's verdict on that decision ("T" or "F").  The episode ends early,
+    before the next step, once the fish is dead.
     """
     trace = []
     config = nn.config
     for step in range(steps):
+        if not state.alive:
+            break
         action, v0 = sense_and_decide(nn, world, state)
-        verdict = pfc.judge_values(v0)
-        trace.append({
-            "step": step,
-            "F": state.energy,
-            "food_here": world.food_here,
-            "food_there": world.food_there,
-            "action": ACTION_NAMES[action],
-            "judge": "T" if int(np.argmax(verdict)) == 0 else "F",
-        })
+        true, false = pfc.judge_values(v0)
+        trace.append((step, state.energy, int(world.food_here), int(world.food_there),
+                      ACTION_NAMES[action], "T" if true >= false else "F"))
         world_step(world, state, action, config)
     return trace
 
@@ -358,7 +384,8 @@ def srd_train(steps: int, config: FishConfig | None = None,
     taken and one SGD step applied to the action layer with the gradient in
     the module docstring.  Detectors and judge stay frozen throughout.  A
     step whose loss is not finite stops training with a ValueError naming
-    it, before its update touches the action layer.
+    it, before its update touches the action layer; so does a step that
+    finds the fish starved.
     """
     config = config or FishConfig()
     nn = FishNN(config)
@@ -368,6 +395,8 @@ def srd_train(steps: int, config: FishConfig | None = None,
     lr = SgdSettings(config.learning_rate).learning_rate
     losses: list[float] = []
     for step in range(steps):
+        if not state.alive:
+            raise ValueError(f"step {step}: the fish starved; training stopped")
         action, v0 = sense_and_decide(nn, world, state)
         verdict, pre, gates = pfc.judge_values_and_gates(v0)
         memory.push(verdict, pfc.jacobian(v0, pre, gates))

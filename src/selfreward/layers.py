@@ -10,11 +10,20 @@ these directly.  The recorded ops (a dilated 1-D convolution, a dense layer,
 ``deconv3x3``, the activations and the loss) compute their values through
 the same functions and add a vjp for the engine, which the tests use as the
 reference for each scenario's closed-form gradients.
+
+A controller as small as the fish works on a handful of Python floats, where
+a numpy call costs more than its arithmetic.  So the gate, its slope and the
+two-way softmax also have float forms, ``tau_float``, ``tau_slope_float`` and
+``softmax2_float``, written beside their array forms with the same branch and
+the same order of operations; ``selective_core`` takes floats as it is.  A
+float form differs from its array form only where ``math.tanh`` and
+``math.exp`` round differently from numpy's, in the last bits.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -127,8 +136,8 @@ def deconv3x3(grid, kernel) -> DiffTensor:
     return record(out, (grid, kernel), vjp)
 
 
-def selective_core(sq_residual: np.ndarray, epsilon: float) -> np.ndarray:
-    """eps / (r + eps) on a plain array of squared residuals."""
+def selective_core(sq_residual, epsilon: float):
+    """eps / (r + eps) on squared residuals, a plain array or a float."""
     return epsilon / (sq_residual + epsilon)
 
 
@@ -146,6 +155,24 @@ def softmax_values(v: np.ndarray) -> np.ndarray:
     """Probability vector, computed with max-subtraction for stability."""
     e = np.exp(v - v.max())
     return e / e.sum()
+
+
+def tau_float(x: float) -> float:
+    """``tau`` of one float."""
+    return math.tanh(x if x >= 0 else LEAK_SLOPE * x)
+
+
+def tau_slope_float(x: float, gate: float) -> float:
+    """``tau_slope`` of one float, given gate = tau_float(x)."""
+    return (1.0 - gate * gate) * (1.0 if x >= 0 else LEAK_SLOPE)
+
+
+def softmax2_float(a: float, b: float) -> tuple[float, float]:
+    """``softmax_values`` of the two floats (a, b)."""
+    top = a if a >= b else b
+    ea, eb = math.exp(a - top), math.exp(b - top)
+    total = ea + eb
+    return ea / total, eb / total
 
 
 def selective_activation(x, epsilon: float = DEFAULT_EPSILON) -> DiffTensor:

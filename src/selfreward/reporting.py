@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -26,14 +27,20 @@ def format_value(v) -> str:
     return str(v)
 
 
+# Cell types that csv writes as format_value does: a str as it is, an int by
+# str and a float by repr.  A row holding any other cell goes through
+# format_value: csv would write None as an empty field, and np.float64 by str.
+_PLAIN_CELLS = frozenset((str, int, float))
+
+
 def write_csv(path, header: list[str], rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        writer.writerows(row if _PLAIN_CELLS.issuperset(map(type, row))
+                         else [format_value(v) for v in row] for row in rows)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -112,15 +119,19 @@ def emit_plot(spec: PlotSpec) -> Path:
     series: dict[str, list[tuple[float, float]]] = {}
     if raw_rows:
         xi, yi = header.index(spec.x_column), header.index(spec.y_column)
-        si = header.index(spec.series_column) if spec.series_column else None
-        for row in raw_rows:
-            key = row[si] if si is not None else ""
-            point = (float(row[xi]), float(row[yi]))
-            points = series.setdefault(key, [])
-            # a non-finite point (say, the mean price of an auction with no
-            # sale) has no place on the axes; its series keeps its label
-            if all(map(math.isfinite, point)):
-                points.append(point)
+        if spec.series_column is None:
+            groups = {"": raw_rows}
+        else:
+            si = header.index(spec.series_column)
+            groups = {}
+            for row in raw_rows:
+                groups.setdefault(row[si], []).append(row)
+        get_x, get_y, isfinite = itemgetter(xi), itemgetter(yi), math.isfinite
+        # a non-finite point (say, the mean price of an auction with no
+        # sale) has no place on the axes; its series keeps its label
+        for key, rows in groups.items():
+            points = zip(map(float, map(get_x, rows)), map(float, map(get_y, rows)))
+            series[key] = [(x, y) for x, y in points if isfinite(x) and isfinite(y)]
 
     xs = [p[0] for pts in series.values() for p in pts] or [0.0, 1.0]
     ys = [p[1] for pts in series.values() for p in pts] or [0.0, 1.0]
@@ -131,11 +142,13 @@ def emit_plot(spec: PlotSpec) -> Path:
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    def px(x: float) -> float:
-        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
-    def py(y: float) -> float:
-        return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+    def px(xs: list[float]) -> list[float]:
+        return [_ML + (x - x_lo) / x_span * (_W - _ML - _MR) for x in xs]
+
+    def py(ys: list[float]) -> list[float]:
+        return [_H - _MB - (y - y_lo) / y_span * (_H - _MT - _MB) for y in ys]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -146,13 +159,14 @@ def emit_plot(spec: PlotSpec) -> Path:
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
         'stroke="black" stroke-width="1"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
+    x_ticks, y_ticks = _ticks(x_lo, x_hi), _ticks(y_lo, y_hi)
+    for t, x in zip(x_ticks, px(x_ticks)):
         parts.append(
-            f'<text x="{px(t):.1f}" y="{_H - _MB + 16}" font-size="10" '
+            f'<text x="{x:.1f}" y="{_H - _MB + 16}" font-size="10" '
             f'text-anchor="middle">{t:.4g}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t, y in zip(y_ticks, py(y_ticks)):
         parts.append(
-            f'<text x="{_ML - 6}" y="{py(t):.1f}" font-size="10" '
+            f'<text x="{_ML - 6}" y="{y:.1f}" font-size="10" '
             f'text-anchor="end">{t:.4g}</text>')
     parts.append(
         f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 10}" font-size="12" '
@@ -169,15 +183,16 @@ def emit_plot(spec: PlotSpec) -> Path:
     for idx, key in enumerate(sorted(series)):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
         pts = sorted(series[key])
+        svg_xy = zip(px([x for x, _ in pts]), py([y for _, y in pts]))
         if spec.kind == "line":
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+            coords = " ".join(["%.2f,%.2f" % xy for xy in svg_xy])
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                 f'points="{coords}"/>')
         else:
-            for x, y in pts:
+            for x, y in svg_xy:
                 parts.append(
-                    f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
+                    f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
                     f'fill="{color}" fill-opacity="0.6"/>')
         if key:
             parts.append(

@@ -1,6 +1,7 @@
 """End-to-end command-line runs on small workloads."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -224,7 +225,7 @@ def test_fish_train_stops_on_non_finite_loss(tmp_path, capsys, monkeypatch):
     def judge_then_spoil(self, v0):
         verdict, pre, gates = judge(self, v0)
         steps.append(v0)
-        return (verdict if len(steps) <= 30 else np.full_like(verdict, np.nan)), pre, gates
+        return (verdict if len(steps) <= 30 else (math.nan, math.nan)), pre, gates
 
     monkeypatch.setattr(FishPFC, "judge_values_and_gates", judge_then_spoil)
     out = tmp_path / "params.json"
@@ -339,6 +340,23 @@ def test_fish_run_rejects_params_with_wrong_names(tmp_path, capsys):
                    "--out", str(tmp_path / "f")])
     assert rc == 2
     assert "b_act" in capsys.readouterr().err
+
+
+def test_fish_run_of_a_starving_policy_writes_its_trace(tmp_path, capsys):
+    from selfreward.fish1d import FishConfig, FishNN
+
+    params = FishNN(FishConfig()).export_params()
+    params["b_act"] = np.array([-100.0, 100.0])  # never eats
+    starving = _params_file(tmp_path, "starving.json", params, "fish1d")
+    out = tmp_path / "fish"
+    rc = dispatch(["fish1d", "run", "--steps", "200", "--seed", "0",
+                   "--trained", str(starving), "--out", str(out)])
+    assert rc == 0
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert 0 < len(rows) < 200
+    assert {row.split(",")[4] for row in rows} == {"move"}
+    assert f"fish died after {len(rows)} steps" in capsys.readouterr().out
+    assert (out / "energy.svg").exists()
 
 
 def test_lavaland_bank_that_is_not_json_exits_two(tmp_path, capsys):

@@ -23,6 +23,7 @@ from selfreward.fish1d import (
     ACTION_NAMES,
     EAT,
     MOVE,
+    TRACE_COLUMNS,
     DeadFishError,
     DecisionMemory,
     FishConfig,
@@ -140,19 +141,19 @@ def test_eat_without_food_still_decays():
     w, s = FishWorld(2), FishState(0.5)
     world_step(w, s, EAT, FishConfig())
     assert s.energy == pytest.approx(0.45)
-    assert w.window.tolist() == FishWorld(2).window.tolist()
+    assert w.window == FishWorld(2).window
 
 
 def test_move_rolls_window_left():
     w, s = FishWorld(0), FishState(1.0)
-    seen = [w.window.copy()]
+    seen = [w.window]
     for _ in range(5):
         world_step(w, s, MOVE, FishConfig())
-        seen.append(w.window.copy())
+        seen.append(w.window)
     # after food_period moves the same layout comes around again
-    np.testing.assert_allclose(seen[0], seen[5])
-    assert seen[1].tolist() == [0.0, 0.0, 0.0]
-    assert seen[3].tolist() == [0.0, 0.0, 0.5]
+    assert seen[0] == seen[5]
+    assert seen[1] == (0.0, 0.0, 0.0)
+    assert seen[3] == (0.0, 0.0, 0.5)
 
 
 def test_twenty_moves_starve_the_fish():
@@ -293,7 +294,7 @@ def test_cached_jacobian_matches_central_differences():
 
         def verdict(t):
             nn.import_params({"w_act": t[:6].reshape(2, 3), "b_act": t[6:]})
-            return pfc.judge_values_and_gates(sense_and_decide(nn, world, state)[1])[0]
+            return np.array(pfc.judge_values_and_gates(sense_and_decide(nn, world, state)[1])[0])
 
         numeric = np.empty((2, 8))
         for k in range(8):
@@ -307,6 +308,11 @@ def test_cached_jacobian_matches_central_differences():
 # -- episodes and training -----------------------------------------------------
 
 
+def energies(trace):
+    """The decision-time energy F of each run_episode record."""
+    return [row[TRACE_COLUMNS.index("F")] for row in trace]
+
+
 def test_empty_episode(nn, pfc):
     w, s = make_world(0, nn.config)
     assert run_episode(nn, pfc, w, s, 0) == []
@@ -315,8 +321,43 @@ def test_empty_episode(nn, pfc):
 def test_untrained_fish_survives_long_run(nn, pfc):
     w, s = make_world(7, nn.config)
     trace = run_episode(nn, pfc, w, s, 20000)
-    assert all(r["F"] > 0 for r in trace)
+    assert len(trace) == 20000
+    assert all(F > 0 for F in energies(trace))
     assert s.alive
+
+
+def graph_decisions(nn, pfc, world, state, steps):
+    """The (action, verdict) of each step, from the engine's graph forward:
+    FishNN.sense, then decide, then pfc_judge.  Reference loop."""
+    decisions = []
+    with no_grad():
+        for _ in range(steps):
+            if not state.alive:
+                break
+            a_fh, a_ft = nn.sense(world.window)
+            logits, action = nn.decide(a_fh, a_ft, state.energy)
+            verdict = pfc_judge(pfc, a_fh, a_ft, state.energy, logits)
+            decisions.append((ACTION_NAMES[action],
+                              "T" if int(np.argmax(verdict.values)) == 0 else "F"))
+            world_step(world, state, action, nn.config)
+    return decisions
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_float_episode_matches_graph_forward(seed, pfc):
+    # by seed: the designed policy, one trained off it, and an eager eater
+    # whose moves past food the judge flags F
+    kind = seed % 3
+    if kind == 1:
+        nn = srd_train(300, seed=seed)[0]
+    else:
+        nn = FishNN(FishConfig(eat_bias=0.5 if kind == 2 else 0.0))
+    steps = 3000
+    trace = run_episode(nn, pfc, *make_world(seed, nn.config), steps)
+    want = graph_decisions(nn, pfc, *make_world(seed, nn.config), steps)
+    assert [(action, judge) for *_, action, judge in trace] == want
+    assert len(want) == steps
+    assert (kind == 2) == ("F" in {judge for _, judge in want})
 
 
 def test_trace_is_deterministic(nn, pfc):
@@ -324,6 +365,18 @@ def test_trace_is_deterministic(nn, pfc):
     nn2, pfc2 = FishNN(FishConfig()), FishPFC()
     t2 = run_episode(nn2, pfc2, *make_world(5, nn2.config), 500)
     assert t1 == t2
+
+
+def test_starving_fish_ends_the_episode_and_stops_training():
+    config = FishConfig(eat_bias=-100.0)  # the fish never eats
+    world, state = make_world(0, config)
+    trace = run_episode(FishNN(config), FishPFC(), world, state, 1000)
+    assert not state.alive
+    assert 0 < len(trace) < 1000
+    assert {row[TRACE_COLUMNS.index("action")] for row in trace} == {"move"}
+    with pytest.raises(ValueError, match=f"^step {len(trace)}: the fish starved; "
+                                         "training stopped$"):
+        srd_train(1000, config, seed=0)
 
 
 def test_zero_training_steps_changes_nothing():
@@ -436,8 +489,6 @@ def test_training_raises_average_energy():
     cfg = FishConfig()
     nn, pfc, _ = srd_train(12000, cfg, seed=11)
     base_nn, base_pfc = FishNN(cfg), FishPFC()
-    mean_trained = np.mean([r["F"] for r in
-                            run_episode(nn, pfc, *make_world(11, cfg), 4000)])
-    mean_base = np.mean([r["F"] for r in
-                         run_episode(base_nn, base_pfc, *make_world(11, cfg), 4000)])
+    mean_trained = np.mean(energies(run_episode(nn, pfc, *make_world(11, cfg), 4000)))
+    mean_base = np.mean(energies(run_episode(base_nn, base_pfc, *make_world(11, cfg), 4000)))
     assert mean_trained > mean_base

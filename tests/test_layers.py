@@ -23,6 +23,12 @@ from selfreward.layers import (
     fully_connected,
     selective_activation,
     softmax,
+    softmax2_float,
+    softmax_values,
+    tau,
+    tau_float,
+    tau_slope,
+    tau_slope_float,
     threshold_activation,
 )
 
@@ -184,6 +190,32 @@ def test_threshold_range(x):
 
 
 # -- softmax -------------------------------------------------------------------
+
+
+# -- float forms ----------------------------------------------------------------
+
+# zeros of both signs, tiny, moderate and saturated inputs of both signs
+FLOAT_GRID = [0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, 0.3, -0.3, 1.0, -1.0,
+              2.5, -2.5, 19.0, -19.0, 40.0, -40.0, 800.0, -800.0, 1e6, -1e6]
+
+
+def assert_float_matches(got, want):
+    """got is a float within rel 1e-15 of want; a zero keeps its sign."""
+    assert type(got) is float
+    assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want), (got, want)
+
+
+def test_float_forms_match_array_forms():
+    xs = np.array(FLOAT_GRID)
+    gates = tau(xs)
+    for x, gate, slope in zip(FLOAT_GRID, gates, tau_slope(xs, gates)):
+        assert_float_matches(tau_float(x), gate)
+        assert_float_matches(tau_slope_float(x, float(gate)), slope)
+    for a in FLOAT_GRID:
+        for b in FLOAT_GRID:
+            for got, want in zip(softmax2_float(a, b), softmax_values(np.array([a, b]))):
+                assert_float_matches(got, want)
 
 
 def test_softmax_symmetry():

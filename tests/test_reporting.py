@@ -1,6 +1,8 @@
 """Parameter round-trips, CSV determinism, manifests, SVG plots."""
 
+import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -21,6 +23,7 @@ from selfreward.reporting import (
     PlotSpec,
     RunManifest,
     emit_plot,
+    format_value,
     read_csv,
     write_csv,
 )
@@ -118,6 +121,26 @@ def test_csv_roundtrip_and_determinism(tmp_path):
     header, data = read_csv(p1)
     assert header == ["i", "x", "s"]
     assert data[0] == ["0", "0.1", "a"]
+
+
+def test_write_csv_writes_the_bytes_of_the_per_cell_path(tmp_path):
+    header = ["a", "b", "c", "d"]
+    rows = [
+        [1.5, 2, "x", 0.1],                        # builtin str, int, float only
+        [1e-300, -(10 ** 20), "y,z", -0.0],
+        [math.nan, math.inf, "", 7],
+        [True, False, "w", 2.0],                   # bools
+        [None, 3, "v", 0.5],
+        [np.float64(0.25), np.int64(4), "u", 1.0],
+        (0.3, 1, "t", math.nan),                   # a tuple row
+    ]
+    write_csv(tmp_path / "out.csv", header, rows)
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_value(v) for v in row])
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_float_formatting_roundtrips(tmp_path):
