@@ -181,13 +181,16 @@ def cmd_lava_eval(args) -> int:
     started = time.time()
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs != 1:
+        raise ConfigError(f"--jobs {args.jobs}: evaluation runs the maps batched in one "
+                          f"process; only --jobs 1 is accepted")
     bank = lava_mod.load_bank(args.bank)
     config = lava_mod.PRESETS[bank.preset]
     params = lava_mod.Robot2NNParams()
     if args.params:
         params.load(load_params(args.params, scenario="lavaland",
                                 template=params.export()))
-    result = lava_mod.evaluate(params, bank, config, seed=args.seed, jobs=args.jobs)
+    result = lava_mod.evaluate(params, bank, config, seed=args.seed)
     report = Path(args.report)
     report.mkdir(parents=True, exist_ok=True)
 
@@ -281,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     leval.add_argument("--params", help="parameter JSON from `lavaland train`")
     leval.add_argument("--report", required=True)
     leval.add_argument("--seed", type=int, default=0)
-    leval.add_argument("--jobs", type=int, default=1)
+    leval.add_argument("--jobs", type=int, default=1,
+                       help="must be 1: evaluation runs the maps batched in one process "
+                            "(kept so existing command lines still parse)")
     leval.set_defaults(func=cmd_lava_eval)
 
     return parser

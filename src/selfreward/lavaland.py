@@ -37,6 +37,19 @@ to all 180 kernel values at once.  Every float operation comes in the order
 ``autodiff.backward`` takes on the same model written as a graph (the
 tests keep that graph as the reference), so the trained kernels equal it
 bit for bit.
+
+Evaluation runs the bank's maps in lockstep.  Maps are independent (map i
+imagines from its own stream), so ``evaluate`` builds fields for a few maps
+in one ``stacked_fields`` call and walks plan k of a whole batch of
+same-shape maps at once, paying numpy's call overhead once per step for the
+batch instead of once per map.  A map's plans cannot run in lockstep: plan
+k reads the stream from where plan k-1 stopped, and a step draws only when
+it has a runner-up.  So each map's stream is drawn up front in one call,
+n_plans * max_steps uniforms (as many as its plans can use; one vector draw
+equals as many scalar draws), and read through a per-map cursor.  Each step
+repeats ``make_plan``'s float operations in its order, so the episodes equal
+the map-by-map result.  ``make_plan`` stays as training's walk, which is
+faster for one map, and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -46,6 +59,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,13 +151,30 @@ class TileMap:
 
     def palette_index(self) -> np.ndarray:
         """Row of PALETTE_RGB shown by every tile, as an (H, W) array."""
-        return np.array([[CHAR_INDEX[ch] for ch in row] for row in self.tiles])
+        return palette_indices([self])[0]
 
     def rgb(self) -> np.ndarray:
         return PALETTE_RGB[self.palette_index()]
 
     def terrain_at(self, pos: tuple) -> str:
         return CHAR_TILES[self.tiles[pos[0]][pos[1]]]
+
+
+_CHAR_CODES = np.full(256, -1, dtype=np.int8)  # PALETTE row of each tile character's byte
+_CHAR_CODES[[ord(ch) for ch in CHAR_INDEX]] = list(CHAR_INDEX.values())
+
+
+def palette_indices(maps: list[TileMap]) -> np.ndarray:
+    """``palette_index`` of B maps of one shape, as a (B, H, W) array."""
+    b, h, w = len(maps), maps[0].height, maps[0].width
+    codes = np.frombuffer("".join(["".join(m.tiles) for m in maps]).encode("ascii", "replace"),
+                          dtype=np.uint8)
+    if codes.size != b * h * w:
+        raise ValueError(f"maps to stack must all be {h}x{w}")
+    tiles = _CHAR_CODES[codes].reshape(b, h, w)
+    if tiles.min() < 0:
+        raise ValueError(f"unknown tile characters; expected {sorted(CHAR_INDEX)}")
+    return tiles
 
 
 def generate_map(rng: np.random.Generator, config: LavaConfig) -> TileMap:
@@ -318,26 +349,25 @@ class Robot2NNParams:
 
 
 @functools.lru_cache(maxsize=64)
-def _deconv_taps(n: int, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices of a 3x3 transposed convolution of n stacked h x w grids.
+def _deconv_taps(h: int, w: int, transpose: bool = False) -> np.ndarray:
+    """Gather indices of a 3x3 transposed convolution of an h x w grid.
 
-    The grids are flat rows of an (n, h*w + 1) array whose last column is a
-    zero slot.  Entry [g, s, c] of the first array indexes the input cell
-    that ``layers.deconv_shifts`` term s deposits into output cell c of grid
-    g; the second array is its transpose (the output cell that input cell c
-    feeds through term s).  A tap that falls outside the grid indexes the
-    zero slot.  Read-only: the cache shares them.
+    The grid is a flat row of h*w + 1 cells whose last cell is a zero slot.
+    Entry [s, c] indexes the input cell that ``layers.deconv_shifts`` term s
+    deposits into output cell c; with ``transpose`` it is the output cell
+    that input cell c feeds through term s, as the kernel gradient reads it.
+    A tap that falls outside the grid indexes the zero slot.  Read-only: the
+    cache shares it.
     """
-    fwd = np.full((9, h * w), h * w)
-    bwd = np.full((9, h * w), h * w)
+    taps = np.full((9, h * w), h * w)
     cells = np.arange(h * w).reshape(h, w)
     for s, (_, _, dst, src) in enumerate(deconv_shifts(h, w)):
-        fwd[s].reshape(h, w)[dst] = cells[src]
-        bwd[s].reshape(h, w)[src] = cells[dst]
-    rows = (np.arange(n) * (h * w + 1))[:, None, None]
-    fwd, bwd = fwd + rows, bwd + rows
-    fwd.flags.writeable = bwd.flags.writeable = False
-    return fwd, bwd
+        if transpose:
+            taps[s].reshape(h, w)[src] = cells[dst]
+        else:
+            taps[s].reshape(h, w)[dst] = cells[src]
+    taps.flags.writeable = False
+    return taps
 
 
 def _deconv_stack(grids_ext: np.ndarray, taps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -348,12 +378,12 @@ def _deconv_stack(grids_ext: np.ndarray, taps: np.ndarray, kernels: np.ndarray) 
     order, as ``layers.deconv3x3`` does; the terms of dropped deposits are
     exact zeros, so each sum rounds the same way.
     """
-    terms = grids_ext.take(taps)
+    terms = grids_ext.take(taps, axis=1)  # (n, 9, h*w): one index table serves every grid
     terms *= kernels.reshape(len(kernels), 9, 1)
     return np.add.reduce(terms, axis=1)  # over the 9 terms, one after another
 
 
-def deconv_seq(kernels: np.ndarray, grids: np.ndarray) -> np.ndarray:
+def deconv_seq(kernels: np.ndarray, grids: np.ndarray, keep_layers: bool = True) -> np.ndarray:
     """Stacked DeconvSeqs: grids (n, H, W) through kernels (n, 5, 3, 3).
 
     Each layer is ``layers.deconv3x3`` on every grid at once, followed by
@@ -363,15 +393,18 @@ def deconv_seq(kernels: np.ndarray, grids: np.ndarray) -> np.ndarray:
 
     Returns the (6, n, H*W + 1) activations: the input grids, then each
     layer's tanh output, flattened, each row followed by a zero slot.  The
-    last is the field; the others feed ``kernel_gradient``.
+    last is the field; the others feed ``kernel_gradient``.  Without
+    ``keep_layers`` each layer overwrites the one before, and only the
+    field is returned, as a (1, n, H*W + 1) array.
     """
     n, h, w = grids.shape
-    taps, _ = _deconv_taps(n, h, w)
-    activations = np.zeros((kernels.shape[1] + 1, n, h * w + 1))
+    taps = _deconv_taps(h, w)
+    last = kernels.shape[1] if keep_layers else 0
+    activations = np.zeros((last + 1, n, h * w + 1))
     activations[0, :, :-1] = grids.reshape(n, -1)
     for layer in range(kernels.shape[1]):
-        activations[layer + 1, :, :-1] = np.tanh(
-            _deconv_stack(activations[layer], taps, kernels[:, layer]))
+        activations[min(layer + 1, last), :, :-1] = np.tanh(
+            _deconv_stack(activations[min(layer, last)], taps, kernels[:, layer]))
     return activations
 
 
@@ -390,26 +423,59 @@ class ScoreField:
     target: tuple
 
 
+class FieldStack(NamedTuple):
+    """The score fields of B same-shape maps, stacked on a leading map axis."""
+
+    tiles: np.ndarray        # (B, H, W) rows of PALETTE_RGB shown by each tile
+    detectors: np.ndarray    # (3, B, H, W) in KNOWN_TILES order
+    w_self: np.ndarray       # (B, H, W)
+    w_unknown: np.ndarray    # (B, H, W)
+    activations: np.ndarray  # deconv_seq's output over the (B * 4) grids
+    preferences: np.ndarray  # (4,) in SCORED_TILES order
+    v1: np.ndarray           # (B, 4, H, W) per-type fields in SCORED_TILES order, scaled
+    v_sigma: np.ndarray      # (B, H, W)
+
+
+def stacked_fields(maps: list[TileMap], kernels: np.ndarray, config: LavaConfig,
+                   keep_layers: bool = True) -> FieldStack:
+    """Detector grids, per-type score fields and their sum for B maps at once.
+
+    All maps share one shape and the (4, 5, 3, 3) ``kernels``.  Every cell
+    goes through the same float operations, in the same order, as it would
+    for its map alone, so each map's slice equals ``build_fields`` on that
+    map bit for bit.  ``keep_layers`` is passed to ``deconv_seq``: training
+    needs every layer, evaluation only the field.
+    """
+    tiles = palette_indices(maps)
+    b, h, w = tiles.shape
+    detectors = _palette_responses(config.selective_eps)[:, tiles]
+    w_self = np.zeros((b, h, w))
+    for j, m in enumerate(maps):
+        w_self[(j, *m.spawn)] = 1.0
+    w_unk = unknown_mask(dict(zip(KNOWN_TILES, detectors)), config.tau_recog)
+
+    target, grass, dirt = detectors
+    gradient_field = target - w_self
+    base = np.stack([target, w_self, gradient_field * grass, gradient_field * dirt], axis=1)
+    activations = deconv_seq(np.tile(kernels, (b, 1, 1, 1)), base.reshape(b * 4, h, w),
+                             keep_layers)
+    prefs = np.array([config.preferences[t] for t in SCORED_TILES])
+    v1 = (activations[-1, :, :-1].reshape(b, 4, h * w) * prefs[:, None]).reshape(b, 4, h, w)
+    v_sigma = v1[:, 0] + v1[:, 1] + v1[:, 2] + v1[:, 3]
+    return FieldStack(tiles=tiles, detectors=detectors, w_self=w_self, w_unknown=w_unk,
+                      activations=activations, preferences=prefs, v1=v1, v_sigma=v_sigma)
+
+
 def build_fields(tile_map: TileMap, params: Robot2NNParams,
                  config: LavaConfig) -> ScoreField:
     """Detector grids, per-type score fields, and their sum."""
-    tiles = tile_map.palette_index()
-    detectors = dict(zip(KNOWN_TILES, _palette_responses(config.selective_eps)[:, tiles]))
-    w_self = np.zeros(tiles.shape)
-    w_self[tile_map.spawn] = 1.0
-    detectors["self"] = w_self
-    w_unk = unknown_mask(detectors, config.tau_recog)
-
-    gradient_field = detectors["target"] - w_self
-    base = np.stack([detectors[t] if t in ("target", "self") else gradient_field * detectors[t]
-                     for t in SCORED_TILES])
-    activations = deconv_seq(params.kernels, base)
-    prefs = np.array([config.preferences[t] for t in SCORED_TILES])
-    v1 = (activations[-1, :, :-1] * prefs[:, None]).reshape(base.shape)
-    v_sigma = v1[0] + v1[1] + v1[2] + v1[3]
-    return ScoreField(detectors=detectors, w_unknown=w_unk, kernels=params.kernels,
-                      activations=activations, preferences=prefs,
-                      v1=dict(zip(SCORED_TILES, v1)), v_sigma=v_sigma,
+    stack = stacked_fields([tile_map], params.kernels, config)
+    detectors = dict(zip(KNOWN_TILES, stack.detectors[:, 0]))
+    detectors["self"] = stack.w_self[0]
+    return ScoreField(detectors=detectors, w_unknown=stack.w_unknown[0],
+                      kernels=params.kernels, activations=stack.activations,
+                      preferences=stack.preferences,
+                      v1=dict(zip(SCORED_TILES, stack.v1[0])), v_sigma=stack.v_sigma[0],
                       spawn=tile_map.spawn, target=tile_map.target)
 
 
@@ -557,7 +623,7 @@ def kernel_gradient(fields: ScoreField, plans: list[PlanRecord],
     h, w = fields.v_sigma.shape
     kernels, acts = fields.kernels, fields.activations
     n_types, n_layers = kernels.shape[:2]
-    _, taps = _deconv_taps(n_types, h, w)
+    taps = _deconv_taps(h, w, transpose=True)
     g_sigma = np.zeros(h * w)
     for plan, d_score in zip(plans, d_scores.tolist()):
         g_sigma[plan.live_steps] += d_score / plan.steps
@@ -611,6 +677,7 @@ class EpisodeResult:
     reached: bool
     steps: int
     traversed: dict
+    score: float  # the executed plan's imagined score
 
 
 @dataclass
@@ -628,53 +695,194 @@ class EvalResult:
         return dict(sorted(counts.items()))
 
 
-def _evaluate_one(tile_map: TileMap, params: Robot2NNParams,
-                  config: LavaConfig, rng: np.random.Generator) -> EpisodeResult:
-    fields = build_fields(tile_map, params, config)
-    executed, _ = imagine_and_act(fields, rng, config)
-    traversed = {"grass": 0, "dirt": 0, "lava": 0, "target": 0}
-    for pos in executed.trajectory:
-        traversed[tile_map.terrain_at(pos)] += 1
-    return EpisodeResult(reached=executed.reached, steps=executed.steps,
-                         traversed=traversed)
+# Maps per stacked field build.  More maps share more call overhead, but the
+# deconv's (4 * maps, 9, H*W) gather grows with them: 330 KB at 8 maps of 12x12.
+FIELD_BATCH = 8
+# Grid cells per lockstep walk, about 455 maps of 12x12; a bank splits into
+# even batches (512 maps into 2 of 256).  A batch holds about 3.3 KB per 12x12
+# map, so at most about 1.5 MB.
+WALK_CELLS = 1 << 16
 
 
-def _evaluate_chunk(args) -> list[EpisodeResult]:
-    maps, arrays, config, seed, offset = args
-    params = Robot2NNParams()
-    if arrays is not None:
-        params.load(arrays)
-    out = []
-    for j, tile_map in enumerate(maps):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(3, offset + j)))
-        out.append(_evaluate_one(tile_map, params, config, rng))
-    return out
+@functools.lru_cache(maxsize=64)
+def _walk_tables(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's neighbors as flat indices, in ``_neighbors`` order and padded
+    with the sentinel index h*w, and whether the cell has a runner-up."""
+    _, neighbors = _grid_tables(h, w)
+    table = np.full((h * w, 4), h * w)
+    for cell, options in enumerate(neighbors):
+        table[cell, :len(options)] = options
+    runner_up = np.array([len(options) > 1 for options in neighbors])
+    table.flags.writeable = runner_up.flags.writeable = False
+    return table, runner_up
+
+
+def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns: np.ndarray,
+                   targets: np.ndarray, explore: np.ndarray,
+                   config: LavaConfig) -> tuple[np.ndarray, ...]:
+    """``imagine_and_act`` on B same-shape maps at once; returns the executed plans.
+
+    ``grid0`` is (B, H*W + 1): each map's v_sigma, flat, and a spare column;
+    the walk overwrites it.  ``unknown`` is the (B, H*W) mask of tiles no
+    detector recognizes, ``spawns`` and ``targets`` are (B,) flat indices,
+    and ``explore`` holds, for each of a map's n_plans * max_steps uniforms
+    drawn up front, whether it reached explore_odds.  Plan k of every map
+    walks at once; a map's plans run in order, because a cursor reads its
+    draws on from where its previous plan stopped, and moves only on steps
+    that have a runner-up, as ``make_plan`` draws only then.  Each step takes
+    ``make_plan``'s float operations in its order, so the result is the plan
+    ``imagine_and_act`` executes: its (B, max_steps) flat trajectory (entries
+    past its length are stale), its steps, whether it reached the target and
+    its score.
+    """
+    h, w = shape
+    if h < 2 and w < 2:
+        raise ValueError("map too small to plan on")
+    b, hw, n_steps = len(grid0), h * w, config.max_steps
+    stride = hw + 1
+    table, runner_up = _walk_tables(h, w)
+    rows = np.arange(b)
+    v0 = np.abs(grid0[:, :hw]).max(axis=1)  # frozen per map, as in make_plan
+    # pin, blend and add a sentinel column that stands for a missing
+    # neighbor and never makes the top two: the grid every plan starts from
+    grid0[:, hw] = -np.inf
+    grid0[rows, targets] = v0
+    grid0[rows, spawns] = -v0
+    peak_start = v0
+    if config.unknown_avoidance > 0:
+        penalty = -config.unknown_avoidance * v0
+        np.copyto(grid0[:, :hw], penalty[:, None], where=unknown)
+        peak_start = np.where(unknown.any(axis=1), np.maximum(v0, np.abs(penalty)), v0)
+
+    grid = np.empty_like(grid0)
+    seen = np.empty((b, n_steps))
+    trajectory = np.zeros((b, n_steps), dtype=np.int32)
+    score = np.empty(b)
+    n_draws = explore.shape[1]
+    next_draw = rows * n_draws  # flat index of each map's next unread draw
+    best = (np.zeros((b, n_steps), dtype=np.int32), np.zeros(b, dtype=np.intp),
+            np.zeros(b, dtype=bool), np.full(b, -np.inf))
+    # flat views: a one-axis fancy index costs about half a two-axis one
+    cells, draws_flat = grid.ravel(), explore.ravel()
+    seen_flat, trajectory_flat = seen.ravel(), trajectory.ravel()
+    lanes = np.arange(0, 4 * b, 4)
+    for _ in range(config.n_plans):
+        np.copyto(grid, grid0)
+        steps = np.full(b, n_steps)
+        reached = np.zeros(b, dtype=bool)
+        # the maps still walking, with their position, peak, v0, next draw and target
+        walking, pos, peak, peak0, draw, target = (rows, spawns, peak_start, v0,
+                                                    next_draw, targets)
+        for step in range(n_steps):
+            at = walking * stride
+            options = table[pos]
+            values = cells[options + at[:, None]]
+            lane = lanes[:len(walking)]
+            first = values.argmax(axis=1)  # best and runner-up, ties to the earlier
+            values.ravel()[lane + first] = -np.inf
+            second = values.argmax(axis=1)
+            has_second = runner_up[pos]
+            swap = draws_flat[draw] & has_second
+            draw = draw + has_second
+            chosen = options.ravel()[lane + np.where(swap, second, first)]
+            record = walking * n_steps + step
+            seen_flat[record] = cells[at + chosen]
+            trajectory_flat[record] = chosen
+            arrived = chosen == target
+            if arrived.any():
+                done = walking[arrived]
+                steps[done] = step + 1
+                reached[done] = True
+                next_draw[done] = draw[arrived]
+                on = ~arrived
+                walking, pos, peak, peak0, draw, target, chosen, at = (
+                    x[on] for x in (walking, pos, peak, peak0, draw, target, chosen, at))
+                if not walking.size:
+                    break
+            here = at + pos
+            departed = np.abs(cells[here])
+            mark = config.anti_return * peak
+            cells[here] = mark
+            # the peak stays max|grid|: re-read only where the departed tile
+            # held it and the target (always at |v0|) does not
+            rescan = (departed == peak) & (peak != peak0)
+            peak = np.maximum(peak, np.abs(mark))
+            if rescan.any():
+                peak[rescan] = np.abs(grid[walking[rescan], :hw]).max(axis=1)
+            pos = chosen
+        next_draw[walking] = draw
+        # make_plan's np.array(seen).sum() adds pairwise in an order set by the
+        # length, so plans of one length are summed together
+        for length in np.flatnonzero(np.bincount(steps)).tolist():
+            group = np.flatnonzero(steps == length)
+            score[group] = seen[group, :length].sum(axis=1) / length
+        better = score > best[3]  # the first of equal scores stays, as in argmax
+        for kept, new in zip(best, (trajectory, steps, reached, score)):
+            kept[better] = new[better]
+    return best
+
+
+def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray,
+                    config: LavaConfig, seed: int) -> list[EpisodeResult]:
+    """Episodes of same-shape maps; ``indices`` are their places in the bank."""
+    b, h, w = len(maps), maps[0].height, maps[0].width
+    hw = h * w
+    tiles = np.empty((b, hw), dtype=_CHAR_CODES.dtype)
+    grid0 = np.empty((b, hw + 1))
+    unknown = np.empty((b, hw), dtype=bool)
+    for j in range(0, b, FIELD_BATCH):
+        stack = stacked_fields(maps[j:j + FIELD_BATCH], kernels, config, keep_layers=False)
+        tiles[j:j + FIELD_BATCH] = stack.tiles.reshape(-1, hw)
+        grid0[j:j + FIELD_BATCH, :hw] = stack.v_sigma.reshape(-1, hw)
+        unknown[j:j + FIELD_BATCH] = stack.w_unknown.reshape(-1, hw)
+    # every map's whole stream in one draw, kept only as its explore decisions
+    explore = np.empty((b, config.n_plans * config.max_steps), dtype=bool)
+    draws = np.empty(explore.shape[1])
+    for j, i in enumerate(indices):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, i)))
+        np.greater_equal(rng.random(out=draws), config.explore_odds, out=explore[j])
+    spawns = np.array([r * w + c for r, c in (m.spawn for m in maps)])
+    targets = np.array([r * w + c for r, c in (m.target for m in maps)])
+    trajectory, steps, reached, score = _walk_lockstep(grid0, unknown, (h, w), spawns,
+                                                       targets, explore, config)
+    terrain = tiles[np.arange(b)[:, None], trajectory]
+    on_path = np.arange(config.max_steps) < steps[:, None]
+    counts = {t: ((terrain == k) & on_path).sum(axis=1).tolist()
+              for k, t in enumerate(PALETTE)}
+    return [EpisodeResult(reached=r, steps=n, score=v,
+                          traversed={"grass": g, "dirt": d, "lava": lv, "target": y})
+            for r, n, v, g, d, lv, y in zip(reached.tolist(), steps.tolist(), score.tolist(),
+                                            counts["grass"], counts["dirt"], counts["lava"],
+                                            counts["target"])]
 
 
 def evaluate(params: Robot2NNParams, bank: MapBank, config: LavaConfig,
-             seed: int = 0, jobs: int = 1) -> EvalResult:
+             seed: int = 0) -> EvalResult:
     """Run every map in the bank; accuracy is the fraction reaching target.
 
-    The bank is split into at most ``jobs`` chunks, and more than one chunk
-    runs in a pool of one process per chunk.  Every map draws from its own
-    stream, so the result does not depend on ``jobs``.
+    Map i imagines its plans from its own stream, ``SeedSequence(seed,
+    spawn_key=(3, i))``, and executes the best, as ``imagine_and_act`` does.
+    Maps of one shape run in lockstep batches: fields ``FIELD_BATCH`` maps at
+    a time, walks ``WALK_CELLS`` grid cells at a time.  The episodes come
+    back in bank order and equal the map-by-map result.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not bank.maps:
         raise ValueError("evaluation bank is empty")
-    arrays = params.export()
-    chunk = (len(bank.maps) + jobs - 1) // jobs
-    tasks = [(bank.maps[i:i + chunk], arrays, config, seed, i)
-             for i in range(0, len(bank.maps), chunk)]
-    if len(tasks) == 1:
-        episodes = _evaluate_chunk(tasks[0])
-    else:
-        import multiprocessing as mp
-
-        with mp.Pool(len(tasks)) as pool:
-            episodes = [e for part in pool.map(_evaluate_chunk, tasks) for e in part]
+    if not np.isfinite(params.kernels).all():
+        raise ValueError("kernels must all be finite")
+    by_shape: dict[tuple, list[int]] = {}
+    for i, tile_map in enumerate(bank.maps):
+        by_shape.setdefault((tile_map.height, tile_map.width), []).append(i)
+    episodes: list = [None] * len(bank.maps)
+    for (h, w), indices in by_shape.items():
+        n_batches = -(-len(indices) * h * w // WALK_CELLS)
+        size = -(-len(indices) // n_batches)  # even batches: each pays the same step overhead
+        for j in range(0, len(indices), size):
+            batch = indices[j:j + size]
+            results = _evaluate_batch([bank.maps[i] for i in batch], batch, params.kernels,
+                                      config, seed)
+            for i, episode in zip(batch, results):
+                episodes[i] = episode
     accuracy = float(np.mean([e.reached for e in episodes]))
     return EvalResult(accuracy=accuracy, episodes=episodes)
 

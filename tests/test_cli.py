@@ -452,36 +452,11 @@ def test_lavaland_eval_jobs_below_one_exits_two(tmp_path, capsys, jobs):
     assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
-def test_lavaland_eval_pool_never_larger_than_its_chunks(tmp_path, monkeypatch):
-    import multiprocessing
-
-    sizes = []
-
-    class SerialPool:
-        """Stands in for multiprocessing.Pool: records its size, runs in process."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    bank = tmp_path / "bank.json"
-    assert dispatch(["lavaland", "gen", "--count", "3", "--preset", "project-a",
-                     "--out", str(bank)]) == 0
-    reports = {}
-    for jobs in ("1", "2", "64"):
-        reports[jobs] = tmp_path / f"r{jobs}"
-        assert dispatch(["lavaland", "eval", "--bank", str(bank), "--jobs", jobs,
-                         "--report", str(reports[jobs])]) == 0
-    assert sizes == [2, 3]  # jobs=1 runs in process; 64 jobs on 3 maps start 3
-    for jobs in ("2", "64"):
-        for name in ("accuracy.json", "histograms.csv"):
-            assert (reports[jobs] / name).read_bytes() == (reports["1"] / name).read_bytes()
+@pytest.mark.parametrize("jobs", ["2", "64"])
+def test_lavaland_eval_jobs_above_one_exits_two(tmp_path, capsys, jobs):
+    rc = dispatch(["lavaland", "eval", "--bank", str(tmp_path / "never-read.json"),
+                   "--report", str(tmp_path / "r"), "--jobs", jobs])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--jobs {jobs}: evaluation runs the maps batched in one process" in err
+    assert not (tmp_path / "r").exists()

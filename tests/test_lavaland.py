@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from selfreward import lavaland
 from selfreward.autodiff import (
     ShapeError,
     SgdSettings,
@@ -46,6 +47,7 @@ from selfreward.lavaland import (
     plan_quality_loss,
     save_bank,
     srd_train_lavaland,
+    stacked_fields,
     unknown_mask,
 )
 
@@ -363,6 +365,41 @@ def test_fields_compose_and_sum():
     np.testing.assert_array_equal(fields.w_unknown, w_unknown)
 
 
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)  # tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("preset", ["project-a", "lava-a"])
+def test_stacked_fields_equal_one_map_builds_bitwise(preset):
+    cfg = PRESETS[preset]
+    params = Robot2NNParams()
+    srd_train_lavaland(params, generate_maps(16, preset, seed=5), cfg, seed=5)
+    maps = generate_maps(7, preset, seed=6).maps
+    for keep_layers in (True, False):
+        stack = stacked_fields(maps, params.kernels, cfg, keep_layers=keep_layers)
+        assert stack.activations.shape[0] == (6 if keep_layers else 1)
+        last = stack.activations[-1].reshape(len(maps), len(SCORED_TILES), -1)
+        for j, m in enumerate(maps):
+            one = build_fields(m, params, cfg)
+            np.testing.assert_array_equal(_bits(stack.v_sigma[j]), _bits(one.v_sigma))
+            np.testing.assert_array_equal(_bits(stack.w_unknown[j]), _bits(one.w_unknown))
+            np.testing.assert_array_equal(_bits(last[j]), _bits(one.activations[-1]))
+            for k, t in enumerate(SCORED_TILES):
+                np.testing.assert_array_equal(_bits(stack.v1[j, k]), _bits(one.v1[t]))
+            if keep_layers:
+                np.testing.assert_array_equal(
+                    _bits(stack.activations[:, 4 * j:4 * j + 4]), _bits(one.activations))
+
+
+def test_stacked_fields_refuse_mixed_shapes_and_unknown_tiles():
+    cfg = small_config()
+    kernels = Robot2NNParams().kernels
+    with pytest.raises(ValueError, match="must all be 4x4"):
+        stacked_fields([tiny_map(), TileMap(tiles=["dy", "dd"], spawn=(0, 0))], kernels, cfg)
+    with pytest.raises(ValueError, match="unknown tile characters"):
+        stacked_fields([TileMap(tiles=["dy", "dx"], spawn=(0, 0))], kernels, cfg)
+
+
 def test_grass_contribution_nonpositive_scale():
     cfg = small_config()
     fields = build_fields(tiny_map(), Robot2NNParams(), cfg)
@@ -604,16 +641,84 @@ def test_evaluate_empty_bank_rejected():
         evaluate(Robot2NNParams(), MapBank("project-a", 0, []), PRESETS["project-a"])
 
 
-def test_evaluate_deterministic_and_parallel_consistent():
+def test_evaluate_deterministic():
     bank = generate_maps(24, "project-a", seed=13)
     cfg = PRESETS["project-a"]
     params = Robot2NNParams()
     a = evaluate(params, bank, cfg, seed=1)
     b = evaluate(params, bank, cfg, seed=1)
     assert a.accuracy == b.accuracy
-    c = evaluate(params, bank, cfg, seed=1, jobs=2)
-    assert c.accuracy == a.accuracy
-    assert [e.traversed for e in c.episodes] == [e.traversed for e in a.episodes]
+    assert a.episodes == b.episodes
+
+
+def _per_map_episodes(params, bank, cfg, seed):
+    """Evaluation map by map: the reference the lockstep evaluator must equal."""
+    episodes = []
+    for i, tile_map in enumerate(bank.maps):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, i)))
+        executed, _ = imagine_and_act(build_fields(tile_map, params, cfg), rng, cfg)
+        traversed = {"grass": 0, "dirt": 0, "lava": 0, "target": 0}
+        for pos in executed.trajectory:
+            traversed[tile_map.terrain_at(pos)] += 1
+        episodes.append((executed.reached, executed.steps, traversed, executed.score))
+    return episodes
+
+
+def _assert_matches_per_map(params, bank, cfg, seed):
+    result = evaluate(params, bank, cfg, seed=seed)
+    want = _per_map_episodes(params, bank, cfg, seed)
+    got = [(e.reached, e.steps, e.traversed, e.score) for e in result.episodes]
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    assert all(type(e.reached) is bool and type(e.steps) is int for e in result.episodes)
+    assert result.accuracy == float(np.mean([reached for reached, _, _, _ in want]))
+    return result
+
+
+@pytest.mark.parametrize("trained", [False, True])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_lockstep_evaluation_matches_per_map_reference(preset, trained):
+    cfg = PRESETS[preset]
+    params = Robot2NNParams()
+    if trained:
+        srd_train_lavaland(params, generate_maps(32, preset, seed=2), cfg, seed=2)
+    _assert_matches_per_map(params, generate_maps(40, preset, seed=3), cfg, seed=4)
+
+
+def test_lockstep_evaluation_of_a_mixed_shape_bank():
+    # 1x5 ends have one neighbor, so a step there draws nothing from the stream
+    cfg = PRESETS["lava-a"]
+    rng = np.random.default_rng(17)
+    sizes = [(12, 12), (2, 3), (1, 5), (1, 5), (1, 5)]
+    maps = [generate_map(rng, LavaConfig(height=h, width=w, lava_frac=0.1))
+            for _ in range(12) for h, w in sizes]
+    # walks that leave the only lava tile, the peak, so the peak is re-read
+    maps += [TileMap(tiles=["dlddy"], spawn=(0, 0)), TileMap(tiles=["ydgld"], spawn=(0, 4)),
+             TileMap(tiles=["dyd", "gdl"], spawn=(1, 1))] * 4
+    _assert_matches_per_map(Robot2NNParams(), MapBank("lava-a", 0, maps), cfg, seed=8)
+
+
+@pytest.mark.parametrize("n_maps,field_batch,walk_cells", [
+    (23, 3, 5 * 144),  # walks of 5, 5, 5, 5 and 3 maps; fields of 3 and 2
+    (461, lavaland.FIELD_BATCH, lavaland.WALK_CELLS),
+])
+def test_lockstep_evaluation_of_uneven_batches(monkeypatch, n_maps, field_batch, walk_cells):
+    assert n_maps % field_batch and (n_maps * 144) % walk_cells
+    assert n_maps * 144 > walk_cells  # more than one walk batch
+    monkeypatch.setattr(lavaland, "FIELD_BATCH", field_batch)
+    monkeypatch.setattr(lavaland, "WALK_CELLS", walk_cells)
+    cfg = PRESETS["lava-a"]
+    params = Robot2NNParams()
+    srd_train_lavaland(params, generate_maps(16, "lava-a", seed=9), cfg, seed=9)
+    result = _assert_matches_per_map(params, generate_maps(n_maps, "lava-a", seed=10), cfg,
+                                     seed=11)
+    assert 0.0 < result.accuracy < 1.0  # walks that run out of steps are in the batches
+
+
+def test_evaluate_rejects_non_finite_kernels():
+    params = Robot2NNParams()
+    params.kernels[0, 0, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(params, generate_maps(2, "project-a", seed=0), PRESETS["project-a"])
 
 
 def test_histograms_cover_episodes():
