@@ -74,6 +74,21 @@ A standard normal draw scaled by ``clone_noise`` gives the numbers
 small matrix product per agent as a single-agent call, so every decision
 is the one the agent would take alone, bit for bit.
 
+The trials of an experiment run in lockstep too (``run_trials``;
+``run_auction`` is its one-trial call).  A block of trials holds its agents
+as one ``Population`` of stacked arrays over (trial, agent): decision
+weights, optimizer settings, a ``noise_rng`` each and an is-FSN mask.  Each
+trial keeps its own price, stock, demand, round count, status row, ledger
+and termination flag (``Markets``).  A round makes one sensor and decision
+forward over the active agents of every running trial, then one vectorised
+server step; fine-tuning hands the block's learners to ``srd_finetune`` as
+``FsnModel`` row views, whose weights write through.  Trials have
+independent seeds and each agent draws only from its own streams, so
+interleaving trials changes no draw and no bit: every trial ends as it
+would alone.  All of a block's agents live until its last trial ends, each
+with a ``noise_rng`` of about 1.6 KB, so a block holds at most
+``LOCKSTEP_AGENTS`` agents.
+
 The decision-layer magnitudes used here were chosen so that demand is
 price-elastic (agents flip from buy to hold as the price climbs) and so
 that impatient agents in a dead market occasionally quit; the sign pattern
@@ -90,10 +105,10 @@ import numpy as np
 from .layers import selective_core, tau, tau_slope
 
 __all__ = [
-    "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Offer",
-    "TrialResult", "base_offer", "decide_offers", "make_offer_variants",
-    "run_auction", "run_experiment", "screen_model", "screen_models", "server_step",
-    "srd_finetune",
+    "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Markets", "Offer",
+    "Population", "TrialResult", "base_offer", "decide_offers", "make_offer_variants",
+    "run_auction", "run_experiment", "run_trials", "screen_model", "screen_models",
+    "server_step", "srd_finetune",
 ]
 
 BUY, HOLD, QUIT = 0, 1, 2
@@ -120,10 +135,14 @@ BIAS_SPREAD = 0.1
 
 JUDGE_FALSE_BIAS = 0.3
 
-# Learners per stacked sensor forward in fine-tuning.  Its clone blocks
-# hold (agents, variants, 8, D_ic) floats; at 16 agents they stay below the
-# lockstep SGD's own arrays, so fine-tuning peaks no higher than stepping.
+# Learners per stacked sensor forward and per lockstep SGD call in
+# fine-tuning, which bound its temporaries when a block of trials
+# fine-tunes hundreds of learners at once.  The SGD holds about 5 KB per
+# learner (the padded batch rows of each step), so 64 hold about what one
+# trial's learners do; the clone blocks of a forward, (agents, variants, 8,
+# D_ic) floats, stay below that at 16.
 FINETUNE_FORWARD_AGENTS = 16
+FINETUNE_SGD_AGENTS = 64
 
 # Judge gate rows over (PG, SZ, LSR, ST, B, L, Q): PGL, BC, FQ.
 _PFC_GATES_W = np.array([
@@ -215,6 +234,7 @@ def es_weight_rows(delta: float = DELTA, base_price: float = BASE_PRICE) -> np.n
 
 
 ES_BIASES = np.array([0.0, 0.0, 0.0, -0.5])
+ES_BIASES.flags.writeable = False  # row views share it
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,6 +263,17 @@ def _decision_logits(x_es: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
     return x_es @ w.swapaxes(-1, -2) + b[..., None, :]
 
 
+def _agent_draws(rng: np.random.Generator) -> tuple:
+    """One agent's construction draws, in stream order: its decision biases,
+    then its optimizer settings (epochs == 0 opts out of fine-tuning), then
+    the seed of its ``noise_rng``."""
+    b_dec = B_DECISION + rng.uniform(-BIAS_SPREAD, BIAS_SPREAD, size=3)
+    epochs = int(rng.integers(0, 3))
+    batch_size = int(rng.integers(4, 16))
+    learning_rate = float(rng.uniform(1e-7, 1e-4))
+    return b_dec, epochs, batch_size, learning_rate, np.random.default_rng(rng.integers(2 ** 63))
+
+
 class FsnModel:
     """One agent's negotiator: frozen sensors, trainable decision layer."""
 
@@ -251,13 +282,20 @@ class FsnModel:
         self.es_rows = _es_template(self.config.base_price).copy()
         self.es_biases = ES_BIASES.copy()
         self.w_dec = W_DECISION.copy()
-        bias_noise = rng.uniform(-BIAS_SPREAD, BIAS_SPREAD, size=3)
-        self.b_dec = B_DECISION + bias_noise
-        # optimizer settings differ per agent; epochs == 0 opts out entirely
-        self.epochs = int(rng.integers(0, 3))
-        self.batch_size = int(rng.integers(4, 16))
-        self.learning_rate = float(rng.uniform(1e-7, 1e-4))
-        self.noise_rng = np.random.default_rng(rng.integers(2 ** 63))
+        (self.b_dec, self.epochs, self.batch_size, self.learning_rate,
+         self.noise_rng) = _agent_draws(rng)
+
+    @classmethod
+    def view(cls, pop: Population, t: int, i: int) -> FsnModel:
+        """Agent i of trial t of a population; its weights write through."""
+        m = cls.__new__(cls)
+        m.config = pop.config
+        m.es_rows, m.es_biases = _es_template(pop.config.base_price), ES_BIASES
+        m.w_dec, m.b_dec = pop.w_dec[t, i], pop.b_dec[t, i]
+        m.epochs, m.batch_size = int(pop.epochs[t, i]), int(pop.batch_size[t, i])
+        m.learning_rate = float(pop.learning_rate[t, i])
+        m.noise_rng = pop.noise_rngs[t, i]
+        return m
 
     @property
     def malicious(self) -> bool:
@@ -331,13 +369,20 @@ def _stacked_sensors(group: list[FsnModel], x: np.ndarray) -> np.ndarray:
     broadcast over the rows.  A group shares the config values the forward
     reads (see ``_forward_groups``).
     """
-    config = group[0].config
-    noise = np.empty((*x.shape, config.d_ic - 1))
-    for m, rows in zip(group, noise):
-        m.noise_rng.standard_normal(out=rows)
     batch_axes = tuple(range(1, x.ndim - 1))
     es_rows = np.expand_dims(np.array([m.es_rows for m in group]), batch_axes)
     es_biases = np.expand_dims(np.array([m.es_biases for m in group]), batch_axes)
+    return _sensors(es_rows, es_biases, x, [m.noise_rng for m in group], group[0].config)
+
+
+def _sensors(es_rows: np.ndarray, es_biases: np.ndarray, x: np.ndarray, rngs,
+             config: AuctionConfig) -> np.ndarray:
+    """Sensor activations for offer rows x (n, ..., 8), the clone noise of
+    ``x[i]`` drawn from ``rngs[i]``.  The kernels (4, 8) and biases (4,) are
+    shared, or stacked per row and broadcastable against x."""
+    noise = np.empty((*x.shape, config.d_ic - 1))
+    for rng, rows in zip(rngs, noise):
+        rng.standard_normal(out=rows)
     pre = (es_rows @ _clone(x, noise, config)).sum(axis=-1) / config.d_ic + es_biases
     out = tau(pre)
     st = pre[..., ST]
@@ -397,27 +442,34 @@ def screen_model(model, config: AuctionConfig | None = None) -> bool:
     return screen_models([model], config)[0]
 
 
-def srd_finetune(models, variants: list[Offer], k: int) -> None:
+def srd_finetune(models, variants, k: int) -> None:
     """One round of self-labelled fine-tuning for a round's agents, in lockstep.
 
     Only the decision layer learns.  Malicious models, agents whose sampled
     epoch count is zero, and every agent once k reaches its config's
-    ``finetune_rounds`` sit the round out.
+    ``finetune_rounds`` sit the round out.  ``variants`` is the fine-tuning
+    set: a list of Offers shared by every model, or offer rows
+    (len(models), V, 8), one set per model, as in a block of trials.
 
     Each learner first draws its randomness in per-offer stream order: per
     epoch a permutation of the variants, then the clone noise of every
     variant.  Its sensor rows are laid out epoch after epoch in permuted
     order, so a batch is a run of consecutive rows; one stacked sensor
     forward per epoch fills the rows of up to ``FINETUNE_FORWARD_AGENTS``
-    learners still in that epoch.  Then all learners take their SGD steps
-    together (``_lockstep_sgd``).
+    learners still in that epoch.  Then the learners take their SGD steps
+    together, up to ``FINETUNE_SGD_AGENTS`` at a time (``_lockstep_sgd``).
     """
-    learners = [m for m in models
-                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
-    if not learners:
+    keep = [i for i, m in enumerate(models)
+            if not m.malicious and m.epochs and k < m.config.finetune_rounds]
+    if not keep:
         return
-    offers = np.array([v.as_array() for v in variants])
-    n_var = len(offers)
+    learners = [models[i] for i in keep]
+    if isinstance(variants, np.ndarray):
+        offers = variants[keep]
+    else:
+        offers = np.array([v.as_array() for v in variants])
+    n_var = offers.shape[-2]
+    offers = np.broadcast_to(offers, (len(learners), n_var, 8))
     x_es = np.zeros((len(learners), max(m.epochs for m in learners) * n_var, 4))
     for group in _forward_groups(learners):
         for e in range(max(learners[i].epochs for i in group)):
@@ -425,9 +477,12 @@ def srd_finetune(models, variants: list[Offer], k: int) -> None:
             for start in range(0, len(live), FINETUNE_FORWARD_AGENTS):
                 idx = live[start:start + FINETUNE_FORWARD_AGENTS]
                 orders = [learners[i].noise_rng.permutation(n_var) for i in idx]
+                rows = offers[np.array(idx)[:, None], np.array(orders)]
                 x_es[idx, e * n_var:(e + 1) * n_var] = _stacked_sensors(
-                    [learners[i] for i in idx], offers[np.array(orders)])
-    _lockstep_sgd(learners, x_es, n_var)
+                    [learners[i] for i in idx], rows)
+    for start in range(0, len(learners), FINETUNE_SGD_AGENTS):
+        chunk = slice(start, start + FINETUNE_SGD_AGENTS)
+        _lockstep_sgd(learners[chunk], x_es[chunk], n_var)
 
 
 def _lockstep_sgd(learners, x_es: np.ndarray, n_var: int) -> None:
@@ -451,14 +506,14 @@ def _lockstep_sgd(learners, x_es: np.ndarray, n_var: int) -> None:
     last = epoch * n_var + np.minimum((j + 1) * batch[:, None], n_var)
     rows = first[..., None] + np.arange(batch.max())
     live = (rows < last[..., None]) & (epoch < epochs[:, None])[..., None]
-    xs = x_es[agents[:, None, None], np.where(live, rows, 0)]
+    rows = np.where(live, rows, 0)
     keep = live[..., None].astype(float)
 
     w = np.stack([m.w_dec for m in learners])
     b = np.stack([m.b_dec for m in learners])
     lr = np.array([m.learning_rate for m in learners])
     for s in steps:
-        x, kept = xs[:, s], keep[:, s]
+        x, kept = x_es[agents[:, None], rows[:, s]], keep[:, s]
         logits = _decision_logits(x, w, b)
         judged, pre, gates = _judge_gates(x, logits)
         z = (judged * kept).sum(axis=1)
@@ -470,8 +525,8 @@ def _lockstep_sgd(learners, x_es: np.ndarray, n_var: int) -> None:
         dlogits = dpre @ _PFC_GATES_W[:, 4:]
         w = w - lr[:, None, None] * (dlogits.transpose(0, 2, 1) @ x)
         b = b - lr[:, None] * dlogits.sum(axis=1)
-    for m, w_i, b_i in zip(learners, w, b):
-        m.w_dec, m.b_dec = w_i, b_i
+    for m, w_i, b_i in zip(learners, w, b):  # in place: a view writes through
+        m.w_dec[...], m.b_dec[...] = w_i, b_i
 
 
 @dataclass
@@ -507,7 +562,10 @@ class AuctionState:
 
 
 def server_step(state: AuctionState) -> AuctionState:
-    """One bidding round: collect decisions, then branch on demand."""
+    """One bidding round: collect decisions, then branch on demand.
+
+    ``Markets.step`` applies these rules to a block of trials at once; this
+    per-agent form serves as its reference."""
     if state.terminated:
         raise RuntimeError("cannot step a terminated auction")
     cfg = state.config
@@ -558,54 +616,179 @@ class TrialResult:
         return float(np.mean(self.prices)) if self.prices else float("nan")
 
 
-def run_auction(r: float, n: int = 64, optim: bool = False,
-                malicious_frac: float = 0.0, seed=None,
-                config: AuctionConfig | None = None,
-                return_state: bool = False):
-    """One full auction with n agents and round(r*n) units of stock."""
+ACTIVE, BOUGHT, QUITTED = 0, 1, 2
+STATUS_NAMES = ("active", "bought", "quit")
+
+# Agents per block of lockstep trials.  A block's agents all live until its
+# last trial ends, each with a noise_rng of about 1.6 KB besides its rows of
+# the stacked arrays, so the block sets the peak memory of a run.
+LOCKSTEP_AGENTS = 512
+
+
+class Population:
+    """The agents of a block of trials as stacked arrays over (trial, agent).
+
+    Agents 0..n_malicious-1 of each trial are always-hold malicious ones
+    (``fsn`` False): they draw nothing, and their rows are never read.
+    Agent i of the rest draws from its own generator, spawn key (1, i)
+    under its trial's root.
+    """
+
+    def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig):
+        shape = (len(roots), n)
+        self.config = config
+        self.fsn = np.zeros(shape, dtype=bool)
+        self.fsn[:, n_malicious:] = True
+        self.w_dec = np.tile(W_DECISION, (*shape, 1, 1))
+        self.b_dec = np.zeros((*shape, 3))
+        self.epochs = np.zeros(shape, dtype=int)
+        self.batch_size = np.zeros(shape, dtype=int)
+        self.learning_rate = np.zeros(shape)
+        self.noise_rngs = np.full(shape, None)
+        for t, root in enumerate(roots):
+            for i in range(n_malicious, n):
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    entropy=root.entropy, spawn_key=root.spawn_key + (1, i)))
+                (self.b_dec[t, i], self.epochs[t, i], self.batch_size[t, i],
+                 self.learning_rate[t, i], self.noise_rngs[t, i]) = _agent_draws(rng)
+
+    def decide(self, live: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Decisions of the FSN agents under the (trial, agent) mask live on
+        offer rows x (trials, 8): one stacked forward, as ``decide_offers``."""
+        x_es = _sensors(_es_template(self.config.base_price), ES_BIASES,
+                        x[live.nonzero()[0]], self.noise_rngs[live], self.config)
+        logits = _decision_logits(x_es[:, None, :], self.w_dec[live], self.b_dec[live])
+        return logits[:, 0].argmax(axis=-1)
+
+
+class Markets:
+    """Server-side state of a block of auctions, one row per trial: price,
+    stock, the previous round's demand, rounds run, each agent's status (a
+    code into STATUS_NAMES), whether it still runs, and its ledger."""
+
+    def __init__(self, trials: int, n: int, stock: int, config: AuctionConfig):
+        self.config = config
+        self.price = np.full(trials, config.base_price)
+        self.stock = np.full(trials, stock)
+        self.demand = np.full(trials, Offer().demand)
+        self.rounds = np.zeros(trials, dtype=int)
+        self.status = np.full((trials, n), ACTIVE)
+        self.running = np.ones(trials, dtype=bool)
+        self.ledgers = [[] for _ in range(trials)]
+
+    def active(self) -> np.ndarray:
+        return (self.status == ACTIVE) & self.running[:, None]
+
+    def offers(self) -> np.ndarray:
+        x = np.tile(Offer().as_array(), (len(self.price), 1))
+        x[:, 0], x[:, 7] = self.price, self.demand
+        return x
+
+    def step(self, decisions: np.ndarray) -> None:
+        """One bidding round of every running market, by ``server_step``'s rules."""
+        config, running, active = self.config, self.running, self.active()
+        buy = active & (decisions == BUY)
+        n_buy, n_active = buy.sum(axis=1), active.sum(axis=1)
+        self.status[active & (decisions == QUIT)] = QUITTED
+        marked_up = running & (n_buy > self.stock)
+        sells = running & ~marked_up
+        for t in np.flatnonzero(sells & (n_buy > 0)):
+            buyers = np.flatnonzero(buy[t])
+            self.status[t, buyers] = BOUGHT
+            price, k = float(self.price[t]), int(self.rounds[t])
+            self.ledgers[t] += [Purchase(agent=int(i), price=price, round=k) for i in buyers]
+        self.stock[sells] -= n_buy[sells]
+        sold_out = sells & (n_buy > 0) & (self.stock == 0)
+        self.price[marked_up] *= 1 + config.price_step
+        self.price[sells & ~sold_out] *= 1 - config.price_step
+        self.demand[running] = n_buy[running] / np.maximum(n_active[running], 1)
+        self.rounds[running] += 1
+        self.running = (running & (self.stock > 0) & (self.status == ACTIVE).any(axis=1)
+                        & (self.rounds < config.max_rounds))
+
+
+def run_trials(r: float, roots, n: int = 64, optim: bool = False,
+               malicious_frac: float = 0.0, config: AuctionConfig | None = None,
+               return_states: bool = False) -> list:
+    """Full auctions with n agents and round(r*n) units of stock, one per
+    root ``SeedSequence``, run in lockstep blocks of up to
+    ``LOCKSTEP_AGENTS`` agents.  Each result, and with ``return_states`` each
+    (result, state) pair, is the one its trial gives when run alone."""
     if not 0 < r <= 1:
         raise ValueError(f"item-supply fraction r must be in (0, 1], got {r}")
     if not 0 <= malicious_frac <= 1:
         raise ValueError(f"malicious_frac must be in [0, 1], got {malicious_frac}")
     config = config or AuctionConfig()
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    per_block = max(1, LOCKSTEP_AGENTS // max(n, 1))
+    out = []
+    for start in range(0, len(roots), per_block):
+        out += _run_block(r, roots[start:start + per_block], n, optim, malicious_frac,
+                          config, return_states)
+    return out
 
+
+def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> list:
+    """``run_trials`` for one block: each round, one forward over the block's
+    active agents and one server step over its running trials."""
     n_malicious = round(malicious_frac * n)
-    agents = [AlwaysHoldModel(None, config) for _ in range(n_malicious)]
-    for i in range(n_malicious, n):
-        agent_rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=root.spawn_key + (1, i)))
-        agents.append(FsnModel(agent_rng, config))
+    pop = Population(roots, n, n_malicious, config)
 
-    # screening: flagged models enter only when malicious mode is explicit;
-    # every model is screened either way, since the probe draws clone noise
-    passed = screen_models(agents, config)
-    if malicious_frac == 0 and not all(passed):
+    # screening: flagged models enter only when malicious mode is explicit.
+    # The agents are built from the sensor template and W_DECISION, so only
+    # the cheap-offer probe can flag one; every agent takes it, since it
+    # draws clone noise.
+    probe = np.tile(Offer(price=0.25 * config.base_price).as_array(), (len(roots), 1))
+    passed = pop.decide(pop.fsn, probe) == BUY
+    if malicious_frac == 0 and not passed.all():
         raise RuntimeError("screener flagged a model outside malicious mode")
 
-    variants_seed = np.random.SeedSequence(entropy=root.entropy,
-                                           spawn_key=root.spawn_key + (0,))
-    variants = make_offer_variants(
-        base_offer(), config.variant_count, variants_seed,
-        scale=config.variant_scale, flip_prob=config.variant_flip_prob)
+    if optim:  # from their own stream, spawn key (0,), so skipping them draws nothing
+        variants = np.array([[v.as_array() for v in make_offer_variants(
+            base_offer(), config.variant_count,
+            np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (0,)),
+            scale=config.variant_scale, flip_prob=config.variant_flip_prob)]
+            for root in roots])
 
     stock = round(r * n)
-    state = AuctionState(config=config, stock=stock, agents=agents,
-                         price=config.base_price)
-    while not state.terminated:
-        if optim and state.k < config.finetune_rounds:
-            srd_finetune([state.agents[i] for i in state.active_indices()],
-                         variants, state.k)
-        server_step(state)
+    markets = Markets(len(roots), n, stock, config)
+    k = 0
+    while markets.running.any():
+        live = markets.active() & pop.fsn
+        if optim and k < config.finetune_rounds:
+            learners = (live & (pop.epochs > 0)).nonzero()
+            srd_finetune([FsnModel.view(pop, t, i) for t, i in zip(*learners)],
+                         variants[learners[0]], k)
+        decisions = np.full(live.shape, HOLD)
+        decisions[live] = pop.decide(live, markets.offers())
+        markets.step(decisions)
+        k += 1
 
-    result = TrialResult(
-        r=r,
-        available=stock,
-        prices=[p.price for p in state.ledger],
-        purchase_rate=len(state.ledger) / stock if stock else 0.0,
-        rounds=state.k,
-    )
-    return (result, state) if return_state else result
+    out = []
+    for t, ledger in enumerate(markets.ledgers):
+        result = TrialResult(r=r, available=stock, prices=[p.price for p in ledger],
+                             purchase_rate=len(ledger) / stock if stock else 0.0,
+                             rounds=int(markets.rounds[t]))
+        if return_states:
+            agents = [FsnModel.view(pop, t, i) if pop.fsn[t, i]
+                      else AlwaysHoldModel(None, config) for i in range(n)]
+            state = AuctionState(
+                config=config, stock=int(markets.stock[t]), agents=agents,
+                price=float(markets.price[t]), demand_frac=float(markets.demand[t]),
+                k=int(markets.rounds[t]), status=[STATUS_NAMES[s] for s in markets.status[t]],
+                ledger=ledger, terminated=True)
+            result = (result, state)
+        out.append(result)
+    return out
+
+
+def run_auction(r: float, n: int = 64, optim: bool = False,
+                malicious_frac: float = 0.0, seed=None,
+                config: AuctionConfig | None = None,
+                return_state: bool = False):
+    """One full auction with n agents and round(r*n) units of stock:
+    ``run_trials`` for one seed."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return run_trials(r, [root], n, optim, malicious_frac, config, return_state)[0]
 
 
 CONDITIONS = {
@@ -633,11 +816,11 @@ def run_experiment(r_grid, trials: int = 10, conditions=None, seed=None,
         optim, frac = CONDITIONS[name]
         frac = malicious_frac if frac else 0.0
         for ri, r in enumerate(r_grid):
-            for trial in range(trials):
-                trial_seed = np.random.SeedSequence(
-                    entropy=root.entropy, spawn_key=(ri, trial))
-                result = run_auction(r, n=n, optim=optim, malicious_frac=frac,
-                                     seed=trial_seed, config=config)
+            roots = [np.random.SeedSequence(entropy=root.entropy, spawn_key=(ri, trial))
+                     for trial in range(trials)]
+            results = run_trials(r, roots, n=n, optim=optim, malicious_frac=frac,
+                                 config=config)
+            for trial, result in enumerate(results):
                 rows.append({
                     "condition": name,
                     "r": r,

@@ -112,6 +112,9 @@ def _parse_r_grid(text: str) -> list[float]:
     if count < 1 or start <= 0 or stop < start or stop > 1:
         raise ConfigError(f"bad --r-grid {text!r}; need 0 < start <= stop <= 1 "
                           f"and count >= 1")
+    if count == 1 and start != stop:
+        raise ConfigError(f"bad --r-grid {text!r}; a count of 1 needs start == stop, "
+                          f"or it would run start alone")
     return [float(v) for v in np.linspace(start, stop, count)]
 
 

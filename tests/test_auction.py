@@ -678,3 +678,117 @@ def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed)
     if optim:  # fine-tuning moved the weights that were compared
         assert any(not np.array_equal(m.w_dec, W_DECISION)
                    for m in agents if isinstance(m, FsnModel))
+
+
+# -- lockstep trials -----------------------------------------------------------------
+
+
+def looped_experiment(r_grid, trials, conditions, seed, n, config, malicious_frac=0.5):
+    """run_experiment as a loop of run_auction calls, one per (condition, r,
+    trial).  Returns its rows and purchases, and each trial's state."""
+    root = np.random.SeedSequence(seed)
+    rows, purchases, states = [], [], []
+    for name in conditions:
+        optim, frac = auction.CONDITIONS[name]
+        frac = malicious_frac if frac else 0.0
+        for ri, r in enumerate(r_grid):
+            for trial in range(trials):
+                result, state = run_auction(
+                    r, n=n, optim=optim, malicious_frac=frac, config=config,
+                    seed=np.random.SeedSequence(entropy=root.entropy, spawn_key=(ri, trial)),
+                    return_state=True)
+                rows.append({"condition": name, "r": r, "trial": trial,
+                             "price": result.mean_price,
+                             "purchase_rate": result.purchase_rate})
+                purchases += [{"condition": name, "r": r, "trial": trial, "price": p}
+                              for p in result.prices]
+                states.append(state)
+    return (rows, purchases), states
+
+
+# Decision layers that drive every trial down one path: "eager" agents buy
+# at any price, "quitting" ones buy the screener's cheap probe but quit at
+# the base price.
+DECISION_LAYERS = {
+    "default": (W_DECISION, auction.B_DECISION),
+    "eager": (W_DECISION, auction.B_DECISION + [3.0, 0.0, 0.0]),
+    "quitting": (W_DECISION + [[0.0] * 4, [0.0] * 4, [4.0, 0.0, 0.0, 0.0]],
+                 auction.B_DECISION),
+}
+
+
+def trial_path(state, config):
+    if not state.ledger and state.stock == 0:
+        return "no stock"
+    if state.k == 1 and state.stock == 0:
+        return "sold out in round 1"
+    if all(s == "quit" for s in state.status):
+        return "all quit"
+    return "max rounds" if state.k == config.max_rounds else "other"
+
+
+@pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
+    n, trials = 16, 3
+    monkeypatch.setattr(auction, "LOCKSTEP_AGENTS", 2 * n)  # blocks of 2 and 1 trials
+    config = AuctionConfig(max_rounds=12)
+    conditions = ["Optim", "malicious-Optim"] if optim else ["noOptim", "malicious-noOptim"]
+    r_grid = [0.005, 0.25, 1.0]  # round(0.005 * 16) == 0: no stock
+    paths = set()
+    for w_dec, b_dec in DECISION_LAYERS.values():
+        monkeypatch.setattr(auction, "W_DECISION", w_dec)
+        monkeypatch.setattr(auction, "B_DECISION", b_dec)
+        got = run_experiment(r_grid, trials, conditions, seed, n=n, config=config)
+        want, states = looped_experiment(r_grid, trials, conditions, seed, n, config)
+        assert repr(got) == repr(want)
+        paths |= {trial_path(s, config) for s in states}
+        # each trial of a block also ends with the agents it has alone
+        roots = [np.random.SeedSequence(seed, spawn_key=(9, trial)) for trial in range(trials)]
+        frac = 0.5 * (seed % 2)
+        pairs = auction.run_trials(0.25, roots, n, optim, frac, config, return_states=True)
+        for (_, block), (_, alone) in zip(pairs, (run_auction(
+                0.25, n, optim, frac, root, config, return_state=True) for root in roots)):
+            assert (block.k, block.price, block.stock, block.status, block.ledger) == \
+                (alone.k, alone.price, alone.stock, alone.status, alone.ledger)
+            for a, b in zip(block.agents, alone.agents):
+                assert type(a) is type(b)
+                if isinstance(a, FsnModel):
+                    np.testing.assert_array_equal(a.w_dec, b.w_dec)
+                    np.testing.assert_array_equal(a.b_dec, b.b_dec)
+                    assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+    assert paths >= {"no stock", "sold out in round 1", "all quit", "max rounds", "other"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_markets_step_matches_server_step(seed):
+    """The vectorised server step against one server_step per trial, on
+    random decisions that drive trials down every branch."""
+    rng = np.random.default_rng(seed)
+    config = AuctionConfig(max_rounds=12)
+    trials, n = 16, 6
+    # per trial p(buy, hold, quit): held to the last round, quit, bought out, mixed
+    moods = [[0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.6, 0.4, 0.0], [0.3, 0.5, 0.2]] * 4
+    markets = auction.Markets(trials, n, 0, config)
+    markets.stock[:] = rng.integers(0, n + 1, size=trials)
+    states = [AuctionState(config=config, stock=int(s), price=config.base_price,
+                           agents=[StubAgent(HOLD) for _ in range(n)]) for s in markets.stock]
+    ends = set()
+    while markets.running.any():
+        decisions = np.array([rng.choice(3, size=n, p=p) for p in moods])
+        for state, row in zip(states, decisions):
+            if not state.terminated:
+                for agent, d in zip(state.agents, row):
+                    agent.decision = d
+                server_step(state)
+        markets.step(decisions)
+        for t, state in enumerate(states):
+            assert markets.running[t] == (not state.terminated)
+            assert (markets.price[t], markets.stock[t], markets.demand[t], markets.rounds[t]) \
+                == (state.price, state.stock, state.demand_frac, state.k)
+            assert [auction.STATUS_NAMES[s] for s in markets.status[t]] == state.status
+            assert markets.ledgers[t] == state.ledger
+    for state in states:
+        ends.add("sold out" if state.stock == 0 else
+                 "all left" if not state.active_indices() else "max rounds")
+    assert ends == {"sold out", "all left", "max rounds"}

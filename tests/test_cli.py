@@ -187,10 +187,23 @@ def test_auction_r_grid_above_one_rejected_before_running(tmp_path, capsys, monk
     def no_auctions(*args, **kwargs):
         raise AssertionError("an auction ran before the grid was checked")
 
-    monkeypatch.setattr(auction, "run_auction", no_auctions)
+    monkeypatch.setattr(auction, "run_trials", no_auctions)
     rc = dispatch(["auction", "run", "--r-grid", "0.5:2:4", "--out", str(tmp_path)])
     assert rc == 2
     assert "r-grid" in capsys.readouterr().err
+
+
+def test_auction_one_point_r_grid_with_distinct_ends_rejected(tmp_path, capsys, monkeypatch):
+    from selfreward import auction
+
+    def no_auctions(*args, **kwargs):
+        raise AssertionError("an auction ran on a grid that drops its stop")
+
+    monkeypatch.setattr(auction, "run_trials", no_auctions)
+    rc = dispatch(["auction", "run", "--r-grid", "0.25:0.5:1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--r-grid" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 @pytest.mark.parametrize("frac", ["1.5", "-0.25", "nan"])
@@ -201,7 +214,7 @@ def test_auction_malicious_frac_outside_unit_interval_rejected_before_running(
     def no_auctions(*args, **kwargs):
         raise AssertionError("an auction ran before --malicious-frac was checked")
 
-    monkeypatch.setattr(auction, "run_auction", no_auctions)
+    monkeypatch.setattr(auction, "run_trials", no_auctions)
     rc = dispatch(["auction", "run", "--r-grid", "0.25:0.5:2", "--trials", "3",
                    "--malicious-frac", frac, "--out", str(tmp_path)])
     assert rc == 2
