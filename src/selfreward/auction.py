@@ -166,7 +166,6 @@ def _judge_gates(x_es: np.ndarray,
 
 @dataclass
 class AuctionConfig:
-    n_agents: int = 64
     base_price: float = BASE_PRICE
     price_step: float = 0.05
     max_rounds: int = 64

@@ -29,8 +29,8 @@ the fish teaches itself to eat more eagerly without any external reward.
 
 Detectors and judge are frozen, so a judgment's dependence on the action
 layer theta = [w_act.ravel(), b_act] is fixed once the judgment is made.  The
-memory stores each verdict together with its 2 x 8 Jacobian, taken at push
-time, and one training step is
+memory stores each verdict together with its Jacobian, taken at push time,
+and one training step is
 
     J_i      = O diag(tau'(pre_i)) G_p (diag p_i - p_i p_i^T) [I_2 kron x_i^T | I_2]
     dz       = softmax(z) - onehot(argmax z)
@@ -38,39 +38,53 @@ time, and one training step is
 
 where O is the judge's output layer, pre_i the gate pre-activations, G_p the
 gate rows' columns that read the action probabilities p_i = softmax(logits_i),
-and x_i = [a_fh, a_ft, F] the action layer's input.  A step costs the same
-whatever ``mem`` is.
+and x_i = [a_fh, a_ft, F] the action layer's input.  The false row of O is
+the true row negated, so J_i's false row is its true row negated, and the
+memory keeps only the true row, r_i: dL/dtheta = dz[0] s - dz[1] s with
+s = sum_i r_i.  A step costs the same whatever ``mem`` is.
 
 The detector and judge weights are module constants, and ``w_act``/``b_act``
-are plain arrays that training and ``import_params`` rebind, never write in
-place.  The live forward runs on Python floats: the world's window is three
-floats, and ``sense_values``, ``decide_values``, the two-way softmax and
-``judge_values_and_gates`` take and return floats, since at three to five
-numbers per layer a numpy call costs more than its arithmetic.  Running and
-training share it through ``sense_and_decide``, and ``jacobian`` builds its
-2 x 8 array from the same floats.  Actions and verdicts are argmaxes with
-ties to the first entry, as ``np.argmax`` takes them.  The graph forms
-(``FishNN.sense``/``decide``, ``FishPFC.judge`` and ``pfc_judge``) state the
-same network on the engine and stay as the reference: they read whatever the
-caller puts in ``w_act``/``b_act``, so wrapped in ``parameter(...)`` they
-collect the gradient that the tests compare with the closed form above, and
-the tests check the float forward's actions and verdicts against them.
+are plain arrays that ``import_params`` rebinds, never writes in place.
+Both running and training work on Python floats, since at three to eight
+numbers per layer a numpy call costs more than its arithmetic: the world's
+window is three floats; ``sense_values``, ``decide_values``, the two-way
+softmax and ``judge_values_and_gates`` take and return floats; and
+``decide_values`` reads the action layer as theta, the eight floats of
+``FishNN.theta``.  Running and training share this forward through
+``sense_and_decide``.  A training step adds the Jacobian row (eight floats
+from the same forward), the memory's float sums, ``cross_entropy2_float``
+and the update of theta; ``srd_train`` carries theta as floats and writes
+it back to ``w_act``/``b_act`` once, at the end.  The float step is not bit
+for bit the engine's: numpy's matmul may fuse a multiply-add, and ``np.exp``
+and ``math.exp`` may differ in the last bit, so trained parameters match the
+engine's reference loop within 1e-12, and its actions exactly.  Actions and
+verdicts are argmaxes with ties to the first entry, as ``np.argmax`` takes
+them.
+
+The graph forms (``FishNN.sense``/``decide``, ``FishPFC.judge`` and
+``pfc_judge``) state the same network on the engine and stay as the
+reference: they read whatever the caller puts in ``w_act``/``b_act``, so
+wrapped in ``parameter(...)`` they collect the gradient that the tests
+compare with the closed form above, and the tests check the float forward's
+actions and verdicts against them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffTensor, SgdSettings, ShapeError, as_tensor, concat
+from .autodiff import DiffTensor, ShapeError, as_tensor, concat
 # Unused here since training left the engine; bench/test_bench.py still checks
 # that the tracer rebinds fish1d.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
 from .layers import (
     conv1d,
-    cross_entropy_self_values,
+    cross_entropy2_float,
     fully_connected,
     selective_activation,
     selective_core,
@@ -208,13 +222,18 @@ class FishNN:
         y_ft = t0 * w0 + t1 * w1 + t2 * w2 + FT_BIAS
         return selective_core(y_fh * y_fh, eps), selective_core(y_ft * y_ft, eps)
 
-    def decide_values(self, a_fh: float, a_ft: float,
-                      energy: float) -> tuple[tuple[float, float], int]:
-        """decide() on floats: the (eat, move) logits and the action."""
-        (w_eat, w_move), (b_eat, b_move) = self.w_act.tolist(), self.b_act.tolist()
-        eat = w_eat[0] * a_fh + w_eat[1] * a_ft + w_eat[2] * energy + b_eat
-        move = w_move[0] * a_fh + w_move[1] * a_ft + w_move[2] * energy + b_move
+    def decide_values(self, a_fh: float, a_ft: float, energy: float,
+                      theta: Sequence[float]) -> tuple[tuple[float, float], int]:
+        """decide() on floats, at the action layer theta (see ``theta()``):
+        the (eat, move) logits and the action."""
+        w_e0, w_e1, w_e2, w_m0, w_m1, w_m2, b_eat, b_move = theta
+        eat = w_e0 * a_fh + w_e1 * a_ft + w_e2 * energy + b_eat
+        move = w_m0 * a_fh + w_m1 * a_ft + w_m2 * energy + b_move
         return (eat, move), EAT if eat >= move else MOVE
+
+    def theta(self) -> tuple[float, ...]:
+        """The action layer as N_THETA floats: ``w_act`` row by row, then ``b_act``."""
+        return tuple(self.w_act.ravel().tolist() + self.b_act.tolist())
 
     def export_params(self) -> dict:
         return {"w_act": self.w_act.copy(), "b_act": self.b_act.copy()}
@@ -253,25 +272,24 @@ class FishPFC:
         # the false row is the true row negated, plus its bias
         return (true, JUDGE_FALSE_BIAS - true), pre, gates
 
-    def jacobian(self, v0: tuple, pre: tuple, gates: tuple) -> np.ndarray:
-        """d verdict / d theta (2 x 8) for the decision judged on v0.
+    def jacobian(self, v0: tuple, pre: tuple, gates: tuple) -> tuple[float, ...]:
+        """d true / d theta, as N_THETA floats, for the decision judged on v0.
 
-        v0 = (x, p) holds the action layer's input x and its softmaxed
-        output p; pre and gates come from ``judge_values_and_gates(v0)``.
+        The false row mirrors the true one, so d false / d theta is this row
+        negated.  v0 = (x, p) holds the action layer's input x and its
+        softmaxed output p; pre and gates come from
+        ``judge_values_and_gates(v0)``.
         """
         x0, x1, x2, e, m = v0
         o_e1, o_m1, o_ex = JUDGE_TRUE_ROW
-        slopes = [tau_slope_float(y, g) for y, g in zip(pre, gates)]
         # d true / d (e, m) through G_p: e1 reads e, m1 and ex read m
-        d_e = o_e1 * slopes[0]
-        d_m = o_m1 * slopes[1] + o_ex * slopes[2]
+        d_e = o_e1 * tau_slope_float(pre[0], gates[0])
+        d_m = o_m1 * tau_slope_float(pre[1], gates[1]) + o_ex * tau_slope_float(pre[2], gates[2])
         # times (diag p - p p^T), as the softmax vjp writes it
         mean = d_e * e + d_m * m
         d_eat, d_move = e * (d_e - mean), m * (d_m - mean)
-        row = (d_eat * x0, d_eat * x1, d_eat * x2, d_move * x0, d_move * x1,
-               d_move * x2, d_eat, d_move)
-        # the false row mirrors the true one, so its derivative is negated
-        return np.array((row, [-d for d in row]))
+        return (d_eat * x0, d_eat * x1, d_eat * x2, d_move * x0, d_move * x1,
+                d_move * x2, d_eat, d_move)
 
 
 def pfc_judge(pfc: FishPFC, a_fh: DiffTensor, a_ft: DiffTensor,
@@ -283,11 +301,12 @@ def pfc_judge(pfc: FishPFC, a_fh: DiffTensor, a_ft: DiffTensor,
 
 
 class DecisionMemory:
-    """The last ``mem`` verdicts and their Jacobians; z is the verdicts' sum.
+    """The last ``mem`` verdicts and their Jacobian rows; z is the verdicts' sum.
 
-    A ring buffer: slot ``pushed % mem`` takes the next judgment, so the
-    oldest one sits there once the memory is full.  Slots not yet written
-    hold zeros, which add nothing to z or to the gradient.
+    A ring of float tuples: slot ``pushed % mem`` takes the next judgment's
+    (true, false) verdict and its ``FishPFC.jacobian`` row, so the oldest
+    judgment sits there once the memory is full.  Slots not yet written hold
+    zeros, which add nothing to z or to the gradient.
     """
 
     def __init__(self, mem: int = 8):
@@ -295,30 +314,41 @@ class DecisionMemory:
             raise ValueError(f"mem must be at least 1, got {mem}")
         self.mem = mem
         self.pushed = 0
-        self.verdicts = np.zeros((mem, 2))
-        self.jacobians = np.zeros((mem, 2, N_THETA))
-        self._slots = np.arange(mem)
+        self.verdicts: list[tuple[float, float]] = [(0.0, 0.0)] * mem
+        self.rows: list[tuple[float, ...]] = [(0.0,) * N_THETA] * mem
 
-    def push(self, verdict: tuple[float, float], jacobian: np.ndarray) -> None:
+    def push(self, verdict: tuple[float, float], row: tuple[float, ...]) -> None:
         slot = self.pushed % self.mem
         self.verdicts[slot] = verdict
-        self.jacobians[slot] = jacobian
+        self.rows[slot] = row
         self.pushed += 1
 
     @property
     def full(self) -> bool:
         return self.pushed >= self.mem
 
-    def z(self) -> np.ndarray:
+    def z(self) -> tuple[float, float]:
         """Sum of the stored verdicts, added oldest first."""
         if not self.pushed:
             raise ValueError("decision memory is empty")
-        # a sum over the leading axis adds row after row, in this order
-        return self.verdicts[(self._slots + self.pushed) % self.mem].sum(axis=0)
+        slot = self.pushed % self.mem
+        window = self.verdicts[slot:] + self.verdicts[:slot]
+        z0, z1 = window[0]
+        for true, false in window[1:]:
+            z0 += true
+            z1 += false
+        return z0, z1
 
-    def gradient(self, dz: np.ndarray) -> np.ndarray:
-        """d loss / d theta = (sum_i J_i)^T dz, for dz = d loss / dz."""
-        return dz @ self.jacobians.sum(axis=0)
+    def gradient(self, dz: tuple[float, float]) -> list[float]:
+        """d loss / d theta for dz = d loss / dz: the rows summed in slot
+        order into s, then dz[0] * s - dz[1] * s, since each judgment's
+        false row is its true row negated."""
+        rows = iter(self.rows)
+        total = next(rows)
+        for row in rows:
+            total = map(operator.add, total, row)
+        g_true, g_false = dz
+        return [g_true * s - g_false * s for s in total]
 
 
 def world_step(world: FishWorld, state: FishState, action: int,
@@ -344,11 +374,12 @@ def make_world(seed: int | None, config: FishConfig) -> tuple[FishWorld, FishSta
     return FishWorld(phase, config.food_period), FishState(config.initial_energy)
 
 
-def sense_and_decide(nn: FishNN, world: FishWorld,
+def sense_and_decide(nn: FishNN, theta: Sequence[float], world: FishWorld,
                      state: FishState) -> tuple[int, tuple]:
-    """The action, and the judge's input v0 = (a_fh, a_ft, F, e, m)."""
+    """The action at the action layer theta, and the judge's input
+    v0 = (a_fh, a_ft, F, e, m)."""
     a_fh, a_ft = nn.sense_values(world.window)
-    logits, action = nn.decide_values(a_fh, a_ft, state.energy)
+    logits, action = nn.decide_values(a_fh, a_ft, state.energy, theta)
     e, m = softmax2_float(*logits)
     return action, (a_fh, a_ft, state.energy, e, m)
 
@@ -364,10 +395,11 @@ def run_episode(nn: FishNN, pfc: FishPFC, world: FishWorld, state: FishState,
     """
     trace = []
     config = nn.config
+    theta = nn.theta()
     for step in range(steps):
         if not state.alive:
             break
-        action, v0 = sense_and_decide(nn, world, state)
+        action, v0 = sense_and_decide(nn, theta, world, state)
         true, false = pfc.judge_values(v0)
         trace.append((step, state.energy, int(world.food_here), int(world.food_there),
                       ACTION_NAMES[action], "T" if true >= false else "F"))
@@ -379,34 +411,38 @@ def srd_train(steps: int, config: FishConfig | None = None,
               seed: int | None = None) -> tuple[FishNN, FishPFC, list[float]]:
     """Live training loop: act, judge, and descend the self-labelled loss.
 
-    Every step pushes the judge output and its Jacobian into the decision
-    memory; once the window is full, loss = cross_entropy(z, argmax z) is
-    taken and one SGD step applied to the action layer with the gradient in
-    the module docstring.  Detectors and judge stay frozen throughout.  A
-    step whose loss is not finite stops training with a ValueError naming
-    it, before its update touches the action layer; so does a step that
-    finds the fish starved.
+    Every step pushes the judge output and its Jacobian row into the
+    decision memory; once the window is full, loss = cross_entropy(z,
+    argmax z) is taken and one SGD step applied to the action layer with the
+    gradient in the module docstring.  The action layer is carried as the
+    N_THETA floats of ``FishNN.theta`` and written back to ``w_act``/``b_act``
+    once, at the end.  Detectors and judge stay frozen throughout.  A step
+    whose loss is not finite stops training with a ValueError naming it,
+    before its update touches the action layer; so does a step that finds
+    the fish starved.
     """
     config = config or FishConfig()
+    lr = config.learning_rate
+    if not lr > 0:
+        raise ValueError(f"learning_rate must be positive, got {lr}")
     nn = FishNN(config)
     pfc = FishPFC()
     world, state = make_world(seed, config)
     memory = DecisionMemory(config.mem)
-    lr = SgdSettings(config.learning_rate).learning_rate
+    theta = nn.theta()
     losses: list[float] = []
     for step in range(steps):
         if not state.alive:
             raise ValueError(f"step {step}: the fish starved; training stopped")
-        action, v0 = sense_and_decide(nn, world, state)
+        action, v0 = sense_and_decide(nn, theta, world, state)
         verdict, pre, gates = pfc.judge_values_and_gates(v0)
         memory.push(verdict, pfc.jacobian(v0, pre, gates))
         if memory.full:
-            loss, dz = cross_entropy_self_values(memory.z())
+            loss, dz = cross_entropy2_float(*memory.z())
             if not math.isfinite(loss):
                 raise ValueError(f"step {step}: self-reward loss is {loss}; training stopped")
-            grad = memory.gradient(dz)
-            nn.w_act = nn.w_act - lr * grad[:6].reshape(2, 3)
-            nn.b_act = nn.b_act - lr * grad[6:]
+            theta = [t - lr * g for t, g in zip(theta, memory.gradient(dz))]
             losses.append(loss)
         world_step(world, state, action, config)
+    nn.import_params({"w_act": np.reshape(theta[:6], (2, 3)), "b_act": theta[6:]})
     return nn, pfc, losses

@@ -13,11 +13,12 @@ reference for each scenario's closed-form gradients.
 
 A controller as small as the fish works on a handful of Python floats, where
 a numpy call costs more than its arithmetic.  So the gate, its slope and the
-two-way softmax also have float forms, ``tau_float``, ``tau_slope_float`` and
-``softmax2_float``, written beside their array forms with the same branch and
-the same order of operations; ``selective_core`` takes floats as it is.  A
-float form differs from its array form only where ``math.tanh`` and
-``math.exp`` round differently from numpy's, in the last bits.
+two-way softmax and loss also have float forms, ``tau_float``,
+``tau_slope_float``, ``softmax2_float`` and ``cross_entropy2_float``, written
+beside their array forms with the same branch and the same order of
+operations; ``selective_core`` takes floats as it is.  A float form differs
+from its array form only where ``math.tanh``, ``math.exp`` and ``math.log``
+round differently from numpy's, in the last bits.
 """
 
 from __future__ import annotations
@@ -173,6 +174,17 @@ def softmax2_float(a: float, b: float) -> tuple[float, float]:
     ea, eb = math.exp(a - top), math.exp(b - top)
     total = ea + eb
     return ea / total, eb / total
+
+
+def cross_entropy2_float(z0: float, z1: float) -> tuple[float, tuple[float, float]]:
+    """``cross_entropy_self_values`` of the two floats (z0, z1): the loss and
+    (g0, g1); a tie takes label 0, as ``np.argmax`` does."""
+    top = z0 if z0 >= z1 else z1
+    lse = top + math.log(math.exp(z0 - top) + math.exp(z1 - top))
+    g0, g1 = math.exp(z0 - lse), math.exp(z1 - lse)
+    if z0 >= z1:
+        return lse - z0, (g0 - 1.0, g1)
+    return lse - z1, (g0, g1 - 1.0)
 
 
 def selective_activation(x, epsilon: float = DEFAULT_EPSILON) -> DiffTensor:

@@ -1,5 +1,6 @@
 """Fish scenario: detectors, decisions, world dynamics, judge, training."""
 
+import math
 import operator
 from collections import deque
 from functools import reduce
@@ -95,7 +96,7 @@ def test_fast_path_matches_graph_path(nn):
         assert g_fh.item() == pytest.approx(f_fh, rel=1e-14)
         assert g_ft.item() == pytest.approx(f_ft, rel=1e-14)
         g_logits, g_act = nn.decide(g_fh, g_ft, energy)
-        f_logits, f_act = nn.decide_values(f_fh, f_ft, energy)
+        f_logits, f_act = nn.decide_values(f_fh, f_ft, energy, nn.theta())
         np.testing.assert_allclose(g_logits.values, f_logits, rtol=1e-13)
         assert g_act == f_act
 
@@ -221,23 +222,26 @@ def test_memory_sums_last_mem_judgments():
         mem = DecisionMemory(size)
         verdicts = [rng.normal(size=2) * 10.0 ** rng.integers(-8, 8) for _ in range(20)]
         for i, verdict in enumerate(verdicts):
-            mem.push(verdict, np.zeros((2, 8)))
+            mem.push(tuple(verdict.tolist()), (0.0,) * 8)
             # bit for bit the oldest-first sum of the window
             expected = reduce(operator.add, verdicts[max(0, i + 1 - size):i + 1])
-            assert mem.z().tobytes() == expected.tobytes()
+            z = mem.z()
+            assert all(type(v) is float for v in z)
+            assert np.array(z).tobytes() == expected.tobytes()
             assert mem.full == (i + 1 >= size)
 
 
 def test_memory_gradient_sums_the_window_jacobians():
     rng = np.random.default_rng(5)
     mem = DecisionMemory(3)
-    jacobians = [rng.normal(size=(2, 8)) for _ in range(5)]
+    rows = [rng.normal(size=8) for _ in range(5)]
     dz = rng.normal(size=2)
-    for i, jac in enumerate(jacobians):
-        mem.push(np.zeros(2), jac)
-        window = jacobians[max(0, i - 2):i + 1]
-        np.testing.assert_allclose(mem.gradient(dz), sum(j.T @ dz for j in window),
-                                   rtol=1e-13, atol=1e-15)
+    for i, row in enumerate(rows):
+        mem.push((0.0, 0.0), tuple(row.tolist()))
+        # each judgment's 2 x 8 Jacobian: the true row, then its negation
+        window = [np.stack([r, -r]) for r in rows[max(0, i - 2):i + 1]]
+        np.testing.assert_allclose(mem.gradient(tuple(dz.tolist())),
+                                   sum(j.T @ dz for j in window), rtol=1e-13, atol=1e-15)
 
 
 def test_memory_empty_z_raises():
@@ -262,17 +266,19 @@ def test_cached_jacobian_matches_engine_gradient_of_each_verdict():
     pfc = FishPFC()
     for _ in range(40):
         nn, world, state = perturbed_fish(rng)
-        _, v0 = sense_and_decide(nn, world, state)
+        _, v0 = sense_and_decide(nn, nn.theta(), world, state)
         _, pre, gates = pfc.judge_values_and_gates(v0)
-        jac = pfc.jacobian(v0, pre, gates)
+        row = pfc.jacobian(v0, pre, gates)
+        assert len(row) == 8 and all(type(d) is float for d in row)
         nn.w_act, nn.b_act = parameter(nn.w_act), parameter(nn.b_act)
         a_fh, a_ft = nn.sense(world.window)
         logits, _ = nn.decide(a_fh, a_ft, state.energy)
         verdict = pfc_judge(pfc, a_fh, a_ft, state.energy, logits)
-        for c in range(2):
+        # the true verdict's row, then the false verdict's: its negation
+        for c, jac in enumerate((np.array(row), -np.array(row))):
             backward(pick(verdict, c))
             want = np.concatenate([nn.w_act.grad.ravel(), nn.b_act.grad])
-            np.testing.assert_allclose(jac[c], want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(jac, want, rtol=1e-12, atol=1e-15)
             nn.w_act.zero_grad()
             nn.b_act.zero_grad()
 
@@ -285,16 +291,17 @@ def test_cached_jacobian_matches_central_differences():
     step = 1e-6
     for _ in range(20):
         nn, world, state = perturbed_fish(rng)
-        _, v0 = sense_and_decide(nn, world, state)
+        _, v0 = sense_and_decide(nn, nn.theta(), world, state)
         _, pre, gates = pfc.judge_values_and_gates(v0)
         # a difference straddling the gates' kink at 0 measures no derivative
         assert np.abs(pre).min() > 1e-3
-        jac = pfc.jacobian(v0, pre, gates)
+        row = np.array(pfc.jacobian(v0, pre, gates))
+        jac = np.stack([row, -row])  # the false verdict's row is the negation
         theta = np.concatenate([nn.w_act.ravel(), nn.b_act])
 
         def verdict(t):
-            nn.import_params({"w_act": t[:6].reshape(2, 3), "b_act": t[6:]})
-            return np.array(pfc.judge_values_and_gates(sense_and_decide(nn, world, state)[1])[0])
+            v0 = sense_and_decide(nn, tuple(t.tolist()), world, state)[1]
+            return np.array(pfc.judge_values_and_gates(v0)[0])
 
         numeric = np.empty((2, 8))
         for k in range(8):
@@ -402,7 +409,7 @@ def nan_verdicts_from(monkeypatch, step):
         verdict, pre, gates = judge(self, v0)
         calls.append(v0)
         if len(calls) > step:
-            verdict = np.full_like(verdict, np.nan)
+            verdict = (math.nan, math.nan)
         return verdict, pre, gates
 
     monkeypatch.setattr(FishPFC, "judge_values_and_gates", judge_then_spoil)
@@ -424,10 +431,9 @@ def test_non_finite_loss_stops_training_before_the_update(monkeypatch):
     assert len(updates) == 20 - FishConfig().mem + 1
 
 
-def engine_srd_train(steps, seed, config=None):
+def engine_srd_train(steps, seed, config):
     """srd_train written on the engine: graph forward, one backward through
     the last ``mem`` judgment graphs per step, sgd_step.  Reference loop."""
-    config = config or FishConfig()
     nn, pfc = FishNN(config), FishPFC()
     nn.w_act, nn.b_act = parameter(nn.w_act), parameter(nn.b_act)
     world, state = make_world(seed, config)
@@ -448,23 +454,54 @@ def engine_srd_train(steps, seed, config=None):
     return nn, losses, actions
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-def test_closed_form_fish_training_matches_engine(seed, monkeypatch):
-    steps = 2000
-    ref_nn, ref_losses, ref_actions = engine_srd_train(steps, seed)
+def assert_training_matches_engine(steps, seed, config, monkeypatch):
+    """srd_train against engine_srd_train: the same actions, params and
+    losses within 1e-12, and trained fish that run and are judged alike."""
+    ref_nn, ref_losses, ref_actions = engine_srd_train(steps, seed, config)
     actions = []
 
     def recording_step(world, state, action, config):
         actions.append(action)
         return world_step(world, state, action, config)
 
-    monkeypatch.setattr(fish1d, "world_step", recording_step)
-    nn, _, losses = srd_train(steps, seed=seed)
+    with monkeypatch.context() as patch:
+        patch.setattr(fish1d, "world_step", recording_step)
+        nn, pfc, losses = srd_train(steps, config, seed=seed)
     assert actions == ref_actions
     np.testing.assert_allclose(nn.w_act, ref_nn.w_act.values, rtol=0, atol=1e-12)
     np.testing.assert_allclose(nn.b_act, ref_nn.b_act.values, rtol=0, atol=1e-12)
-    assert len(losses) == len(ref_losses) == steps - FishConfig().mem + 1
+    assert len(losses) == len(ref_losses) == steps - config.mem + 1
     np.testing.assert_allclose(losses, ref_losses, rtol=0, atol=1e-12)
+    ref_nn.import_params({"w_act": ref_nn.w_act.values, "b_act": ref_nn.b_act.values})
+    trace = run_episode(nn, pfc, *make_world(seed, config), 3000)
+    ref_trace = run_episode(ref_nn, pfc, *make_world(seed, config), 3000)
+    assert [row[-2:] for row in trace] == [row[-2:] for row in ref_trace]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_closed_form_fish_training_matches_engine(seed, monkeypatch):
+    assert_training_matches_engine(2000, seed, FishConfig(), monkeypatch)
+
+
+# the defaults, mem 8 at learning rate 0.5, run in the test above
+@pytest.mark.parametrize("mem, learning_rate", [(1, 0.5), (3, 0.5), (8, 0.1)])
+def test_float_training_matches_engine_across_mem_and_learning_rate(
+        mem, learning_rate, monkeypatch):
+    config = FishConfig(mem=mem, learning_rate=learning_rate)
+    steps = 2000
+    if mem == 1:
+        # a window of one verdict trains the fish to starve within a few
+        # dozen steps; compare the two trainers up to the step it dies in
+        with pytest.raises(ValueError, match="the fish starved") as err:
+            srd_train(steps, config, seed=3)
+        steps = int(str(err.value).split(":")[0].removeprefix("step "))
+    assert_training_matches_engine(steps, 3, config, monkeypatch)
+
+
+@pytest.mark.parametrize("learning_rate", [0.0, -1e-3, math.nan])
+def test_training_rejects_a_non_positive_learning_rate(learning_rate):
+    with pytest.raises(ValueError, match="^learning_rate must be positive, got "):
+        srd_train(10, FishConfig(learning_rate=learning_rate), seed=0)
 
 
 def test_graph_recorded_before_import_params_keeps_its_values():

@@ -18,7 +18,9 @@ from selfreward.autodiff import (
 )
 from selfreward.layers import (
     conv1d,
+    cross_entropy2_float,
     cross_entropy_self,
+    cross_entropy_self_values,
     deconv3x3,
     fully_connected,
     selective_activation,
@@ -216,6 +218,15 @@ def test_float_forms_match_array_forms():
         for b in FLOAT_GRID:
             for got, want in zip(softmax2_float(a, b), softmax_values(np.array([a, b]))):
                 assert_float_matches(got, want)
+            loss, grads = cross_entropy2_float(a, b)
+            want_loss, want_grads = cross_entropy_self_values(np.array([a, b]))
+            assert_float_matches(loss, want_loss)
+            for got, want in zip(grads, want_grads):
+                assert_float_matches(got, want)
+            # the label's entry is p - 1 <= 0 and the other p >= 0; with the
+            # match above, which also holds the -1, this pins the label
+            label = int(np.argmax([a, b]))
+            assert grads[label] <= 0.0 <= grads[1 - label]
 
 
 def test_softmax_symmetry():
