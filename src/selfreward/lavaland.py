@@ -25,6 +25,14 @@ imagines ``n_plans`` such rollouts, executes the best-scoring one, and
 trains its 180 kernel weights by pushing every imagined plan's normalized
 score toward 1.
 
+A step that has a runner-up takes it when a uniform from the map's stream
+reaches explore_odds; other steps draw nothing.  A map's plans read one
+stream in turn, plan k from where plan k-1 stopped.  So the whole stream can
+be drawn up front in one call, n_plans * max_steps uniforms (as many as the
+plans can use; one vector draw equals as many scalar draws), and read
+through a cursor that moves only on steps with a runner-up
+(``_explore_draws``).  Training and evaluation both do so.
+
 Training takes the gradient in closed form, with no recorded graph.
 ``deconv_seq`` runs the four DeconvSeqs stacked and keeps every layer's
 tanh output.  A walk reads plain floats and notes which steps landed on a
@@ -36,20 +44,23 @@ there through the preferences and back through the five tanh-deconv layers
 to all 180 kernel values at once.  Every float operation comes in the order
 ``autodiff.backward`` takes on the same model written as a graph (the
 tests keep that graph as the reference), so the trained kernels equal it
-bit for bit.
+bit for bit.  Map i's fields read the kernels map i-1 left, so training
+runs the maps one after another, and does each piece of per-map work once:
+the kernel-free half of the fields (``field_inputs``) once per block of
+same-shape maps, and per map only the kernel half (``kernel_fields``), one
+plan start (``_plan_start``: v0, the pinned and blended grid, the live
+flags and the starting peak) that every plan copies, and one stream draw.
 
 Evaluation runs the bank's maps in lockstep.  Maps are independent (map i
 imagines from its own stream), so ``evaluate`` builds fields for a few maps
 in one ``stacked_fields`` call and walks plan k of a whole batch of
 same-shape maps at once, paying numpy's call overhead once per step for the
-batch instead of once per map.  A map's plans cannot run in lockstep: plan
-k reads the stream from where plan k-1 stopped, and a step draws only when
-it has a runner-up.  So each map's stream is drawn up front in one call,
-n_plans * max_steps uniforms (as many as its plans can use; one vector draw
-equals as many scalar draws), and read through a per-map cursor.  Each step
-repeats ``make_plan``'s float operations in its order, so the episodes equal
-the map-by-map result.  ``make_plan`` stays as training's walk, which is
-faster for one map, and as the tests' reference.
+batch instead of once per map.  Each map reads its up-front stream through
+its own cursor, and each step repeats ``_walk``'s float operations in its
+order, so the episodes equal the map-by-map result.  ``_walk`` is the one
+per-map walk: ``make_plan`` runs it for one plan, drawing one scalar per
+step that has a runner-up, and ``imagine_and_act`` (training's and the
+tests' path) runs it for all of a map's plans from one draw.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -108,6 +119,28 @@ class LavaConfig:
     explore_odds: float = 0.9
     anti_return: float = -0.9  # sign configurable; negative repels returns
     learning_rate: float = 1e-4
+
+    def __post_init__(self):
+        """Refuse values the planner and trainer cannot run on; each ValueError
+        names its field."""
+        for name in ("n_plans", "max_steps", "height", "width"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.height * self.width < 2:
+            raise ValueError(f"height x width must hold at least 2 cells, "
+                             f"got {self.height}x{self.width}")
+        if not 0.0 <= self.explore_odds <= 1.0:
+            raise ValueError(f"explore_odds must be in [0, 1], got {self.explore_odds}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
+        if not self.unknown_avoidance >= 0:
+            raise ValueError(f"unknown_avoidance must be at least 0, "
+                             f"got {self.unknown_avoidance}")
+        if not self.selective_eps > 0:
+            raise ValueError(f"selective_eps must be positive, got {self.selective_eps}")
+        if not self.tau_recog >= 0:
+            raise ValueError(f"tau_recog must be at least 0, got {self.tau_recog}")
 
     @property
     def preferences(self) -> dict:
@@ -436,15 +469,23 @@ class FieldStack(NamedTuple):
     v_sigma: np.ndarray      # (B, H, W)
 
 
-def stacked_fields(maps: list[TileMap], kernels: np.ndarray, config: LavaConfig,
-                   keep_layers: bool = True) -> FieldStack:
-    """Detector grids, per-type score fields and their sum for B maps at once.
+class FieldInputs(NamedTuple):
+    """The kernel-free half of B same-shape maps' score fields."""
 
-    All maps share one shape and the (4, 5, 3, 3) ``kernels``.  Every cell
-    goes through the same float operations, in the same order, as it would
-    for its map alone, so each map's slice equals ``build_fields`` on that
-    map bit for bit.  ``keep_layers`` is passed to ``deconv_seq``: training
-    needs every layer, evaluation only the field.
+    tiles: np.ndarray        # (B, H, W) rows of PALETTE_RGB shown by each tile
+    detectors: np.ndarray    # (3, B, H, W) in KNOWN_TILES order
+    w_self: np.ndarray       # (B, H, W)
+    w_unknown: np.ndarray    # (B, H, W)
+    grids: np.ndarray        # (B, 4, H, W) the DeconvSeqs' inputs in SCORED_TILES order
+    preferences: np.ndarray  # (4,) in SCORED_TILES order
+
+
+def field_inputs(maps: list[TileMap], config: LavaConfig) -> FieldInputs:
+    """Detector grids and DeconvSeq inputs of B same-shape maps at once.
+
+    None of it reads the kernels, so training builds it once per block of
+    maps while the kernels change from map to map.  Grass and dirt enter
+    their DeconvSeqs tilted by the favourability gradient w_target - w_self.
     """
     tiles = palette_indices(maps)
     b, h, w = tiles.shape
@@ -453,30 +494,66 @@ def stacked_fields(maps: list[TileMap], kernels: np.ndarray, config: LavaConfig,
     for j, m in enumerate(maps):
         w_self[(j, *m.spawn)] = 1.0
     w_unk = unknown_mask(dict(zip(KNOWN_TILES, detectors)), config.tau_recog)
-
     target, grass, dirt = detectors
     gradient_field = target - w_self
-    base = np.stack([target, w_self, gradient_field * grass, gradient_field * dirt], axis=1)
-    activations = deconv_seq(np.tile(kernels, (b, 1, 1, 1)), base.reshape(b * 4, h, w),
-                             keep_layers)
+    grids = np.stack([target, w_self, gradient_field * grass, gradient_field * dirt], axis=1)
     prefs = np.array([config.preferences[t] for t in SCORED_TILES])
-    v1 = (activations[-1, :, :-1].reshape(b, 4, h * w) * prefs[:, None]).reshape(b, 4, h, w)
-    v_sigma = v1[:, 0] + v1[:, 1] + v1[:, 2] + v1[:, 3]
-    return FieldStack(tiles=tiles, detectors=detectors, w_self=w_self, w_unknown=w_unk,
-                      activations=activations, preferences=prefs, v1=v1, v_sigma=v_sigma)
+    return FieldInputs(tiles=tiles, detectors=detectors, w_self=w_self, w_unknown=w_unk,
+                       grids=grids, preferences=prefs)
+
+
+def kernel_fields(grids: np.ndarray, kernels: np.ndarray, preferences: np.ndarray,
+                  keep_layers: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel half: B maps' (B, 4, H, W) ``grids`` through the (4, 5, 3, 3)
+    ``kernels``, scaled by ``preferences`` and summed.
+
+    Returns ``deconv_seq``'s activations over the B * 4 grids, the (B, 4, H, W)
+    per-type fields and the (B, H, W) v_sigma.
+    """
+    b, _, h, w = grids.shape
+    activations = deconv_seq(kernels if b == 1 else np.tile(kernels, (b, 1, 1, 1)),
+                             grids.reshape(b * 4, h, w), keep_layers)
+    v1 = (activations[-1, :, :-1].reshape(b, 4, h * w) * preferences[:, None]).reshape(
+        b, 4, h, w)
+    return activations, v1, v1[:, 0] + v1[:, 1] + v1[:, 2] + v1[:, 3]
+
+
+def stacked_fields(maps: list[TileMap], kernels: np.ndarray, config: LavaConfig,
+                   keep_layers: bool = True) -> FieldStack:
+    """Detector grids, per-type score fields and their sum for B maps at once:
+    ``field_inputs``, then ``kernel_fields``.
+
+    All maps share one shape and the (4, 5, 3, 3) ``kernels``.  Every cell
+    goes through the same float operations, in the same order, as it would
+    for its map alone, so each map's slice equals ``build_fields`` on that
+    map bit for bit.  ``keep_layers`` is passed to ``deconv_seq``: training
+    needs every layer, evaluation only the field.
+    """
+    inputs = field_inputs(maps, config)
+    activations, v1, v_sigma = kernel_fields(inputs.grids, kernels, inputs.preferences,
+                                             keep_layers)
+    return FieldStack(tiles=inputs.tiles, detectors=inputs.detectors, w_self=inputs.w_self,
+                      w_unknown=inputs.w_unknown, activations=activations,
+                      preferences=inputs.preferences, v1=v1, v_sigma=v_sigma)
+
+
+def _map_fields(inputs: FieldInputs, j: int, tile_map: TileMap,
+                kernels: np.ndarray) -> ScoreField:
+    """Map j of ``inputs`` (which is ``tile_map``) through the kernels."""
+    activations, v1, v_sigma = kernel_fields(inputs.grids[j:j + 1], kernels,
+                                             inputs.preferences)
+    detectors = dict(zip(KNOWN_TILES, inputs.detectors[:, j]))
+    detectors["self"] = inputs.w_self[j]
+    return ScoreField(detectors=detectors, w_unknown=inputs.w_unknown[j], kernels=kernels,
+                      activations=activations, preferences=inputs.preferences,
+                      v1=dict(zip(SCORED_TILES, v1[0])), v_sigma=v_sigma[0],
+                      spawn=tile_map.spawn, target=tile_map.target)
 
 
 def build_fields(tile_map: TileMap, params: Robot2NNParams,
                  config: LavaConfig) -> ScoreField:
     """Detector grids, per-type score fields, and their sum."""
-    stack = stacked_fields([tile_map], params.kernels, config)
-    detectors = dict(zip(KNOWN_TILES, stack.detectors[:, 0]))
-    detectors["self"] = stack.w_self[0]
-    return ScoreField(detectors=detectors, w_unknown=stack.w_unknown[0],
-                      kernels=params.kernels, activations=stack.activations,
-                      preferences=stack.preferences,
-                      v1=dict(zip(SCORED_TILES, stack.v1[0])), v_sigma=stack.v_sigma[0],
-                      spawn=tile_map.spawn, target=tile_map.target)
+    return _map_fields(field_inputs([tile_map], config), 0, tile_map, params.kernels)
 
 
 # -- planning -----------------------------------------------------------------------
@@ -504,38 +581,48 @@ def _neighbors(pos: tuple, h: int, w: int) -> list[tuple]:
 
 @functools.lru_cache(maxsize=64)
 def _grid_tables(h: int, w: int) -> tuple[tuple, tuple]:
-    """(row, col) of every flat index, and each index's neighbors as flat indices."""
+    """(row, col) of every flat index, and each index's neighbors as flat
+    indices, split into the first and a tuple of the others."""
     coords = tuple((r, c) for r in range(h) for c in range(w))
-    return coords, tuple(tuple(r * w + c for r, c in _neighbors(pos, h, w))
-                         for pos in coords)
+    neighbors = (tuple(r * w + c for r, c in _neighbors(pos, h, w)) for pos in coords)
+    return coords, tuple((options[0], options[1:]) for options in neighbors)
 
 
-def make_plan(fields: ScoreField, rng: np.random.Generator,
-              config: LavaConfig) -> PlanRecord:
-    """One stochastic rollout over a private copy of the score grid.
+def _explore_draws(rng: np.random.Generator, config: LavaConfig,
+                   size: int | None = None) -> bool | np.ndarray:
+    """Whether a step that has a runner-up takes it instead of the best: a
+    uniform that reaches explore_odds.
 
-    The target and origin tiles are pinned to +/- the grid's peak value,
-    unrecognized tiles are blended to a penalty of -u_a times the peak, and
-    each departed tile is marked with the anti-return value so the walk
-    cannot oscillate.  The plan score is the mean of the values the walk
-    saw when stepping onto each chosen tile.
-
-    A tile is live while its value is still v_sigma's: not pinned, not
-    blended away, not departed.  Only live steps pass gradient back to
-    v_sigma, and a walk steps onto a live tile at most once (it departs it
-    on the next step), so ``live_steps`` holds no index twice.
+    ``size`` None draws one scalar and returns a bool, as a walk does on each
+    such step.  A size draws that many uniforms in one call and returns their
+    bools; one vector draw gives the same numbers as that many scalar draws.
     """
+    return rng.random(size) >= config.explore_odds
+
+
+class _PlanStart(NamedTuple):
+    """What every plan of one map starts from; each plan walks on copies."""
+
+    grid: list    # v_sigma, flat, with target and spawn pinned and unknown tiles blended
+    live: list    # whether each tile still holds v_sigma's value
+    spawn: int    # flat index
+    target: int   # flat index
+    v0: float     # max |v_sigma|, frozen: no gradient through the peak
+    peak: float   # max |grid|
+    shape: tuple
+
+
+def _plan_start(fields: ScoreField, config: LavaConfig) -> _PlanStart:
     h, w = fields.w_unknown.shape
     if h < 2 and w < 2:
         raise ValueError("map too small to plan on")
-    coords, neighbors = _grid_tables(h, w)
     target = fields.target[0] * w + fields.target[1]
-    pos = fields.spawn[0] * w + fields.spawn[1]
-    v0 = float(np.max(np.abs(fields.v_sigma)))  # frozen: no gradient through the peak
+    spawn = fields.spawn[0] * w + fields.spawn[1]
+    v0 = float(np.abs(fields.v_sigma).max())
     grid = fields.v_sigma.ravel().tolist()
     live = [True] * len(grid)
-    grid[target], grid[pos] = v0, -v0
-    live[target] = live[pos] = False
+    grid[target], grid[spawn] = v0, -v0
+    live[target] = live[spawn] = False
     # zero avoidance disables the transform entirely: unrecognized tiles then
     # keep their spillover values and read as ordinary ground
     peak = v0  # of the whole grid: v_sigma's entries lie within +/- v0
@@ -545,23 +632,38 @@ def make_plan(fields: ScoreField, rng: np.random.Generator,
             grid[i] = penalty
             live[i] = False
         peak = max(peak, abs(penalty))
+    return _PlanStart(grid=grid, live=live, spawn=spawn, target=target, v0=v0, peak=peak,
+                      shape=(h, w))
 
+
+def _walk(start: _PlanStart, explore: Iterator[bool], config: LavaConfig) -> PlanRecord:
+    """One rollout from a map's plan start; see ``make_plan``.
+
+    ``explore`` yields one bit (``_explore_draws``) on each step that has a
+    runner-up, and only then, so a map's plans can read on through one
+    iterator where the previous plan stopped.
+    """
+    coords, neighbors = _grid_tables(*start.shape)
+    grid, live = start.grid.copy(), start.live.copy()
+    pos, target, v0, peak = start.spawn, start.target, start.v0, start.peak
+    anti_return = config.anti_return
     trajectory: list[tuple] = []
     seen: list[float] = []
     live_steps: list[int] = []
     reached = False
     for _ in range(config.max_steps):
-        options = neighbors[pos]
         # best and runner-up, ties to the earlier option (a stable sort)
-        best, second = options[0], None
-        for j in options[1:]:
-            if grid[j] > grid[best]:
-                best, second = j, best
-            elif second is None or grid[j] > grid[second]:
+        best, others = neighbors[pos]
+        top, second = grid[best], None
+        for j in others:
+            value = grid[j]
+            if value > top:
+                best, second, top = j, best, value
+            elif second is None or value > grid[second]:
                 second = j
-        if second is not None and rng.random() >= config.explore_odds:
-            best = second
-        seen.append(grid[best])
+        if second is not None and next(explore):
+            best, top = second, grid[second]
+        seen.append(top)
         trajectory.append(coords[best])
         if live[best]:
             live_steps.append(best)
@@ -572,22 +674,53 @@ def make_plan(fields: ScoreField, rng: np.random.Generator,
         # can only fall when the departed tile held it and the target (never
         # departed, always at |v0|) does not
         departed = abs(grid[pos])
-        grid[pos] = config.anti_return * peak
+        mark = anti_return * peak
+        grid[pos] = mark
         live[pos] = False
         if departed == peak != v0:
             peak = max(map(abs, grid))
-        else:
-            peak = max(peak, abs(grid[pos]))
+        elif abs(mark) > peak:
+            peak = abs(mark)
         pos = best
     score = float(np.array(seen).sum() / len(seen))
     return PlanRecord(trajectory=trajectory, score=score, reached=reached,
                       live_steps=live_steps)
 
 
+def make_plan(fields: ScoreField, rng: np.random.Generator,
+              config: LavaConfig) -> PlanRecord:
+    """One stochastic rollout over a private copy of the score grid.
+
+    The target and origin tiles are pinned to +/- the grid's peak value,
+    unrecognized tiles are blended to a penalty of -u_a times the peak, and
+    each departed tile is marked with the anti-return value so the walk
+    cannot oscillate.  The plan score is the mean of the values the walk
+    saw when stepping onto each chosen tile.  A step that has a runner-up
+    draws one uniform from ``rng`` and takes the runner-up when it reaches
+    explore_odds; other steps draw nothing.
+
+    A tile is live while its value is still v_sigma's: not pinned, not
+    blended away, not departed.  Only live steps pass gradient back to
+    v_sigma, and a walk steps onto a live tile at most once (it departs it
+    on the next step), so ``live_steps`` holds no index twice.
+    """
+    # iter(f, None) calls f on each next(): one scalar draw per bit read
+    return _walk(_plan_start(fields, config), iter(lambda: _explore_draws(rng, config), None),
+                 config)
+
+
 def imagine_and_act(fields: ScoreField, rng: np.random.Generator,
                     config: LavaConfig) -> tuple[PlanRecord, list[PlanRecord]]:
-    """Roll out n_plans imaginary trajectories; execute the best-scoring."""
-    plans = [make_plan(fields, rng, config) for _ in range(config.n_plans)]
+    """Roll out n_plans imaginary trajectories; execute the best-scoring.
+
+    The plans share one plan start, and the map's whole stream is drawn up
+    front, n_plans * max_steps uniforms (as many as its plans can use).  The
+    plans read it through one iterator, so each plan's walk equals
+    ``make_plan`` on the stream where the plan before it stopped.
+    """
+    start = _plan_start(fields, config)
+    explore = iter(_explore_draws(rng, config, config.n_plans * config.max_steps).tolist())
+    plans = [_walk(start, explore, config) for _ in range(config.n_plans)]
     executed = plans[int(np.argmax([p.score for p in plans]))]
     return executed, plans
 
@@ -624,15 +757,18 @@ def kernel_gradient(fields: ScoreField, plans: list[PlanRecord],
     kernels, acts = fields.kernels, fields.activations
     n_types, n_layers = kernels.shape[:2]
     taps = _deconv_taps(h, w, transpose=True)
-    g_sigma = np.zeros(h * w)
+    g_sigma = [0.0] * (h * w)  # Python floats add as float64 does, in the same order
     for plan, d_score in zip(plans, d_scores.tolist()):
-        g_sigma[plan.live_steps] += d_score / plan.steps
-    grad = g_sigma * fields.preferences[:, None]
+        share = d_score / plan.steps
+        for i in plan.live_steps:
+            g_sigma[i] += share
+    grad = np.array(g_sigma) * fields.preferences[:, None]
+    out = acts[1:, :, :-1]
+    slopes = 1.0 - out * out  # tanh' of every layer
     # gradient at each layer's deconv output, then at its input
     d_out = np.zeros((n_layers, n_types, h * w + 1))
     for layer in reversed(range(n_layers)):
-        out = acts[layer + 1, :, :-1]
-        d_out[layer, :, :-1] = grad * (1.0 - out * out)
+        np.multiply(grad, slopes[layer], out=d_out[layer, :, :-1])
         if layer:
             grad = _deconv_stack(d_out[layer], taps, kernels[:, layer])
     # every layer's kernel gradient, one shift at a time
@@ -645,27 +781,48 @@ def kernel_gradient(fields: ScoreField, plans: list[PlanRecord],
     return d_kernels.transpose(1, 0, 2, 3)
 
 
+# Consecutive same-shape maps per kernel-free field build in training.  The
+# inputs take about 12 KB per 12x12 map, so a block holds about 0.4 MB.
+TRAIN_BLOCK = 32
+
+
 def srd_train_lavaland(params: Robot2NNParams, bank: MapBank,
                        config: LavaConfig, seed: int = 0) -> list[float]:
     """One epoch of self-reward training over the bank; returns map losses.
 
+    Map i imagines its plans from its own stream, ``SeedSequence(seed,
+    spawn_key=(2, i))``, on fields built from the kernels map i-1 left, so
+    the maps run one after another.  Per map this is ``build_fields``,
+    ``imagine_and_act``, ``plan_quality_loss`` and a ``kernel_gradient``
+    step, but the kernel-free half of the fields (``field_inputs``) is built
+    once per block of up to ``TRAIN_BLOCK`` consecutive same-shape maps, and
+    per map only ``kernel_fields`` runs.  The kernels and losses equal the
+    map-by-map loop bit for bit.
+
     A map whose loss is not finite stops training with a ValueError naming
     it, before its update touches the kernels.
     """
-    if not config.learning_rate > 0:
-        raise ValueError(f"learning_rate must be positive, got {config.learning_rate}")
     losses = []
-    for i, tile_map in enumerate(bank.maps):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=(2, i)))
-        fields = build_fields(tile_map, params, config)
-        _, plans = imagine_and_act(fields, rng, config)
-        loss, d_scores = plan_quality_loss(plans)
-        if not math.isfinite(loss):
-            raise ValueError(f"map {i}: self-reward loss is {loss}; training stopped")
-        params.kernels = params.kernels - config.learning_rate * kernel_gradient(
-            fields, plans, d_scores)
-        losses.append(loss)
+    maps, first = bank.maps, 0
+    while first < len(maps):
+        h, w = maps[first].height, maps[first].width
+        end = first + 1
+        while (end < min(len(maps), first + TRAIN_BLOCK)
+               and maps[end].height == h and maps[end].width == w):
+            end += 1
+        inputs = field_inputs(maps[first:end], config)
+        for i in range(first, end):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                entropy=seed, spawn_key=(2, i)))
+            fields = _map_fields(inputs, i - first, maps[i], params.kernels)
+            _, plans = imagine_and_act(fields, rng, config)
+            loss, d_scores = plan_quality_loss(plans)
+            if not math.isfinite(loss):
+                raise ValueError(f"map {i}: self-reward loss is {loss}; training stopped")
+            params.kernels = params.kernels - config.learning_rate * kernel_gradient(
+                fields, plans, d_scores)
+            losses.append(loss)
+        first = end
     return losses
 
 
@@ -710,9 +867,9 @@ def _walk_tables(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     with the sentinel index h*w, and whether the cell has a runner-up."""
     _, neighbors = _grid_tables(h, w)
     table = np.full((h * w, 4), h * w)
-    for cell, options in enumerate(neighbors):
-        table[cell, :len(options)] = options
-    runner_up = np.array([len(options) > 1 for options in neighbors])
+    for cell, (first, others) in enumerate(neighbors):
+        table[cell, :1 + len(others)] = (first, *others)
+    runner_up = np.array([len(others) > 0 for _, others in neighbors])
     table.flags.writeable = runner_up.flags.writeable = False
     return table, runner_up
 
@@ -730,7 +887,7 @@ def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns:
     walks at once; a map's plans run in order, because a cursor reads its
     draws on from where its previous plan stopped, and moves only on steps
     that have a runner-up, as ``make_plan`` draws only then.  Each step takes
-    ``make_plan``'s float operations in its order, so the result is the plan
+    ``_walk``'s float operations in its order, so the result is the plan
     ``imagine_and_act`` executes: its (B, max_steps) flat trajectory (entries
     past its length are stale), its steps, whether it reached the target and
     its score.
@@ -742,7 +899,7 @@ def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns:
     stride = hw + 1
     table, runner_up = _walk_tables(h, w)
     rows = np.arange(b)
-    v0 = np.abs(grid0[:, :hw]).max(axis=1)  # frozen per map, as in make_plan
+    v0 = np.abs(grid0[:, :hw]).max(axis=1)  # frozen per map, as in _plan_start
     # pin, blend and add a sentinel column that stands for a missing
     # neighbor and never makes the top two: the grid every plan starts from
     grid0[:, hw] = -np.inf
@@ -811,7 +968,7 @@ def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns:
                 peak[rescan] = np.abs(grid[walking[rescan], :hw]).max(axis=1)
             pos = chosen
         next_draw[walking] = draw
-        # make_plan's np.array(seen).sum() adds pairwise in an order set by the
+        # _walk's np.array(seen).sum() adds pairwise in an order set by the
         # length, so plans of one length are summed together
         for length in np.flatnonzero(np.bincount(steps)).tolist():
             group = np.flatnonzero(steps == length)
@@ -837,10 +994,9 @@ def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray
         unknown[j:j + FIELD_BATCH] = stack.w_unknown.reshape(-1, hw)
     # every map's whole stream in one draw, kept only as its explore decisions
     explore = np.empty((b, config.n_plans * config.max_steps), dtype=bool)
-    draws = np.empty(explore.shape[1])
     for j, i in enumerate(indices):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, i)))
-        np.greater_equal(rng.random(out=draws), config.explore_odds, out=explore[j])
+        explore[j] = _explore_draws(rng, config, explore.shape[1])
     spawns = np.array([r * w + c for r, c in (m.spawn for m in maps)])
     targets = np.array([r * w + c for r, c in (m.target for m in maps)])
     trajectory, steps, reached, score = _walk_lockstep(grid0, unknown, (h, w), spawns,

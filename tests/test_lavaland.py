@@ -1,5 +1,7 @@
 """Tile world: maps, detectors, score fields, planning, training, reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -489,6 +491,26 @@ def test_degenerate_map_rejected():
         generate_map(np.random.default_rng(0), LavaConfig(height=1, width=1))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_plans", 0), ("max_steps", 0), ("max_steps", -3),
+    ("explore_odds", 1.5), ("explore_odds", -0.1), ("explore_odds", float("nan")),
+    ("height", 0), ("width", 0),
+    ("learning_rate", 0.0), ("learning_rate", -1e-4), ("learning_rate", float("inf")),
+    ("learning_rate", float("nan")),
+    ("unknown_avoidance", -0.5), ("selective_eps", 0.0), ("tau_recog", -1e-4),
+])
+def test_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        LavaConfig(**{field: value})
+
+
+def test_config_rejects_one_cell_maps_and_keeps_edge_values():
+    with pytest.raises(ValueError, match="at least 2 cells"):
+        LavaConfig(height=1, width=1)
+    LavaConfig(height=1, width=2, explore_odds=0.0, unknown_avoidance=0.0, tau_recog=0.0)
+    LavaConfig(explore_odds=1.0, n_plans=1, max_steps=1)
+
+
 def test_imagine_and_act_executes_argmax():
     cfg = PRESETS["project-a"]
     bank = generate_maps(3, "project-a", seed=8)
@@ -544,11 +566,29 @@ def test_gradients_reach_kernels_not_frozen_scalars():
     assert isinstance(fields.detectors["grass"], np.ndarray)
 
 
-@pytest.mark.parametrize("preset,seed", [("project-a", 0), ("lava-a", 3)])
+def _per_map_training(bank, cfg, seed):
+    """Training map by map: the reference that srd_train_lavaland's per-block
+    field inputs must equal.  Returns (kernels, losses, per-map trajectories)."""
+    trained = Robot2NNParams()
+    losses, paths = [], []
+    for i, tile_map in enumerate(bank.maps):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
+        fields = build_fields(tile_map, trained, cfg)
+        _, plans = imagine_and_act(fields, rng, cfg)
+        loss, d_scores = plan_quality_loss(plans)
+        trained.kernels = trained.kernels - cfg.learning_rate * kernel_gradient(
+            fields, plans, d_scores)
+        losses.append(loss)
+        paths.append([p.trajectory for p in plans])
+    return trained.kernels, losses, paths
+
+
+@pytest.mark.parametrize("preset,seed", [("project-a", 0), ("lava-a", 3), ("compare-a", 1),
+                                         ("lava-noav-a", 5)])
 def test_closed_form_lavaland_training_matches_engine(preset, seed):
     cfg = PRESETS[preset]
     bank = generate_maps(64, preset, seed=seed)
-    if cfg.lava_frac > 0:  # unknown avoidance blends lava away on most maps
+    if cfg.lava_frac > 0:  # lava lights up w_unknown on most maps
         unknown = [build_fields(m, Robot2NNParams(), cfg).w_unknown.any() for m in bank.maps]
         assert sum(unknown) > len(bank.maps) // 2
     want_kernels, want_losses, want_paths = _engine_train(bank, cfg, seed)
@@ -556,16 +596,58 @@ def test_closed_form_lavaland_training_matches_engine(preset, seed):
     losses = srd_train_lavaland(params, bank, cfg, seed=seed)
     np.testing.assert_allclose(params.kernels, want_kernels, rtol=0, atol=1e-12)
     np.testing.assert_allclose(losses, want_losses, rtol=0, atol=1e-12)
-    # the same walks, replayed from the same per-map streams
-    trained = Robot2NNParams()
-    for i, tile_map in enumerate(bank.maps):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, i)))
-        fields = build_fields(tile_map, trained, cfg)
-        _, plans = imagine_and_act(fields, rng, cfg)
-        assert [p.trajectory for p in plans] == want_paths[i], i
-        trained.kernels = trained.kernels - cfg.learning_rate * kernel_gradient(
-            fields, plans, plan_quality_loss(plans)[1])
-    np.testing.assert_array_equal(trained.kernels, params.kernels)
+    # the same walks, replayed map by map from the same per-map streams
+    kernels, replayed_losses, paths = _per_map_training(bank, cfg, seed)
+    assert [i for i, (got, want) in enumerate(zip(paths, want_paths)) if got != want] == []
+    np.testing.assert_array_equal(_bits(kernels), _bits(params.kernels))
+    assert replayed_losses == losses
+
+
+@pytest.mark.parametrize("train_block", [lavaland.TRAIN_BLOCK, 3])
+def test_training_on_a_mixed_shape_bank_matches_per_map_reference(monkeypatch, train_block):
+    # runs of 12x12 and 6x6 maps, some longer than a block, so the per-block
+    # field inputs must follow bank order across every change of shape
+    monkeypatch.setattr(lavaland, "TRAIN_BLOCK", train_block)
+    cfg = PRESETS["lava-a"]
+    big = iter(generate_maps(16, "lava-a", seed=23).maps)
+    rng = np.random.default_rng(23)
+    small = iter([generate_map(rng, LavaConfig(height=6, width=6, lava_frac=0.1))
+                  for _ in range(16)])
+    maps = []
+    for source, run in [(big, 2), (small, 1), (big, 5), (small, 4), (big, 1), (small, 7),
+                        (big, 8), (small, 4)]:
+        maps += [next(source) for _ in range(run)]
+    bank = MapBank("lava-a", 0, maps)
+    params = Robot2NNParams()
+    losses = srd_train_lavaland(params, bank, cfg, seed=6)
+    kernels, want_losses, _ = _per_map_training(bank, cfg, seed=6)
+    np.testing.assert_array_equal(_bits(params.kernels), _bits(kernels))
+    assert losses == want_losses
+
+
+@pytest.mark.parametrize("explore_odds", [0.9, 0.5])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_up_front_stream_walks_equal_engine_scalar_draws(preset, explore_odds):
+    # imagine_and_act draws a map's whole stream in one call; the engine
+    # oracle draws one scalar on each step that has a runner-up, which on a
+    # 1x5 map's end tiles it has not
+    cfg = dataclasses.replace(PRESETS[preset], explore_odds=explore_odds)
+    params = Robot2NNParams()
+    rng = np.random.default_rng(31)
+    maps = generate_maps(8, preset, seed=4).maps + [
+        generate_map(rng, LavaConfig(height=1, width=5, lava_frac=cfg.lava_frac))
+        for _ in range(8)]
+    for i, tile_map in enumerate(maps):
+        fields = build_fields(tile_map, params, cfg)
+        _, plans = imagine_and_act(fields, np.random.default_rng(i), cfg)
+        rng = np.random.default_rng(i)
+        for plan in plans:
+            path, score = _engine_plan(as_tensor(fields.v_sigma), fields.w_unknown,
+                                       tile_map.spawn, tile_map.target, rng, cfg)
+            assert path == plan.trajectory and score.item() == plan.score, i
+        # make_plan reads the stream as the engine does, one scalar at a time
+        rng = np.random.default_rng(i)
+        assert [make_plan(fields, rng, cfg) for _ in plans] == plans
 
 
 def test_tile_revisited_after_departure_passes_no_gradient():
