@@ -52,10 +52,10 @@ offer:
   noise of all variants in permuted order; one (V, 8, D_ic - 1) normal draw
   yields the same numbers as V draws of (8, D_ic - 1).  No draw depends on
   the weights, so every draw is taken before the first step.
-* zero padding: agents differ in batch size and epoch count, so their step
-  lists and batch rows are padded to the longest under a 0/1 row mask.  A
-  padded row adds exact zeros to z and to the gradient, so an agent with no
-  step left keeps its weights bit for bit.
+* zero padding: agents differ in batch size and epoch count, so step s
+  takes only the agents whose schedule has a step s, their batch rows
+  padded to the widest of their batches under a 0/1 row mask.  A padded
+  row adds exact zeros to z and to the gradient.
 
 A round's agents also bid and are screened together.  ``decide_offers``
 stacks the ``FsnModel`` agents (those sharing the config values the
@@ -63,16 +63,14 @@ forward reads, so in an auction all of them) into (n, 4, 8) sensor kernels
 and (n, 3, 4) decision weights and runs one forward over the (n, 8, D_ic)
 clone blocks; any other agent answers through its own ``decide_offer``.
 ``screen_models`` checks every model's kernels against one template per
-config and sends all probes through one ``decide_offers`` call.
-``decide_offer`` and ``screen_model`` are one-row calls into these.  Each
-agent still fills its own rows of clone noise from its own ``noise_rng``,
-so its stream is drawn in the same order as if it ran alone: the screening
-probe, then per fine-tuning round and epoch the permutation and the
-(V, 8, D_ic - 1) noise, then one (8, D_ic - 1) draw per round it bids in.
-A standard normal draw scaled by ``clone_noise`` gives the numbers
-``normal(0, clone_noise)`` gives, and each stacked product runs the same
-small matrix product per agent as a single-agent call, so every decision
-is the one the agent would take alone, bit for bit.
+config and sends all probes through one ``decide_offers`` call.  Each
+agent fills its own rows of clone noise from its own ``noise_rng``, so its
+stream is drawn in the order it would be alone: the screening probe, then
+each fine-tuning epoch's draws, then one (8, D_ic - 1) draw per round it
+bids in.  A standard normal draw scaled by ``clone_noise`` gives the
+numbers ``normal(0, clone_noise)`` gives, and each stacked product runs
+the same small matrix product per agent as a single-agent call, so every
+decision is the one the agent would take alone, bit for bit.
 
 The trials of an experiment run in lockstep too (``run_trials``;
 ``run_auction`` is its one-trial call).  A block of trials holds its agents
@@ -81,13 +79,12 @@ weights, optimizer settings, a ``noise_rng`` each and an is-FSN mask.  Each
 trial keeps its own price, stock, demand, round count, status row, ledger
 and termination flag (``Markets``).  A round makes one sensor and decision
 forward over the active agents of every running trial, then one vectorised
-server step; fine-tuning hands the block's learners to ``srd_finetune`` as
-``FsnModel`` row views, whose weights write through.  Trials have
-independent seeds and each agent draws only from its own streams, so
-interleaving trials changes no draw and no bit: every trial ends as it
-would alone.  All of a block's agents live until its last trial ends, each
-with a ``noise_rng`` of about 1.6 KB, so a block holds at most
-``LOCKSTEP_AGENTS`` agents.
+server step; fine-tuning gathers the learners' rows once, tunes them and
+writes them back.  Trials have independent seeds and each agent draws only
+from its own streams, so interleaving trials changes no draw and no bit:
+every trial ends as it would alone.  All of a block's agents live until its
+last trial ends, each with a ``noise_rng`` of about 1.6 KB, so a block
+holds at most ``LOCKSTEP_AGENTS`` agents.
 
 The decision-layer magnitudes used here were chosen so that demand is
 price-elastic (agents flip from buy to hold as the price climbs) and so
@@ -98,6 +95,7 @@ of every weight keeps its stated meaning.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,14 +133,11 @@ BIAS_SPREAD = 0.1
 
 JUDGE_FALSE_BIAS = 0.3
 
-# Learners per stacked sensor forward and per lockstep SGD call in
-# fine-tuning, which bound its temporaries when a block of trials
-# fine-tunes hundreds of learners at once.  The SGD holds about 5 KB per
-# learner (the padded batch rows of each step), so 64 hold about what one
-# trial's learners do; the clone blocks of a forward, (agents, variants, 8,
-# D_ic) floats, stay below that at 16.
+# Learners per stacked sensor forward in fine-tuning.  It bounds the clone
+# blocks, (agents, variants, 8, D_ic) floats, when a block of trials
+# fine-tunes hundreds of learners at once; one forward per epoch over all of
+# them measured no faster and raised peak memory.
 FINETUNE_FORWARD_AGENTS = 16
-FINETUNE_SGD_AGENTS = 64
 
 # Judge gate rows over (PG, SZ, LSR, ST, B, L, Q): PGL, BC, FQ.
 _PFC_GATES_W = np.array([
@@ -176,6 +171,22 @@ class AuctionConfig:
     variant_flip_prob: float = 0.2
     finetune_rounds: int = 4
     selective_eps: float = 0.01
+
+    def __post_init__(self):
+        """Refuse values an auction cannot run on; each ValueError names its field."""
+        for name, need, ok in [
+            ("base_price", "positive and finite", 0 < self.base_price < math.inf),
+            ("price_step", "in (0, 1)", 0 < self.price_step < 1),
+            *[(name, "at least 1", getattr(self, name) >= 1)
+              for name in ("max_rounds", "d_ic", "variant_count")],
+            ("clone_noise", "at least 0 and finite", 0 <= self.clone_noise < math.inf),
+            ("variant_scale", "in [0, 1)", 0 <= self.variant_scale < 1),
+            ("variant_flip_prob", "in [0, 1]", 0 <= self.variant_flip_prob <= 1),
+            ("finetune_rounds", "at least 0", self.finetune_rounds >= 0),
+            ("selective_eps", "positive", self.selective_eps > 0),
+        ]:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -302,7 +313,7 @@ class FsnModel:
 
     def es_forward_values(self, x: np.ndarray) -> np.ndarray:
         """Sensor activations (PG, SZ, LSR, ST) for offer rows (..., 8)."""
-        return _stacked_sensors([self], x[None])[0]
+        return _sensors(self.es_rows, self.es_biases, x[None], [self.noise_rng], self.config)[0]
 
     def decide_values(self, x_es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Buy / hold / quit logits for sensor rows (..., 4), and their argmax."""
@@ -360,20 +371,6 @@ def _forward_groups(models) -> list[list[int]]:
     return list(groups.values())
 
 
-def _stacked_sensors(group: list[FsnModel], x: np.ndarray) -> np.ndarray:
-    """Sensor activations (PG, SZ, LSR, ST) for offer rows x (n, ..., 8).
-
-    ``x[i]`` holds the offers of ``group[i]``, whose clone noise comes from
-    its own ``noise_rng``; the models' kernels and biases are stacked and
-    broadcast over the rows.  A group shares the config values the forward
-    reads (see ``_forward_groups``).
-    """
-    batch_axes = tuple(range(1, x.ndim - 1))
-    es_rows = np.expand_dims(np.array([m.es_rows for m in group]), batch_axes)
-    es_biases = np.expand_dims(np.array([m.es_biases for m in group]), batch_axes)
-    return _sensors(es_rows, es_biases, x, [m.noise_rng for m in group], group[0].config)
-
-
 def _sensors(es_rows: np.ndarray, es_biases: np.ndarray, x: np.ndarray, rngs,
              config: AuctionConfig) -> np.ndarray:
     """Sensor activations for offer rows x (n, ..., 8), the clone noise of
@@ -400,7 +397,10 @@ def decide_offers(models, offer: Offer) -> np.ndarray:
     x = offer.as_array()
     for idx in _forward_groups(models):
         group = [models[i] for i in idx]
-        x_es = _stacked_sensors(group, np.broadcast_to(x, (len(group), len(x))))
+        x_es = _sensors(np.array([m.es_rows for m in group]),
+                        np.array([m.es_biases for m in group]),
+                        np.broadcast_to(x, (len(group), len(x))),
+                        [m.noise_rng for m in group], group[0].config)
         w = np.array([m.w_dec for m in group])
         b = np.array([m.b_dec for m in group])
         decisions[idx] = _decision_logits(x_es[:, None, :], w, b)[:, 0].argmax(axis=-1)
@@ -446,86 +446,84 @@ def srd_finetune(models, variants, k: int) -> None:
 
     Only the decision layer learns.  Malicious models, agents whose sampled
     epoch count is zero, and every agent once k reaches its config's
-    ``finetune_rounds`` sit the round out.  ``variants`` is the fine-tuning
-    set: a list of Offers shared by every model, or offer rows
-    (len(models), V, 8), one set per model, as in a block of trials.
-
-    Each learner first draws its randomness in per-offer stream order: per
-    epoch a permutation of the variants, then the clone noise of every
-    variant.  Its sensor rows are laid out epoch after epoch in permuted
-    order, so a batch is a run of consecutive rows; one stacked sensor
-    forward per epoch fills the rows of up to ``FINETUNE_FORWARD_AGENTS``
-    learners still in that epoch.  Then the learners take their SGD steps
-    together, up to ``FINETUNE_SGD_AGENTS`` at a time (``_lockstep_sgd``).
+    ``finetune_rounds`` sit the round out.  ``variants``, a list of Offers,
+    is every model's fine-tuning set.  The learners are stacked per forward
+    config into ``_finetune``'s arrays; their new weights are written back.
     """
-    keep = [i for i, m in enumerate(models)
-            if not m.malicious and m.epochs and k < m.config.finetune_rounds]
-    if not keep:
-        return
-    learners = [models[i] for i in keep]
-    if isinstance(variants, np.ndarray):
-        offers = variants[keep]
-    else:
-        offers = np.array([v.as_array() for v in variants])
-    n_var = offers.shape[-2]
-    offers = np.broadcast_to(offers, (len(learners), n_var, 8))
-    x_es = np.zeros((len(learners), max(m.epochs for m in learners) * n_var, 4))
-    for group in _forward_groups(learners):
-        for e in range(max(learners[i].epochs for i in group)):
-            live = [i for i in group if learners[i].epochs > e]
-            for start in range(0, len(live), FINETUNE_FORWARD_AGENTS):
-                idx = live[start:start + FINETUNE_FORWARD_AGENTS]
-                orders = [learners[i].noise_rng.permutation(n_var) for i in idx]
-                rows = offers[np.array(idx)[:, None], np.array(orders)]
-                x_es[idx, e * n_var:(e + 1) * n_var] = _stacked_sensors(
-                    [learners[i] for i in idx], rows)
-    for start in range(0, len(learners), FINETUNE_SGD_AGENTS):
-        chunk = slice(start, start + FINETUNE_SGD_AGENTS)
-        _lockstep_sgd(learners[chunk], x_es[chunk], n_var)
+    learners = [m for m in models
+                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
+    offers = np.array([v.as_array() for v in variants])
+    for idx in _forward_groups(learners):
+        group = [learners[i] for i in idx]
+        w, b = _finetune(*(np.array([getattr(m, name) for m in group]) for name in (
+            "w_dec", "b_dec", "learning_rate", "epochs", "batch_size", "noise_rng",
+            "es_rows", "es_biases")), np.broadcast_to(offers, (len(group), *offers.shape)),
+            group[0].config)
+        for m, w_i, b_i in zip(group, w, b):
+            m.w_dec[...], m.b_dec[...] = w_i, b_i
 
 
-def _lockstep_sgd(learners, x_es: np.ndarray, n_var: int) -> None:
+def _finetune(w, b, lr, epochs, batch, rngs, es_rows, es_biases, offers,
+              config: AuctionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One fine-tuning round of n learners as stacked arrays: decision layers
+    w (n, 3, 4) and b (n, 3); learning rates, epoch counts (>= 1), batch
+    sizes and ``noise_rng``s (n,); sensor kernels (n, 4, 8) and biases (n, 4),
+    or one shared pair; offer rows (n, V, 8).  Returns the new w and b.
+
+    A learner's sensor rows run epoch after epoch in the order it permutes
+    the variants (module docstring: stream order), so a batch is a run of
+    consecutive rows.  A stacked sensor forward fills the rows of up to
+    ``FINETUNE_FORWARD_AGENTS`` learners in one epoch; then all step together.
+    """
+    (n, n_var), e_max = offers.shape[:2], epochs.max(initial=0)
+    es_rows, es_biases = np.broadcast_to(es_rows, (n, 4, 8)), np.broadcast_to(es_biases, (n, 4))
+    x_es = np.zeros((n, e_max * n_var, 4))
+    for e in range(e_max):
+        live = np.flatnonzero(epochs > e)
+        for start in range(0, len(live), FINETUNE_FORWARD_AGENTS):
+            idx = live[start:start + FINETUNE_FORWARD_AGENTS]
+            orders = np.array([rng.permutation(n_var) for rng in rngs[idx]])
+            x_es[idx, e * n_var:(e + 1) * n_var] = _sensors(
+                es_rows[idx, None], es_biases[idx, None], offers[idx[:, None], orders],
+                rngs[idx], config)
+    return _lockstep_sgd(w, b, lr, epochs, batch, x_es, n_var)
+
+
+def _lockstep_sgd(w, b, lr, epochs, batch, x_es: np.ndarray,
+                  n_var: int) -> tuple[np.ndarray, np.ndarray]:
     """Every learner's SGD steps over its sensor rows x_es (n, rows, 4), together.
 
-    The steps run on stacked (n, 3, 4) weights, with the closed-form
-    gradient in the module docstring and each agent's own learning rate.
-    Steps and batch rows past an agent's own schedule are masked to exact
-    zeros.
+    The steps run on stacked (n, 3, 4) weights w and (n, 3) biases b, with
+    each learner's own learning rate, epoch count and batch size (n,), by
+    the closed-form gradient and zero padding of the module docstring.
+    Returns the new w and b.
     """
-    n = len(learners)
-    agents = np.arange(n)
-    epochs = np.array([m.epochs for m in learners])
-    batch = np.array([m.batch_size for m in learners])
-
-    # step s of agent i covers rows [first, last) of x_es[i]
     per_epoch = -(-n_var // batch)
-    steps = np.arange((epochs * per_epoch).max())
-    epoch, j = np.divmod(steps, per_epoch[:, None])
-    first = epoch * n_var + j * batch[:, None]
-    last = epoch * n_var + np.minimum((j + 1) * batch[:, None], n_var)
-    rows = first[..., None] + np.arange(batch.max())
-    live = (rows < last[..., None]) & (epoch < epochs[:, None])[..., None]
-    rows = np.where(live, rows, 0)
-    keep = live[..., None].astype(float)
-
-    w = np.stack([m.w_dec for m in learners])
-    b = np.stack([m.b_dec for m in learners])
-    lr = np.array([m.learning_rate for m in learners])
-    for s in steps:
-        x, kept = x_es[agents[:, None], rows[:, s]], keep[:, s]
-        logits = _decision_logits(x, w, b)
+    n_steps = epochs * per_epoch
+    w, b = w.copy(), b.copy()
+    for s in range(n_steps.max(initial=0)):
+        on = np.flatnonzero(n_steps > s)
+        # step s of learner i covers rows [first, first + width) of x_es[i]
+        epoch, j = np.divmod(s, per_epoch[on])
+        first = epoch * n_var + j * batch[on]
+        width = np.minimum(batch[on], n_var - j * batch[on])
+        cols = np.arange(batch[on].max())  # never one row: a 1-row matmul rounds apart
+        live = cols < width[:, None]
+        x = x_es[on[:, None], np.where(live, first[:, None] + cols, 0)]
+        kept = live[..., None].astype(float)
+        w_on, b_on = w[on], b[on]
+        logits = _decision_logits(x, w_on, b_on)
         judged, pre, gates = _judge_gates(x, logits)
         z = (judged * kept).sum(axis=1)
         top = z.max(axis=1, keepdims=True)
         lse = top + np.log(np.exp(z - top).sum(axis=1, keepdims=True))
         dz = np.exp(z - lse)
-        dz[agents, z.argmax(axis=1)] -= 1.0
+        dz[np.arange(len(on)), z.argmax(axis=1)] -= 1.0
         dpre = (dz @ _PFC_OUT_W)[:, None, :] * tau_slope(pre, gates) * kept
         dlogits = dpre @ _PFC_GATES_W[:, 4:]
-        w = w - lr[:, None, None] * (dlogits.transpose(0, 2, 1) @ x)
-        b = b - lr[:, None] * dlogits.sum(axis=1)
-    for m, w_i, b_i in zip(learners, w, b):  # in place: a view writes through
-        m.w_dec[...], m.b_dec[...] = w_i, b_i
+        w[on] = w_on - lr[on, None, None] * (dlogits.transpose(0, 2, 1) @ x)
+        b[on] = b_on - lr[on, None] * dlogits.sum(axis=1)
+    return w, b
 
 
 @dataclass
@@ -754,9 +752,11 @@ def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> lis
     while markets.running.any():
         live = markets.active() & pop.fsn
         if optim and k < config.finetune_rounds:
-            learners = (live & (pop.epochs > 0)).nonzero()
-            srd_finetune([FsnModel.view(pop, t, i) for t, i in zip(*learners)],
-                         variants[learners[0]], k)
+            at = (live & (pop.epochs > 0)).nonzero()
+            pop.w_dec[at], pop.b_dec[at] = _finetune(
+                pop.w_dec[at], pop.b_dec[at], pop.learning_rate[at], pop.epochs[at],
+                pop.batch_size[at], pop.noise_rngs[at], _es_template(config.base_price),
+                ES_BIASES, variants[at[0]], config)
         decisions = np.full(live.shape, HOLD)
         decisions[live] = pop.decide(live, markets.offers())
         markets.step(decisions)

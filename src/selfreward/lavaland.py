@@ -212,8 +212,6 @@ def palette_indices(maps: list[TileMap]) -> np.ndarray:
 
 def generate_map(rng: np.random.Generator, config: LavaConfig) -> TileMap:
     h, w = config.height, config.width
-    if h * w < 4:
-        raise ValueError("map too small to place spawn and target")
     while True:
         u = rng.random((h, w))
         grid = np.where(u < config.lava_frac, "l",

@@ -46,6 +46,33 @@ def fresh_model(seed=0, **config_kw):
     return FsnModel(rng, AuctionConfig(**config_kw))
 
 
+# -- config ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base_price", 0.0), ("base_price", -5.0), ("base_price", float("inf")),
+    ("base_price", float("nan")),
+    ("price_step", 0.0), ("price_step", 1.0), ("price_step", float("nan")),
+    ("max_rounds", 0), ("d_ic", 0), ("variant_count", 0),
+    ("clone_noise", -1.0), ("clone_noise", float("inf")), ("clone_noise", float("nan")),
+    ("variant_scale", -0.01), ("variant_scale", 1.0), ("variant_scale", float("nan")),
+    ("variant_flip_prob", -0.1), ("variant_flip_prob", 1.5),
+    ("variant_flip_prob", float("nan")),
+    ("finetune_rounds", -1), ("selective_eps", 0.0), ("selective_eps", float("nan")),
+])
+def test_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        AuctionConfig(**{field: value})
+
+
+def test_config_keeps_edge_values():
+    config = AuctionConfig(d_ic=1, clone_noise=0.0, variant_scale=0.0, variant_flip_prob=1.0,
+                           finetune_rounds=0, max_rounds=1, variant_count=1)
+    result = run_auction(0.25, n=8, optim=True, seed=0, config=config)
+    assert result.rounds == 1
+    AuctionConfig(variant_flip_prob=0.0, price_step=0.99)
+
+
 # -- offers and variants ---------------------------------------------------------
 
 
@@ -356,7 +383,6 @@ def test_lockstep_step_matches_central_differences():
     n_var, step = 8, 1e-6
     x_es = np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, n_var, 4))
     m = fresh_model(seed=2)
-    m.epochs, m.batch_size, m.learning_rate = 1, 15, 1.0
     w0, b0 = m.w_dec.copy(), m.b_dec.copy()
 
     def loss(w, b, label=None):
@@ -370,7 +396,8 @@ def test_lockstep_step_matches_central_differences():
     _, label, pre = loss(w0, b0)
     # a difference straddling the gates' kink at 0 measures no derivative
     assert np.abs(pre).min() > 1e-3
-    auction._lockstep_sgd([m], x_es, n_var)
+    w1, b1 = auction._lockstep_sgd(w0[None], b0[None], np.array([1.0]), np.array([1]),
+                                   np.array([15]), x_es, n_var)
 
     def numeric(theta, rebuild):
         grad = np.empty(theta.size)
@@ -383,14 +410,14 @@ def test_lockstep_step_matches_central_differences():
 
     want_w = numeric(w0, lambda w: (w, b0))
     want_b = numeric(b0, lambda b: (w0, b))
-    np.testing.assert_allclose(w0 - m.w_dec, want_w, rtol=1e-6, atol=1e-9)
-    np.testing.assert_allclose(b0 - m.b_dec, want_b, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(w0 - w1[0], want_w, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(b0 - b1[0], want_b, rtol=1e-6, atol=1e-9)
     assert np.abs(want_w).max() > 1e-2
 
 
 def test_lockstep_padding_leaves_finished_agent_bit_identical():
     # the first agent's two steps run at the same array shapes in both
-    # rounds; only the number of padded steps after them differs
+    # rounds; only the number of steps the other agent takes after them differs
     variants = make_offer_variants(base_offer(), 16, seed=4)
     finished = []
     for long_epochs in (1, 2):
@@ -400,6 +427,26 @@ def test_lockstep_padding_leaves_finished_agent_bit_identical():
     assert not np.array_equal(finished[0].w_dec, W_DECISION)
     np.testing.assert_array_equal(finished[0].w_dec, finished[1].w_dec)
     np.testing.assert_array_equal(finished[0].b_dec, finished[1].b_dec)
+
+
+def test_lockstep_finetune_gives_every_schedule_its_solo_result():
+    """One call over all 24 (epochs, batch_size) schedules leaves each learner
+    as fine-tuning it alone does, bit for bit.  A step pads only to the
+    widest batch of the learners still stepping, and a learner whose
+    schedule has ended sits out the later steps untouched."""
+    settings = [(epochs, batch) for epochs in (1, 2) for batch in range(4, 16)]
+    variants = make_offer_variants(base_offer(), 16, seed=4)
+    together, alone = lockstep_agents(settings), lockstep_agents(settings)
+    srd_finetune(together, variants, 0)
+    for m in alone:
+        srd_finetune([m], variants, 0)
+    steps = {epochs * -(-16 // batch) for epochs, batch in settings}
+    assert len(steps) > 1  # schedules end at different steps
+    for a, b in zip(together, alone):
+        assert not np.array_equal(a.w_dec, W_DECISION)
+        np.testing.assert_array_equal(a.w_dec, b.w_dec)
+        np.testing.assert_array_equal(a.b_dec, b.b_dec)
+        assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
 
 
 def test_optim_auction_deterministic_and_moves_weights():
@@ -619,7 +666,12 @@ def reference_finetune(models, variants, k):
         for e in range(m.epochs):
             order = m.noise_rng.permutation(n_var)
             x_es[i, e * n_var:(e + 1) * n_var] = reference_sensors(m, offers[order])
-    auction._lockstep_sgd(learners, x_es, n_var)
+    w, b = auction._lockstep_sgd(
+        np.array([m.w_dec for m in learners]), np.array([m.b_dec for m in learners]),
+        np.array([m.learning_rate for m in learners]), np.array([m.epochs for m in learners]),
+        np.array([m.batch_size for m in learners]), x_es, n_var)
+    for m, w_i, b_i in zip(learners, w, b):
+        m.w_dec, m.b_dec = w_i, b_i
 
 
 class ReferenceAgent:

@@ -1,6 +1,7 @@
 """Tile world: maps, detectors, score fields, planning, training, reports."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -489,6 +490,24 @@ def test_lava_excluded_when_two_clean_options_exist():
 def test_degenerate_map_rejected():
     with pytest.raises(ValueError):
         generate_map(np.random.default_rng(0), LavaConfig(height=1, width=1))
+
+
+def test_two_and_three_cell_maps_generate_train_and_evaluate():
+    # LavaConfig's smallest maps: a spawn and a target with at most one tile between
+    cfg = PRESETS["lava-a"]
+    rng = np.random.default_rng(5)
+    maps = [generate_map(rng, LavaConfig(height=1, width=w, lava_frac=cfg.lava_frac))
+            for _ in range(6) for w in (2, 3)]
+    assert {(m.height, m.width) for m in maps} == {(1, 2), (1, 3)}
+    assert all(m.spawn != m.target for m in maps)
+    bank = MapBank("lava-a", 0, maps)
+    params = Robot2NNParams()
+    losses = srd_train_lavaland(params, bank, cfg, seed=5)
+    kernels, want_losses, _ = _per_map_training(bank, cfg, seed=5)
+    assert losses == want_losses and all(math.isfinite(loss) for loss in losses)
+    np.testing.assert_array_equal(_bits(params.kernels), _bits(kernels))
+    result = _assert_matches_per_map(params, bank, cfg, seed=6)
+    assert len(result.episodes) == len(maps)
 
 
 @pytest.mark.parametrize("field,value", [
