@@ -790,11 +790,11 @@ def run_auction(r: float, n: int = 64, optim: bool = False,
     return run_trials(r, [root], n, optim, malicious_frac, config, return_state)[0]
 
 
-CONDITIONS = {
-    "noOptim": (False, 0.0),
-    "Optim": (True, 0.0),
-    "malicious-noOptim": (False, 0.5),
-    "malicious-Optim": (True, 0.5),
+CONDITIONS = {  # name: (optim, malicious)
+    "noOptim": (False, False),
+    "Optim": (True, False),
+    "malicious-noOptim": (False, True),
+    "malicious-Optim": (True, True),
 }
 
 
@@ -812,8 +812,8 @@ def run_experiment(r_grid, trials: int = 10, conditions=None, seed=None,
     rows = []
     purchases = []
     for name in conditions:
-        optim, frac = CONDITIONS[name]
-        frac = malicious_frac if frac else 0.0
+        optim, malicious = CONDITIONS[name]
+        frac = malicious_frac if malicious else 0.0
         for ri, r in enumerate(r_grid):
             roots = [np.random.SeedSequence(entropy=root.entropy, spawn_key=(ri, trial))
                      for trial in range(trials)]

@@ -133,7 +133,7 @@ def cmd_auction_run(args) -> int:
         conditions = [c for c in conditions if not c.startswith("malicious")]
     rows, purchases = auction_mod.run_experiment(
         r_grid, trials=args.trials, conditions=conditions, seed=args.seed,
-        malicious_frac=args.malicious_frac or 0.5)
+        malicious_frac=args.malicious_frac)
     results_csv = out_dir / "results.csv"
     write_csv(results_csv, ["condition", "r", "trial", "price", "purchase_rate"],
               [[r["condition"], r["r"], r["trial"], r["price"], r["purchase_rate"]]

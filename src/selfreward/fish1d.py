@@ -139,6 +139,21 @@ class FishConfig:
     eat_bias: float = 0.0
     move_delta: float = 0.01
 
+    def __post_init__(self):
+        """Refuse values the fish cannot sense, live or train on; each
+        ValueError names its field.  ``food_period`` and ``mem`` are checked
+        where they are used, by ``FishWorld`` and ``DecisionMemory``."""
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
+        if not self.selective_eps > 0:
+            raise ValueError(f"selective_eps must be positive, got {self.selective_eps}")
+        if not (self.energy_decay >= 0 and math.isfinite(self.energy_decay)):
+            raise ValueError(f"energy_decay must be at least 0 and finite, "
+                             f"got {self.energy_decay}")
+        if not 0 < self.initial_energy <= 1:
+            raise ValueError(f"initial_energy must be in (0, 1], got {self.initial_energy}")
+
 
 # One ``run_episode`` record, as ``fish1d run`` writes it to trace.csv.
 TRACE_COLUMNS = ("step", "F", "food_here", "food_there", "action", "judge")
@@ -423,8 +438,6 @@ def srd_train(steps: int, config: FishConfig | None = None,
     """
     config = config or FishConfig()
     lr = config.learning_rate
-    if not lr > 0:
-        raise ValueError(f"learning_rate must be positive, got {lr}")
     nn = FishNN(config)
     pfc = FishPFC()
     world, state = make_world(seed, config)

@@ -53,14 +53,15 @@ flags and the starting peak) that every plan copies, and one stream draw.
 
 Evaluation runs the bank's maps in lockstep.  Maps are independent (map i
 imagines from its own stream), so ``evaluate`` builds fields for a few maps
-in one ``stacked_fields`` call and walks plan k of a whole batch of
-same-shape maps at once, paying numpy's call overhead once per step for the
-batch instead of once per map.  Each map reads its up-front stream through
-its own cursor, and each step repeats ``_walk``'s float operations in its
-order, so the episodes equal the map-by-map result.  ``_walk`` is the one
-per-map walk: ``make_plan`` runs it for one plan, drawing one scalar per
-step that has a runner-up, and ``imagine_and_act`` (training's and the
-tests' path) runs it for all of a map's plans from one draw.
+at once, ``field_inputs`` then ``kernel_fields`` without the inner layers,
+and walks plan k of a whole batch of same-shape maps at once, paying numpy's
+call overhead once per step for the batch instead of once per map.  Each map
+reads its up-front stream through its own cursor, and each step repeats
+``_walk``'s float operations in its order, so the episodes equal the
+map-by-map result.  ``_walk`` is the one per-map walk: ``make_plan`` runs it
+for one plan, drawing one scalar per step that has a runner-up, and
+``imagine_and_act`` (training's and the tests' path) runs it for all of a
+map's plans from one draw.  Both walks read their neighbors from ``_grid_tables``.
 """
 
 from __future__ import annotations
@@ -121,14 +122,18 @@ class LavaConfig:
     learning_rate: float = 1e-4
 
     def __post_init__(self):
-        """Refuse values the planner and trainer cannot run on; each ValueError
-        names its field."""
+        """Refuse values that map generation, the planner or the trainer cannot
+        run on; each ValueError names its field."""
         for name in ("n_plans", "max_steps", "height", "width"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.height * self.width < 2:
             raise ValueError(f"height x width must hold at least 2 cells, "
                              f"got {self.height}x{self.width}")
+        if not 0.0 <= self.lava_frac < 1.0:
+            raise ValueError(f"lava_frac must be in [0, 1), got {self.lava_frac}")
+        if not 0.0 <= self.grass_frac <= 1.0:
+            raise ValueError(f"grass_frac must be in [0, 1], got {self.grass_frac}")
         if not 0.0 <= self.explore_odds <= 1.0:
             raise ValueError(f"explore_odds must be in [0, 1], got {self.explore_odds}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
@@ -182,12 +187,8 @@ class TileMap:
                 return (r, c)
         raise ValueError("map has no target tile")
 
-    def palette_index(self) -> np.ndarray:
-        """Row of PALETTE_RGB shown by every tile, as an (H, W) array."""
-        return palette_indices([self])[0]
-
     def rgb(self) -> np.ndarray:
-        return PALETTE_RGB[self.palette_index()]
+        return PALETTE_RGB[palette_indices([self])[0]]
 
     def terrain_at(self, pos: tuple) -> str:
         return CHAR_TILES[self.tiles[pos[0]][pos[1]]]
@@ -198,7 +199,7 @@ _CHAR_CODES[[ord(ch) for ch in CHAR_INDEX]] = list(CHAR_INDEX.values())
 
 
 def palette_indices(maps: list[TileMap]) -> np.ndarray:
-    """``palette_index`` of B maps of one shape, as a (B, H, W) array."""
+    """Row of PALETTE_RGB shown by each tile of B same-shape maps, as (B, H, W)."""
     b, h, w = len(maps), maps[0].height, maps[0].width
     codes = np.frombuffer("".join(["".join(m.tiles) for m in maps]).encode("ascii", "replace"),
                           dtype=np.uint8)
@@ -330,7 +331,7 @@ def _palette_responses(eps: float) -> np.ndarray:
     """Response of each KNOWN_TILES detector (rows) to each PALETTE color.
 
     Every pixel of a map shows one palette color and get_aba works pixel by
-    pixel, so indexing a row by ``TileMap.palette_index`` gives get_aba's
+    pixel, so indexing a row by a map's ``palette_indices`` gives get_aba's
     grid on the map's image exactly.  Read-only: the cache shares it.
     """
     responses = np.stack([get_aba(PALETTE_RGB[None], PALETTE[t], eps)[0]
@@ -454,19 +455,6 @@ class ScoreField:
     target: tuple
 
 
-class FieldStack(NamedTuple):
-    """The score fields of B same-shape maps, stacked on a leading map axis."""
-
-    tiles: np.ndarray        # (B, H, W) rows of PALETTE_RGB shown by each tile
-    detectors: np.ndarray    # (3, B, H, W) in KNOWN_TILES order
-    w_self: np.ndarray       # (B, H, W)
-    w_unknown: np.ndarray    # (B, H, W)
-    activations: np.ndarray  # deconv_seq's output over the (B * 4) grids
-    preferences: np.ndarray  # (4,) in SCORED_TILES order
-    v1: np.ndarray           # (B, 4, H, W) per-type fields in SCORED_TILES order, scaled
-    v_sigma: np.ndarray      # (B, H, W)
-
-
 class FieldInputs(NamedTuple):
     """The kernel-free half of B same-shape maps' score fields."""
 
@@ -506,7 +494,9 @@ def kernel_fields(grids: np.ndarray, kernels: np.ndarray, preferences: np.ndarra
     ``kernels``, scaled by ``preferences`` and summed.
 
     Returns ``deconv_seq``'s activations over the B * 4 grids, the (B, 4, H, W)
-    per-type fields and the (B, H, W) v_sigma.
+    per-type fields and the (B, H, W) v_sigma.  Each map's slice takes the
+    float operations of that map alone, so it equals ``build_fields`` bit for
+    bit.  ``keep_layers`` goes to ``deconv_seq``: evaluation needs only the field.
     """
     b, _, h, w = grids.shape
     activations = deconv_seq(kernels if b == 1 else np.tile(kernels, (b, 1, 1, 1)),
@@ -514,25 +504,6 @@ def kernel_fields(grids: np.ndarray, kernels: np.ndarray, preferences: np.ndarra
     v1 = (activations[-1, :, :-1].reshape(b, 4, h * w) * preferences[:, None]).reshape(
         b, 4, h, w)
     return activations, v1, v1[:, 0] + v1[:, 1] + v1[:, 2] + v1[:, 3]
-
-
-def stacked_fields(maps: list[TileMap], kernels: np.ndarray, config: LavaConfig,
-                   keep_layers: bool = True) -> FieldStack:
-    """Detector grids, per-type score fields and their sum for B maps at once:
-    ``field_inputs``, then ``kernel_fields``.
-
-    All maps share one shape and the (4, 5, 3, 3) ``kernels``.  Every cell
-    goes through the same float operations, in the same order, as it would
-    for its map alone, so each map's slice equals ``build_fields`` on that
-    map bit for bit.  ``keep_layers`` is passed to ``deconv_seq``: training
-    needs every layer, evaluation only the field.
-    """
-    inputs = field_inputs(maps, config)
-    activations, v1, v_sigma = kernel_fields(inputs.grids, kernels, inputs.preferences,
-                                             keep_layers)
-    return FieldStack(tiles=inputs.tiles, detectors=inputs.detectors, w_self=inputs.w_self,
-                      w_unknown=inputs.w_unknown, activations=activations,
-                      preferences=inputs.preferences, v1=v1, v_sigma=v_sigma)
 
 
 def _map_fields(inputs: FieldInputs, j: int, tile_map: TileMap,
@@ -571,19 +542,22 @@ class PlanRecord:
         return len(self.trajectory)
 
 
-def _neighbors(pos: tuple, h: int, w: int) -> list[tuple]:
-    r, c = pos
-    cand = ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))  # up, down, left, right
-    return [(rr, cc) for rr, cc in cand if 0 <= rr < h and 0 <= cc < w]
-
-
 @functools.lru_cache(maxsize=64)
-def _grid_tables(h: int, w: int) -> tuple[tuple, tuple]:
-    """(row, col) of every flat index, and each index's neighbors as flat
-    indices, split into the first and a tuple of the others."""
+def _grid_tables(h: int, w: int) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
+    """Each cell's in-grid neighbors as flat indices, up, down, left, right.
+
+    For ``_walk``: the (row, col) of every flat index, and each cell's
+    neighbors as (first, others).  For ``_walk_lockstep``: an (h*w, 4) array
+    padded with the sentinel index h*w, and whether each cell has a
+    runner-up.  Read-only: the cache shares them.
+    """
     coords = tuple((r, c) for r in range(h) for c in range(w))
-    neighbors = (tuple(r * w + c for r, c in _neighbors(pos, h, w)) for pos in coords)
-    return coords, tuple((options[0], options[1:]) for options in neighbors)
+    listing = [[rr * w + cc for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+                if 0 <= rr < h and 0 <= cc < w] for r, c in coords]
+    table = np.array([cells + [h * w] * (4 - len(cells)) for cells in listing])
+    runner_up = np.array([len(cells) > 1 for cells in listing])
+    table.flags.writeable = runner_up.flags.writeable = False
+    return coords, tuple((cells[0], tuple(cells[1:])) for cells in listing), table, runner_up
 
 
 def _explore_draws(rng: np.random.Generator, config: LavaConfig,
@@ -641,7 +615,7 @@ def _walk(start: _PlanStart, explore: Iterator[bool], config: LavaConfig) -> Pla
     runner-up, and only then, so a map's plans can read on through one
     iterator where the previous plan stopped.
     """
-    coords, neighbors = _grid_tables(*start.shape)
+    coords, neighbors, _, _ = _grid_tables(*start.shape)
     grid, live = start.grid.copy(), start.live.copy()
     pos, target, v0, peak = start.spawn, start.target, start.v0, start.peak
     anti_return = config.anti_return
@@ -850,26 +824,13 @@ class EvalResult:
         return dict(sorted(counts.items()))
 
 
-# Maps per stacked field build.  More maps share more call overhead, but the
-# deconv's (4 * maps, 9, H*W) gather grows with them: 330 KB at 8 maps of 12x12.
+# Maps per field build in evaluation.  More maps share more call overhead, but the
+# deconv's (4 * maps, 9, H*W) gather grows: 330 KB at 8 maps of 12x12.
 FIELD_BATCH = 8
 # Grid cells per lockstep walk, about 455 maps of 12x12; a bank splits into
 # even batches (512 maps into 2 of 256).  A batch holds about 3.3 KB per 12x12
 # map, so at most about 1.5 MB.
 WALK_CELLS = 1 << 16
-
-
-@functools.lru_cache(maxsize=64)
-def _walk_tables(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's neighbors as flat indices, in ``_neighbors`` order and padded
-    with the sentinel index h*w, and whether the cell has a runner-up."""
-    _, neighbors = _grid_tables(h, w)
-    table = np.full((h * w, 4), h * w)
-    for cell, (first, others) in enumerate(neighbors):
-        table[cell, :1 + len(others)] = (first, *others)
-    runner_up = np.array([len(others) > 0 for _, others in neighbors])
-    table.flags.writeable = runner_up.flags.writeable = False
-    return table, runner_up
 
 
 def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns: np.ndarray,
@@ -895,7 +856,7 @@ def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns:
         raise ValueError("map too small to plan on")
     b, hw, n_steps = len(grid0), h * w, config.max_steps
     stride = hw + 1
-    table, runner_up = _walk_tables(h, w)
+    _, _, table, runner_up = _grid_tables(h, w)
     rows = np.arange(b)
     v0 = np.abs(grid0[:, :hw]).max(axis=1)  # frozen per map, as in _plan_start
     # pin, blend and add a sentinel column that stands for a missing
@@ -979,17 +940,20 @@ def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns:
 
 def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray,
                     config: LavaConfig, seed: int) -> list[EpisodeResult]:
-    """Episodes of same-shape maps; ``indices`` are their places in the bank."""
+    """Episodes of same-shape maps; ``indices`` are their places in the bank.
+    Fields are built ``FIELD_BATCH`` maps at a time, keeping only the last
+    layer, and the whole batch walks in one ``_walk_lockstep``."""
     b, h, w = len(maps), maps[0].height, maps[0].width
     hw = h * w
     tiles = np.empty((b, hw), dtype=_CHAR_CODES.dtype)
     grid0 = np.empty((b, hw + 1))
     unknown = np.empty((b, hw), dtype=bool)
     for j in range(0, b, FIELD_BATCH):
-        stack = stacked_fields(maps[j:j + FIELD_BATCH], kernels, config, keep_layers=False)
-        tiles[j:j + FIELD_BATCH] = stack.tiles.reshape(-1, hw)
-        grid0[j:j + FIELD_BATCH, :hw] = stack.v_sigma.reshape(-1, hw)
-        unknown[j:j + FIELD_BATCH] = stack.w_unknown.reshape(-1, hw)
+        inputs = field_inputs(maps[j:j + FIELD_BATCH], config)
+        _, _, v_sigma = kernel_fields(inputs.grids, kernels, inputs.preferences, keep_layers=False)
+        tiles[j:j + FIELD_BATCH] = inputs.tiles.reshape(-1, hw)
+        grid0[j:j + FIELD_BATCH, :hw] = v_sigma.reshape(-1, hw)
+        unknown[j:j + FIELD_BATCH] = inputs.w_unknown.reshape(-1, hw)
     # every map's whole stream in one draw, kept only as its explore decisions
     explore = np.empty((b, config.n_plans * config.max_steps), dtype=bool)
     for j, i in enumerate(indices):
@@ -1016,9 +980,9 @@ def evaluate(params: Robot2NNParams, bank: MapBank, config: LavaConfig,
 
     Map i imagines its plans from its own stream, ``SeedSequence(seed,
     spawn_key=(3, i))``, and executes the best, as ``imagine_and_act`` does.
-    Maps of one shape run in lockstep batches: fields ``FIELD_BATCH`` maps at
-    a time, walks ``WALK_CELLS`` grid cells at a time.  The episodes come
-    back in bank order and equal the map-by-map result.
+    Maps of one shape run in lockstep batches of up to ``WALK_CELLS`` grid
+    cells (``_evaluate_batch``).  The episodes come back in bank order and
+    equal the map-by-map result.
     """
     if not bank.maps:
         raise ValueError("evaluation bank is empty")

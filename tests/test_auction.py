@@ -741,8 +741,8 @@ def looped_experiment(r_grid, trials, conditions, seed, n, config, malicious_fra
     root = np.random.SeedSequence(seed)
     rows, purchases, states = [], [], []
     for name in conditions:
-        optim, frac = auction.CONDITIONS[name]
-        frac = malicious_frac if frac else 0.0
+        optim, malicious = auction.CONDITIONS[name]
+        frac = malicious_frac if malicious else 0.0
         for ri, r in enumerate(r_grid):
             for trial in range(trials):
                 result, state = run_auction(

@@ -500,8 +500,24 @@ def test_float_training_matches_engine_across_mem_and_learning_rate(
 
 @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, math.nan])
 def test_training_rejects_a_non_positive_learning_rate(learning_rate):
-    with pytest.raises(ValueError, match="^learning_rate must be positive, got "):
+    with pytest.raises(ValueError, match="^learning_rate must be positive and finite, got "):
         srd_train(10, FishConfig(learning_rate=learning_rate), seed=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", math.inf), ("selective_eps", 0.0), ("selective_eps", -0.01),
+    ("selective_eps", math.nan), ("energy_decay", -0.1), ("energy_decay", math.inf),
+    ("energy_decay", math.nan), ("initial_energy", 0.0), ("initial_energy", 1.5),
+    ("initial_energy", math.nan),
+])
+def test_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FishConfig(**{field: value})
+
+
+def test_config_keeps_edge_values():
+    FishConfig(energy_decay=0.0, initial_energy=1.0)
+    FishConfig(initial_energy=1e-9, selective_eps=1e-12)
 
 
 def test_graph_recorded_before_import_params_keeps_its_values():

@@ -39,18 +39,19 @@ from selfreward.lavaland import (
     build_fields,
     deconv_seq,
     evaluate,
+    field_inputs,
     generate_map,
     generate_maps,
     get_aba,
     imagine_and_act,
     inspect_kernels,
+    kernel_fields,
     kernel_gradient,
     load_bank,
     make_plan,
     plan_quality_loss,
     save_bank,
     srd_train_lavaland,
-    stacked_fields,
     unknown_mask,
 )
 
@@ -373,34 +374,51 @@ def _bits(values):
 
 
 @pytest.mark.parametrize("preset", ["project-a", "lava-a"])
-def test_stacked_fields_equal_one_map_builds_bitwise(preset):
+def test_batched_fields_equal_one_map_builds_bitwise(preset):
     cfg = PRESETS[preset]
     params = Robot2NNParams()
     srd_train_lavaland(params, generate_maps(16, preset, seed=5), cfg, seed=5)
     maps = generate_maps(7, preset, seed=6).maps
+    inputs = field_inputs(maps, cfg)
     for keep_layers in (True, False):
-        stack = stacked_fields(maps, params.kernels, cfg, keep_layers=keep_layers)
-        assert stack.activations.shape[0] == (6 if keep_layers else 1)
-        last = stack.activations[-1].reshape(len(maps), len(SCORED_TILES), -1)
+        activations, v1, v_sigma = kernel_fields(inputs.grids, params.kernels,
+                                                 inputs.preferences, keep_layers=keep_layers)
+        assert activations.shape[0] == (6 if keep_layers else 1)
+        last = activations[-1].reshape(len(maps), len(SCORED_TILES), -1)
         for j, m in enumerate(maps):
             one = build_fields(m, params, cfg)
-            np.testing.assert_array_equal(_bits(stack.v_sigma[j]), _bits(one.v_sigma))
-            np.testing.assert_array_equal(_bits(stack.w_unknown[j]), _bits(one.w_unknown))
+            np.testing.assert_array_equal(_bits(v_sigma[j]), _bits(one.v_sigma))
+            np.testing.assert_array_equal(_bits(inputs.w_unknown[j]), _bits(one.w_unknown))
             np.testing.assert_array_equal(_bits(last[j]), _bits(one.activations[-1]))
             for k, t in enumerate(SCORED_TILES):
-                np.testing.assert_array_equal(_bits(stack.v1[j, k]), _bits(one.v1[t]))
+                np.testing.assert_array_equal(_bits(v1[j, k]), _bits(one.v1[t]))
             if keep_layers:
                 np.testing.assert_array_equal(
-                    _bits(stack.activations[:, 4 * j:4 * j + 4]), _bits(one.activations))
+                    _bits(activations[:, 4 * j:4 * j + 4]), _bits(one.activations))
 
 
-def test_stacked_fields_refuse_mixed_shapes_and_unknown_tiles():
+def test_field_inputs_refuse_mixed_shapes_and_unknown_tiles():
     cfg = small_config()
-    kernels = Robot2NNParams().kernels
     with pytest.raises(ValueError, match="must all be 4x4"):
-        stacked_fields([tiny_map(), TileMap(tiles=["dy", "dd"], spawn=(0, 0))], kernels, cfg)
+        field_inputs([tiny_map(), TileMap(tiles=["dy", "dd"], spawn=(0, 0))], cfg)
     with pytest.raises(ValueError, match="unknown tile characters"):
-        stacked_fields([TileMap(tiles=["dy", "dx"], spawn=(0, 0))], kernels, cfg)
+        field_inputs([TileMap(tiles=["dy", "dx"], spawn=(0, 0))], cfg)
+
+
+@pytest.mark.parametrize("h,w", [(1, 2), (1, 5), (2, 3), (12, 12)])
+def test_grid_tables_list_neighbors_up_down_left_right(h, w):
+    coords, neighbors, table, runner_up = lavaland._grid_tables(h, w)
+    assert coords == tuple((r, c) for r in range(h) for c in range(w))
+    directions = [(-1, 0), (1, 0), (0, -1), (0, 1)]  # up, down, left, right
+    for cell, (r, c) in enumerate(coords):
+        # every cell one step away, ordered by the direction of that step
+        near = [i for i, (rr, cc) in enumerate(coords) if abs(rr - r) + abs(cc - c) == 1]
+        want = sorted(near, key=lambda i: directions.index((coords[i][0] - r, coords[i][1] - c)))
+        first, others = neighbors[cell]
+        assert [first, *others] == want
+        assert table[cell].tolist() == want + [h * w] * (4 - len(want))
+        assert runner_up[cell] == (len(want) > 1)
+    assert table.shape == (h * w, 4) and not table.flags.writeable
 
 
 def test_grass_contribution_nonpositive_scale():
@@ -517,6 +535,8 @@ def test_two_and_three_cell_maps_generate_train_and_evaluate():
     ("learning_rate", 0.0), ("learning_rate", -1e-4), ("learning_rate", float("inf")),
     ("learning_rate", float("nan")),
     ("unknown_avoidance", -0.5), ("selective_eps", 0.0), ("tau_recog", -1e-4),
+    ("lava_frac", 1.0), ("lava_frac", 1.5), ("lava_frac", -0.1), ("lava_frac", float("nan")),
+    ("grass_frac", 1.01), ("grass_frac", -0.1), ("grass_frac", float("nan")),
 ])
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -528,6 +548,16 @@ def test_config_rejects_one_cell_maps_and_keeps_edge_values():
         LavaConfig(height=1, width=1)
     LavaConfig(height=1, width=2, explore_odds=0.0, unknown_avoidance=0.0, tau_recog=0.0)
     LavaConfig(explore_odds=1.0, n_plans=1, max_steps=1)
+    LavaConfig(grass_frac=0.0)
+    LavaConfig(grass_frac=1.0)
+
+
+def test_almost_all_lava_still_generates_a_map():
+    cfg = LavaConfig(lava_frac=0.95)
+    tile_map = generate_map(np.random.default_rng(0), cfg)
+    assert (tile_map.height, tile_map.width) == (12, 12)
+    assert tile_map.terrain_at(tile_map.spawn) not in ("lava", "target")
+    assert "".join(tile_map.tiles).count("y") == 1
 
 
 def test_imagine_and_act_executes_argmax():
