@@ -86,6 +86,15 @@ every trial ends as it would alone.  All of a block's agents live until its
 last trial ends, each with a ``noise_rng`` of about 1.6 KB, so a block
 holds at most ``LOCKSTEP_AGENTS`` agents.
 
+Every stream hangs off its trial's root ``SeedSequence``.  Agent i makes
+its construction draws (``_agent_draws``: biases, optimizer settings, then
+a seed) from ``SeedSequence(root.entropy, spawn_key=root.spawn_key + (1,
+i))``, and its ``noise_rng`` is ``default_rng(seed)``; the fine-tuning
+variants come from spawn key ``root.spawn_key + (0,)``.  A block seeds each
+kind of stream for all of its trials in one ``streams.rngs`` call, which
+runs numpy's seeding hash over every key at once: each generator starts in
+the state numpy gives it, bit for bit.
+
 The decision-layer magnitudes used here were chosen so that demand is
 price-elastic (agents flip from buy to hold as the price climbs) and so
 that impatient agents in a dead market occasionally quit; the sign pattern
@@ -276,24 +285,29 @@ def _decision_logits(x_es: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
 def _agent_draws(rng: np.random.Generator) -> tuple:
     """One agent's construction draws, in stream order: its decision biases,
     then its optimizer settings (epochs == 0 opts out of fine-tuning), then
-    the seed of its ``noise_rng``."""
+    the seed of its ``noise_rng``, ``default_rng(seed)``."""
     b_dec = B_DECISION + rng.uniform(-BIAS_SPREAD, BIAS_SPREAD, size=3)
     epochs = int(rng.integers(0, 3))
     batch_size = int(rng.integers(4, 16))
     learning_rate = float(rng.uniform(1e-7, 1e-4))
-    return b_dec, epochs, batch_size, learning_rate, np.random.default_rng(rng.integers(2 ** 63))
+    return b_dec, epochs, batch_size, learning_rate, int(rng.integers(2 ** 63))
 
 
 class FsnModel:
     """One agent's negotiator: frozen sensors, trainable decision layer."""
 
     def __init__(self, rng: np.random.Generator, config: AuctionConfig | None = None):
+        # imported on use, here and below: importing the package, which every
+        # command's process does first, then need not compile it
+        from . import streams
+
         self.config = config or AuctionConfig()
         self.es_rows = _es_template(self.config.base_price).copy()
         self.es_biases = ES_BIASES.copy()
         self.w_dec = W_DECISION.copy()
         (self.b_dec, self.epochs, self.batch_size, self.learning_rate,
-         self.noise_rng) = _agent_draws(rng)
+         noise_seed) = _agent_draws(rng)
+        self.noise_rng = next(streams.rngs([noise_seed]))
 
     @classmethod
     def view(cls, pop: Population, t: int, i: int) -> FsnModel:
@@ -627,11 +641,15 @@ class Population:
 
     Agents 0..n_malicious-1 of each trial are always-hold malicious ones
     (``fsn`` False): they draw nothing, and their rows are never read.
-    Agent i of the rest draws from its own generator, spawn key (1, i)
-    under its trial's root.
+    Agent i of the rest makes its draws (``_agent_draws``) from its own
+    generator, spawn key (1, i) under its trial's root.  All of the block's
+    agent streams are seeded in one ``streams.rngs`` call, and then all of their
+    noise streams in another.
     """
 
     def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig):
+        from . import streams
+
         shape = (len(roots), n)
         self.config = config
         self.fsn = np.zeros(shape, dtype=bool)
@@ -642,12 +660,15 @@ class Population:
         self.batch_size = np.zeros(shape, dtype=int)
         self.learning_rate = np.zeros(shape)
         self.noise_rngs = np.full(shape, None)
-        for t, root in enumerate(roots):
-            for i in range(n_malicious, n):
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    entropy=root.entropy, spawn_key=root.spawn_key + (1, i)))
-                (self.b_dec[t, i], self.epochs[t, i], self.batch_size[t, i],
-                 self.learning_rate[t, i], self.noise_rngs[t, i]) = _agent_draws(rng)
+        draws = [_agent_draws(rng) for rng in streams.rngs(
+            [(root.entropy, root.spawn_key + (1,)) for root in roots], range(n_malicious, n))]
+        if draws:  # a block of malicious agents only has nothing to draw
+            b_dec, epochs, batch_size, learning_rate, noise_seeds = zip(*draws)
+            fsn = self.fsn.nonzero()  # trial by trial, as the draws come
+            self.b_dec[fsn], self.epochs[fsn] = b_dec, epochs
+            self.batch_size[fsn], self.learning_rate[fsn] = batch_size, learning_rate
+            self.noise_rngs[fsn] = np.fromiter(streams.rngs(np.array(noise_seeds)),
+                                               dtype=object, count=len(draws))
 
     def decide(self, live: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Decisions of the FSN agents under the (trial, agent) mask live on
@@ -727,6 +748,8 @@ def run_trials(r: float, roots, n: int = 64, optim: bool = False,
 def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> list:
     """``run_trials`` for one block: each round, one forward over the block's
     active agents and one server step over its running trials."""
+    from . import streams
+
     n_malicious = round(malicious_frac * n)
     pop = Population(roots, n, n_malicious, config)
 
@@ -741,10 +764,9 @@ def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> lis
 
     if optim:  # from their own stream, spawn key (0,), so skipping them draws nothing
         variants = np.array([[v.as_array() for v in make_offer_variants(
-            base_offer(), config.variant_count,
-            np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (0,)),
+            base_offer(), config.variant_count, rng,
             scale=config.variant_scale, flip_prob=config.variant_flip_prob)]
-            for root in roots])
+            for rng in streams.rngs([(root.entropy, root.spawn_key) for root in roots], [0])])
 
     stock = round(r * n)
     markets = Markets(len(roots), n, stock, config)

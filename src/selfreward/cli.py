@@ -21,6 +21,18 @@ from .params import ParamsError, load_params, save_params
 from .reporting import ConfigError, PlotSpec, RunManifest, emit_plot, write_csv
 
 
+def _seed(text: str) -> int:
+    """The type of every --seed: a non-negative integer, checked as the
+    command line is parsed, before any input is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Override options from the --config JSON file, type-checked.
 
@@ -45,6 +57,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
                 expected = "str" if default is None else type(default).__name__
                 raise ConfigError(f"config file sets {key!r} to {value!r}; "
                                   f"expected {expected}")
+            if key == "seed" and value < 0:
+                raise ConfigError(f"config file sets 'seed' to {value}; "
+                                  f"expected a non-negative integer")
             setattr(args, key, value)
 
 
@@ -243,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True)
     run = fish.add_parser("run", help="run an episode and write the trace")
     run.add_argument("--steps", type=int, default=10000)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("--trained", help="parameter JSON from `fish1d train`")
     run.add_argument("--out", required=True)
     run.add_argument("--config", help="JSON file overriding options")
     run.set_defaults(func=cmd_fish_run, _parser=run)
     train = fish.add_parser("train", help="self-reward training")
     train.add_argument("--iters", type=int, default=12000)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--out", required=True, help="parameter JSON to write")
     train.add_argument("--config", help="JSON file overriding options")
     train.set_defaults(func=cmd_fish_train, _parser=train)
@@ -264,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     arun.add_argument("--optim", action="store_true",
                       help="let agents fine-tune during the first rounds")
     arun.add_argument("--malicious-frac", type=float, default=0.0)
-    arun.add_argument("--seed", type=int, default=0)
+    arun.add_argument("--seed", type=_seed, default=0)
     arun.add_argument("--out", required=True)
     arun.add_argument("--config", help="JSON file overriding options")
     arun.set_defaults(func=cmd_auction_run, _parser=arun)
@@ -274,19 +289,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen = lava.add_parser("gen", help="generate a map bank")
     gen.add_argument("--count", type=int, default=4096)
     gen.add_argument("--preset", required=True, choices=sorted(lava_mod.PRESETS))
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True, help="bank JSON to write")
     gen.set_defaults(func=cmd_lava_gen)
     ltrain = lava.add_parser("train", help="one self-reward epoch over a bank")
     ltrain.add_argument("--bank", required=True)
-    ltrain.add_argument("--seed", type=int, default=0)
+    ltrain.add_argument("--seed", type=_seed, default=0)
     ltrain.add_argument("--out", required=True, help="parameter JSON to write")
     ltrain.set_defaults(func=cmd_lava_train)
     leval = lava.add_parser("eval", help="evaluate a bank and write reports")
     leval.add_argument("--bank", required=True)
     leval.add_argument("--params", help="parameter JSON from `lavaland train`")
     leval.add_argument("--report", required=True)
-    leval.add_argument("--seed", type=int, default=0)
+    leval.add_argument("--seed", type=_seed, default=0)
     leval.add_argument("--jobs", type=int, default=1,
                        help="must be 1: evaluation runs the maps batched in one process "
                             "(kept so existing command lines still parse)")

@@ -62,6 +62,13 @@ map-by-map result.  ``_walk`` is the one per-map walk: ``make_plan`` runs it
 for one plan, drawing one scalar per step that has a runner-up, and
 ``imagine_and_act`` (training's and the tests' path) runs it for all of a
 map's plans from one draw.  Both walks read their neighbors from ``_grid_tables``.
+
+Every map has streams of its own under the run's seed: map i of a bank is
+generated from ``SeedSequence(seed, spawn_key=(i,))``, and imagines from
+spawn key (2, i) in training and (3, i) in evaluation.  Each bank,
+training block and evaluation batch seeds all of its maps' streams in one
+``streams.rngs`` call, numpy's seeding hash run over every key at once, and
+builds each map's generator only as the map comes up.
 """
 
 from __future__ import annotations
@@ -211,20 +218,28 @@ def palette_indices(maps: list[TileMap]) -> np.ndarray:
     return tiles
 
 
+# Terrain draws per map before generation gives up: a draw with fewer than two
+# walkable tiles is redrawn, which at 10% lava on 12x12 essentially never
+# happens, and at lava_frac near 1 nearly always does.
+MAP_TRIES = 1000
+
+
 def generate_map(rng: np.random.Generator, config: LavaConfig) -> TileMap:
     h, w = config.height, config.width
-    while True:
+    for _ in range(MAP_TRIES):
         u = rng.random((h, w))
         grid = np.where(u < config.lava_frac, "l",
                         np.where(u < config.lava_frac + config.grass_frac, "g", "d"))
         walkable = [(r, c) for r in range(h) for c in range(w) if grid[r, c] != "l"]
         if len(walkable) < 2:
-            continue  # essentially impossible at 10% lava, but stay safe
+            continue
         pick = rng.choice(len(walkable), size=2, replace=False)
         spawn, target = walkable[pick[0]], walkable[pick[1]]
         grid[target] = "y"
         rows = ["".join(grid[r]) for r in range(h)]
         return TileMap(tiles=rows, spawn=spawn)
+    raise ValueError(f"lava_frac {config.lava_frac} left fewer than 2 walkable tiles "
+                     f"on a {h}x{w} map in {MAP_TRIES} draws; lower lava_frac")
 
 
 @dataclass
@@ -235,16 +250,18 @@ class MapBank:
 
 
 def generate_maps(count: int, preset: str, seed: int) -> MapBank:
-    """Deterministic bank of maps for one preset."""
+    """Deterministic bank of maps for one preset: map i from its own stream,
+    ``SeedSequence(seed, spawn_key=(i,))``."""
+    # imported on use, here and below: importing the package, which every
+    # command's process does first, then need not compile it
+    from . import streams
+
     if count < 1:
         raise ValueError("count must be >= 1")
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     config = PRESETS[preset]
-    maps = []
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        maps.append(generate_map(rng, config))
+    maps = [generate_map(rng, config) for rng in streams.rngs([(seed, ())], range(count))]
     return MapBank(preset=preset, seed=seed, maps=maps)
 
 
@@ -774,6 +791,8 @@ def srd_train_lavaland(params: Robot2NNParams, bank: MapBank,
     A map whose loss is not finite stops training with a ValueError naming
     it, before its update touches the kernels.
     """
+    from . import streams
+
     losses = []
     maps, first = bank.maps, 0
     while first < len(maps):
@@ -783,9 +802,7 @@ def srd_train_lavaland(params: Robot2NNParams, bank: MapBank,
                and maps[end].height == h and maps[end].width == w):
             end += 1
         inputs = field_inputs(maps[first:end], config)
-        for i in range(first, end):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=seed, spawn_key=(2, i)))
+        for i, rng in zip(range(first, end), streams.rngs([(seed, (2,))], range(first, end))):
             fields = _map_fields(inputs, i - first, maps[i], params.kernels)
             _, plans = imagine_and_act(fields, rng, config)
             loss, d_scores = plan_quality_loss(plans)
@@ -943,6 +960,8 @@ def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray
     """Episodes of same-shape maps; ``indices`` are their places in the bank.
     Fields are built ``FIELD_BATCH`` maps at a time, keeping only the last
     layer, and the whole batch walks in one ``_walk_lockstep``."""
+    from . import streams
+
     b, h, w = len(maps), maps[0].height, maps[0].width
     hw = h * w
     tiles = np.empty((b, hw), dtype=_CHAR_CODES.dtype)
@@ -956,8 +975,7 @@ def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray
         unknown[j:j + FIELD_BATCH] = inputs.w_unknown.reshape(-1, hw)
     # every map's whole stream in one draw, kept only as its explore decisions
     explore = np.empty((b, config.n_plans * config.max_steps), dtype=bool)
-    for j, i in enumerate(indices):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3, i)))
+    for j, rng in enumerate(streams.rngs([(seed, (3,))], indices)):
         explore[j] = _explore_draws(rng, config, explore.shape[1])
     spawns = np.array([r * w + c for r, c in (m.spawn for m in maps)])
     targets = np.array([r * w + c for r, c in (m.target for m in maps)])

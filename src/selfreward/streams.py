@@ -1,0 +1,233 @@
+"""Per-item random streams, seeded exactly as numpy's ``SeedSequence`` seeds them.
+
+Every agent, map and noise source of a scenario draws from a stream of its
+own, ``default_rng(SeedSequence(entropy, spawn_key=key))``.  numpy hashes
+each ``SeedSequence`` in Python, about 19 us apiece, and an auction builds
+two streams for each of its thousands of agents.  ``rngs`` runs the same
+hash over N items at once as uint32 array arithmetic, vectorised over the
+items and over the four pool lanes, and hands each ``PCG64`` its
+precomputed words through a minimal seed sequence.  So every generator
+starts in the state numpy's would, bit for bit, and its
+``bit_generator.seed_seq`` still exposes ``entropy`` and ``spawn_key`` and
+spawns the children numpy's would.
+
+The hash is numpy's ``SeedSequence``: an item's entropy words (padded with
+zeros to the pool size when it has a spawn key), then its spawn key's words,
+are hashed into a pool of four words; every pool word is mixed into every
+other; each word beyond the fourth is mixed into all four; the pool is then
+cycled into eight output words, read as four uint64 (``generate_state(4,
+np.uint64)``, what ``PCG64`` seeds from).  The hash constant advances once
+per hash call whatever the data, so every call's constants are known in
+advance and shared by all items.  An integer becomes its 32-bit words, low
+word first, and 0 the single word 0; a sequence becomes its elements' words
+in turn.
+
+``numpy.random`` is imported on the first call, not with this module, so
+importing a scenario does not load it.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Iterator
+
+import numpy as np
+
+MASK32 = 0xFFFFFFFF
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+XSHIFT = 16
+STATE_WORDS = 8  # generate_state(4, np.uint64) as uint32 words
+
+
+def _words(value) -> list[int]:
+    """The uint32 words numpy reads an entropy or spawn-key value as."""
+    if isinstance(value, (int, np.integer)):
+        n = int(value)
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words = [n & MASK32]
+        while n > MASK32:
+            n >>= 32
+            words.append(n & MASK32)
+        return words
+    if isinstance(value, (float, np.inexact)):
+        raise TypeError("seed must be integer")
+    return [w for v in value for w in _words(v)]
+
+
+def _running(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """What hash calls 0 .. calls-1 XOR their value with, and then multiply
+    it by: the running constant before and after each call advances it."""
+    seq = [init]
+    for _ in range(calls):
+        seq.append(seq[-1] * mult & MASK32)
+    return np.array(seq[:-1], dtype=np.uint32), np.array(seq[1:], dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=16)
+def _schedule(n_words: int) -> tuple:
+    """The (xor, mul) constants of every hash call for items of up to
+    ``n_words`` words, shaped as ``_hash`` takes them: the four pool words'
+    calls; per source word, the calls that mix it into the other three (in
+    its own lane a dummy, whose result is discarded); per later word, its
+    four calls; and the eight calls that generate the state."""
+    xor, mul = _running(INIT_A, MULT_A, POOL_SIZE * n_words)
+    first = xor[:POOL_SIZE, None], mul[:POOL_SIZE, None]
+    sources = []
+    for src in range(POOL_SIZE):
+        calls = [POOL_SIZE + 3 * src + d - (d > src) if d != src else 0
+                 for d in range(POOL_SIZE)]
+        sources.append((xor[calls, None], mul[calls, None]))
+    rest = 4 * POOL_SIZE
+    later = (xor[rest:].reshape(-1, POOL_SIZE, 1), mul[rest:].reshape(-1, POOL_SIZE, 1))
+    xor, mul = _running(INIT_B, MULT_B, STATE_WORDS)
+    schedule = (first, sources, later, (xor[:, None], mul[:, None]))
+    for pair in (first, *sources, later, schedule[-1]):
+        for a in pair:
+            a.flags.writeable = False
+    return schedule
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    out = values ^ xor
+    out *= mul
+    out ^= out >> XSHIFT
+    return out
+
+
+def _hash(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of N items, as (N, 4) uint64.
+
+    ``entropy`` is (L, N) uint32: item j's assembled words in column j,
+    then zeros, with L at least the pool size and every item's length
+    ``lengths[j]``.
+    """
+    n_words = max(POOL_SIZE, lengths.max(initial=0))
+    first, sources, later, generate = _schedule(n_words)
+    # every pool word from its entropy word (0 past the end), in call order
+    pool = _hashmix(entropy[:POOL_SIZE], *first)
+    # then each word into every other, source by source
+    for src, consts in enumerate(sources):
+        mixed = pool * MIX_MULT_L
+        mixed -= _hashmix(pool[src], *consts) * MIX_MULT_R
+        mixed ^= mixed >> XSHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    # then each later word into all four; none of these hashes reads the pool
+    terms = _hashmix(entropy[POOL_SIZE:n_words, None], *later)
+    terms *= MIX_MULT_R
+    ragged = lengths.min(initial=n_words) < n_words
+    for p, term in enumerate(terms, POOL_SIZE):
+        mixed = pool * MIX_MULT_L
+        mixed -= term
+        mixed ^= mixed >> XSHIFT
+        pool = np.where(lengths > p, mixed, pool) if ragged else mixed
+    state = _hashmix(pool[np.arange(STATE_WORDS) % POOL_SIZE], *generate)
+    # as numpy does: the words read little-endian, in pairs, as uint64
+    return np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8").astype(
+        np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_words_class() -> type:
+    """The minimal seed sequence, defined on first use: subclassing numpy's
+    interface imports ``numpy.random``."""
+    from numpy.random import SeedSequence
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+
+    class SeedWords(ISpawnableSeedSequence):
+        """A ``SeedSequence`` whose ``generate_state(4, np.uint64)`` is known."""
+
+        def __init__(self, words: np.ndarray, entropy, spawn_key: tuple):
+            self.words, self.entropy, self.spawn_key = words, entropy, spawn_key
+            self.n_children_spawned = 0
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words == 4 and np.dtype(dtype) == np.uint64:
+                return self.words.copy()
+            return SeedSequence(self.entropy, spawn_key=self.spawn_key).generate_state(
+                n_words, dtype)
+
+        def spawn(self, n_children: int) -> list:
+            first, self.n_children_spawned = (self.n_children_spawned,
+                                              self.n_children_spawned + n_children)
+            return [SeedSequence(self.entropy, spawn_key=self.spawn_key + (i,))
+                    for i in range(first, first + n_children)]
+
+    SeedWords.__module__, SeedWords.__qualname__ = __name__, "SeedWords"
+    return SeedWords
+
+
+def __getattr__(name: str):
+    if name == "SeedWords":  # so that pickle finds the lazily defined class
+        return _seed_words_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _stack(word_lists: list, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Word lists as the columns of a zero-padded uint32 array of at least
+    ``rows`` rows, and their lengths."""
+    lengths = np.array([len(w) for w in word_lists], dtype=int)
+    out = np.zeros((lengths.max(initial=rows), len(word_lists)), dtype=np.uint32)
+    for j, w in enumerate(word_lists):
+        out[:len(w), j] = w
+    return out, lengths
+
+
+def rngs(seeds, index=None) -> Iterator:
+    """Generators for N items, each in the state numpy gives it.
+
+    Without ``index``, item j is ``default_rng(SeedSequence(seeds[j]))``:
+    ``seeds`` holds plain entropies (non-negative ints or int sequences),
+    or is an integer array.  With ``index``, each of ``seeds`` is a root
+    ``(entropy, spawn_key)`` and the items run root by root, then index by
+    index: item (r, i) is ``default_rng(SeedSequence(entropy_r,
+    spawn_key=spawn_key_r + (i,)))``.
+
+    All N items are hashed at once, here; each generator is built only when
+    the returned iterator reaches it.  A negative value raises a ValueError,
+    as numpy's does.
+    """
+    if index is None:
+        if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+            if seeds.size and seeds.min() < 0:
+                raise ValueError(f"expected non-negative integer, got {seeds.min()}")
+            seeds = seeds.astype(np.uint64).ravel()
+            # two words each: under the pool size, a trailing 0 word hashes as none
+            entropy = np.zeros((POOL_SIZE, len(seeds)), dtype=np.uint32)
+            entropy[0], entropy[1] = seeds & MASK32, seeds >> 32
+            lengths = np.full(len(seeds), 2)
+            seeds = seeds.tolist()
+        else:
+            entropy, lengths = _stack([_words(s) for s in seeds], POOL_SIZE)
+        items = ((s, ()) for s in seeds)
+    else:
+        index = [int(i) for i in index]
+        if index and min(index) < 0:
+            raise ValueError(f"expected non-negative integer, got {min(index)}")
+        if max(index, default=0) <= MASK32:
+            tail, tail_lengths = np.array(index, dtype=np.uint32)[None], 1
+        else:
+            tail, tail_lengths = _stack([_words(i) for i in index])
+        roots = [(e, tuple(key)) for e, key in seeds]
+        # a spawned item's entropy is padded with zeros to the pool size
+        bases = [np.array(run + [0] * (POOL_SIZE - len(run)) + _words(key), dtype=np.uint32)
+                 for run, key in ((_words(e), key) for e, key in roots)]
+        n_idx = len(index)
+        entropy = np.zeros((max([len(b) + len(tail) for b in bases], default=POOL_SIZE),
+                            len(roots) * n_idx), dtype=np.uint32)
+        lengths = np.empty(entropy.shape[1], dtype=int)
+        for r, base in enumerate(bases):
+            cols = slice(r * n_idx, (r + 1) * n_idx)
+            entropy[:len(base), cols] = base[:, None]
+            entropy[len(base):len(base) + len(tail), cols] = tail
+            lengths[cols] = len(base) + tail_lengths
+        items = ((e, key + (i,)) for e, key in roots for i in index)
+    words = _hash(entropy, lengths)
+
+    from numpy.random import PCG64, Generator
+    seed_words = _seed_words_class()
+    return (Generator(PCG64(seed_words(w, e, key))) for w, (e, key) in zip(words, items))

@@ -692,10 +692,13 @@ def reference_auction(r, optim, malicious_frac, seed, n=64):
     root = np.random.SeedSequence(seed)
     agents = []
     for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=root.spawn_key + (1, i)))
+        seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (1, i))
         kind = AlwaysHoldModel if i < round(malicious_frac * n) else FsnModel
-        agents.append(kind(rng, config))
+        agents.append(kind(np.random.default_rng(seq), config))
+        if kind is FsnModel:  # its noise stream is numpy's, from the seed it drew
+            noise_seed = auction._agent_draws(np.random.default_rng(seq))[-1]
+            assert (agents[-1].noise_rng.bit_generator.state
+                    == np.random.default_rng(noise_seed).bit_generator.state)
     passed = [reference_screen(m, config) for m in agents]
     assert all(passed) or malicious_frac > 0
     variants = make_offer_variants(
@@ -715,7 +718,9 @@ def reference_auction(r, optim, malicious_frac, seed, n=64):
 
 @pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
 @pytest.mark.parametrize("r, malicious_frac, seed", [
-    (0.0625, 0.0, 3), (0.0625, 0.5, 4), (0.25, 0.0, 5), (0.5, 0.5, 6)])
+    (0.0625, 0.0, 3), (0.0625, 0.5, 4), (0.25, 0.0, 5), (0.5, 0.5, 6),
+    # entropies of several words
+    (0.25, 0.5, 2 ** 80 + 5), (0.0625, 0.0, [7, 2 ** 40])])
 def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed):
     result, state = run_auction(r, optim=optim, malicious_frac=malicious_frac,
                                 seed=seed, return_state=True)
@@ -730,6 +735,19 @@ def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed)
     if optim:  # fine-tuning moved the weights that were compared
         assert any(not np.array_equal(m.w_dec, W_DECISION)
                    for m in agents if isinstance(m, FsnModel))
+
+
+@pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
+def test_all_malicious_block_matches_per_agent_reference(optim):
+    # no FSN agent: the block has no agent stream to seed and no noise to draw
+    result, state = run_auction(0.25, optim=optim, malicious_frac=1.0, seed=8,
+                                return_state=True)
+    prices, rounds, agents = reference_auction(0.25, optim, 1.0, 8)
+    assert result.prices == prices == [] and result.rounds == rounds
+    assert all(type(a) is AlwaysHoldModel for a in state.agents + agents)
+    roots = [np.random.SeedSequence(8, spawn_key=(0, t)) for t in range(3)]
+    results = auction.run_trials(0.25, roots, optim=optim, malicious_frac=1.0)
+    assert [(r.prices, r.rounds) for r in results] == [([], rounds)] * 3
 
 
 # -- lockstep trials -----------------------------------------------------------------

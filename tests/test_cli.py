@@ -154,6 +154,36 @@ def test_missing_bank_file_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["fish1d", "run", "--out", "{tmp}/f"],
+    ["fish1d", "train", "--out", "{tmp}/p.json"],
+    ["auction", "run", "--out", "{tmp}/a"],
+    ["lavaland", "gen", "--preset", "lava-a", "--out", "{tmp}/b.json"],
+    ["lavaland", "train", "--bank", "{tmp}/missing.json", "--out", "{tmp}/p.json"],
+    ["lavaland", "eval", "--bank", "{tmp}/missing.json", "--report", "{tmp}/r"],
+], ids=lambda c: " ".join(c[:2]))
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_exits_two_naming_the_option(tmp_path, capsys, command, seed):
+    # refused as the command line is parsed: the bank is never read
+    with pytest.raises(SystemExit) as exc:
+        dispatch([a.format(tmp=tmp_path) for a in command] + ["--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected a non-negative integer" in err
+    assert "missing.json" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_negative_seed_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    rc = dispatch(["fish1d", "run", "--steps", "10", "--out", str(tmp_path / "f"),
+                   "--config", str(cfg)])
+    assert rc == 2
+    assert "'seed' to -1; expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
 def test_config_file_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 50}))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -510,6 +511,13 @@ def test_degenerate_map_rejected():
         generate_map(np.random.default_rng(0), LavaConfig(height=1, width=1))
 
 
+def test_generate_map_gives_up_when_lava_leaves_no_room():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="lava_frac"):
+        generate_map(np.random.default_rng(0), LavaConfig(lava_frac=0.99999))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_two_and_three_cell_maps_generate_train_and_evaluate():
     # LavaConfig's smallest maps: a spawn and a target with at most one tile between
     cfg = PRESETS["lava-a"]
@@ -813,6 +821,24 @@ def test_lockstep_evaluation_matches_per_map_reference(preset, trained):
     if trained:
         srd_train_lavaland(params, generate_maps(32, preset, seed=2), cfg, seed=2)
     _assert_matches_per_map(params, generate_maps(40, preset, seed=3), cfg, seed=4)
+
+
+def test_mixed_shape_bank_at_a_two_word_seed_matches_per_map_reference():
+    # seed 2**33 takes two entropy words; the lone 6x6 map is a shape group
+    # of one map, in training's blocks and in evaluation's batches
+    cfg = PRESETS["lava-a"]
+    seed = 2 ** 33
+    big = generate_maps(10, "lava-a", seed=seed).maps
+    assert big == [generate_map(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+                                cfg) for i in range(10)]
+    small = generate_map(np.random.default_rng(29), LavaConfig(height=6, width=6, lava_frac=0.1))
+    bank = MapBank("lava-a", seed, big[:4] + [small] + big[4:])
+    params = Robot2NNParams()
+    losses = srd_train_lavaland(params, bank, cfg, seed=seed)
+    kernels, want_losses, _ = _per_map_training(bank, cfg, seed=seed)
+    np.testing.assert_array_equal(_bits(params.kernels), _bits(kernels))
+    assert losses == want_losses
+    _assert_matches_per_map(params, bank, cfg, seed=seed)
 
 
 def test_lockstep_evaluation_of_a_mixed_shape_bank():
