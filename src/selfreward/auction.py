@@ -73,27 +73,31 @@ the same small matrix product per agent as a single-agent call, so every
 decision is the one the agent would take alone, bit for bit.
 
 The trials of an experiment run in lockstep too (``run_trials``;
-``run_auction`` is its one-trial call).  A block of trials holds its agents
-as one ``Population`` of stacked arrays over (trial, agent): decision
-weights, optimizer settings, a ``noise_rng`` each and an is-FSN mask.  Each
-trial keeps its own price, stock, demand, round count, status row, ledger
-and termination flag (``Markets``).  A round makes one sensor and decision
-forward over the active agents of every running trial, then one vectorised
-server step; fine-tuning gathers the learners' rows once, tunes them and
-writes them back.  Trials have independent seeds and each agent draws only
-from its own streams, so interleaving trials changes no draw and no bit:
-every trial ends as it would alone.  All of a block's agents live until its
-last trial ends, each with a ``noise_rng`` of about 1.6 KB, so a block
-holds at most ``LOCKSTEP_AGENTS`` agents.
+``run_auction`` is ``run_trials`` for one resolved seed).  A block of
+trials holds its agents as one ``Population`` of stacked arrays over
+(trial, agent): decision weights, optimizer settings, a ``noise_rng`` each
+and an is-FSN mask.  Each trial keeps its own price, stock, demand, round
+count, status row, ledger and termination flag (``Markets``).  A round
+makes one sensor and decision forward over the active agents of every
+running trial, then one vectorised server step; fine-tuning gathers the
+learners' rows once, tunes them and writes them back.  Trials have
+independent seeds and each agent draws only from its own streams, so
+interleaving trials changes no draw and no bit: every trial ends as it
+would alone.  All of a block's agents live until its last trial ends, each
+with a ``noise_rng`` of about 1.6 KB, so a block holds at most
+``LOCKSTEP_AGENTS`` agents.
 
-Every stream hangs off its trial's root ``SeedSequence``.  Agent i makes
-its construction draws (``_agent_draws``: biases, optimizer settings, then
-a seed) from ``SeedSequence(root.entropy, spawn_key=root.spawn_key + (1,
-i))``, and its ``noise_rng`` is ``default_rng(seed)``; the fine-tuning
-variants come from spawn key ``root.spawn_key + (0,)``.  A block seeds each
-kind of stream for all of its trials in one ``streams.rngs`` call, which
-runs numpy's seeding hash over every key at once: each generator starts in
-the state numpy gives it, bit for bit.
+Every stream hangs off its trial's root, a plain ``(entropy, spawn_key)``
+pair: ``run_experiment`` gives trial t of supply point ri the root
+``(entropy, (ri, t))`` under its one resolved seed, and ``run_auction``
+turns its seed into one root.  Agent i makes its construction draws
+(``_agent_draws``: biases, optimizer settings, then a seed) from the
+stream numpy seeds from ``entropy`` and spawn key ``spawn_key + (1, i)``,
+and its ``noise_rng`` is ``default_rng(seed)``; the fine-tuning variants
+come from spawn key ``spawn_key + (0,)``.  A block seeds each kind of
+stream for all of its trials in one ``streams.rngs`` call, which runs
+numpy's seeding hash over every key at once: each generator starts in the
+state numpy gives it, bit for bit.
 
 The decision-layer magnitudes used here were chosen so that demand is
 price-elastic (agents flip from buy to hold as the price climbs) and so
@@ -297,29 +301,13 @@ class FsnModel:
     """One agent's negotiator: frozen sensors, trainable decision layer."""
 
     def __init__(self, rng: np.random.Generator, config: AuctionConfig | None = None):
-        # imported on use, here and below: importing the package, which every
-        # command's process does first, then need not compile it
-        from . import streams
-
         self.config = config or AuctionConfig()
         self.es_rows = _es_template(self.config.base_price).copy()
         self.es_biases = ES_BIASES.copy()
         self.w_dec = W_DECISION.copy()
         (self.b_dec, self.epochs, self.batch_size, self.learning_rate,
          noise_seed) = _agent_draws(rng)
-        self.noise_rng = next(streams.rngs([noise_seed]))
-
-    @classmethod
-    def view(cls, pop: Population, t: int, i: int) -> FsnModel:
-        """Agent i of trial t of a population; its weights write through."""
-        m = cls.__new__(cls)
-        m.config = pop.config
-        m.es_rows, m.es_biases = _es_template(pop.config.base_price), ES_BIASES
-        m.w_dec, m.b_dec = pop.w_dec[t, i], pop.b_dec[t, i]
-        m.epochs, m.batch_size = int(pop.epochs[t, i]), int(pop.batch_size[t, i])
-        m.learning_rate = float(pop.learning_rate[t, i])
-        m.noise_rng = pop.noise_rngs[t, i]
-        return m
+        self.noise_rng = np.random.default_rng(noise_seed)
 
     @property
     def malicious(self) -> bool:
@@ -400,6 +388,20 @@ def _sensors(es_rows: np.ndarray, es_biases: np.ndarray, x: np.ndarray, rngs,
     return out
 
 
+def _bid(es_rows, es_biases, x: np.ndarray, rngs, w: np.ndarray, b: np.ndarray,
+         config: AuctionConfig) -> np.ndarray:
+    """Buy / hold / quit decisions of n agents on offer rows x (n, 8): the
+    sensors (``_sensors``), the decision layers w (n, 3, 4) and b (n, 3),
+    and the argmax."""
+    x_es = _sensors(es_rows, es_biases, x, rngs, config)
+    return _decision_logits(x_es[:, None, :], w, b)[:, 0].argmax(axis=-1)
+
+
+def _screening_probe(config: AuctionConfig) -> Offer:
+    """The very cheap offer that every sensible negotiator buys."""
+    return Offer(price=0.25 * config.base_price)
+
+
 def decide_offers(models, offer: Offer) -> np.ndarray:
     """Buy / hold / quit decision of every model on one offer.
 
@@ -411,13 +413,10 @@ def decide_offers(models, offer: Offer) -> np.ndarray:
     x = offer.as_array()
     for idx in _forward_groups(models):
         group = [models[i] for i in idx]
-        x_es = _sensors(np.array([m.es_rows for m in group]),
-                        np.array([m.es_biases for m in group]),
-                        np.broadcast_to(x, (len(group), len(x))),
-                        [m.noise_rng for m in group], group[0].config)
-        w = np.array([m.w_dec for m in group])
-        b = np.array([m.b_dec for m in group])
-        decisions[idx] = _decision_logits(x_es[:, None, :], w, b)[:, 0].argmax(axis=-1)
+        es_rows, es_biases, w, b = (np.array([getattr(m, name) for m in group])
+                                    for name in ("es_rows", "es_biases", "w_dec", "b_dec"))
+        decisions[idx] = _bid(es_rows, es_biases, np.broadcast_to(x, (len(group), len(x))),
+                              [m.noise_rng for m in group], w, b, group[0].config)
     for i, m in enumerate(models):
         if not isinstance(m, FsnModel):
             decisions[i] = m.decide_offer(offer)
@@ -445,8 +444,8 @@ def screen_models(models, config: AuctionConfig | None = None) -> list[bool]:
         signs = np.sign(np.array([models[i].w_dec[BUY] for i in fsn]))
         shaped &= (signs[:, PG] < 0) & (signs[:, [SZ, LSR, ST]] > 0).all(axis=1)
         probed = [i for i, ok in zip(fsn, shaped) if ok]
-        probe = Offer(price=0.25 * config.base_price)
-        verdicts[probed] = decide_offers([models[i] for i in probed], probe) == BUY
+        verdicts[probed] = decide_offers([models[i] for i in probed],
+                                         _screening_probe(config)) == BUY
     return verdicts.tolist()
 
 
@@ -642,12 +641,15 @@ class Population:
     Agents 0..n_malicious-1 of each trial are always-hold malicious ones
     (``fsn`` False): they draw nothing, and their rows are never read.
     Agent i of the rest makes its draws (``_agent_draws``) from its own
-    generator, spawn key (1, i) under its trial's root.  All of the block's
+    generator, spawn key (1, i) under its trial's ``(entropy, spawn_key)``
+    root.  All of the block's
     agent streams are seeded in one ``streams.rngs`` call, and then all of their
     noise streams in another.
     """
 
     def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig):
+        # imported on use, here and below: importing the package, which every
+        # command's process does first, then need not compile it
         from . import streams
 
         shape = (len(roots), n)
@@ -661,7 +663,7 @@ class Population:
         self.learning_rate = np.zeros(shape)
         self.noise_rngs = np.full(shape, None)
         draws = [_agent_draws(rng) for rng in streams.rngs(
-            [(root.entropy, root.spawn_key + (1,)) for root in roots], range(n_malicious, n))]
+            [(entropy, key + (1,)) for entropy, key in roots], range(n_malicious, n))]
         if draws:  # a block of malicious agents only has nothing to draw
             b_dec, epochs, batch_size, learning_rate, noise_seeds = zip(*draws)
             fsn = self.fsn.nonzero()  # trial by trial, as the draws come
@@ -673,10 +675,8 @@ class Population:
     def decide(self, live: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Decisions of the FSN agents under the (trial, agent) mask live on
         offer rows x (trials, 8): one stacked forward, as ``decide_offers``."""
-        x_es = _sensors(_es_template(self.config.base_price), ES_BIASES,
-                        x[live.nonzero()[0]], self.noise_rngs[live], self.config)
-        logits = _decision_logits(x_es[:, None, :], self.w_dec[live], self.b_dec[live])
-        return logits[:, 0].argmax(axis=-1)
+        return _bid(_es_template(self.config.base_price), ES_BIASES, x[live.nonzero()[0]],
+                    self.noise_rngs[live], self.w_dec[live], self.b_dec[live], self.config)
 
 
 class Markets:
@@ -725,29 +725,35 @@ class Markets:
                         & (self.rounds < config.max_rounds))
 
 
-def run_trials(r: float, roots, n: int = 64, optim: bool = False,
-               malicious_frac: float = 0.0, config: AuctionConfig | None = None,
-               return_states: bool = False) -> list:
+def run_trials(r: float, roots, n: int = 64, optim: bool = False, malicious_frac: float = 0.0,
+               config: AuctionConfig | None = None) -> list[TrialResult]:
     """Full auctions with n agents and round(r*n) units of stock, one per
-    root ``SeedSequence``, run in lockstep blocks of up to
-    ``LOCKSTEP_AGENTS`` agents.  Each result, and with ``return_states`` each
-    (result, state) pair, is the one its trial gives when run alone."""
+    root ``(entropy, spawn_key)``, run in lockstep blocks of up to
+    ``LOCKSTEP_AGENTS`` agents.  Each result is the one its trial gives when
+    run alone."""
     if not 0 < r <= 1:
         raise ValueError(f"item-supply fraction r must be in (0, 1], got {r}")
     if not 0 <= malicious_frac <= 1:
         raise ValueError(f"malicious_frac must be in [0, 1], got {malicious_frac}")
     config = config or AuctionConfig()
+    stock = round(r * n)
     per_block = max(1, LOCKSTEP_AGENTS // max(n, 1))
     out = []
     for start in range(0, len(roots), per_block):
-        out += _run_block(r, roots[start:start + per_block], n, optim, malicious_frac,
-                          config, return_states)
+        # keep only the markets, so a block's agents are freed before the next is built
+        markets = _run_block(r, roots[start:start + per_block], n, optim, malicious_frac,
+                             config)[1]
+        out += [TrialResult(r=r, available=stock, prices=[p.price for p in ledger],
+                            purchase_rate=len(ledger) / stock if stock else 0.0,
+                            rounds=int(rounds))
+                for ledger, rounds in zip(markets.ledgers, markets.rounds)]
     return out
 
 
-def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> list:
+def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, Markets]:
     """``run_trials`` for one block: each round, one forward over the block's
-    active agents and one server step over its running trials."""
+    active agents and one server step over its running trials.  Returns the
+    block's final agents and markets."""
     from . import streams
 
     n_malicious = round(malicious_frac * n)
@@ -757,7 +763,7 @@ def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> lis
     # The agents are built from the sensor template and W_DECISION, so only
     # the cheap-offer probe can flag one; every agent takes it, since it
     # draws clone noise.
-    probe = np.tile(Offer(price=0.25 * config.base_price).as_array(), (len(roots), 1))
+    probe = np.tile(_screening_probe(config).as_array(), (len(roots), 1))
     passed = pop.decide(pop.fsn, probe) == BUY
     if malicious_frac == 0 and not passed.all():
         raise RuntimeError("screener flagged a model outside malicious mode")
@@ -766,10 +772,9 @@ def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> lis
         variants = np.array([[v.as_array() for v in make_offer_variants(
             base_offer(), config.variant_count, rng,
             scale=config.variant_scale, flip_prob=config.variant_flip_prob)]
-            for rng in streams.rngs([(root.entropy, root.spawn_key) for root in roots], [0])])
+            for rng in streams.rngs(roots, [0])])
 
-    stock = round(r * n)
-    markets = Markets(len(roots), n, stock, config)
+    markets = Markets(len(roots), n, round(r * n), config)
     k = 0
     while markets.running.any():
         live = markets.active() & pop.fsn
@@ -783,33 +788,17 @@ def _run_block(r, roots, n, optim, malicious_frac, config, return_states) -> lis
         decisions[live] = pop.decide(live, markets.offers())
         markets.step(decisions)
         k += 1
-
-    out = []
-    for t, ledger in enumerate(markets.ledgers):
-        result = TrialResult(r=r, available=stock, prices=[p.price for p in ledger],
-                             purchase_rate=len(ledger) / stock if stock else 0.0,
-                             rounds=int(markets.rounds[t]))
-        if return_states:
-            agents = [FsnModel.view(pop, t, i) if pop.fsn[t, i]
-                      else AlwaysHoldModel(None, config) for i in range(n)]
-            state = AuctionState(
-                config=config, stock=int(markets.stock[t]), agents=agents,
-                price=float(markets.price[t]), demand_frac=float(markets.demand[t]),
-                k=int(markets.rounds[t]), status=[STATUS_NAMES[s] for s in markets.status[t]],
-                ledger=ledger, terminated=True)
-            result = (result, state)
-        out.append(result)
-    return out
+    return pop, markets
 
 
 def run_auction(r: float, n: int = 64, optim: bool = False,
                 malicious_frac: float = 0.0, seed=None,
-                config: AuctionConfig | None = None,
-                return_state: bool = False):
+                config: AuctionConfig | None = None) -> TrialResult:
     """One full auction with n agents and round(r*n) units of stock:
-    ``run_trials`` for one seed."""
+    ``run_trials`` for one seed (an int, int list, None or ``SeedSequence``)."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return run_trials(r, [root], n, optim, malicious_frac, config, return_state)[0]
+    return run_trials(r, [(root.entropy, root.spawn_key)], n, optim, malicious_frac,
+                      config)[0]
 
 
 CONDITIONS = {  # name: (optim, malicious)
@@ -830,15 +819,14 @@ def run_experiment(r_grid, trials: int = 10, conditions=None, seed=None,
     streams in both.
     """
     conditions = conditions or list(CONDITIONS)
-    root = np.random.SeedSequence(seed)
+    entropy = np.random.SeedSequence(seed).entropy
     rows = []
     purchases = []
     for name in conditions:
         optim, malicious = CONDITIONS[name]
         frac = malicious_frac if malicious else 0.0
         for ri, r in enumerate(r_grid):
-            roots = [np.random.SeedSequence(entropy=root.entropy, spawn_key=(ri, trial))
-                     for trial in range(trials)]
+            roots = [(entropy, (ri, trial)) for trial in range(trials)]
             results = run_trials(r, roots, n=n, optim=optim, malicious_frac=frac,
                                  config=config)
             for trial, result in enumerate(results):

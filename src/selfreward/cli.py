@@ -124,7 +124,7 @@ def _parse_r_grid(text: str) -> list[float]:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as err:
         raise ConfigError(f"bad --r-grid {text!r}; expected start:stop:count") from err
-    if count < 1 or start <= 0 or stop < start or stop > 1:
+    if count < 1 or not 0 < start <= stop <= 1:  # NaN fails every comparison
         raise ConfigError(f"bad --r-grid {text!r}; need 0 < start <= stop <= 1 "
                           f"and count >= 1")
     if count == 1 and start != stop:

@@ -21,9 +21,6 @@ per hash call whatever the data, so every call's constants are known in
 advance and shared by all items.  An integer becomes its 32-bit words, low
 word first, and 0 the single word 0; a sequence becomes its elements' words
 in turn.
-
-``numpy.random`` is imported on the first call, not with this module, so
-importing a scenario does not load it.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ import functools
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 MASK32 = 0xFFFFFFFF
 POOL_SIZE = 4
@@ -131,40 +129,24 @@ def _hash(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         np.uint64, copy=False)
 
 
-@functools.cache
-def _seed_words_class() -> type:
-    """The minimal seed sequence, defined on first use: subclassing numpy's
-    interface imports ``numpy.random``."""
-    from numpy.random import SeedSequence
-    from numpy.random.bit_generator import ISpawnableSeedSequence
+class SeedWords(ISpawnableSeedSequence):
+    """A ``SeedSequence`` whose ``generate_state(4, np.uint64)`` is known."""
 
-    class SeedWords(ISpawnableSeedSequence):
-        """A ``SeedSequence`` whose ``generate_state(4, np.uint64)`` is known."""
+    def __init__(self, words: np.ndarray, entropy, spawn_key: tuple):
+        self.words, self.entropy, self.spawn_key = words, entropy, spawn_key
+        self.n_children_spawned = 0
 
-        def __init__(self, words: np.ndarray, entropy, spawn_key: tuple):
-            self.words, self.entropy, self.spawn_key = words, entropy, spawn_key
-            self.n_children_spawned = 0
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words == 4 and np.dtype(dtype) == np.uint64:
+            return self.words.copy()
+        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key).generate_state(
+            n_words, dtype)
 
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            if n_words == 4 and np.dtype(dtype) == np.uint64:
-                return self.words.copy()
-            return SeedSequence(self.entropy, spawn_key=self.spawn_key).generate_state(
-                n_words, dtype)
-
-        def spawn(self, n_children: int) -> list:
-            first, self.n_children_spawned = (self.n_children_spawned,
-                                              self.n_children_spawned + n_children)
-            return [SeedSequence(self.entropy, spawn_key=self.spawn_key + (i,))
-                    for i in range(first, first + n_children)]
-
-    SeedWords.__module__, SeedWords.__qualname__ = __name__, "SeedWords"
-    return SeedWords
-
-
-def __getattr__(name: str):
-    if name == "SeedWords":  # so that pickle finds the lazily defined class
-        return _seed_words_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    def spawn(self, n_children: int) -> list:
+        first, self.n_children_spawned = (self.n_children_spawned,
+                                          self.n_children_spawned + n_children)
+        return [np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key + (i,))
+                for i in range(first, first + n_children)]
 
 
 def _stack(word_lists: list, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +209,5 @@ def rngs(seeds, index=None) -> Iterator:
             lengths[cols] = len(base) + tail_lengths
         items = ((e, key + (i,)) for e, key in roots for i in index)
     words = _hash(entropy, lengths)
-
-    from numpy.random import PCG64, Generator
-    seed_words = _seed_words_class()
-    return (Generator(PCG64(seed_words(w, e, key))) for w, (e, key) in zip(words, items))
+    return (np.random.Generator(np.random.PCG64(SeedWords(w, e, key)))
+            for w, (e, key) in zip(words, items))

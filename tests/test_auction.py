@@ -46,6 +46,14 @@ def fresh_model(seed=0, **config_kw):
     return FsnModel(rng, AuctionConfig(**config_kw))
 
 
+def run_block(r, seed, optim=False, malicious_frac=0.0, n=64, config=None):
+    """The auction ``run_auction`` runs for these arguments, through
+    ``_run_block``: its final Population and Markets, one trial each."""
+    root = np.random.SeedSequence(seed)
+    return auction._run_block(r, [(root.entropy, root.spawn_key)], n, optim, malicious_frac,
+                              config or AuctionConfig())
+
+
 # -- config ------------------------------------------------------------------------
 
 
@@ -450,14 +458,13 @@ def test_lockstep_finetune_gives_every_schedule_its_solo_result():
 
 
 def test_optim_auction_deterministic_and_moves_weights():
-    a, state_a = run_auction(0.0625, optim=True, seed=3, return_state=True)
-    b, state_b = run_auction(0.0625, optim=True, seed=3, return_state=True)
+    a = run_auction(0.0625, optim=True, seed=3)
+    b = run_auction(0.0625, optim=True, seed=3)
     assert a.prices == b.prices and a.rounds == b.rounds
-    for x, y in zip(state_a.agents, state_b.agents):
-        np.testing.assert_array_equal(x.w_dec, y.w_dec)
-    _, plain = run_auction(0.0625, optim=False, seed=3, return_state=True)
-    assert any(not np.array_equal(x.w_dec, y.w_dec)
-               for x, y in zip(state_a.agents, plain.agents))
+    (pop_a, _), (pop_b, _) = (run_block(0.0625, 3, optim=True) for _ in range(2))
+    np.testing.assert_array_equal(pop_a.w_dec, pop_b.w_dec)
+    plain, _ = run_block(0.0625, 3, optim=False)
+    assert not np.array_equal(pop_a.w_dec, plain.w_dec)
 
 
 def test_finetune_does_not_lower_cheap_buy_logit():
@@ -557,12 +564,15 @@ def test_price_strictly_increasing_under_excess_demand():
 
 
 def test_auction_conservation_and_statuses():
-    result, state = run_auction(0.25, seed=5, return_state=True)
-    assert result.units_sold + state.stock == round(0.25 * 64)
-    agents_in_ledger = [p.agent for p in state.ledger]
+    result = run_auction(0.25, seed=5)
+    _, markets = run_block(0.25, 5)
+    ledger = markets.ledgers[0]
+    assert [p.price for p in ledger] == result.prices
+    assert result.units_sold + markets.stock[0] == round(0.25 * 64)
+    agents_in_ledger = [p.agent for p in ledger]
     assert len(agents_in_ledger) == len(set(agents_in_ledger))
-    assert all(s in ("active", "bought", "quit") for s in state.status)
-    assert all(p.price > 0 for p in state.ledger)
+    assert set(markets.status[0].tolist()) <= set(range(len(auction.STATUS_NAMES)))
+    assert all(p.price > 0 for p in ledger)
 
 
 def test_auction_deterministic():
@@ -579,10 +589,11 @@ def test_auction_rejects_bad_config():
 
 
 def test_all_malicious_sells_nothing_price_falls():
-    result, state = run_auction(0.25, malicious_frac=1.0, seed=1, return_state=True)
+    result = run_auction(0.25, malicious_frac=1.0, seed=1)
     assert result.units_sold == 0
     assert result.purchase_rate == 0.0
-    assert state.price < 5.0 * 0.95 ** 60
+    _, markets = run_block(0.25, 1, malicious_frac=1.0)
+    assert markets.price[0] < 5.0 * 0.95 ** 60
 
 
 def test_screening():
@@ -642,14 +653,28 @@ def test_run_experiment_row_schema():
     assert all(r["condition"] == "noOptim" for r in rows)
 
 
+def test_run_experiment_resolves_its_seed_once(monkeypatch):
+    built = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    rows, _ = run_experiment([0.25], trials=3, conditions=["noOptim", "malicious-Optim"],
+                             seed=0, n=16)
+    assert len(rows) == 6
+    assert len(built) <= 1
+
+
 def test_matched_seeds_share_honest_agent_construction():
-    _, honest = run_auction(0.5, seed=11, return_state=True)
-    _, mal = run_auction(0.5, malicious_frac=0.5, seed=11, return_state=True)
-    # agent 40 exists in both worlds with identical sampled settings
-    h, m = honest.agents[40], mal.agents[40]
-    np.testing.assert_array_equal(h.b_dec, m.b_dec)
-    assert (h.epochs, h.batch_size, h.learning_rate) == \
-        (m.epochs, m.batch_size, m.learning_rate)
+    honest, _ = run_block(0.5, 11)
+    mal, _ = run_block(0.5, 11, malicious_frac=0.5)
+    # agents 32..63 exist in both worlds with identical sampled settings
+    assert honest.fsn[0, 32:].all() and mal.fsn[0, 32:].all()
+    for name in ("b_dec", "epochs", "batch_size", "learning_rate"):
+        np.testing.assert_array_equal(getattr(honest, name)[0, 32:], getattr(mal, name)[0, 32:])
 
 
 def reference_finetune(models, variants, k):
@@ -722,16 +747,18 @@ def reference_auction(r, optim, malicious_frac, seed, n=64):
     # entropies of several words
     (0.25, 0.5, 2 ** 80 + 5), (0.0625, 0.0, [7, 2 ** 40])])
 def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed):
-    result, state = run_auction(r, optim=optim, malicious_frac=malicious_frac,
-                                seed=seed, return_state=True)
+    result = run_auction(r, optim=optim, malicious_frac=malicious_frac, seed=seed)
+    pop, markets = run_block(r, seed, optim, malicious_frac)
     prices, rounds, agents = reference_auction(r, optim, malicious_frac, seed)
     assert result.prices == prices and result.rounds == rounds
+    assert [p.price for p in markets.ledgers[0]] == prices and markets.rounds[0] == rounds
     assert len(prices) > 0
-    for a, b in zip(state.agents, agents):
-        if isinstance(a, FsnModel):
-            np.testing.assert_array_equal(a.w_dec, b.w_dec)
-            np.testing.assert_array_equal(a.b_dec, b.b_dec)
-            assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+    assert pop.fsn[0].tolist() == [isinstance(m, FsnModel) for m in agents]
+    for i, m in enumerate(agents):
+        if isinstance(m, FsnModel):
+            np.testing.assert_array_equal(pop.w_dec[0, i], m.w_dec)
+            np.testing.assert_array_equal(pop.b_dec[0, i], m.b_dec)
+            assert pop.noise_rngs[0, i].bit_generator.state == m.noise_rng.bit_generator.state
     if optim:  # fine-tuning moved the weights that were compared
         assert any(not np.array_equal(m.w_dec, W_DECISION)
                    for m in agents if isinstance(m, FsnModel))
@@ -740,12 +767,12 @@ def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed)
 @pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
 def test_all_malicious_block_matches_per_agent_reference(optim):
     # no FSN agent: the block has no agent stream to seed and no noise to draw
-    result, state = run_auction(0.25, optim=optim, malicious_frac=1.0, seed=8,
-                                return_state=True)
+    result = run_auction(0.25, optim=optim, malicious_frac=1.0, seed=8)
+    pop, markets = run_block(0.25, 8, optim, 1.0)
     prices, rounds, agents = reference_auction(0.25, optim, 1.0, 8)
-    assert result.prices == prices == [] and result.rounds == rounds
-    assert all(type(a) is AlwaysHoldModel for a in state.agents + agents)
-    roots = [np.random.SeedSequence(8, spawn_key=(0, t)) for t in range(3)]
+    assert result.prices == prices == [] and result.rounds == rounds == markets.rounds[0]
+    assert not pop.fsn.any() and all(type(a) is AlwaysHoldModel for a in agents)
+    roots = [(8, (0, t)) for t in range(3)]
     results = auction.run_trials(0.25, roots, optim=optim, malicious_frac=1.0)
     assert [(r.prices, r.rounds) for r in results] == [([], rounds)] * 3
 
@@ -755,25 +782,25 @@ def test_all_malicious_block_matches_per_agent_reference(optim):
 
 def looped_experiment(r_grid, trials, conditions, seed, n, config, malicious_frac=0.5):
     """run_experiment as a loop of run_auction calls, one per (condition, r,
-    trial).  Returns its rows and purchases, and each trial's state."""
+    trial).  Returns its rows and purchases, and each trial's Markets."""
     root = np.random.SeedSequence(seed)
-    rows, purchases, states = [], [], []
+    rows, purchases, markets = [], [], []
     for name in conditions:
         optim, malicious = auction.CONDITIONS[name]
         frac = malicious_frac if malicious else 0.0
         for ri, r in enumerate(r_grid):
             for trial in range(trials):
-                result, state = run_auction(
-                    r, n=n, optim=optim, malicious_frac=frac, config=config,
-                    seed=np.random.SeedSequence(entropy=root.entropy, spawn_key=(ri, trial)),
-                    return_state=True)
+                seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(ri, trial))
+                result = run_auction(r, n=n, optim=optim, malicious_frac=frac, config=config,
+                                     seed=seq)
                 rows.append({"condition": name, "r": r, "trial": trial,
                              "price": result.mean_price,
                              "purchase_rate": result.purchase_rate})
                 purchases += [{"condition": name, "r": r, "trial": trial, "price": p}
                               for p in result.prices]
-                states.append(state)
-    return (rows, purchases), states
+                markets.append(auction._run_block(r, [(seq.entropy, seq.spawn_key)], n, optim,
+                                                  frac, config)[1])
+    return (rows, purchases), markets
 
 
 # Decision layers that drive every trial down one path: "eager" agents buy
@@ -787,14 +814,16 @@ DECISION_LAYERS = {
 }
 
 
-def trial_path(state, config):
-    if not state.ledger and state.stock == 0:
+def trial_path(markets, config):
+    """How the one trial of markets ended."""
+    ledger, stock, rounds = markets.ledgers[0], markets.stock[0], markets.rounds[0]
+    if not ledger and stock == 0:
         return "no stock"
-    if state.k == 1 and state.stock == 0:
+    if rounds == 1 and stock == 0:
         return "sold out in round 1"
-    if all(s == "quit" for s in state.status):
+    if (markets.status[0] == auction.QUITTED).all():
         return "all quit"
-    return "max rounds" if state.k == config.max_rounds else "other"
+    return "max rounds" if rounds == config.max_rounds else "other"
 
 
 @pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
@@ -810,23 +839,24 @@ def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
         monkeypatch.setattr(auction, "W_DECISION", w_dec)
         monkeypatch.setattr(auction, "B_DECISION", b_dec)
         got = run_experiment(r_grid, trials, conditions, seed, n=n, config=config)
-        want, states = looped_experiment(r_grid, trials, conditions, seed, n, config)
+        want, markets = looped_experiment(r_grid, trials, conditions, seed, n, config)
         assert repr(got) == repr(want)
-        paths |= {trial_path(s, config) for s in states}
+        paths |= {trial_path(m, config) for m in markets}
         # each trial of a block also ends with the agents it has alone
-        roots = [np.random.SeedSequence(seed, spawn_key=(9, trial)) for trial in range(trials)]
+        roots = [(seed, (9, trial)) for trial in range(trials)]
         frac = 0.5 * (seed % 2)
-        pairs = auction.run_trials(0.25, roots, n, optim, frac, config, return_states=True)
-        for (_, block), (_, alone) in zip(pairs, (run_auction(
-                0.25, n, optim, frac, root, config, return_state=True) for root in roots)):
-            assert (block.k, block.price, block.stock, block.status, block.ledger) == \
-                (alone.k, alone.price, alone.stock, alone.status, alone.ledger)
-            for a, b in zip(block.agents, alone.agents):
-                assert type(a) is type(b)
-                if isinstance(a, FsnModel):
-                    np.testing.assert_array_equal(a.w_dec, b.w_dec)
-                    np.testing.assert_array_equal(a.b_dec, b.b_dec)
-                    assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+        pop, block = auction._run_block(0.25, roots, n, optim, frac, config)
+        for t, root in enumerate(roots):
+            solo, alone = auction._run_block(0.25, [root], n, optim, frac, config)
+            assert (block.rounds[t], block.price[t], block.stock[t], block.demand[t],
+                    block.status[t].tolist(), block.ledgers[t]) == \
+                (alone.rounds[0], alone.price[0], alone.stock[0], alone.demand[0],
+                 alone.status[0].tolist(), alone.ledgers[0])
+            np.testing.assert_array_equal(pop.fsn[t], solo.fsn[0])
+            np.testing.assert_array_equal(pop.w_dec[t], solo.w_dec[0])
+            np.testing.assert_array_equal(pop.b_dec[t], solo.b_dec[0])
+            assert [g.bit_generator.state for g in pop.noise_rngs[t, pop.fsn[t]]] == \
+                [g.bit_generator.state for g in solo.noise_rngs[0, solo.fsn[0]]]
     assert paths >= {"no stock", "sold out in round 1", "all quit", "max rounds", "other"}
 
 

@@ -218,9 +218,10 @@ def test_auction_r_grid_above_one_rejected_before_running(tmp_path, capsys, monk
         raise AssertionError("an auction ran before the grid was checked")
 
     monkeypatch.setattr(auction, "run_trials", no_auctions)
-    rc = dispatch(["auction", "run", "--r-grid", "0.5:2:4", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "r-grid" in capsys.readouterr().err
+    for grid in ("0.5:2:4", "nan:1:3", "0.5:nan:2"):
+        rc = dispatch(["auction", "run", "--r-grid", grid, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--r-grid" in capsys.readouterr().err
 
 
 def test_auction_one_point_r_grid_with_distinct_ends_rejected(tmp_path, capsys, monkeypatch):
