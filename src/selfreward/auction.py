@@ -65,12 +65,20 @@ clone blocks; any other agent answers through its own ``decide_offer``.
 ``screen_models`` checks every model's kernels against one template per
 config and sends all probes through one ``decide_offers`` call.  Each
 agent fills its own rows of clone noise from its own ``noise_rng``, so its
-stream is drawn in the order it would be alone: the screening probe, then
-each fine-tuning epoch's draws, then one (8, D_ic - 1) draw per round it
-bids in.  A standard normal draw scaled by ``clone_noise`` gives the
-numbers ``normal(0, clone_noise)`` gives, and each stacked product runs
-the same small matrix product per agent as a single-agent call, so every
-decision is the one the agent would take alone, bit for bit.
+stream holds the numbers it would draw alone, in the same order: the
+screening probe, then each fine-tuning epoch's draws, then one (8, D_ic - 1)
+block per round it bids in.  The lockstep runner reads these blocks through
+a buffer of ``CHUNK`` bids per agent (``Population``): one normal draw of
+(m, 8, D_ic - 1) yields the numbers of m draws of (8, D_ic - 1), so an agent
+draws m bids at once wherever nothing else draws from its stream between
+them.  A learner draws fine-tuning noise between its bids until its bid in
+round ``finetune_rounds - 1``, so until then it draws one bid at a time;
+every other agent draws ``CHUNK`` bids at a time from its screening probe
+on.  Its ``noise_rng`` ends ahead by the bids it drew and never read.  A
+standard normal draw scaled by ``clone_noise`` gives the numbers
+``normal(0, clone_noise)`` gives, and each stacked product runs the same
+small matrix product per agent as a single-agent call, so every decision is
+the one the agent would take alone, bit for bit.
 
 The trials of an experiment run in lockstep too (``run_trials``;
 ``run_auction`` is ``run_trials`` for one resolved seed).  A block of
@@ -84,8 +92,8 @@ learners' rows once, tunes them and writes them back.  Trials have
 independent seeds and each agent draws only from its own streams, so
 interleaving trials changes no draw and no bit: every trial ends as it
 would alone.  All of a block's agents live until its last trial ends, each
-with a ``noise_rng`` of about 1.6 KB, so a block holds at most
-``LOCKSTEP_AGENTS`` agents.
+with a ``noise_rng`` of about 1.6 KB and a clone-noise buffer of 2 KB, so a
+block holds at most ``LOCKSTEP_AGENTS`` agents.
 
 Every stream hangs off its trial's root, a plain ``(entropy, spawn_key)``
 pair: ``run_experiment`` gives trial t of supply point ri the root
@@ -94,10 +102,15 @@ turns its seed into one root.  Agent i makes its construction draws
 (``_agent_draws``: biases, optimizer settings, then a seed) from the
 stream numpy seeds from ``entropy`` and spawn key ``spawn_key + (1, i)``,
 and its ``noise_rng`` is ``default_rng(seed)``; the fine-tuning variants
-come from spawn key ``spawn_key + (0,)``.  A block seeds each kind of
-stream for all of its trials in one ``streams.rngs`` call, which runs
-numpy's seeding hash over every key at once: each generator starts in the
-state numpy gives it, bit for bit.
+come from spawn key ``spawn_key + (0,)``.  A block builds no generator for
+the construction draws: ``streams.random_raw`` gives the first six words of
+every agent stream of its trials at once, and ``_decode_draws`` reads the
+draws off them as numpy's ``uniform`` and ``integers`` do (a row whose
+bounded draw numpy would redraw takes ``_agent_draws`` on a real
+generator).  It seeds the noise streams and the variant streams in one
+``streams.rngs`` call each.  Both run numpy's seeding hash over every key
+at once, so every word and every generator is the one numpy gives, bit for
+bit.
 
 The decision-layer magnitudes used here were chosen so that demand is
 price-elastic (agents flip from buy to hold as the price climbs) and so
@@ -129,6 +142,7 @@ PG, SZ, LSR, ST = 0, 1, 2, 3
 
 BASE_PRICE = 5.0
 DELTA = 0.001
+MASK32 = 0xFFFFFFFF
 
 # Decision layer defaults: rows map (PG, SZ, LSR, ST) to (B, L, Q) logits.
 # PG pushes against buying and for holding; quality pushes for buying and
@@ -286,6 +300,10 @@ def _decision_logits(x_es: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
     return x_es @ w.swapaxes(-1, -2) + b[..., None, :]
 
 
+LR_LOW, LR_HIGH = 1e-7, 1e-4  # range of the sampled learning rates
+AGENT_WORDS = 6  # the stream words an agent's construction draws read
+
+
 def _agent_draws(rng: np.random.Generator) -> tuple:
     """One agent's construction draws, in stream order: its decision biases,
     then its optimizer settings (epochs == 0 opts out of fine-tuning), then
@@ -293,8 +311,28 @@ def _agent_draws(rng: np.random.Generator) -> tuple:
     b_dec = B_DECISION + rng.uniform(-BIAS_SPREAD, BIAS_SPREAD, size=3)
     epochs = int(rng.integers(0, 3))
     batch_size = int(rng.integers(4, 16))
-    learning_rate = float(rng.uniform(1e-7, 1e-4))
+    learning_rate = float(rng.uniform(LR_LOW, LR_HIGH))
     return b_dec, epochs, batch_size, learning_rate, int(rng.integers(2 ** 63))
+
+
+def _decode_draws(words: np.ndarray) -> tuple:
+    """``_agent_draws`` of N streams from their first ``AGENT_WORDS`` words
+    (N, 6), as numpy decodes them: b_dec (N, 3), epochs, batch sizes,
+    learning rates and noise seeds (N,), and a mask of the rows whose bounded
+    draws numpy would redraw, whose values here are not numpy's.
+
+    A uniform reads a word's top 53 bits; ``integers(0, 3)`` and
+    ``integers(4, 16)`` read the low and then the high half of one word by
+    Lemire's method, which redraws when the product's low half falls below
+    2**32 mod the range (1 and 4); ``integers(2**63)`` is a word's top 63 bits.
+    """
+    u = (words[:, [0, 1, 2, 4]] >> 11) * 2.0 ** -53
+    b_dec = B_DECISION + (-BIAS_SPREAD + (BIAS_SPREAD - -BIAS_SPREAD) * u[:, :3])
+    learning_rate = LR_LOW + (LR_HIGH - LR_LOW) * u[:, 3]
+    epochs, batch = (words[:, 3] & MASK32) * 3, (words[:, 3] >> 32) * 12
+    redraw = ((epochs & MASK32) < 1) | ((batch & MASK32) < 4)
+    return (b_dec, epochs >> 32, 4 + (batch >> 32), learning_rate, words[:, 5] >> 1,
+            redraw)
 
 
 class FsnModel:
@@ -315,7 +353,8 @@ class FsnModel:
 
     def es_forward_values(self, x: np.ndarray) -> np.ndarray:
         """Sensor activations (PG, SZ, LSR, ST) for offer rows (..., 8)."""
-        return _sensors(self.es_rows, self.es_biases, x[None], [self.noise_rng], self.config)[0]
+        noise = _draw_noise([self.noise_rng], (1, *x.shape, self.config.d_ic - 1))
+        return _sensors(self.es_rows, self.es_biases, x[None], noise, self.config)[0]
 
     def decide_values(self, x_es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Buy / hold / quit logits for sensor rows (..., 4), and their argmax."""
@@ -373,14 +412,21 @@ def _forward_groups(models) -> list[list[int]]:
     return list(groups.values())
 
 
-def _sensors(es_rows: np.ndarray, es_biases: np.ndarray, x: np.ndarray, rngs,
-             config: AuctionConfig) -> np.ndarray:
-    """Sensor activations for offer rows x (n, ..., 8), the clone noise of
-    ``x[i]`` drawn from ``rngs[i]``.  The kernels (4, 8) and biases (4,) are
-    shared, or stacked per row and broadcastable against x."""
-    noise = np.empty((*x.shape, config.d_ic - 1))
+def _draw_noise(rngs, shape: tuple) -> np.ndarray:
+    """Standard normal draws of the given shape, ``out[i]`` drawn from
+    ``rngs[i]`` in one call: clone noise, each agent's from its own stream."""
+    noise = np.empty(shape)
     for rng, rows in zip(rngs, noise):
         rng.standard_normal(out=rows)
+    return noise
+
+
+def _sensors(es_rows: np.ndarray, es_biases: np.ndarray, x: np.ndarray, noise: np.ndarray,
+             config: AuctionConfig) -> np.ndarray:
+    """Sensor activations for offer rows x (..., 8) with the standard normal
+    clone noise ``noise`` (..., 8, D_ic - 1), which is scaled in place.  The
+    kernels (4, 8) and biases (4,) are shared, or stacked per row and
+    broadcastable against x."""
     pre = (es_rows @ _clone(x, noise, config)).sum(axis=-1) / config.d_ic + es_biases
     out = tau(pre)
     st = pre[..., ST]
@@ -388,12 +434,12 @@ def _sensors(es_rows: np.ndarray, es_biases: np.ndarray, x: np.ndarray, rngs,
     return out
 
 
-def _bid(es_rows, es_biases, x: np.ndarray, rngs, w: np.ndarray, b: np.ndarray,
+def _bid(es_rows, es_biases, x: np.ndarray, noise: np.ndarray, w: np.ndarray, b: np.ndarray,
          config: AuctionConfig) -> np.ndarray:
-    """Buy / hold / quit decisions of n agents on offer rows x (n, 8): the
-    sensors (``_sensors``), the decision layers w (n, 3, 4) and b (n, 3),
-    and the argmax."""
-    x_es = _sensors(es_rows, es_biases, x, rngs, config)
+    """Buy / hold / quit decisions of n agents on offer rows x (n, 8) with
+    clone noise (n, 8, D_ic - 1): the sensors (``_sensors``), the decision
+    layers w (n, 3, 4) and b (n, 3), and the argmax."""
+    x_es = _sensors(es_rows, es_biases, x, noise, config)
     return _decision_logits(x_es[:, None, :], w, b)[:, 0].argmax(axis=-1)
 
 
@@ -415,8 +461,10 @@ def decide_offers(models, offer: Offer) -> np.ndarray:
         group = [models[i] for i in idx]
         es_rows, es_biases, w, b = (np.array([getattr(m, name) for m in group])
                                     for name in ("es_rows", "es_biases", "w_dec", "b_dec"))
+        noise = _draw_noise([m.noise_rng for m in group],
+                            (len(group), len(x), group[0].config.d_ic - 1))
         decisions[idx] = _bid(es_rows, es_biases, np.broadcast_to(x, (len(group), len(x))),
-                              [m.noise_rng for m in group], w, b, group[0].config)
+                              noise, w, b, group[0].config)
     for i, m in enumerate(models):
         if not isinstance(m, FsnModel):
             decisions[i] = m.decide_offer(offer)
@@ -496,9 +544,10 @@ def _finetune(w, b, lr, epochs, batch, rngs, es_rows, es_biases, offers,
         for start in range(0, len(live), FINETUNE_FORWARD_AGENTS):
             idx = live[start:start + FINETUNE_FORWARD_AGENTS]
             orders = np.array([rng.permutation(n_var) for rng in rngs[idx]])
+            x = offers[idx[:, None], orders]
             x_es[idx, e * n_var:(e + 1) * n_var] = _sensors(
-                es_rows[idx, None], es_biases[idx, None], offers[idx[:, None], orders],
-                rngs[idx], config)
+                es_rows[idx, None], es_biases[idx, None], x,
+                _draw_noise(rngs[idx], (*x.shape, config.d_ic - 1)), config)
     return _lockstep_sgd(w, b, lr, epochs, batch, x_es, n_var)
 
 
@@ -630,9 +679,15 @@ ACTIVE, BOUGHT, QUITTED = 0, 1, 2
 STATUS_NAMES = ("active", "bought", "quit")
 
 # Agents per block of lockstep trials.  A block's agents all live until its
-# last trial ends, each with a noise_rng of about 1.6 KB besides its rows of
-# the stacked arrays, so the block sets the peak memory of a run.
+# last trial ends, each with a noise_rng of about 1.6 KB and a noise buffer of
+# 2 KB besides its rows of the stacked arrays, so the block sets the peak
+# memory of a run.
 LOCKSTEP_AGENTS = 512
+
+# Bids of clone noise an agent draws in one call once nothing else draws from
+# its stream between its bids.  Each round then reads one row of every
+# bidder's buffer, and only the agents whose buffer is empty draw.
+CHUNK = 8
 
 
 class Population:
@@ -640,14 +695,29 @@ class Population:
 
     Agents 0..n_malicious-1 of each trial are always-hold malicious ones
     (``fsn`` False): they draw nothing, and their rows are never read.
-    Agent i of the rest makes its draws (``_agent_draws``) from its own
-    generator, spawn key (1, i) under its trial's ``(entropy, spawn_key)``
-    root.  All of the block's
-    agent streams are seeded in one ``streams.rngs`` call, and then all of their
-    noise streams in another.
+    Agent i of the rest takes the construction draws of ``_agent_draws`` on
+    its own stream, spawn key (1, i) under its trial's ``(entropy,
+    spawn_key)`` root.  No generator is built for them: ``streams.random_raw``
+    gives every agent stream's first six words in one pass, and
+    ``_decode_draws`` reads the draws off them as numpy would.  A row whose
+    bounded draw numpy would redraw (about one in 10**9) takes
+    ``_agent_draws`` on a real generator instead.  All noise streams are then
+    seeded in one ``streams.rngs`` call.
+
+    Clone noise is read through a buffer of ``CHUNK`` bids per agent,
+    ``noise`` (trials, n, CHUNK, 8, D_ic - 1): its unread rows are
+    ``noise[t, i, cursor[t, i]:]``, and an agent draws only when it bids
+    with none left.  A learner (``learners``: fine-tuning, epochs > 0) draws
+    its fine-tuning noise from the same stream between bids, so until its
+    bid in round ``finetune_rounds - 1`` it draws one row at a time; from
+    then on it draws a full buffer, as every other agent does from its
+    screening probe on.  Its stream holds the same numbers in the same
+    order as a draw per bid, and ``noise_rngs`` end ahead of that by the
+    unread rows.
     """
 
-    def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig):
+    def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig,
+                 optim: bool = False):
         # imported on use, here and below: importing the package, which every
         # command's process does first, then need not compile it
         from . import streams
@@ -662,21 +732,45 @@ class Population:
         self.batch_size = np.zeros(shape, dtype=int)
         self.learning_rate = np.zeros(shape)
         self.noise_rngs = np.full(shape, None)
-        draws = [_agent_draws(rng) for rng in streams.rngs(
-            [(entropy, key + (1,)) for entropy, key in roots], range(n_malicious, n))]
-        if draws:  # a block of malicious agents only has nothing to draw
-            b_dec, epochs, batch_size, learning_rate, noise_seeds = zip(*draws)
-            fsn = self.fsn.nonzero()  # trial by trial, as the draws come
+        self.noise = np.empty((*shape, CHUNK, 8, config.d_ic - 1))
+        self.cursor = np.full(shape, CHUNK)
+        fsn = self.fsn.nonzero()  # trial by trial, as the streams come
+        if fsn[0].size:  # a block of malicious agents only has nothing to draw
+            *draws, redraw = _decode_draws(streams.random_raw(
+                [(entropy, key + (1,)) for entropy, key in roots], AGENT_WORDS,
+                range(n_malicious, n)))
+            for j in np.flatnonzero(redraw):
+                entropy, key = roots[fsn[0][j]]
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    entropy, spawn_key=key + (1, int(fsn[1][j]))))
+                for column, value in zip(draws, _agent_draws(rng)):
+                    column[j] = value
+            b_dec, epochs, batch_size, learning_rate, noise_seeds = draws
             self.b_dec[fsn], self.epochs[fsn] = b_dec, epochs
             self.batch_size[fsn], self.learning_rate[fsn] = batch_size, learning_rate
-            self.noise_rngs[fsn] = np.fromiter(streams.rngs(np.array(noise_seeds)),
-                                               dtype=object, count=len(draws))
+            self.noise_rngs[fsn] = np.fromiter(streams.rngs(noise_seeds), dtype=object,
+                                               count=len(noise_seeds))
+        self.learners = self.fsn & (self.epochs > 0) & optim
 
-    def decide(self, live: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def decide(self, live: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
         """Decisions of the FSN agents under the (trial, agent) mask live on
-        offer rows x (trials, 8): one stacked forward, as ``decide_offers``."""
-        return _bid(_es_template(self.config.base_price), ES_BIASES, x[live.nonzero()[0]],
-                    self.noise_rngs[live], self.w_dec[live], self.b_dec[live], self.config)
+        offer rows x (trials, 8) in round k (-1 for the screening probe): one
+        stacked forward, as ``decide_offers``, on each agent's next buffered
+        row of clone noise."""
+        chunk = self.noise.shape[2]
+        empty = live & (self.cursor == chunk)
+        if empty.any():
+            # a learner draws fine-tuning noise before its next bid: draw only this one
+            one = self.learners[empty] & (k < self.config.finetune_rounds - 1)
+            first = np.where(one, chunk - 1, 0)
+            self.cursor[empty] = first
+            for rng, t, i, f in zip(self.noise_rngs[empty], *empty.nonzero(), first.tolist()):
+                rng.standard_normal(out=self.noise[t, i, f:])
+        at = live.nonzero()
+        noise = self.noise[(*at, self.cursor[at])]
+        self.cursor[at] += 1
+        return _bid(_es_template(self.config.base_price), ES_BIASES, x[at[0]], noise,
+                    self.w_dec[at], self.b_dec[at], self.config)
 
 
 class Markets:
@@ -757,14 +851,14 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
     from . import streams
 
     n_malicious = round(malicious_frac * n)
-    pop = Population(roots, n, n_malicious, config)
+    pop = Population(roots, n, n_malicious, config, optim)
 
     # screening: flagged models enter only when malicious mode is explicit.
     # The agents are built from the sensor template and W_DECISION, so only
     # the cheap-offer probe can flag one; every agent takes it, since it
     # draws clone noise.
     probe = np.tile(_screening_probe(config).as_array(), (len(roots), 1))
-    passed = pop.decide(pop.fsn, probe) == BUY
+    passed = pop.decide(pop.fsn, probe, -1) == BUY
     if malicious_frac == 0 and not passed.all():
         raise RuntimeError("screener flagged a model outside malicious mode")
 
@@ -779,13 +873,13 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
     while markets.running.any():
         live = markets.active() & pop.fsn
         if optim and k < config.finetune_rounds:
-            at = (live & (pop.epochs > 0)).nonzero()
+            at = (live & pop.learners).nonzero()
             pop.w_dec[at], pop.b_dec[at] = _finetune(
                 pop.w_dec[at], pop.b_dec[at], pop.learning_rate[at], pop.epochs[at],
                 pop.batch_size[at], pop.noise_rngs[at], _es_template(config.base_price),
                 ES_BIASES, variants[at[0]], config)
         decisions = np.full(live.shape, HOLD)
-        decisions[live] = pop.decide(live, markets.offers())
+        decisions[live] = pop.decide(live, markets.offers(), k)
         markets.step(decisions)
         k += 1
     return pop, markets

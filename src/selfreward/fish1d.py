@@ -153,6 +153,9 @@ class FishConfig:
                              f"got {self.energy_decay}")
         if not 0 < self.initial_energy <= 1:
             raise ValueError(f"initial_energy must be in (0, 1], got {self.initial_energy}")
+        for name in ("eat_bias", "move_delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 # One ``run_episode`` record, as ``fish1d run`` writes it to trace.csv.

@@ -146,9 +146,12 @@ class LavaConfig:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
-        if not self.unknown_avoidance >= 0:
-            raise ValueError(f"unknown_avoidance must be at least 0, "
+        if not 0 <= self.unknown_avoidance < math.inf:
+            raise ValueError(f"unknown_avoidance must be at least 0 and finite, "
                              f"got {self.unknown_avoidance}")
+        for name in ("p_target", "p_self", "p_grass", "p_dirt", "anti_return"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.selective_eps > 0:
             raise ValueError(f"selective_eps must be positive, got {self.selective_eps}")
         if not self.tau_recog >= 0:

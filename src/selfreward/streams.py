@@ -11,6 +11,15 @@ starts in the state numpy's would, bit for bit, and its
 ``bit_generator.seed_seq`` still exposes ``entropy`` and ``spawn_key`` and
 spawns the children numpy's would.
 
+Some streams serve only a few draws, such as an auction agent's
+construction draws.  ``random_raw`` gives the first k words of each item's
+``PCG64`` without building a generator: it seeds each item as numpy does
+(state 0 and increment ``(initseq << 1) | 1``; a step; the state plus
+``initstate``; a step), then steps the 128-bit LCG and applies PCG64's
+XSL-RR output, all as uint64 array arithmetic on the state's two halves,
+the high half of a 64 x 64-bit product assembled from 32-bit partial
+products.  The caller decodes its draws from the words.
+
 The hash is numpy's ``SeedSequence``: an item's entropy words (padded with
 zeros to the pool size when it has a spawn key), then its spawn key's words,
 are hashed into a pool of four words; every pool word is mixed into every
@@ -38,6 +47,7 @@ INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 XSHIFT = 16
 STATE_WORDS = 8  # generate_state(4, np.uint64) as uint32 words
+PCG_MULT_HI, PCG_MULT_LO = 2549297995355413924, 4865540595714422341  # PCG64's multiplier
 
 
 def _words(value) -> list[int]:
@@ -159,20 +169,9 @@ def _stack(word_lists: list, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return out, lengths
 
 
-def rngs(seeds, index=None) -> Iterator:
-    """Generators for N items, each in the state numpy gives it.
-
-    Without ``index``, item j is ``default_rng(SeedSequence(seeds[j]))``:
-    ``seeds`` holds plain entropies (non-negative ints or int sequences),
-    or is an integer array.  With ``index``, each of ``seeds`` is a root
-    ``(entropy, spawn_key)`` and the items run root by root, then index by
-    index: item (r, i) is ``default_rng(SeedSequence(entropy_r,
-    spawn_key=spawn_key_r + (i,)))``.
-
-    All N items are hashed at once, here; each generator is built only when
-    the returned iterator reaches it.  A negative value raises a ValueError,
-    as numpy's does.
-    """
+def _seed_words(seeds, index=None) -> tuple[np.ndarray, Iterator]:
+    """Each item's ``generate_state(4, np.uint64)`` as (N, 4) uint64, and an
+    iterator over its (entropy, spawn_key); ``rngs`` states the arguments."""
     if index is None:
         if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
             if seeds.size and seeds.min() < 0:
@@ -208,6 +207,59 @@ def rngs(seeds, index=None) -> Iterator:
             entropy[len(base):len(base) + len(tail), cols] = tail
             lengths[cols] = len(base) + tail_lengths
         items = ((e, key + (i,)) for e, key in roots for i in index)
-    words = _hash(entropy, lengths)
+    return _hash(entropy, lengths), items
+
+
+def rngs(seeds, index=None) -> Iterator:
+    """Generators for N items, each in the state numpy gives it.
+
+    Without ``index``, item j is ``default_rng(SeedSequence(seeds[j]))``:
+    ``seeds`` holds plain entropies (non-negative ints or int sequences),
+    or is an integer array.  With ``index``, each of ``seeds`` is a root
+    ``(entropy, spawn_key)`` and the items run root by root, then index by
+    index: item (r, i) is ``default_rng(SeedSequence(entropy_r,
+    spawn_key=spawn_key_r + (i,)))``.
+
+    All N items are hashed at once, here; each generator is built only when
+    the returned iterator reaches it.  A negative value raises a ValueError,
+    as numpy's does.
+    """
+    words, items = _seed_words(seeds, index)
     return (np.random.Generator(np.random.PCG64(SeedWords(w, e, key)))
             for w, (e, key) in zip(words, items))
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each a * b, from 32-bit partial products."""
+    a0, a1, b0, b1 = a & MASK32, a >> 32, b & MASK32, b >> 32
+    low, cross0, cross1 = a0 * b0, a1 * b0, a0 * b1
+    carry = ((low >> 32) + (cross0 & MASK32) + (cross1 & MASK32)) >> 32
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + carry
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
+          inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step, state = state * PCG_MULT + inc mod 2**128, on 64-bit halves."""
+    new_hi = _mulhi(lo, PCG_MULT_LO) + lo * PCG_MULT_HI + hi * PCG_MULT_LO
+    new_lo = lo * PCG_MULT_LO + inc_lo
+    return new_hi + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def random_raw(seeds, k: int, index=None) -> np.ndarray:
+    """The first k outputs of each item's ``PCG64``, as (N, k) uint64: the
+    words ``rngs(seeds, index)``'s generators give ``bit_generator.random_raw(k)``.
+    """
+    words, _ = _seed_words(seeds, index)
+    w0, w1, w2, w3 = words.T
+    # numpy's seeding: state = 0, inc = (initseq << 1) | 1; step (state = inc);
+    # state += initstate; step
+    inc_hi, inc_lo = (w2 << 1) | (w3 >> 63), (w3 << 1) | 1
+    lo = inc_lo + w1
+    state = _step(inc_hi + w0 + (lo < w1), lo, inc_hi, inc_lo)
+    out = np.empty((len(words), k), dtype=np.uint64)
+    for j in range(k):
+        state = hi, lo = _step(*state, inc_hi, inc_lo)
+        # XSL-RR: the halves xor-ed, rotated right by the state's top six bits
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = (x >> rot) | (x << ((64 - rot) & 63))
+    return out

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from selfreward import auction
+from selfreward import auction, streams
 from selfreward.autodiff import DiffTensor, SgdSettings, backward, concat, sgd_step
 from selfreward.auction import (
     BUY,
@@ -758,6 +758,10 @@ def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed)
         if isinstance(m, FsnModel):
             np.testing.assert_array_equal(pop.w_dec[0, i], m.w_dec)
             np.testing.assert_array_equal(pop.b_dec[0, i], m.b_dec)
+            # the block's stream runs ahead by its unread rows: they are the
+            # reference's next draws, and after them the two streams agree
+            unread = pop.noise[0, i, pop.cursor[0, i]:]
+            np.testing.assert_array_equal(unread, m.noise_rng.standard_normal(unread.shape))
             assert pop.noise_rngs[0, i].bit_generator.state == m.noise_rng.bit_generator.state
     if optim:  # fine-tuning moved the weights that were compared
         assert any(not np.array_equal(m.w_dec, W_DECISION)
@@ -775,6 +779,102 @@ def test_all_malicious_block_matches_per_agent_reference(optim):
     roots = [(8, (0, t)) for t in range(3)]
     results = auction.run_trials(0.25, roots, optim=optim, malicious_frac=1.0)
     assert [(r.prices, r.rounds) for r in results] == [([], rounds)] * 3
+
+
+# -- construction draws and buffered clone noise ---------------------------------------
+
+
+def test_decoded_draws_match_agent_draws():
+    roots = [(0, (1,)), (2 ** 80 + 5, (3, 1)), ([7, 2 ** 40], (1,))]
+    index = range(2 ** 32 - 300, 2 ** 32 + 400)  # indices of one and of two words
+    *draws, redraw = auction._decode_draws(streams.random_raw(roots, auction.AGENT_WORDS,
+                                                              index))
+    assert not redraw.any()
+    for j, rng in enumerate(streams.rngs(roots, index)):
+        b_dec, *settings = auction._agent_draws(rng)
+        assert draws[0][j].tolist() == b_dec.tolist()  # floats bit for bit
+        assert [column[j].item() for column in draws[1:]] == settings
+
+
+PCG_MULT = streams.PCG_MULT_HI << 64 | streams.PCG_MULT_LO
+
+
+def generator_with_word(word, at):
+    """A PCG64 generator whose raw output number ``at`` is ``word``: the
+    state that outputs it (top six bits 0, so no rotation), stepped back."""
+    inc, state = 2 * 12345 + 1, 1 << 64 | (word ^ 1)
+    for _ in range(at + 1):
+        state = (state - inc) * pow(PCG_MULT, -1, 2 ** 128) % 2 ** 128
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize("low, high, redraws", [
+    (0, 1, True), (0, 0, True), (1, 0, True),
+    (1, 2 ** 30, True), (1, 2 ** 31, True), (1, 3 * 2 ** 30, True),
+    # leftovers of exactly 1 (range 3) and 4 (range 12) are kept
+    (0xAAAAAAAB, 0x2AAAAAAB, False), (1, 2 ** 30 + 1, False), (2 ** 32 - 1, 2 ** 32 - 1, False),
+], ids=lambda v: hex(v) if isinstance(v, int) and not isinstance(v, bool) else str(v))
+def test_decode_flags_exactly_the_words_numpy_redraws(low, high, redraws):
+    word = high << 32 | low
+    rng = generator_with_word(word, at=3)  # the word both settings read
+    words = copy.deepcopy(rng).bit_generator.random_raw(auction.AGENT_WORDS)
+    assert words[3] == word
+    *draws, flagged = auction._decode_draws(words[None])
+    assert flagged.tolist() == [redraws]
+    want = auction._agent_draws(rng)
+    # numpy reads a seventh word exactly when a bounded draw redraws
+    used = generator_with_word(word, at=3).bit_generator
+    used.advance(auction.AGENT_WORDS + redraws)
+    assert rng.bit_generator.state["state"] == used.state["state"]
+    if not redraws:
+        assert draws[0][0].tolist() == want[0].tolist()
+        assert [column[0].item() for column in draws[1:]] == list(want[1:])
+
+
+def test_population_on_the_fallback_for_every_row_matches(monkeypatch):
+    roots = [(5, (0, t)) for t in range(3)] + [(2 ** 70, (2 ** 40,))]
+    fast = auction.Population(roots, 16, 5, AuctionConfig())
+    decode = auction._decode_draws
+    monkeypatch.setattr(auction, "_decode_draws",
+                        lambda words: (*decode(words)[:-1], np.ones(len(words), dtype=bool)))
+    slow = auction.Population(roots, 16, 5, AuctionConfig())
+    for name in ("fsn", "b_dec", "epochs", "batch_size", "learning_rate"):
+        np.testing.assert_array_equal(getattr(slow, name), getattr(fast, name))
+        assert getattr(slow, name).dtype == getattr(fast, name).dtype
+    assert [g.bit_generator.state for g in slow.noise_rngs[slow.fsn]] == \
+        [g.bit_generator.state for g in fast.noise_rngs[fast.fsn]]
+
+
+@pytest.mark.parametrize("optim, malicious_frac", [
+    (False, 0.0), (True, 0.0), (False, 0.5), (True, 0.5)], ids=list(auction.CONDITIONS))
+def test_noise_chunk_size_changes_no_draw(monkeypatch, optim, malicious_frac):
+    """CHUNK 1 draws one row per bid, as the per-agent reference does; 3 and
+    8 must leave every stream at the same place, seen through the rows each
+    agent would read next: its unread rows, then its stream's."""
+    roots = [(11, (0, t)) for t in range(4)]
+    config = AuctionConfig()
+    seen = {}
+    for chunk in (8, 1, 3):
+        monkeypatch.setattr(auction, "CHUNK", chunk)
+        pop, markets = auction._run_block(0.0625, roots, 64, optim, malicious_frac, config)
+        upcoming = []
+        for t, i in zip(*pop.fsn.nonzero()):
+            unread = pop.noise[t, i, pop.cursor[t, i]:]
+            more = copy.deepcopy(pop.noise_rngs[t, i]).standard_normal(
+                (8 - len(unread), *unread.shape[1:]))
+            upcoming.append(np.concatenate([unread, more]))
+        seen[chunk] = (markets.ledgers, markets.rounds.tolist(), pop.w_dec, pop.b_dec,
+                       np.array(upcoming))
+        assert markets.rounds.max() > 8  # some agent drew a second chunk of 8
+    for chunk in (1, 3):
+        assert seen[chunk][:2] == seen[8][:2]
+        for got, want in zip(seen[chunk][2:], seen[8][2:]):
+            np.testing.assert_array_equal(got, want)
+    if optim:
+        assert not np.array_equal(seen[8][2], np.broadcast_to(W_DECISION, seen[8][2].shape))
 
 
 # -- lockstep trials -----------------------------------------------------------------

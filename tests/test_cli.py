@@ -479,8 +479,11 @@ def test_lavaland_train_stops_on_non_finite_loss(tmp_path, capsys, monkeypatch):
     bank = tmp_path / "bank.json"
     assert dispatch(["lavaland", "gen", "--count", "3", "--preset", "project-a",
                      "--out", str(bank)]) == 0
-    monkeypatch.setitem(lavaland.PRESETS, "project-a",
-                        lavaland.LavaConfig(p_grass=float("nan")))
+    # LavaConfig refuses a NaN preference, so set it past that check: any
+    # loss that still turns non-finite must stop training
+    config = lavaland.LavaConfig()
+    config.p_grass = float("nan")
+    monkeypatch.setitem(lavaland.PRESETS, "project-a", config)
     out = tmp_path / "params.json"
     rc = dispatch(["lavaland", "train", "--bank", str(bank), "--out", str(out)])
     assert rc == 2

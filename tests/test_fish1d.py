@@ -509,6 +509,9 @@ def test_training_rejects_a_non_positive_learning_rate(learning_rate):
     ("selective_eps", math.nan), ("energy_decay", -0.1), ("energy_decay", math.inf),
     ("energy_decay", math.nan), ("initial_energy", 0.0), ("initial_energy", 1.5),
     ("initial_energy", math.nan),
+    # a NaN eat_bias ran a fish that never ate, until it starved, with no message
+    ("eat_bias", math.nan), ("eat_bias", math.inf), ("move_delta", math.nan),
+    ("move_delta", -math.inf),
 ])
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -518,6 +521,7 @@ def test_config_rejects_invalid_values(field, value):
 def test_config_keeps_edge_values():
     FishConfig(energy_decay=0.0, initial_energy=1.0)
     FishConfig(initial_energy=1e-9, selective_eps=1e-12)
+    FishConfig(eat_bias=-1e300, move_delta=0.0)
 
 
 def test_graph_recorded_before_import_params_keeps_its_values():

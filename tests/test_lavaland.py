@@ -545,6 +545,10 @@ def test_two_and_three_cell_maps_generate_train_and_evaluate():
     ("unknown_avoidance", -0.5), ("selective_eps", 0.0), ("tau_recog", -1e-4),
     ("lava_frac", 1.0), ("lava_frac", 1.5), ("lava_frac", -0.1), ("lava_frac", float("nan")),
     ("grass_frac", 1.01), ("grass_frac", -0.1), ("grass_frac", float("nan")),
+    # a NaN preference or anti_return let evaluation report a wrong accuracy
+    ("p_target", float("nan")), ("p_self", float("inf")), ("p_grass", -float("inf")),
+    ("p_dirt", float("nan")), ("anti_return", float("nan")), ("anti_return", float("inf")),
+    ("unknown_avoidance", float("inf")), ("unknown_avoidance", float("nan")),
 ])
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfreward
-from selfreward.streams import rngs
+from selfreward.streams import random_raw, rngs
 
 # entropies and spawn-key elements of 2**32 and more take several words
 ENTROPY = st.one_of(st.integers(0, 2 ** 256), st.lists(st.integers(0, 2 ** 70), max_size=6))
@@ -78,6 +78,28 @@ def test_integer_array_seeds_match_numpy(seeds, signed):
         assert rng.bit_generator.seed_seq.entropy == seed
 
 
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.one_of(
+    st.lists(st.tuples(ENTROPY, KEY), min_size=1, max_size=3).map(lambda roots: ("roots", roots)),
+    st.lists(ENTROPY, max_size=6).map(lambda seeds: ("plain", seeds)),
+    st.lists(st.integers(0, 2 ** 64 - 1), max_size=30).map(
+        lambda seeds: ("array", np.array(seeds, dtype=np.uint64)))),
+    first=FIRST, count=st.sampled_from([0, 1, 5]), k=st.integers(0, 7))
+def test_raw_outputs_match_numpy(seeds, first, count, k):
+    kind, seeds = seeds
+    if kind == "roots":
+        index = range(first, first + count)
+        got = random_raw(seeds, k, index)
+        items = [np.random.SeedSequence(e, spawn_key=key + (i,)) for e, key in seeds for i in index]
+    else:
+        got = random_raw(seeds, k)
+        plain = seeds.tolist() if kind == "array" else seeds
+        items = [np.random.SeedSequence(s) for s in plain]
+    assert got.shape == (len(items), k) and got.dtype == np.uint64
+    for row, seq in zip(got, items):
+        np.testing.assert_array_equal(row, np.random.default_rng(seq).bit_generator.random_raw(k))
+
+
 @pytest.mark.parametrize("call", [
     lambda: rngs([-1]),
     lambda: rngs([[3, -2]]),
@@ -97,6 +119,7 @@ def test_negative_entropy_raises_as_numpy_does(call):
 
 def test_empty_calls_build_nothing():
     assert list(rngs([])) == []
+    assert random_raw([], 6).shape == random_raw([(5, (1,))], 6, []).shape == (0, 6)
     assert list(rngs([], range(5))) == []
     assert list(rngs([(5, (1,))], [])) == []
     assert list(rngs(np.zeros(0, dtype=np.int64))) == []
