@@ -836,11 +836,11 @@ def test_decode_flags_exactly_the_words_numpy_redraws(low, high, redraws):
 
 def test_population_on_the_fallback_for_every_row_matches(monkeypatch):
     roots = [(5, (0, t)) for t in range(3)] + [(2 ** 70, (2 ** 40,))]
-    fast = auction.Population(roots, 16, 5, AuctionConfig())
+    fast = auction.Population(roots, 16, 5, AuctionConfig(), False)
     decode = auction._decode_draws
     monkeypatch.setattr(auction, "_decode_draws",
                         lambda words: (*decode(words)[:-1], np.ones(len(words), dtype=bool)))
-    slow = auction.Population(roots, 16, 5, AuctionConfig())
+    slow = auction.Population(roots, 16, 5, AuctionConfig(), False)
     for name in ("fsn", "b_dec", "epochs", "batch_size", "learning_rate"):
         np.testing.assert_array_equal(getattr(slow, name), getattr(fast, name))
         assert getattr(slow, name).dtype == getattr(fast, name).dtype
