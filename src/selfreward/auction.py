@@ -33,9 +33,9 @@ share this one forward.
 
 During the first few rounds agents may fine-tune the decision layer on
 perturbed copies of the offer, labelling each batch with their own judge
-(``srd_finetune``).  The sensors are frozen, so the loss is a linear ->
+(``_finetune``).  The sensors are frozen, so the loss is a linear ->
 threshold gate -> linear -> cross-entropy chain whose gradient is written
-out in closed form, for all agents of a round at once:
+out in closed form, for all learners of a round at once:
 
     z       = sum over the batch rows r of the judge logits [True, False]
     dz      = softmax(z) - onehot(argmax z)
@@ -57,28 +57,33 @@ offer:
   padded to the widest of their batches under a 0/1 row mask.  A padded
   row adds exact zeros to z and to the gradient.
 
-A round's agents also bid and are screened together.  ``decide_offers``
-stacks the ``FsnModel`` agents (those sharing the config values the
-forward reads, so in an auction all of them) into (n, 4, 8) sensor kernels
-and (n, 3, 4) decision weights and runs one forward over the (n, 8, D_ic)
-clone blocks; any other agent answers through its own ``decide_offer``.
-``screen_models`` checks every model's kernels against one template per
-config and sends all probes through one ``decide_offers`` call.  Each
-agent fills its own rows of clone noise from its own ``noise_rng``, so its
-stream holds the numbers it would draw alone, in the same order: the
-screening probe, then each fine-tuning epoch's draws, then one (8, D_ic - 1)
-block per round it bids in.  The lockstep runner reads these blocks through
-a buffer of ``CHUNK`` bids per agent (``Population``): one normal draw of
-(m, 8, D_ic - 1) yields the numbers of m draws of (8, D_ic - 1), so an agent
-draws m bids at once wherever nothing else draws from its stream between
-them.  A learner draws fine-tuning noise between its bids until its bid in
-round ``finetune_rounds - 1``, so until then it draws one bid at a time;
-every other agent draws ``CHUNK`` bids at a time from its screening probe
-on.  Its ``noise_rng`` ends ahead by the bids it drew and never read.  A
-standard normal draw scaled by ``clone_noise`` gives the numbers
-``normal(0, clone_noise)`` gives, and each stacked product runs the same
-small matrix product per agent as a single-agent call, so every decision is
-the one the agent would take alone, bit for bit.
+The list API is the per-agent form: ``FsnModel.decide_offer`` runs one
+agent's forward on one offer, ``screen_model`` screens one model,
+``srd_finetune`` tunes each learner alone through ``_finetune``, and
+``server_step`` asks each active agent of an ``AuctionState`` for its
+decision.  No workload runs it; it stays in the package because the
+benchmark's spans wrap its names (``srd_finetune``, ``FsnModel.__init__``,
+``FsnModel.es_forward_values``, ``screen_model``, ``make_offer_variants``
+and ``server_step``) and because the tests hold the runner against it.
+
+``Population`` is the one stacked path.  A round's agents bid and are
+screened together: one forward over the (n, 8, D_ic) clone blocks with the
+shared sensor kernels and the (n, 3, 4) decision weights.  Each agent fills
+its own rows of clone noise from its own ``noise_rng``, so its stream holds
+the numbers it would draw alone, in the same order: the screening probe,
+then each fine-tuning epoch's draws, then one (8, D_ic - 1) block per round
+it bids in.  The runner reads these blocks through a buffer of ``CHUNK``
+bids per agent: one normal draw of (m, 8, D_ic - 1) yields the numbers of m
+draws of (8, D_ic - 1), so an agent draws m bids at once wherever nothing
+else draws from its stream between them.  A learner draws fine-tuning noise
+between its bids until its bid in round ``finetune_rounds - 1``, so until
+then it draws one bid at a time; every other agent draws ``CHUNK`` bids at
+a time from its screening probe on.  Its ``noise_rng`` ends ahead by the
+bids it drew and never read.  A standard normal draw scaled by
+``clone_noise`` gives the numbers ``normal(0, clone_noise)`` gives, and each
+stacked product runs the same small matrix product per agent as a
+single-agent call, so every decision is the one the agent would take alone,
+bit for bit.
 
 The trials of an experiment run in lockstep too (``run_trials``;
 ``run_auction`` is ``run_trials`` for one resolved seed).  A block of
@@ -130,9 +135,8 @@ from .layers import selective_core, tau, tau_slope
 
 __all__ = [
     "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Markets", "Offer",
-    "Population", "TrialResult", "base_offer", "decide_offers", "make_offer_variants",
-    "run_auction", "run_experiment", "run_trials", "screen_model", "screen_models",
-    "server_step", "srd_finetune",
+    "Population", "TrialResult", "base_offer", "make_offer_variants", "run_auction",
+    "run_experiment", "run_trials", "screen_model", "server_step", "srd_finetune",
 ]
 
 BUY, HOLD, QUIT = 0, 1, 2
@@ -258,27 +262,22 @@ def make_offer_variants(base: Offer, count: int = 16,
     return variants
 
 
-def es_weight_rows(delta: float = DELTA, base_price: float = BASE_PRICE) -> np.ndarray:
-    """The four hand-set sensor kernels (before cloning)."""
-    rows = np.full((4, 8), delta)
+@functools.lru_cache(maxsize=8)
+def es_weight_rows(base_price: float = BASE_PRICE) -> np.ndarray:
+    """The four hand-set sensor kernels (before cloning) for one base price,
+    built once and read-only."""
+    rows = np.full((4, 8), DELTA)
     rows[PG, 0] += 1.0 / base_price
-    rows[PG, 1:4] += -2 * delta
+    rows[PG, 1:4] += -2 * DELTA
     rows[SZ, 1:3] += 0.5
     rows[LSR, 7] += 1.0
     rows[ST, 4:7] += 1.0 / 3.0
+    rows.flags.writeable = False
     return rows
 
 
 ES_BIASES = np.array([0.0, 0.0, 0.0, -0.5])
 ES_BIASES.flags.writeable = False  # row views share it
-
-
-@functools.lru_cache(maxsize=8)
-def _es_template(base_price: float) -> np.ndarray:
-    """The sensor kernels for one base price, built once and read-only."""
-    rows = es_weight_rows(base_price=base_price)
-    rows.flags.writeable = False
-    return rows
 
 
 def _clone(x: np.ndarray, noise: np.ndarray, config: AuctionConfig) -> np.ndarray:
@@ -339,7 +338,7 @@ class FsnModel:
 
     def __init__(self, rng: np.random.Generator, config: AuctionConfig | None = None):
         self.config = config or AuctionConfig()
-        self.es_rows = _es_template(self.config.base_price).copy()
+        self.es_rows = es_weight_rows(self.config.base_price).copy()
         self.es_biases = ES_BIASES.copy()
         self.w_dec = W_DECISION.copy()
         (self.b_dec, self.epochs, self.batch_size, self.learning_rate,
@@ -372,7 +371,11 @@ class FsnModel:
         return _judge_gates(x_es, logits)[0]
 
     def decide_offer(self, offer: Offer) -> int:
-        return int(decide_offers([self], offer)[0])
+        """Buy / hold / quit decision on one offer: ``_bid`` for this one agent."""
+        x = offer.as_array()
+        noise = _draw_noise([self.noise_rng], (1, len(x), self.config.d_ic - 1))
+        return int(_bid(self.es_rows[None], self.es_biases[None], x[None], noise,
+                        self.w_dec[None], self.b_dec[None], self.config)[0])
 
     def export_params(self) -> dict:
         return {"w_dec": self.w_dec.copy(), "b_dec": self.b_dec.copy()}
@@ -398,17 +401,6 @@ class AlwaysHoldModel:
 
     def export_params(self) -> dict:
         return {}
-
-
-def _forward_groups(models) -> list[list[int]]:
-    """Indices of the FsnModels among models, grouped by the config values
-    their forward reads, so that each group stacks into one forward."""
-    groups: dict[tuple, list[int]] = {}
-    for i, m in enumerate(models):
-        if isinstance(m, FsnModel):
-            c = m.config
-            groups.setdefault((c.d_ic, c.clone_noise, c.selective_eps), []).append(i)
-    return list(groups.values())
 
 
 def _draw_noise(rngs, shape: tuple) -> np.ndarray:
@@ -447,80 +439,42 @@ def _screening_probe(config: AuctionConfig) -> Offer:
     return Offer(price=0.25 * config.base_price)
 
 
-def decide_offers(models, offer: Offer) -> np.ndarray:
-    """Buy / hold / quit decision of every model on one offer.
-
-    The FsnModels run one stacked forward per forward config, each filling
-    its own row of clone noise from its own ``noise_rng``; any other agent
-    answers through its own ``decide_offer``.
-    """
-    decisions = np.empty(len(models), dtype=int)
-    x = offer.as_array()
-    for idx in _forward_groups(models):
-        group = [models[i] for i in idx]
-        es_rows, es_biases, w, b = (np.array([getattr(m, name) for m in group])
-                                    for name in ("es_rows", "es_biases", "w_dec", "b_dec"))
-        noise = _draw_noise([m.noise_rng for m in group],
-                            (len(group), len(x), group[0].config.d_ic - 1))
-        decisions[idx] = _bid(es_rows, es_biases, np.broadcast_to(x, (len(group), len(x))),
-                              noise, w, b, group[0].config)
-    for i, m in enumerate(models):
-        if not isinstance(m, FsnModel):
-            decisions[i] = m.decide_offer(offer)
-    return decisions
-
-
-def screen_models(models, config: AuctionConfig | None = None) -> list[bool]:
+def screen_model(model, config: AuctionConfig | None = None) -> bool:
     """Dummy screener: accept only constructor-shaped, non-hold-only models.
 
-    Checks each model's sensor weights against the interpretable template,
+    Checks the model's sensor weights against the interpretable template,
     the decision sign pattern (PG against buying, quality for it), and
-    probes a very cheap offer, which every sensible negotiator buys.  Only
-    models that pass the first two checks are probed, all in one
-    ``decide_offers`` call.
+    probes a very cheap offer, which every sensible negotiator buys.  Only a
+    model that passes the first checks is probed.
     """
     config = config or AuctionConfig()
-    template = _es_template(config.base_price)
-    verdicts = np.zeros(len(models), dtype=bool)
-    fsn = [i for i, m in enumerate(models)
-           if isinstance(m, FsnModel) and np.shape(m.es_rows) == template.shape]
-    if fsn:
-        # np.allclose per model, with its default tolerances
-        shaped = np.isclose(np.array([models[i].es_rows for i in fsn]),
-                            template).all(axis=(1, 2))
-        signs = np.sign(np.array([models[i].w_dec[BUY] for i in fsn]))
-        shaped &= (signs[:, PG] < 0) & (signs[:, [SZ, LSR, ST]] > 0).all(axis=1)
-        probed = [i for i, ok in zip(fsn, shaped) if ok]
-        verdicts[probed] = decide_offers([models[i] for i in probed],
-                                         _screening_probe(config)) == BUY
-    return verdicts.tolist()
-
-
-def screen_model(model, config: AuctionConfig | None = None) -> bool:
-    """``screen_models`` for one model."""
-    return screen_models([model], config)[0]
+    template = es_weight_rows(config.base_price)
+    if not isinstance(model, FsnModel) or np.shape(model.es_rows) != template.shape:
+        return False
+    signs = np.sign(model.w_dec[BUY])
+    return bool(np.allclose(model.es_rows, template)
+                and signs[PG] < 0 and (signs[[SZ, LSR, ST]] > 0).all()
+                and model.decide_offer(_screening_probe(config)) == BUY)
 
 
 def srd_finetune(models, variants, k: int) -> None:
-    """One round of self-labelled fine-tuning for a round's agents, in lockstep.
+    """One round of self-labelled fine-tuning for a round's agents, one at a time.
 
     Only the decision layer learns.  Malicious models, agents whose sampled
     epoch count is zero, and every agent once k reaches its config's
     ``finetune_rounds`` sit the round out.  ``variants``, a list of Offers,
-    is every model's fine-tuning set.  The learners are stacked per forward
-    config into ``_finetune``'s arrays; their new weights are written back.
+    is every model's fine-tuning set.  Each learner runs ``_finetune`` on
+    arrays of one; its new weights are written back.
     """
-    learners = [m for m in models
-                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
     offers = np.array([v.as_array() for v in variants])
-    for idx in _forward_groups(learners):
-        group = [learners[i] for i in idx]
-        w, b = _finetune(*(np.array([getattr(m, name) for m in group]) for name in (
-            "w_dec", "b_dec", "learning_rate", "epochs", "batch_size", "noise_rng",
-            "es_rows", "es_biases")), np.broadcast_to(offers, (len(group), *offers.shape)),
-            group[0].config)
-        for m, w_i, b_i in zip(group, w, b):
-            m.w_dec[...], m.b_dec[...] = w_i, b_i
+    for m in models:
+        if m.malicious or not m.epochs or k >= m.config.finetune_rounds:
+            continue
+        w, b = _finetune(m.w_dec[None], m.b_dec[None], np.array([m.learning_rate]),
+                         np.array([m.epochs]), np.array([m.batch_size]),
+                         np.array([m.noise_rng]), m.es_rows[None], m.es_biases[None],
+                         offers[None], m.config)
+        m.w_dec[...], m.b_dec[...] = w[0], b[0]
 
 
 def _finetune(w, b, lr, epochs, batch, rngs, es_rows, es_biases, offers,
@@ -628,8 +582,8 @@ def server_step(state: AuctionState) -> AuctionState:
         raise RuntimeError("cannot step a terminated auction")
     cfg = state.config
     active_before = state.active_indices()
-    decisions = decide_offers([state.agents[i] for i in active_before],
-                              state.current_offer())
+    offer = state.current_offer()
+    decisions = [state.agents[i].decide_offer(offer) for i in active_before]
 
     buyers = [i for i, d in zip(active_before, decisions) if d == BUY]
     quitters = [i for i, d in zip(active_before, decisions) if d == QUIT]
@@ -756,8 +710,8 @@ class Population:
     def decide(self, live: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
         """Decisions of the FSN agents under the (trial, agent) mask live on
         offer rows x (trials, 8) in round k (-1 for the screening probe): one
-        stacked forward, as ``decide_offers``, on each agent's next buffered
-        row of clone noise."""
+        stacked forward, ``_bid`` over every live agent, on each agent's next
+        buffered row of clone noise."""
         chunk = self.noise.shape[2]
         empty = live & (self.cursor == chunk)
         if empty.any():
@@ -770,7 +724,7 @@ class Population:
         at = live.nonzero()
         noise = self.noise[(*at, self.cursor[at])]
         self.cursor[at] += 1
-        return _bid(_es_template(self.config.base_price), ES_BIASES, x[at[0]], noise,
+        return _bid(es_weight_rows(self.config.base_price), ES_BIASES, x[at[0]], noise,
                     self.w_dec[at], self.b_dec[at], self.config)
 
 
@@ -877,7 +831,7 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
             at = (live & pop.learners).nonzero()
             pop.w_dec[at], pop.b_dec[at] = _finetune(
                 pop.w_dec[at], pop.b_dec[at], pop.learning_rate[at], pop.epochs[at],
-                pop.batch_size[at], pop.noise_rngs[at], _es_template(config.base_price),
+                pop.batch_size[at], pop.noise_rngs[at], es_weight_rows(config.base_price),
                 ES_BIASES, variants[at[0]], config)
         decisions = np.full(live.shape, HOLD)
         decisions[live] = pop.decide(live, markets.offers(), k)

@@ -149,9 +149,24 @@ class LavaConfig:
         if not 0 <= self.unknown_avoidance < math.inf:
             raise ValueError(f"unknown_avoidance must be at least 0 and finite, "
                              f"got {self.unknown_avoidance}")
-        for name in ("p_target", "p_self", "p_grass", "p_dirt", "anti_return"):
+        prefs = {f"p_{tile}": abs(p) for tile, p in self.preferences.items()}
+        for name in (*prefs, "anti_return"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # The plan fields stay below max_steps * sum|p_*| * max(1, unknown_avoidance)
+        # * max(1, |anti_return|)**max_steps.  Its log is summed term by term, since
+        # a float ** past the largest float raises OverflowError; the refusal names
+        # the field of the largest term.
+        total = sum(prefs.values())  # inf if it overflows, which is refused below
+        logs = {"max_steps": math.log(self.max_steps),
+                max(prefs, key=prefs.get): math.log(total) if total else -math.inf,
+                "unknown_avoidance": math.log(max(1.0, self.unknown_avoidance)),
+                "anti_return": self.max_steps * math.log(max(1.0, abs(self.anti_return)))}
+        if sum(logs.values()) >= math.log(np.finfo(float).max):
+            name = max(logs, key=logs.get)
+            raise ValueError(f"{name} = {getattr(self, name)} overflows the plan fields: "
+                             f"max_steps * sum|p_*| * max(1, unknown_avoidance) * "
+                             f"max(1, |anti_return|)**max_steps must be finite")
         if not self.selective_eps > 0:
             raise ValueError(f"selective_eps must be positive, got {self.selective_eps}")
         if not self.tau_recog >= 0:

@@ -18,7 +18,6 @@ from selfreward.auction import (
     FsnModel,
     Offer,
     base_offer,
-    decide_offers,
     W_DECISION,
     _PFC_GATES_B,
     _PFC_GATES_W,
@@ -29,7 +28,6 @@ from selfreward.auction import (
     run_auction,
     run_experiment,
     screen_model,
-    screen_models,
     server_step,
     srd_finetune,
 )
@@ -231,23 +229,19 @@ def mixed_population():
     return [agents[i] for i in order]
 
 
-def test_decide_offers_matches_per_agent_loop():
-    batched = mixed_population()
-    looped = copy.deepcopy(batched)
-    reference = copy.deepcopy(batched)
+def test_decide_offer_matches_per_agent_reference():
+    agents = mixed_population()
+    reference = copy.deepcopy(agents)
     seen = set()
     for price in (1.0, 4.0, 5.0, 5.5, 6.0, 9.0, 0.5, 5.25):
         offer = Offer(price=price, demand=price / 10)
-        got = decide_offers(batched, offer)
-        assert got.tolist() == [m.decide_offer(offer) for m in looped]
-        assert got.tolist() == [reference_decide(m, offer) for m in reference]
-        seen.update(got.tolist())
+        got = [m.decide_offer(offer) for m in agents]
+        assert got == [reference_decide(m, offer) for m in reference]
+        seen.update(got)
     assert seen == {BUY, HOLD, QUIT}
-    for group in (looped, reference):
-        for a, b in zip(batched, group):
-            if isinstance(a, FsnModel):
-                assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
-    assert decide_offers([], base_offer()).shape == (0,)
+    for a, b in zip(agents, reference):
+        if isinstance(a, FsnModel):
+            assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
 
 
 def test_malicious_model_always_holds():
@@ -367,18 +361,41 @@ def lockstep_agents(settings=((2, 4), (1, 15), (2, 7), (0, 5), (1, 6))):
     return agents
 
 
+def lockstep_finetune(models, variants, k):
+    """One fine-tuning round of the models' learners stacked into one
+    ``_finetune`` call, as ``_run_block`` makes it over a block's rows."""
+    learners = [m for m in models
+                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
+    if not learners:
+        return
+    offers = np.array([v.as_array() for v in variants])
+    config = learners[0].config
+    w, b = auction._finetune(*(np.array([getattr(m, name) for m in learners]) for name in (
+        "w_dec", "b_dec", "learning_rate", "epochs", "batch_size", "noise_rng")),
+        es_weight_rows(config.base_price), auction.ES_BIASES,
+        np.broadcast_to(offers, (len(learners), *offers.shape)), config)
+    for m, w_i, b_i in zip(learners, w, b):
+        m.w_dec[...], m.b_dec[...] = w_i, b_i
+
+
 def test_lockstep_finetune_matches_engine_reference():
     variants = make_offer_variants(base_offer(), 16, seed=4)
     ours = lockstep_agents() + [AlwaysHoldModel(np.random.default_rng(0))]
+    solo = lockstep_agents() + [AlwaysHoldModel(np.random.default_rng(0))]
     ref = lockstep_agents()
     for k in range(5):  # the last round lies past the fine-tuning window
-        srd_finetune(ours, variants, k)
+        lockstep_finetune(ours, variants, k)
+        srd_finetune(solo, variants, k)
         for m in ref:
             engine_finetune(m, variants, k)
-    for a, b in zip(ours, ref):
+    for a, s, b in zip(ours, solo, ref):
         np.testing.assert_allclose(a.w_dec, b.w_dec, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.b_dec, b.b_dec, rtol=0, atol=1e-12)
         assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+        # the list API's per-learner rounds are the stacked ones, bit for bit
+        np.testing.assert_array_equal(s.w_dec, a.w_dec)
+        np.testing.assert_array_equal(s.b_dec, a.b_dec)
+        assert s.noise_rng.bit_generator.state == a.noise_rng.bit_generator.state
     # every agent with epochs > 0 moved well past the tolerance
     moved = [np.abs(m.w_dec - W_DECISION).max() > 1e-3 for m in ours[:5]]
     assert moved == [True, True, True, False, True]
@@ -430,7 +447,7 @@ def test_lockstep_padding_leaves_finished_agent_bit_identical():
     finished = []
     for long_epochs in (1, 2):
         short, long = lockstep_agents(((1, 15), (long_epochs, 4)))
-        srd_finetune([short, long], variants, 0)
+        lockstep_finetune([short, long], variants, 0)
         finished.append(short)
     assert not np.array_equal(finished[0].w_dec, W_DECISION)
     np.testing.assert_array_equal(finished[0].w_dec, finished[1].w_dec)
@@ -438,14 +455,14 @@ def test_lockstep_padding_leaves_finished_agent_bit_identical():
 
 
 def test_lockstep_finetune_gives_every_schedule_its_solo_result():
-    """One call over all 24 (epochs, batch_size) schedules leaves each learner
-    as fine-tuning it alone does, bit for bit.  A step pads only to the
-    widest batch of the learners still stepping, and a learner whose
-    schedule has ended sits out the later steps untouched."""
+    """One stacked call over all 24 (epochs, batch_size) schedules leaves each
+    learner as fine-tuning it alone (``srd_finetune``) does, bit for bit.  A
+    step pads only to the widest batch of the learners still stepping, and a
+    learner whose schedule has ended sits out the later steps untouched."""
     settings = [(epochs, batch) for epochs in (1, 2) for batch in range(4, 16)]
     variants = make_offer_variants(base_offer(), 16, seed=4)
     together, alone = lockstep_agents(settings), lockstep_agents(settings)
-    srd_finetune(together, variants, 0)
+    lockstep_finetune(together, variants, 0)
     for m in alone:
         srd_finetune([m], variants, 0)
     steps = {epochs * -(-16 // batch) for epochs, batch in settings}
@@ -618,23 +635,21 @@ def reference_screen(m, config):
     return reference_decide(m, Offer(price=0.25 * config.base_price)) == BUY
 
 
-def test_screen_models_matches_screen_model():
+def test_screen_model_matches_per_model_reference():
     flipped, nudged, moved = (fresh_model(seed=s) for s in (5, 6, 7))
     flipped.w_dec = -flipped.w_dec
     nudged.es_rows = nudged.es_rows + 1e-10  # inside np.allclose's tolerance
     moved.es_rows = moved.es_rows + 1e-3
     models = [fresh_model(seed=4), AlwaysHoldModel(np.random.default_rng(0)),
               flipped, nudged, moved, fresh_model(seed=8)]
-    singles, reference = copy.deepcopy(models), copy.deepcopy(models)
+    reference = copy.deepcopy(models)
     config = AuctionConfig()
-    verdicts = screen_models(models, config)
+    verdicts = [screen_model(m, config) for m in models]
     assert verdicts == [True, False, False, True, False, True]
-    assert verdicts == [screen_model(m, config) for m in singles]
     assert verdicts == [reference_screen(m, config) for m in reference]
-    for group in (singles, reference):
-        for a, b in zip(models, group):
-            if isinstance(a, FsnModel):
-                assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
+    for a, b in zip(models, reference):
+        if isinstance(a, FsnModel):
+            assert a.noise_rng.bit_generator.state == b.noise_rng.bit_generator.state
 
 
 def test_flagged_models_only_admitted_in_malicious_mode():
@@ -700,8 +715,8 @@ def reference_finetune(models, variants, k):
 
 
 class ReferenceAgent:
-    """Bids alone through ``reference_decide``; not an FsnModel, so
-    ``server_step`` asks it through its own ``decide_offer``."""
+    """Bids alone through ``reference_decide``, which ``server_step`` reaches
+    through its ``decide_offer``."""
 
     def __init__(self, model):
         self.model = model

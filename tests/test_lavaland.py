@@ -555,6 +555,33 @@ def test_config_rejects_invalid_values(field, value):
         LavaConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,kw", [
+    # each overflowed numpy's field sums in training or in evaluation
+    ("p_grass", dict(p_grass=-1e308)), ("anti_return", dict(anti_return=-1e9)),
+    ("unknown_avoidance", dict(unknown_avoidance=1e308)),
+    # finite preferences whose sum is not
+    ("p_target", dict(p_target=1e308, p_self=1e308)),
+    ("anti_return", dict(anti_return=2.0, max_steps=1100)),
+])
+def test_config_rejects_finite_values_whose_fields_overflow(field, kw):
+    with pytest.raises(ValueError, match=f"^{field} = .* overflows"):
+        LavaConfig(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(p_grass=-1e306), dict(anti_return=-3e8), dict(unknown_avoidance=1e305),
+    dict(p_target=0.0, p_self=0.0, p_grass=0.0, p_dirt=0.0),
+])
+def test_config_keeps_values_near_the_overflow_bound(kw):
+    cfg = small_config(lava_frac=0.1, **kw)
+    bank = MapBank("lava-a", 0, [generate_map(np.random.default_rng(s), cfg) for s in range(3)])
+    params = Robot2NNParams()
+    with np.errstate(over="raise", invalid="raise"):
+        losses = srd_train_lavaland(params, bank, cfg, seed=0)
+        evaluate(params, bank, cfg, seed=1)
+    assert all(math.isfinite(loss) for loss in losses)
+
+
 def test_config_rejects_one_cell_maps_and_keeps_edge_values():
     with pytest.raises(ValueError, match="at least 2 cells"):
         LavaConfig(height=1, width=1)
