@@ -61,6 +61,21 @@ engine's reference loop within 1e-12, and its actions exactly.  Actions and
 verdicts are argmaxes with ties to the first entry, as ``np.argmax`` takes
 them.
 
+A run without learning is a closed loop that soon repeats itself.  Theta,
+the detectors and the judge are frozen, and nothing is drawn after
+``make_world``, so each step is a function of the loop's state alone: the
+tape position modulo ``food_period``, the window (which eating changes) and
+the energy.  Every value a trace record holds, bar the step number, is read
+from that state.  So ``run_episode`` steps only until the first state
+repeats, then tiles the cycle's records, renumbered, and moves
+``world.offset`` on by the cycle's moves.  The records and the end state are
+bit for bit those of stepping every time.  At the default config the cycle
+starts by step 15 and lasts 16 steps untrained and 11 after 500 training
+steps (seeds 0-31), or 6 after ``fish1d train``'s default 12 000 (seeds
+0-7).  A fish that dies never repeats a state, since its energy falls
+strictly until it eats, so it steps every time.  Training changes theta at
+every step and is always stepped.
+
 The graph forms (``FishNN.sense``/``decide``, ``FishPFC.judge`` and
 ``pfc_judge``) state the same network on the engine and stay as the
 reference: they read whatever the caller puts in ``w_act``/``b_act``, so
@@ -71,6 +86,7 @@ actions and verdicts against them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -410,18 +426,46 @@ def run_episode(nn: FishNN, pfc: FishPFC, world: FishWorld, state: FishState,
     decision-time energy and food flags (0 or 1), the action taken, and the
     judge's verdict on that decision ("T" or "F").  The episode ends early,
     before the next step, once the fish is dead.
+
+    The loop's state is (world.offset % food_period, window, energy).  On
+    the first step whose state was seen before, at step s0, the records of
+    steps s0..step-1 repeat for as long as the episode lasts: they are
+    appended as whole copies with the step renumbered, and ``world.offset``
+    is advanced by the moves they made, instead of being stepped again.
+    The fewer than one cycle's steps left are stepped as usual, so world and
+    state end exactly as stepping every time leaves them.  This is exact
+    only while each record reads nothing but that state and the step: a
+    per-step trace of the named neurons (a_fh, a_ft, e, m, the gates, the
+    verdict) is such a record and must be tiled with the cycle in the same
+    way; anything else (a clock, a counter kept across steps) must go in the
+    key or switch the skip off.
     """
     trace = []
     config = nn.config
     theta = nn.theta()
-    for step in range(steps):
-        if not state.alive:
-            break
+    seen = {}  # loop state -> (the step it was first seen at, world.offset then)
+    step = 0
+    while step < steps and state.alive:
+        key = (world.offset % world.food_period, world.window, state.energy)
+        first, first_offset = seen.setdefault(key, (step, world.offset))
+        if first < step:
+            # the loop has closed: trace[first:step] repeats from here on
+            period = step - first
+            copies = (steps - step) // period
+            # all columns but the step, each repeated until the steps run out
+            columns = list(zip(*trace[first:step]))[1:]
+            trace.extend(zip(range(step, step + copies * period),
+                             *map(itertools.cycle, columns)))
+            world.offset += copies * (world.offset - first_offset)
+            step += copies * period
+            seen.clear()  # fewer than `period` steps remain, none of them a repeat
+            continue
         action, v0 = sense_and_decide(nn, theta, world, state)
         true, false = pfc.judge_values(v0)
         trace.append((step, state.energy, int(world.food_here), int(world.food_there),
                       ACTION_NAMES[action], "T" if true >= false else "F"))
         world_step(world, state, action, config)
+        step += 1
     return trace
 
 

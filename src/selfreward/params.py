@@ -49,6 +49,8 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
     With ``scenario``, a document whose ``meta.scenario`` names another
     scenario is refused.  With ``template`` (name -> array), the document
     must hold exactly those names, each with the template array's shape.
+    ``params`` must be a JSON object whose entries hold their ``values`` as
+    a flat list of JSON numbers; anything else is a ParamsParseError.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -69,12 +71,23 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
     if scenario is not None and found is not None and found != scenario:
         raise ParamsError(f"{path}: parameters are for scenario {found!r}, "
                           f"not {scenario!r}")
+    if "params" not in doc:
+        raise ParamsParseError(f"{path}: not a parameter document (missing params)")
+    entries = doc["params"]
+    if not isinstance(entries, dict):
+        raise ParamsParseError(f"{path}: 'params' must be a JSON object, "
+                               f"not {type(entries).__name__}")
     out = {}
     try:
-        for name, entry in doc["params"].items():
-            arr = np.array(entry["values"], dtype=np.float64)
-            out[name] = arr.reshape(entry["shape"])
-    except (KeyError, TypeError, ValueError) as err:
+        for name, entry in entries.items():
+            values = entry["values"]
+            # json reads numbers as int or float; bool is an int subclass
+            if not (isinstance(values, list)
+                    and all(type(v) in (int, float) for v in values)):
+                raise ParamsParseError(f"{path}: parameter {name!r} values must be "
+                                       f"a list of JSON numbers")
+            out[name] = np.array(values, dtype=np.float64).reshape(entry["shape"])
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ParamsParseError(f"{path}: bad parameter entry: {err}") from err
     for name, arr in out.items():
         if not np.isfinite(arr).all():  # json reads NaN, Infinity and 1e999

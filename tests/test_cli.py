@@ -386,6 +386,26 @@ def test_fish_run_rejects_params_with_wrong_names(tmp_path, capsys):
     assert "b_act" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--trained", "--params"])
+def test_params_list_instead_of_object_exits_two(tmp_path, capsys, option):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format_version": 1, "params": []}))
+    bank = tmp_path / "bank.json"
+    assert dispatch(["lavaland", "gen", "--count", "2", "--preset", "lava-a",
+                     "--out", str(bank)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "--trained": ["fish1d", "run", "--steps", "10", "--out", str(out)],
+        "--params": ["lavaland", "eval", "--bank", str(bank), "--report", str(out)],
+    }[option]
+    rc = dispatch([*argv, option, str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: 'params' must be a JSON object, not list\n"
+    assert not out.exists()
+
+
 def test_fish_run_of_a_starving_policy_writes_its_trace(tmp_path, capsys):
     from selfreward.fish1d import FishConfig, FishNN
 

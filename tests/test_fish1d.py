@@ -7,6 +7,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfreward import fish1d
 from selfreward.autodiff import (
@@ -384,6 +386,106 @@ def test_starving_fish_ends_the_episode_and_stops_training():
     with pytest.raises(ValueError, match=f"^step {len(trace)}: the fish starved; "
                                          "training stopped$"):
         srd_train(1000, config, seed=0)
+
+
+def reference_episode(nn, pfc, world, state, steps):
+    """run_episode as a plain per-step loop, every step simulated.  Reference."""
+    trace = []
+    theta = nn.theta()
+    for step in range(steps):
+        if not state.alive:
+            break
+        action, v0 = sense_and_decide(nn, theta, world, state)
+        true, false = pfc.judge_values(v0)
+        trace.append((step, state.energy, int(world.food_here), int(world.food_there),
+                      ACTION_NAMES[action], "T" if true >= false else "F"))
+        world_step(world, state, action, nn.config)
+    return trace
+
+
+def first_repeat(nn, world, state, limit):
+    """(s0, P): the loop's state at step s0 + P is the one at s0, for the
+    first such step within ``limit`` steps; None if there is none."""
+    seen = {}
+    theta = nn.theta()
+    for step in range(limit):
+        if not state.alive:
+            return None
+        key = (world.offset % world.food_period, world.window, state.energy)
+        if key in seen:
+            return seen[key], step - seen[key]
+        seen[key] = step
+        action, _ = sense_and_decide(nn, theta, world, state)
+        world_step(world, state, action, nn.config)
+    return None
+
+
+def assert_episode_matches_reference(nn, seed, steps):
+    """run_episode gives the reference's records, floats exact, and leaves
+    the world and the fish as the reference does."""
+    pfc = FishPFC()
+    world, state = make_world(seed, nn.config)
+    trace = run_episode(nn, pfc, world, state, steps)
+    ref_world, ref_state = make_world(seed, nn.config)
+    want = reference_episode(nn, pfc, ref_world, ref_state, steps)
+    assert trace == want
+    assert [row[1].hex() for row in trace] == [row[1].hex() for row in want]
+    assert (world.offset, world.window) == (ref_world.offset, ref_world.window)
+    assert state.energy.hex() == ref_state.energy.hex()
+    return trace, state
+
+
+@settings(max_examples=120, deadline=None)
+@given(food_period=st.integers(4, 9),
+       energy_decay=st.one_of(st.sampled_from([0.0, 0.013, 0.05, 0.07, 0.2, 1 / 3]),
+                              st.floats(0.0, 0.6)),
+       initial_energy=st.floats(0.0, 1.0, exclude_min=True),
+       eat_bias=st.one_of(st.sampled_from([0.0, -0.3, 0.5, -5.0]), st.floats(-6.0, 2.0)),
+       move_delta=st.floats(-0.5, 0.5),
+       train_steps=st.sampled_from([0, 0, 30, 150]),
+       seed=st.integers(0, 10_000),
+       steps=st.one_of(st.integers(0, 3000),
+                       st.tuples(st.integers(0, 60), st.integers(-1, 1))))
+def test_episode_skipping_repeats_matches_per_step_loop(
+        food_period, energy_decay, initial_energy, eat_bias, move_delta, train_steps,
+        seed, steps):
+    config = FishConfig(food_period=food_period, energy_decay=energy_decay,
+                        initial_energy=initial_energy, eat_bias=eat_bias,
+                        move_delta=move_delta)
+    try:
+        nn = srd_train(train_steps, config, seed=seed)[0]
+    except ValueError:  # starved, or the loss left the floats: run it untrained
+        nn = FishNN(config)
+    if isinstance(steps, tuple):  # just before, at or after the end of a cycle
+        k, d = steps
+        repeat = first_repeat(nn, *make_world(seed, config), 3000)
+        s0, period = repeat or (1, 7)  # no cycle within 3000 steps: any steps do
+        steps = max(0, min(3000, s0 + k * period + d))
+    assert_episode_matches_reference(nn, seed, steps)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_episode_simulates_only_until_the_loop_closes(seed, monkeypatch):
+    fishes = [FishNN(FishConfig()), srd_train(500, seed=seed)[0]]
+    calls = []
+    decide = fish1d.sense_and_decide
+
+    def counted(*args):
+        calls.append(None)
+        return decide(*args)
+
+    monkeypatch.setattr(fish1d, "sense_and_decide", counted)
+    for nn in fishes:
+        calls.clear()
+        trace, state = assert_episode_matches_reference(nn, seed, 20000)
+        assert len(trace) == 20000 and state.alive
+        assert len(calls) < 100
+    # a starving fish never repeats a state: every step is simulated
+    calls.clear()
+    trace, state = assert_episode_matches_reference(
+        FishNN(FishConfig(eat_bias=-100.0)), seed, 20000)
+    assert not state.alive
+    assert len(calls) == len(trace) < 100
 
 
 def test_zero_training_steps_changes_nothing():

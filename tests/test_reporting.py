@@ -112,6 +112,51 @@ def test_params_not_a_document(tmp_path):
         load_params(path)
 
 
+@pytest.mark.parametrize("params, message", [
+    ([], "'params' must be a JSON object, not list"),
+    ("w", "'params' must be a JSON object, not str"),
+    (None, "'params' must be a JSON object, not NoneType"),
+])
+def test_params_that_are_not_an_object_refused(tmp_path, params, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"format_version": 1, "params": params}))
+    with pytest.raises(ParamsParseError, match=re.escape(f"{path}: {message}")):
+        load_params(path)
+
+
+def test_params_missing_refused(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"format_version": 1}))
+    with pytest.raises(ParamsParseError, match="missing params"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("values", [
+    ["1"], [True], [0.5, False], [[0.5]], [None], 0.5, "0.5", {"0": 0.5},
+])
+def test_params_values_that_are_not_json_numbers_refused(tmp_path, values):
+    path = tmp_path / "p.json"
+    doc = {"format_version": 1, "params": {"w": {"shape": [1], "values": values}}}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsParseError,
+                       match=re.escape(f"{path}: parameter 'w' values must be a list "
+                                       "of JSON numbers")):
+        load_params(path)
+
+
+def test_params_integer_values_read_as_floats(tmp_path):
+    path = tmp_path / "p.json"
+    doc = {"format_version": 1, "params": {"w": {"shape": [2], "values": [1, -2]}}}
+    path.write_text(json.dumps(doc))
+    loaded = load_params(path)["w"]
+    assert loaded.dtype == np.float64 and loaded.tolist() == [1.0, -2.0]
+    # an integer too large for a double is refused, not raised as OverflowError
+    doc["params"]["w"]["values"] = [1, 10 ** 400]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsParseError, match="bad parameter entry"):
+        load_params(path)
+
+
 def test_csv_roundtrip_and_determinism(tmp_path):
     rows = [[0, 0.1, "a"], [1, 0.2, "b"]]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
