@@ -42,7 +42,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     if getattr(args, "config", None):
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ConfigError(f"{args.config}: malformed config file: {err}") from err
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object, "
@@ -95,8 +95,8 @@ def cmd_fish_run(args) -> int:
     trace_csv = out_dir / "trace.csv"
     write_csv(trace_csv, fish1d.TRACE_COLUMNS, trace)
     plot = out_dir / "energy.svg"
-    emit_plot(PlotSpec(input_csv=str(trace_csv), x_column="step", y_column="F",
-                       output_svg=str(plot), title="fish energy over time"))
+    emit_plot(PlotSpec(x_column="step", y_column="F", output_svg=str(plot),
+                       title="fish energy over time"), fish1d.TRACE_COLUMNS, trace)
     _write_manifest(args, "fish1d", "run", out_dir, [trace_csv, plot], started)
     if not state.alive:
         print(f"fish died after {len(trace)} steps")
@@ -150,21 +150,20 @@ def cmd_auction_run(args) -> int:
         r_grid, trials=args.trials, conditions=conditions, seed=args.seed,
         malicious_frac=args.malicious_frac)
     results_csv = out_dir / "results.csv"
-    write_csv(results_csv, ["condition", "r", "trial", "price", "purchase_rate"],
-              [[r["condition"], r["r"], r["trial"], r["price"], r["purchase_rate"]]
-               for r in rows])
+    results_header = ["condition", "r", "trial", "price", "purchase_rate"]
+    results = [[r[col] for col in results_header] for r in rows]
+    write_csv(results_csv, results_header, results)
     purchases_csv = out_dir / "purchases.csv"
     write_csv(purchases_csv, ["condition", "r", "trial", "price"],
               [[p["condition"], p["r"], p["trial"], p["price"]] for p in purchases])
     price_svg = out_dir / "price_vs_supply.svg"
-    emit_plot(PlotSpec(input_csv=str(results_csv), x_column="r", y_column="price",
-                       series_column="condition", output_svg=str(price_svg),
-                       kind="scatter", title="purchase price vs item supply"))
+    emit_plot(PlotSpec(x_column="r", y_column="price", series_column="condition",
+                       output_svg=str(price_svg), kind="scatter",
+                       title="purchase price vs item supply"), results_header, results)
     rate_svg = out_dir / "rate_vs_supply.svg"
-    emit_plot(PlotSpec(input_csv=str(results_csv), x_column="r",
-                       y_column="purchase_rate", series_column="condition",
+    emit_plot(PlotSpec(x_column="r", y_column="purchase_rate", series_column="condition",
                        output_svg=str(rate_svg), kind="scatter",
-                       title="purchase rate vs item supply"))
+                       title="purchase rate vs item supply"), results_header, results)
     outputs = [results_csv, purchases_csv, price_svg, rate_svg]
     _write_manifest(args, "auction", "run", out_dir, outputs, started)
     print(f"wrote {results_csv} ({len(rows)} trials over {len(r_grid)} supply points)")
@@ -226,7 +225,8 @@ def cmd_lava_eval(args) -> int:
         for count, n in result.traversal_histogram(tile).items():
             hist_rows.append([tile, count, n])
     hist_csv = report / "histograms.csv"
-    write_csv(hist_csv, ["tile", "tiles_traversed", "episodes"], hist_rows)
+    hist_header = ["tile", "tiles_traversed", "episodes"]
+    write_csv(hist_csv, hist_header, hist_rows)
 
     kern_csv = report / "kernels.csv"
     write_csv(kern_csv, ["seq", "layer", "row", "col", "value", "center_dominant"],
@@ -234,9 +234,9 @@ def cmd_lava_eval(args) -> int:
                 int(r["center_dominant"])] for r in lava_mod.inspect_kernels(params)])
 
     hist_svg = report / "traversal.svg"
-    emit_plot(PlotSpec(input_csv=str(hist_csv), x_column="tiles_traversed",
-                       y_column="episodes", series_column="tile",
-                       output_svg=str(hist_svg), title="tiles traversed per episode"))
+    emit_plot(PlotSpec(x_column="tiles_traversed", y_column="episodes",
+                       series_column="tile", output_svg=str(hist_svg),
+                       title="tiles traversed per episode"), hist_header, hist_rows)
     outputs = [acc_path, hist_csv, kern_csv, hist_svg]
     _write_manifest(args, "lavaland", bank.preset, report, outputs, started)
     print(f"accuracy {result.accuracy:.4f} over {len(bank.maps)} maps "

@@ -300,7 +300,7 @@ def load_bank(path) -> MapBank:
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: malformed bank file: {err}") from err
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != 1:

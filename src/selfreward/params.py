@@ -52,7 +52,11 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
     ``params`` must be a JSON object whose entries hold their ``values`` as
     a flat list of JSON numbers; anything else is a ParamsParseError.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParamsParseError(f"{path}: malformed parameter file at byte offset "
+                               f"{err.start}: not UTF-8 text") from err
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:

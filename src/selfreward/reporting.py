@@ -2,7 +2,10 @@
 
 Everything here is built for byte-for-byte reproducibility: fixed float
 formatting, sorted JSON keys, no timestamps inside data files (wall-clock
-lives only in the manifest), and SVG text assembled from the CSV alone.
+lives only in the manifest).  A command writes each report once, from the
+rows it holds: ``write_csv`` writes them and ``emit_plot`` draws the same
+rows.  ``csv`` writes a float by ``repr``, which round-trips, so the file and
+the plot hold the same numbers.
 """
 
 from __future__ import annotations
@@ -21,35 +24,16 @@ class ConfigError(ValueError):
     """Invalid configuration value; the CLI maps this to exit code 2."""
 
 
-def format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-# Cell types that csv writes as format_value does: a str as it is, an int by
-# str and a float by repr.  A row holding any other cell goes through
-# format_value: csv would write None as an empty field, and np.float64 by str.
-_PLAIN_CELLS = frozenset((str, int, float))
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """Write the header and rows as csv writes them: a str as it is, a float
+    (numpy's included) by repr, anything else by str, and None as an empty
+    field."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(row if _PLAIN_CELLS.issuperset(map(type, row))
-                         else [format_value(v) for v in row] for row in rows)
-
-
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]
+        writer.writerows(rows)
 
 
 @dataclass
@@ -83,9 +67,8 @@ class RunManifest:
 
 @dataclass
 class PlotSpec:
-    """Declarative line/scatter plot from a CSV file."""
+    """Declarative line/scatter plot of columns of a table."""
 
-    input_csv: str
     x_column: str
     y_column: str
     output_svg: str
@@ -107,31 +90,32 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def emit_plot(spec: PlotSpec) -> Path:
-    """Render the spec to a self-contained SVG; deterministic for fixed input."""
-    header, raw_rows = read_csv(spec.input_csv)
-    for col in (spec.x_column, spec.y_column):
-        if raw_rows and col not in header:
-            raise ConfigError(f"{spec.input_csv}: missing column {col!r}")
-    if spec.series_column is not None and raw_rows and spec.series_column not in header:
-        raise ConfigError(f"{spec.input_csv}: missing column {spec.series_column!r}")
+def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
+    """Render columns of ``rows`` (a list of rows under ``header``, as given
+    to ``write_csv``) to a self-contained SVG; deterministic for fixed rows.
 
+    Each point is ``float(x), float(y)``; the series label is the ``str`` of
+    the series cell.  A column not in the header is a ConfigError.
+    """
+    for col in (spec.x_column, spec.y_column, spec.series_column):
+        if col is not None and col not in header:
+            raise ConfigError(f"{spec.output_svg}: missing column {col!r}")
+
+    xi, yi = header.index(spec.x_column), header.index(spec.y_column)
+    if spec.series_column is None:
+        groups = {"": rows} if rows else {}
+    else:
+        si = header.index(spec.series_column)
+        groups = {}
+        for row in rows:
+            groups.setdefault(str(row[si]), []).append(row)
+    get_x, get_y, isfinite = itemgetter(xi), itemgetter(yi), math.isfinite
+    # a non-finite point (say, the mean price of an auction with no sale) has
+    # no place on the axes; its series keeps its label
     series: dict[str, list[tuple[float, float]]] = {}
-    if raw_rows:
-        xi, yi = header.index(spec.x_column), header.index(spec.y_column)
-        if spec.series_column is None:
-            groups = {"": raw_rows}
-        else:
-            si = header.index(spec.series_column)
-            groups = {}
-            for row in raw_rows:
-                groups.setdefault(row[si], []).append(row)
-        get_x, get_y, isfinite = itemgetter(xi), itemgetter(yi), math.isfinite
-        # a non-finite point (say, the mean price of an auction with no
-        # sale) has no place on the axes; its series keeps its label
-        for key, rows in groups.items():
-            points = zip(map(float, map(get_x, rows)), map(float, map(get_y, rows)))
-            series[key] = [(x, y) for x, y in points if isfinite(x) and isfinite(y)]
+    for key, group in groups.items():
+        points = zip(map(float, map(get_x, group)), map(float, map(get_y, group)))
+        series[key] = [(x, y) for x, y in points if isfinite(x) and isfinite(y)]
 
     xs = [p[0] for pts in series.values() for p in pts] or [0.0, 1.0]
     ys = [p[1] for pts in series.values() for p in pts] or [0.0, 1.0]
@@ -142,7 +126,8 @@ def emit_plot(spec: PlotSpec) -> Path:
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    # past 2**53 adding 1.0 leaves a single value as it is; keep a unit span
+    x_span, y_span = (x_hi - x_lo) or 1.0, (y_hi - y_lo) or 1.0
 
     def px(xs: list[float]) -> list[float]:
         return [_ML + (x - x_lo) / x_span * (_W - _ML - _MR) for x in xs]

@@ -1,5 +1,6 @@
 """End-to-end command-line runs on small workloads."""
 
+import hashlib
 import json
 import math
 import os
@@ -527,3 +528,91 @@ def test_lavaland_eval_jobs_above_one_exits_two(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert f"--jobs {jobs}: evaluation runs the maps batched in one process" in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["lavaland train --bank", "lavaland eval --bank",
+                                     "fish1d run --trained", "fish1d run --config"])
+def test_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    *argv, option = command.split()
+    out_option = "--report" if argv == ["lavaland", "eval"] else "--out"
+    assert dispatch([*argv, out_option, str(out), option, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: malformed ")
+    assert not out.exists()
+
+
+# sha256 of each report of the runs in report_digests, recorded from the code
+# that drew each plot from its CSV file: plots drawn from the rows in hand, and
+# rows written by csv alone, must keep every byte
+REPORT_SHA256 = {
+    "fish/trace.csv":
+        "ce06ef9ab63e515a92cdc123d8ba45cd0f9a595aa4184d76bfebd83c7cd723b8",
+    "fish/energy.svg":
+        "59801d006d16444c853ab7645c315cef3e78bcd2a72b0aaad92e379037da2fc0",
+    "fish_trained/trace.csv":
+        "5aa8c97b380dcaa3f705c6146b4705db00a277367f1c829d515457c88642d0e7",
+    "fish_trained/energy.svg":
+        "6772708c92a4b9be2fa60235420f125b6904fa4f19f1b4f99d32246c894c5fa4",
+    "auction/results.csv":
+        "c15de17acb2d4e8960dc2d75c79ed3f0ed9df9eb68d94f467af1bb3bc6e5b387",
+    "auction/purchases.csv":
+        "3466d3d504392c5fcc39fbb56e33f5f566ff2d17ab5f8c2f6cb4ddadddf61360",
+    "auction/price_vs_supply.svg":
+        "bf694fc7b1da034560980f2da67f38ad2a001a8d82ccf7c43dfcc58e4c212bd1",
+    "auction/rate_vs_supply.svg":
+        "3079cd85aa107b142ce5c2897d3f6446ed2586f7c15aaa96de39b243f09ca634",
+    "auction_optim/results.csv":
+        "ab57e028b255cfebaf747c4c66c5d101327b910f9c14efc612b6973e3f620811",
+    "auction_optim/purchases.csv":
+        "2e93011564f3540b3e21b8e327ec245fefe9fe2183adf503d6f3383e995bae47",
+    "auction_optim/price_vs_supply.svg":
+        "613db6223a291f48c7c0b43d1fceb4a0fb24af4019277b7b3e684acd38c6669e",
+    "auction_optim/rate_vs_supply.svg":
+        "5245c4701342422828ea64cee90d306da464f096f17a371b189b528246edd3f8",
+    "lavaland/histograms.csv":
+        "d56ba863648a23fb2fd24a61df5d4714c4b72b3534ad8648e83423144ce96747",
+    "lavaland/accuracy.json":
+        "778eec3471deadc7e31be219e0fda5b04f65e81fc05cc42ede380b114043d8d8",
+    "lavaland/traversal.svg":
+        "0006623b9739042db7c27209d4f23c7a527ff37cca181ab1437a2d155446b500",
+}
+
+
+def report_digests(tmp_path) -> dict:
+    """Run small fish, auction and lavaland commands (seed 0) and hash their
+    reports; trained parameters and kernels.csv are left out."""
+    fish_params, bank, lava_params = (tmp_path / name for name in
+                                      ("fish.json", "bank.json", "lava.json"))
+    auction = ["auction", "run", "--trials", "2", "--r-grid", "0.25:0.5:2",
+               "--malicious-frac", "0.5"]
+    commands = [
+        ["fish1d", "train", "--iters", "200", "--out", str(fish_params)],
+        ["fish1d", "run", "--steps", "500", "--out", str(tmp_path / "fish")],
+        ["fish1d", "run", "--steps", "500", "--trained", str(fish_params),
+         "--out", str(tmp_path / "fish_trained")],
+        [*auction, "--out", str(tmp_path / "auction")],
+        [*auction, "--optim", "--out", str(tmp_path / "auction_optim")],
+        ["lavaland", "gen", "--count", "8", "--preset", "lava-a", "--out", str(bank)],
+        ["lavaland", "train", "--bank", str(bank), "--out", str(lava_params)],
+        ["lavaland", "eval", "--bank", str(bank), "--params", str(lava_params),
+         "--report", str(tmp_path / "lavaland")],
+    ]
+    for argv in commands:
+        assert dispatch(argv) == 0, argv
+    reports = {
+        "fish": ["trace.csv", "energy.svg"],
+        "fish_trained": ["trace.csv", "energy.svg"],
+        "auction": ["results.csv", "purchases.csv", "price_vs_supply.svg",
+                    "rate_vs_supply.svg"],
+        "auction_optim": ["results.csv", "purchases.csv", "price_vs_supply.svg",
+                          "rate_vs_supply.svg"],
+        "lavaland": ["histograms.csv", "accuracy.json", "traversal.svg"],
+    }
+    return {f"{run}/{name}": hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
+            for run, names in reports.items() for name in names}
+
+
+def test_reports_keep_their_bytes(tmp_path):
+    assert report_digests(tmp_path) == REPORT_SHA256

@@ -23,8 +23,6 @@ from selfreward.reporting import (
     PlotSpec,
     RunManifest,
     emit_plot,
-    format_value,
-    read_csv,
     write_csv,
 )
 
@@ -157,43 +155,55 @@ def test_params_integer_values_read_as_floats(tmp_path):
         load_params(path)
 
 
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def test_csv_roundtrip_and_determinism(tmp_path):
     rows = [[0, 0.1, "a"], [1, 0.2, "b"]]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(p1, ["i", "x", "s"], rows)
     write_csv(p2, ["i", "x", "s"], rows)
     assert p1.read_bytes() == p2.read_bytes()
-    header, data = read_csv(p1)
+    header, *data = read_rows(p1)
     assert header == ["i", "x", "s"]
     assert data[0] == ["0", "0.1", "a"]
 
 
-def test_write_csv_writes_the_bytes_of_the_per_cell_path(tmp_path):
-    header = ["a", "b", "c", "d"]
+def test_write_csv_writes_each_cell_type_as_csv_does(tmp_path):
     rows = [
-        [1.5, 2, "x", 0.1],                        # builtin str, int, float only
+        [1.5, 2, "x", 0.1],
         [1e-300, -(10 ** 20), "y,z", -0.0],
         [math.nan, math.inf, "", 7],
-        [True, False, "w", 2.0],                   # bools
-        [None, 3, "v", 0.5],
+        [True, False, "w", 2.0],
+        [None, 3, "v", 0.5],                       # None is an empty field
         [np.float64(0.25), np.int64(4), "u", 1.0],
         (0.3, 1, "t", math.nan),                   # a tuple row
     ]
-    write_csv(tmp_path / "out.csv", header, rows)
-    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
-    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], rows)
+    assert (tmp_path / "out.csv").read_bytes() == (
+        b"a,b,c,d\n"
+        b"1.5,2,x,0.1\n"
+        b'1e-300,-100000000000000000000,"y,z",-0.0\n'
+        b"nan,inf,,7\n"
+        b"True,False,w,2.0\n"
+        b",3,v,0.5\n"
+        b"0.25,4,u,1.0\n"
+        b"0.3,1,t,nan\n")
+
+
+def test_write_csv_writes_numpy_scalars_as_python_numbers(tmp_path):
+    path = tmp_path / "np.csv"
+    write_csv(path, ["x"], [[np.float64(0.25), np.int64(4)]])
+    assert path.read_text(encoding="utf-8") == "x\n0.25,4\n"
 
 
 def test_float_formatting_roundtrips(tmp_path):
     value = 0.1 + 0.2  # repr keeps the exact double
     path = tmp_path / "f.csv"
     write_csv(path, ["x"], [[value]])
-    _, data = read_csv(path)
-    assert float(data[0][0]) == value
+    assert float(read_rows(path)[1][0]) == value
 
 
 def test_manifest_contents(tmp_path):
@@ -207,20 +217,17 @@ def test_manifest_contents(tmp_path):
     assert "code_version" in doc
 
 
-def make_csv(tmp_path, rows, header=("x", "y", "grp")):
-    path = tmp_path / "data.csv"
-    write_csv(path, list(header), rows)
-    return path
+HEADER = ["x", "y", "grp"]
 
 
 def test_plot_deterministic(tmp_path):
-    csv = make_csv(tmp_path, [[0, 1.0, "a"], [1, 2.0, "a"], [0, 3.0, "b"]])
+    rows = [[0, 1.0, "a"], [1, 2.0, "a"], [0, 3.0, "b"]]
     s1 = tmp_path / "p1.svg"
     s2 = tmp_path / "p2.svg"
-    emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
-                       series_column="grp", output_svg=str(s1)))
-    emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
-                       series_column="grp", output_svg=str(s2)))
+    emit_plot(PlotSpec(x_column="x", y_column="y", series_column="grp",
+                       output_svg=str(s1)), HEADER, rows)
+    emit_plot(PlotSpec(x_column="x", y_column="y", series_column="grp",
+                       output_svg=str(s2)), HEADER, rows)
     assert s1.read_bytes() == s2.read_bytes()
     body = s1.read_text()
     assert body.startswith("<svg")
@@ -229,44 +236,45 @@ def test_plot_deterministic(tmp_path):
 
 
 def test_plot_axis_labels_from_columns(tmp_path):
-    csv = make_csv(tmp_path, [[0, 1.0, "a"]])
     out = tmp_path / "p.svg"
-    emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
-                       output_svg=str(out)))
+    emit_plot(PlotSpec(x_column="x", y_column="y", output_svg=str(out)),
+              HEADER, [[0, 1.0, "a"]])
     body = out.read_text()
     assert ">x</text>" in body and ">y</text>" in body
 
 
 def test_plot_missing_column_named(tmp_path):
-    csv = make_csv(tmp_path, [[0, 1.0, "a"]])
-    with pytest.raises(ConfigError, match="nope"):
-        emit_plot(PlotSpec(input_csv=str(csv), x_column="nope", y_column="y",
-                           output_svg=str(tmp_path / "p.svg")))
+    out = str(tmp_path / "p.svg")
+    for spec in (PlotSpec(x_column="nope", y_column="y", output_svg=out),
+                 PlotSpec(x_column="x", y_column="y", series_column="nope",
+                          output_svg=out)):
+        # with rows or without
+        for rows in ([[0, 1.0, "a"]], []):
+            with pytest.raises(ConfigError, match="missing column 'nope'"):
+                emit_plot(spec, HEADER, rows)
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_plot_empty_csv_gives_empty_axes(tmp_path):
-    csv = make_csv(tmp_path, [])
     out = tmp_path / "p.svg"
-    emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
-                       output_svg=str(out)))
+    emit_plot(PlotSpec(x_column="x", y_column="y", output_svg=str(out)), HEADER, [])
     assert out.read_text().startswith("<svg")
 
 
 def test_plot_scatter_kind(tmp_path):
-    csv = make_csv(tmp_path, [[0, 1.0, "a"], [1, 2.0, "a"]])
     out = tmp_path / "p.svg"
-    emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
-                       output_svg=str(out), kind="scatter"))
+    emit_plot(PlotSpec(x_column="x", y_column="y", output_svg=str(out), kind="scatter"),
+              HEADER, [[0, 1.0, "a"], [1, 2.0, "a"]])
     assert "<circle" in out.read_text()
 
 
 def test_plot_leaves_out_non_finite_points(tmp_path):
     # the first row's y is nan, as the mean price of an auction with no sale
-    csv = make_csv(tmp_path, [[0.25, float("nan"), "a"], [0.5, 2.0, "a"],
-                              [1.0, 4.0, "a"], [0.75, float("inf"), "b"]])
+    rows = [[0.25, float("nan"), "a"], [0.5, 2.0, "a"],
+            [1.0, 4.0, "a"], [0.75, float("inf"), "b"]]
     out = tmp_path / "p.svg"
-    emit_plot(PlotSpec(input_csv=str(csv), x_column="x", y_column="y",
-                       series_column="grp", output_svg=str(out), kind="scatter"))
+    emit_plot(PlotSpec(x_column="x", y_column="y", series_column="grp",
+                       output_svg=str(out), kind="scatter"), HEADER, rows)
     body = out.read_text()
     assert "nan" not in body and "inf" not in body
     assert body.count("<circle") == 2
@@ -275,3 +283,28 @@ def test_plot_leaves_out_non_finite_points(tmp_path):
     assert ticks[:10] == ["0.5", "0.625", "0.75", "0.875", "1",
                           "2", "2.5", "3", "3.5", "4"]
     assert ">b</text>" in body  # a series with no finite point keeps its label
+
+
+def test_plot_of_one_value_past_two_to_the_53(tmp_path):
+    # y_lo + 1.0 == y_lo there, so the span must not come from that sum
+    out = tmp_path / "p.svg"
+    emit_plot(PlotSpec(x_column="x", y_column="y", output_svg=str(out)),
+              HEADER, [[0, 2.0 ** 53, "a"], [1, 2.0 ** 53, "a"]])
+    assert 'points="64.00,374.00 620.00,374.00"' in out.read_text()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.floats(width=64),
+                               st.sampled_from(["a", "b", "c"])), max_size=20),
+       kind=st.sampled_from(["line", "scatter"]))
+def test_plot_of_rows_in_hand_matches_plot_of_the_csv(tmp_path, rows, kind):
+    # csv writes each float by repr, so the text read back parses to the same
+    # points and the plot keeps its bytes
+    path = tmp_path / "data.csv"
+    write_csv(path, HEADER, rows)
+    header, *text_rows = read_rows(path)
+    spec = PlotSpec(x_column="x", y_column="y", series_column="grp",
+                    output_svg=str(tmp_path / "p.svg"), kind=kind)
+    in_hand = emit_plot(spec, HEADER, rows).read_bytes()
+    assert emit_plot(spec, header, text_rows).read_bytes() == in_hand
