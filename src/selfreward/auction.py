@@ -850,44 +850,35 @@ def run_auction(r: float, n: int = 64, optim: bool = False,
                       config)[0]
 
 
-CONDITIONS = {  # name: (optim, malicious)
-    "noOptim": (False, False),
-    "Optim": (True, False),
-    "malicious-noOptim": (False, True),
-    "malicious-Optim": (True, True),
-}
+# ``run_experiment``'s rows, as ``auction run`` writes them to results.csv and purchases.csv.
+RESULT_COLUMNS = ("condition", "r", "trial", "price", "purchase_rate")
+PURCHASE_COLUMNS = ("condition", "r", "trial", "price")
 
 
-def run_experiment(r_grid, trials: int = 10, conditions=None, seed=None,
-                   n: int = 64, config: AuctionConfig | None = None,
-                   malicious_frac: float = 0.5):
-    """Repeated auctions over the supply grid; one summary row per trial.
+def run_experiment(r_grid, trials: int, seed, optim: bool, malicious_frac: float,
+                   n: int = 64, config: AuctionConfig | None = None):
+    """Repeated auctions over the supply grid: the honest market, then, when
+    ``malicious_frac > 0``, the one with that fraction of malicious agents.
 
-    The per-(r, trial) seed is independent of the condition, so honest and
+    Returns one row per trial under ``RESULT_COLUMNS`` and one per purchase
+    under ``PURCHASE_COLUMNS``, each a tuple.  A row's condition is ``Optim``
+    or ``noOptim``, after ``malicious-`` in the malicious market.  The
+    per-(r, trial) seed is independent of the market, so honest and
     malicious runs are matched: honest agents keep identical construction
     streams in both.
     """
-    conditions = conditions or list(CONDITIONS)
     entropy = np.random.SeedSequence(seed).entropy
-    rows = []
-    purchases = []
-    for name in conditions:
-        optim, malicious = CONDITIONS[name]
-        frac = malicious_frac if malicious else 0.0
+    name = "Optim" if optim else "noOptim"
+    conditions = [(name, 0.0)]
+    if malicious_frac > 0:
+        conditions.append((f"malicious-{name}", malicious_frac))
+    rows, purchases = [], []
+    for condition, frac in conditions:
         for ri, r in enumerate(r_grid):
             roots = [(entropy, (ri, trial)) for trial in range(trials)]
             results = run_trials(r, roots, n=n, optim=optim, malicious_frac=frac,
                                  config=config)
             for trial, result in enumerate(results):
-                rows.append({
-                    "condition": name,
-                    "r": r,
-                    "trial": trial,
-                    "price": result.mean_price,
-                    "purchase_rate": result.purchase_rate,
-                })
-                for p in result.prices:
-                    purchases.append({
-                        "condition": name, "r": r, "trial": trial, "price": p,
-                    })
+                rows.append((condition, r, trial, result.mean_price, result.purchase_rate))
+                purchases += [(condition, r, trial, p) for p in result.prices]
     return rows, purchases

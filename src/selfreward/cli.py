@@ -34,7 +34,7 @@ def _seed(text: str) -> int:
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Override options from the --config JSON file, type-checked.
+    """Override the command's own options from the --config JSON file, type-checked.
 
     A value must have the type of the option's default; an int may stand
     for a float, and a string for an option whose default is None.
@@ -47,8 +47,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         if not isinstance(overrides, dict):
             raise ConfigError(f"{args.config}: config file must hold a JSON object, "
                               f"not {type(overrides).__name__}")
+        options = {action.dest for action in args._parser._actions} - {"help", "config"}
         for key, value in overrides.items():
-            if key in ("func", "config") or key.startswith("_") or not hasattr(args, key):
+            if key not in options:
                 raise ConfigError(f"config file sets unknown option {key!r}")
             default = args._parser.get_default(key)
             if not (type(value) is type(default)
@@ -142,28 +143,20 @@ def cmd_auction_run(args) -> int:
     if not 0 <= args.malicious_frac <= 1:
         raise ConfigError(f"--malicious-frac must lie in [0, 1], "
                           f"got {args.malicious_frac}")
-    conditions = ["Optim", "malicious-Optim"] if args.optim else \
-        ["noOptim", "malicious-noOptim"]
-    if args.malicious_frac == 0:
-        conditions = [c for c in conditions if not c.startswith("malicious")]
-    rows, purchases = auction_mod.run_experiment(
-        r_grid, trials=args.trials, conditions=conditions, seed=args.seed,
-        malicious_frac=args.malicious_frac)
+    rows, purchases = auction_mod.run_experiment(r_grid, args.trials, args.seed, args.optim,
+                                                 args.malicious_frac)
     results_csv = out_dir / "results.csv"
-    results_header = ["condition", "r", "trial", "price", "purchase_rate"]
-    results = [[r[col] for col in results_header] for r in rows]
-    write_csv(results_csv, results_header, results)
+    write_csv(results_csv, auction_mod.RESULT_COLUMNS, rows)
     purchases_csv = out_dir / "purchases.csv"
-    write_csv(purchases_csv, ["condition", "r", "trial", "price"],
-              [[p["condition"], p["r"], p["trial"], p["price"]] for p in purchases])
+    write_csv(purchases_csv, auction_mod.PURCHASE_COLUMNS, purchases)
     price_svg = out_dir / "price_vs_supply.svg"
     emit_plot(PlotSpec(x_column="r", y_column="price", series_column="condition",
                        output_svg=str(price_svg), kind="scatter",
-                       title="purchase price vs item supply"), results_header, results)
+                       title="purchase price vs item supply"), auction_mod.RESULT_COLUMNS, rows)
     rate_svg = out_dir / "rate_vs_supply.svg"
     emit_plot(PlotSpec(x_column="r", y_column="purchase_rate", series_column="condition",
                        output_svg=str(rate_svg), kind="scatter",
-                       title="purchase rate vs item supply"), results_header, results)
+                       title="purchase rate vs item supply"), auction_mod.RESULT_COLUMNS, rows)
     outputs = [results_csv, purchases_csv, price_svg, rate_svg]
     _write_manifest(args, "auction", "run", out_dir, outputs, started)
     print(f"wrote {results_csv} ({len(rows)} trials over {len(r_grid)} supply points)")
@@ -229,9 +222,7 @@ def cmd_lava_eval(args) -> int:
     write_csv(hist_csv, hist_header, hist_rows)
 
     kern_csv = report / "kernels.csv"
-    write_csv(kern_csv, ["seq", "layer", "row", "col", "value", "center_dominant"],
-              [[r["seq"], r["layer"], r["row"], r["col"], r["value"],
-                int(r["center_dominant"])] for r in lava_mod.inspect_kernels(params)])
+    write_csv(kern_csv, lava_mod.KERNEL_COLUMNS, lava_mod.inspect_kernels(params))
 
     hist_svg = report / "traversal.svg"
     emit_plot(PlotSpec(x_column="tiles_traversed", y_column="episodes",

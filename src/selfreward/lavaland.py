@@ -57,11 +57,14 @@ at once, ``field_inputs`` then ``kernel_fields`` without the inner layers,
 and walks plan k of a whole batch of same-shape maps at once, paying numpy's
 call overhead once per step for the batch instead of once per map.  Each map
 reads its up-front stream through its own cursor, and each step repeats
-``_walk``'s float operations in its order, so the episodes equal the
-map-by-map result.  ``_walk`` is the one per-map walk: ``make_plan`` runs it
-for one plan, drawing one scalar per step that has a runner-up, and
-``imagine_and_act`` (training's and the tests' path) runs it for all of a
-map's plans from one draw.  Both walks read their neighbors from ``_grid_tables``.
+``_walk``'s float operations in its order.  The episodes come back as
+bank-order arrays (``EvalResult``: reached, steps, score and the tiles of
+each type traversed), each batch written in at its maps' places, and every
+map's entries equal the map-by-map result.  ``_walk`` is the one per-map
+walk: ``make_plan`` runs it for one plan, drawing one scalar per step that
+has a runner-up, and ``imagine_and_act`` (training's and the tests' path)
+runs it for all of a map's plans from one draw.  Both walks read their
+neighbors from ``_grid_tables``.
 
 Every map has streams of its own under the run's seed: map i of a bank is
 generated from ``SeedSequence(seed, spawn_key=(i,))``, and imagines from
@@ -837,26 +840,26 @@ def srd_train_lavaland(params: Robot2NNParams, bank: MapBank,
 
 
 @dataclass
-class EpisodeResult:
-    reached: bool
-    steps: int
-    traversed: dict
-    score: float  # the executed plan's imagined score
-
-
-@dataclass
 class EvalResult:
-    accuracy: float
-    episodes: list[EpisodeResult]
+    """Each map's episode, in bank order: whether it reached the target, its
+    steps, the executed plan's imagined score, and how many tiles of each
+    ``PALETTE`` type (columns in ``PALETTE`` order) its path stepped on."""
+    reached: np.ndarray    # (maps,) bool
+    steps: np.ndarray      # (maps,) int
+    score: np.ndarray      # (maps,) float
+    traversed: np.ndarray  # (maps, len(PALETTE)) int
+
+    @property
+    def accuracy(self) -> float:
+        return float(np.mean(self.reached))
 
     def mean_traversed(self, tile: str) -> float:
-        return float(np.mean([e.traversed[tile] for e in self.episodes]))
+        return float(np.mean(self.traversed[:, list(PALETTE).index(tile)]))
 
     def traversal_histogram(self, tile: str) -> dict:
-        counts = {}
-        for e in self.episodes:
-            counts[e.traversed[tile]] = counts.get(e.traversed[tile], 0) + 1
-        return dict(sorted(counts.items()))
+        counts, episodes = np.unique(self.traversed[:, list(PALETTE).index(tile)],
+                                     return_counts=True)
+        return dict(zip(counts.tolist(), episodes.tolist()))
 
 
 # Maps per field build in evaluation.  More maps share more call overhead, but the
@@ -974,8 +977,8 @@ def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns:
 
 
 def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray,
-                    config: LavaConfig, seed: int) -> list[EpisodeResult]:
-    """Episodes of same-shape maps; ``indices`` are their places in the bank.
+                    config: LavaConfig, seed: int) -> tuple[np.ndarray, ...]:
+    """``EvalResult``'s four arrays for same-shape maps at bank places ``indices``.
     Fields are built ``FIELD_BATCH`` maps at a time, keeping only the last
     layer, and the whole batch walks in one ``_walk_lockstep``."""
     from . import streams
@@ -1000,25 +1003,21 @@ def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray
     trajectory, steps, reached, score = _walk_lockstep(grid0, unknown, (h, w), spawns,
                                                        targets, explore, config)
     terrain = tiles[np.arange(b)[:, None], trajectory]
-    on_path = np.arange(config.max_steps) < steps[:, None]
-    counts = {t: ((terrain == k) & on_path).sum(axis=1).tolist()
-              for k, t in enumerate(PALETTE)}
-    return [EpisodeResult(reached=r, steps=n, score=v,
-                          traversed={"grass": g, "dirt": d, "lava": lv, "target": y})
-            for r, n, v, g, d, lv, y in zip(reached.tolist(), steps.tolist(), score.tolist(),
-                                            counts["grass"], counts["dirt"], counts["lava"],
-                                            counts["target"])]
+    on_path = (np.arange(config.max_steps) < steps[:, None])[..., None]
+    traversed = ((terrain[..., None] == np.arange(len(PALETTE))) & on_path).sum(axis=1)
+    return reached, steps, score, traversed
 
 
 def evaluate(params: Robot2NNParams, bank: MapBank, config: LavaConfig,
              seed: int = 0) -> EvalResult:
-    """Run every map in the bank; accuracy is the fraction reaching target.
+    """Run every map in the bank; ``accuracy`` is the fraction reaching target.
 
     Map i imagines its plans from its own stream, ``SeedSequence(seed,
     spawn_key=(3, i))``, and executes the best, as ``imagine_and_act`` does.
     Maps of one shape run in lockstep batches of up to ``WALK_CELLS`` grid
-    cells (``_evaluate_batch``).  The episodes come back in bank order and
-    equal the map-by-map result.
+    cells (``_evaluate_batch``), each written into the result's arrays at
+    its maps' places in the bank.  Every map's entries equal the map-by-map
+    result.
     """
     if not bank.maps:
         raise ValueError("evaluation bank is empty")
@@ -1027,31 +1026,31 @@ def evaluate(params: Robot2NNParams, bank: MapBank, config: LavaConfig,
     by_shape: dict[tuple, list[int]] = {}
     for i, tile_map in enumerate(bank.maps):
         by_shape.setdefault((tile_map.height, tile_map.width), []).append(i)
-    episodes: list = [None] * len(bank.maps)
+    n = len(bank.maps)
+    result = EvalResult(np.empty(n, dtype=bool), np.empty(n, dtype=np.intp), np.empty(n),
+                        np.empty((n, len(PALETTE)), dtype=np.intp))
     for (h, w), indices in by_shape.items():
         n_batches = -(-len(indices) * h * w // WALK_CELLS)
         size = -(-len(indices) // n_batches)  # even batches: each pays the same step overhead
         for j in range(0, len(indices), size):
             batch = indices[j:j + size]
-            results = _evaluate_batch([bank.maps[i] for i in batch], batch, params.kernels,
-                                      config, seed)
-            for i, episode in zip(batch, results):
-                episodes[i] = episode
-    accuracy = float(np.mean([e.reached for e in episodes]))
-    return EvalResult(accuracy=accuracy, episodes=episodes)
+            (result.reached[batch], result.steps[batch], result.score[batch],
+             result.traversed[batch]) = _evaluate_batch([bank.maps[i] for i in batch], batch,
+                                                        params.kernels, config, seed)
+    return result
 
 
-def inspect_kernels(params: Robot2NNParams) -> list[dict]:
-    """All 180 kernel values plus a per-kernel center-dominance flag."""
+# One ``inspect_kernels`` row, as ``lavaland eval`` writes it to kernels.csv.
+KERNEL_COLUMNS = ("seq", "layer", "row", "col", "value", "center_dominant")
+
+
+def inspect_kernels(params: Robot2NNParams) -> list[tuple]:
+    """All 180 kernel values under ``KERNEL_COLUMNS``, each with its
+    kernel's center-dominance flag as 1 or 0."""
     rows = []
     for t, seq in zip(SCORED_TILES, params.kernels):
         for layer, k in enumerate(seq):
-            dominant = bool(abs(k[1, 1]) >= np.max(np.abs(k)))
-            for r in range(3):
-                for c in range(3):
-                    rows.append({
-                        "seq": t, "layer": layer, "row": r, "col": c,
-                        "value": float(k[r, c]),
-                        "center_dominant": dominant,
-                    })
+            dominant = int(abs(k[1, 1]) >= np.max(np.abs(k)))
+            rows += [(t, layer, r, c, float(k[r, c]), dominant)
+                     for r in range(3) for c in range(3)]
     return rows

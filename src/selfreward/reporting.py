@@ -84,10 +84,20 @@ _ML, _MR, _MT, _MB = 64, 20, 28, 46
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
+    if not math.isfinite(step):  # a span past the largest double: weigh the two ends
+        return [lo * (1 - i / (n - 1)) + hi * (i / (n - 1)) for i in range(n)]
     return [lo + i * step for i in range(n)]
+
+
+def _axis(lo: float, hi: float, start: float, length: float):
+    """The pixel position of each value in [lo, hi] on an axis from ``start``
+    to ``start + length``."""
+    if math.isfinite(hi - lo):
+        span = (hi - lo) or 1.0  # past 2**53, lo + 1.0 == lo: keep a unit span
+        return lambda vs: [start + (v - lo) / span * length for v in vs]
+    lo, span = lo / 2, hi / 2 - lo / 2  # a span past the largest double: halve each value
+    return lambda vs: [start + (v / 2 - lo) / span * length for v in vs]
 
 
 def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
@@ -125,15 +135,8 @@ def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
-
-    # past 2**53 adding 1.0 leaves a single value as it is; keep a unit span
-    x_span, y_span = (x_hi - x_lo) or 1.0, (y_hi - y_lo) or 1.0
-
-    def px(xs: list[float]) -> list[float]:
-        return [_ML + (x - x_lo) / x_span * (_W - _ML - _MR) for x in xs]
-
-    def py(ys: list[float]) -> list[float]:
-        return [_H - _MB - (y - y_lo) / y_span * (_H - _MT - _MB) for y in ys]
+    px = _axis(x_lo, x_hi, _ML, _W - _ML - _MR)
+    py = _axis(y_lo, y_hi, _H - _MB, -(_H - _MT - _MB))  # y grows upward
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

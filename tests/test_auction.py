@@ -660,12 +660,13 @@ def test_flagged_models_only_admitted_in_malicious_mode():
 
 
 def test_run_experiment_row_schema():
-    rows, purchases = run_experiment([0.25], trials=2, conditions=["noOptim"],
-                                     seed=0)
+    rows, purchases = run_experiment([0.25], 2, 0, False, 0.0)
     assert len(rows) == 2
-    assert set(rows[0]) == {"condition", "r", "trial", "price", "purchase_rate"}
-    assert all(set(p) == {"condition", "r", "trial", "price"} for p in purchases)
-    assert all(r["condition"] == "noOptim" for r in rows)
+    assert auction.RESULT_COLUMNS == ("condition", "r", "trial", "price", "purchase_rate")
+    assert auction.PURCHASE_COLUMNS == ("condition", "r", "trial", "price")
+    assert all(len(r) == len(auction.RESULT_COLUMNS) for r in rows)
+    assert all(len(p) == len(auction.PURCHASE_COLUMNS) for p in purchases)
+    assert all(r[0] == "noOptim" for r in rows + purchases)
 
 
 def test_run_experiment_resolves_its_seed_once(monkeypatch):
@@ -677,9 +678,8 @@ def test_run_experiment_resolves_its_seed_once(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", Counting)
-    rows, _ = run_experiment([0.25], trials=3, conditions=["noOptim", "malicious-Optim"],
-                             seed=0, n=16)
-    assert len(rows) == 6
+    rows, _ = run_experiment([0.25], 3, 0, True, 0.5, n=16)
+    assert [r[0] for r in rows] == ["Optim"] * 3 + ["malicious-Optim"] * 3
     assert len(built) <= 1
 
 
@@ -864,7 +864,8 @@ def test_population_on_the_fallback_for_every_row_matches(monkeypatch):
 
 
 @pytest.mark.parametrize("optim, malicious_frac", [
-    (False, 0.0), (True, 0.0), (False, 0.5), (True, 0.5)], ids=list(auction.CONDITIONS))
+    (False, 0.0), (True, 0.0), (False, 0.5), (True, 0.5)],
+    ids=["noOptim", "Optim", "malicious-noOptim", "malicious-Optim"])
 def test_noise_chunk_size_changes_no_draw(monkeypatch, optim, malicious_frac):
     """CHUNK 1 draws one row per bid, as the per-agent reference does; 3 and
     8 must leave every stream at the same place, seen through the rows each
@@ -895,24 +896,21 @@ def test_noise_chunk_size_changes_no_draw(monkeypatch, optim, malicious_frac):
 # -- lockstep trials -----------------------------------------------------------------
 
 
-def looped_experiment(r_grid, trials, conditions, seed, n, config, malicious_frac=0.5):
-    """run_experiment as a loop of run_auction calls, one per (condition, r,
-    trial).  Returns its rows and purchases, and each trial's Markets."""
+def looped_experiment(r_grid, trials, seed, optim, malicious_frac, n, config):
+    """run_experiment as a loop of run_auction calls, one per (market, r,
+    trial): the honest market, then the malicious one.  Returns its rows and
+    purchases, and each trial's Markets."""
     root = np.random.SeedSequence(seed)
+    name = "Optim" if optim else "noOptim"
     rows, purchases, markets = [], [], []
-    for name in conditions:
-        optim, malicious = auction.CONDITIONS[name]
-        frac = malicious_frac if malicious else 0.0
+    for condition, frac in [(name, 0.0), (f"malicious-{name}", malicious_frac)]:
         for ri, r in enumerate(r_grid):
             for trial in range(trials):
                 seq = np.random.SeedSequence(entropy=root.entropy, spawn_key=(ri, trial))
                 result = run_auction(r, n=n, optim=optim, malicious_frac=frac, config=config,
                                      seed=seq)
-                rows.append({"condition": name, "r": r, "trial": trial,
-                             "price": result.mean_price,
-                             "purchase_rate": result.purchase_rate})
-                purchases += [{"condition": name, "r": r, "trial": trial, "price": p}
-                              for p in result.prices]
+                rows.append((condition, r, trial, result.mean_price, result.purchase_rate))
+                purchases += [(condition, r, trial, p) for p in result.prices]
                 markets.append(auction._run_block(r, [(seq.entropy, seq.spawn_key)], n, optim,
                                                   frac, config)[1])
     return (rows, purchases), markets
@@ -947,14 +945,13 @@ def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
     n, trials = 16, 3
     monkeypatch.setattr(auction, "LOCKSTEP_AGENTS", 2 * n)  # blocks of 2 and 1 trials
     config = AuctionConfig(max_rounds=12)
-    conditions = ["Optim", "malicious-Optim"] if optim else ["noOptim", "malicious-noOptim"]
     r_grid = [0.005, 0.25, 1.0]  # round(0.005 * 16) == 0: no stock
     paths = set()
     for w_dec, b_dec in DECISION_LAYERS.values():
         monkeypatch.setattr(auction, "W_DECISION", w_dec)
         monkeypatch.setattr(auction, "B_DECISION", b_dec)
-        got = run_experiment(r_grid, trials, conditions, seed, n=n, config=config)
-        want, markets = looped_experiment(r_grid, trials, conditions, seed, n, config)
+        got = run_experiment(r_grid, trials, seed, optim, 0.5, n=n, config=config)
+        want, markets = looped_experiment(r_grid, trials, seed, optim, 0.5, n, config)
         assert repr(got) == repr(want)
         paths |= {trial_path(m, config) for m in markets}
         # each trial of a block also ends with the agents it has alone

@@ -202,6 +202,18 @@ def test_config_file_unknown_key_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("key", ["scenario", "command"])
+def test_config_file_cannot_rename_the_command(tmp_path, capsys, key):
+    # the manifest records these; only the command's own options may be set
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "auction"}))
+    rc = dispatch(["fish1d", "run", "--steps", "10", "--out", str(tmp_path / "f"),
+                   "--config", str(cfg)])
+    assert rc == 2
+    assert f"unknown option {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_auction_nonpositive_trials_exits_two(tmp_path, capsys, trials):
     out = tmp_path / "auction"
@@ -544,8 +556,10 @@ def test_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
 
 
 # sha256 of each report of the runs in report_digests, recorded from the code
-# that drew each plot from its CSV file: plots drawn from the rows in hand, and
-# rows written by csv alone, must keep every byte
+# that drew each plot from its CSV file (the honest Optim auction and the
+# untrained lavaland evaluation from the code whose CLI reshaped the runners'
+# dicts): plots drawn from the rows in hand, rows written by csv alone, and
+# rows the runners return under their own columns must keep every byte
 REPORT_SHA256 = {
     "fish/trace.csv":
         "ce06ef9ab63e515a92cdc123d8ba45cd0f9a595aa4184d76bfebd83c7cd723b8",
@@ -571,33 +585,52 @@ REPORT_SHA256 = {
         "613db6223a291f48c7c0b43d1fceb4a0fb24af4019277b7b3e684acd38c6669e",
     "auction_optim/rate_vs_supply.svg":
         "5245c4701342422828ea64cee90d306da464f096f17a371b189b528246edd3f8",
+    "auction_honest_optim/results.csv":
+        "187ad763d4fdde7d71034f73f5c558f9c44675e4874bf8178d7a912aa1be4bc8",
+    "auction_honest_optim/purchases.csv":
+        "e26c8c7171747d72eebef3b3444f648437e8c3f7428b03f256a5343bb6856ae3",
+    "auction_honest_optim/price_vs_supply.svg":
+        "90018f5b0e238d623c1976549f1f9b300395955f8ac79381aa0ac954bb16c48f",
+    "auction_honest_optim/rate_vs_supply.svg":
+        "fe5538a72aa2ffc278fdd8634d5cf6ba62e3dbe19a5902c71ca96f8134995553",
     "lavaland/histograms.csv":
         "d56ba863648a23fb2fd24a61df5d4714c4b72b3534ad8648e83423144ce96747",
     "lavaland/accuracy.json":
         "778eec3471deadc7e31be219e0fda5b04f65e81fc05cc42ede380b114043d8d8",
     "lavaland/traversal.svg":
         "0006623b9739042db7c27209d4f23c7a527ff37cca181ab1437a2d155446b500",
+    "lavaland_untrained/histograms.csv":
+        "d56ba863648a23fb2fd24a61df5d4714c4b72b3534ad8648e83423144ce96747",
+    "lavaland_untrained/accuracy.json":
+        "778eec3471deadc7e31be219e0fda5b04f65e81fc05cc42ede380b114043d8d8",
+    "lavaland_untrained/traversal.svg":
+        "0006623b9739042db7c27209d4f23c7a527ff37cca181ab1437a2d155446b500",
+    "lavaland_untrained/kernels.csv":
+        "f9f8f293cc78f7a7df8f0dc3972bf8d96d0086b6e621d61dc79abd02be519831",
 }
 
 
 def report_digests(tmp_path) -> dict:
     """Run small fish, auction and lavaland commands (seed 0) and hash their
-    reports; trained parameters and kernels.csv are left out."""
+    reports; trained parameters and trained kernels.csv are left out."""
     fish_params, bank, lava_params = (tmp_path / name for name in
                                       ("fish.json", "bank.json", "lava.json"))
-    auction = ["auction", "run", "--trials", "2", "--r-grid", "0.25:0.5:2",
-               "--malicious-frac", "0.5"]
+    auction = ["auction", "run", "--trials", "2", "--r-grid", "0.25:0.5:2"]
+    malicious = [*auction, "--malicious-frac", "0.5"]
     commands = [
         ["fish1d", "train", "--iters", "200", "--out", str(fish_params)],
         ["fish1d", "run", "--steps", "500", "--out", str(tmp_path / "fish")],
         ["fish1d", "run", "--steps", "500", "--trained", str(fish_params),
          "--out", str(tmp_path / "fish_trained")],
-        [*auction, "--out", str(tmp_path / "auction")],
-        [*auction, "--optim", "--out", str(tmp_path / "auction_optim")],
+        [*malicious, "--out", str(tmp_path / "auction")],
+        [*malicious, "--optim", "--out", str(tmp_path / "auction_optim")],
+        [*auction, "--optim", "--out", str(tmp_path / "auction_honest_optim")],
         ["lavaland", "gen", "--count", "8", "--preset", "lava-a", "--out", str(bank)],
         ["lavaland", "train", "--bank", str(bank), "--out", str(lava_params)],
         ["lavaland", "eval", "--bank", str(bank), "--params", str(lava_params),
          "--report", str(tmp_path / "lavaland")],
+        ["lavaland", "eval", "--bank", str(bank),
+         "--report", str(tmp_path / "lavaland_untrained")],
     ]
     for argv in commands:
         assert dispatch(argv) == 0, argv
@@ -608,7 +641,11 @@ def report_digests(tmp_path) -> dict:
                     "rate_vs_supply.svg"],
         "auction_optim": ["results.csv", "purchases.csv", "price_vs_supply.svg",
                           "rate_vs_supply.svg"],
+        "auction_honest_optim": ["results.csv", "purchases.csv", "price_vs_supply.svg",
+                                 "rate_vs_supply.svg"],
         "lavaland": ["histograms.csv", "accuracy.json", "traversal.svg"],
+        "lavaland_untrained": ["histograms.csv", "accuracy.json", "traversal.svg",
+                               "kernels.csv"],
     }
     return {f"{run}/{name}": hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
             for run, names in reports.items() for name in names}

@@ -533,7 +533,7 @@ def test_two_and_three_cell_maps_generate_train_and_evaluate():
     assert losses == want_losses and all(math.isfinite(loss) for loss in losses)
     np.testing.assert_array_equal(_bits(params.kernels), _bits(kernels))
     result = _assert_matches_per_map(params, bank, cfg, seed=6)
-    assert len(result.episodes) == len(maps)
+    assert len(result.reached) == len(maps)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -818,7 +818,8 @@ def test_evaluate_deterministic():
     a = evaluate(params, bank, cfg, seed=1)
     b = evaluate(params, bank, cfg, seed=1)
     assert a.accuracy == b.accuracy
-    assert a.episodes == b.episodes
+    for name in ("reached", "steps", "score", "traversed"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def _per_map_episodes(params, bank, cfg, seed):
@@ -837,9 +838,12 @@ def _per_map_episodes(params, bank, cfg, seed):
 def _assert_matches_per_map(params, bank, cfg, seed):
     result = evaluate(params, bank, cfg, seed=seed)
     want = _per_map_episodes(params, bank, cfg, seed)
-    got = [(e.reached, e.steps, e.traversed, e.score) for e in result.episodes]
+    got = list(zip(result.reached.tolist(), result.steps.tolist(),
+                   [dict(zip(PALETTE, t)) for t in result.traversed.tolist()],
+                   result.score.tolist()))
     assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
-    assert all(type(e.reached) is bool and type(e.steps) is int for e in result.episodes)
+    assert (result.reached.dtype, result.steps.dtype.kind) == (bool, "i")
+    assert result.traversed.shape == (len(bank.maps), len(PALETTE))
     assert result.accuracy == float(np.mean([reached for reached, _, _, _ in want]))
     return result
 
@@ -916,18 +920,25 @@ def test_histograms_cover_episodes():
     assert sum(hist.values()) == len(bank.maps)
 
 
+def kernel_rows(params):
+    """inspect_kernels' rows as dicts under KERNEL_COLUMNS."""
+    return [dict(zip(lavaland.KERNEL_COLUMNS, row)) for row in inspect_kernels(params)]
+
+
 def test_inspect_kernels_schema():
-    rows = inspect_kernels(Robot2NNParams())
+    rows = kernel_rows(Robot2NNParams())
     assert len(rows) == 180
-    assert set(rows[0]) == {"seq", "layer", "row", "col", "value", "center_dominant"}
+    assert lavaland.KERNEL_COLUMNS == ("seq", "layer", "row", "col", "value", "center_dominant")
+    assert all(len(row) == 6 for row in inspect_kernels(Robot2NNParams()))
     assert all(r["value"] == (1.0 if (r["row"], r["col"]) == (1, 1) else 0.1)
                for r in rows)
-    assert all(r["center_dominant"] for r in rows)
+    assert all(r["center_dominant"] == 1 for r in rows)
 
 
 def test_center_dominance_flag_flips():
     params = Robot2NNParams()
     params.kernels[SCORED_TILES.index("dirt"), 2, 0, 0] = 5.0
-    rows = inspect_kernels(params)
+    rows = kernel_rows(params)
     flagged = [r for r in rows if r["seq"] == "dirt" and r["layer"] == 2]
-    assert all(not r["center_dominant"] for r in flagged)
+    assert len(flagged) == 9 and all(r["center_dominant"] == 0 for r in flagged)
+    assert all(r["center_dominant"] == 1 for r in rows if r not in flagged)

@@ -293,14 +293,19 @@ def test_plot_of_one_value_past_two_to_the_53(tmp_path):
     assert 'points="64.00,374.00 620.00,374.00"' in out.read_text()
 
 
+EXTREMES = st.sampled_from([-1e308, 1e308])  # their difference overflows a double
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.floats(width=64),
+@given(rows=st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6) | EXTREMES,
+                               st.floats(width=64) | EXTREMES,
                                st.sampled_from(["a", "b", "c"])), max_size=20),
        kind=st.sampled_from(["line", "scatter"]))
 def test_plot_of_rows_in_hand_matches_plot_of_the_csv(tmp_path, rows, kind):
     # csv writes each float by repr, so the text read back parses to the same
-    # points and the plot keeps its bytes
+    # points and the plot keeps its bytes; a span past the largest double
+    # (-1e308 to 1e308) still puts every point and tick at a finite place
     path = tmp_path / "data.csv"
     write_csv(path, HEADER, rows)
     header, *text_rows = read_rows(path)
@@ -308,3 +313,4 @@ def test_plot_of_rows_in_hand_matches_plot_of_the_csv(tmp_path, rows, kind):
                     output_svg=str(tmp_path / "p.svg"), kind=kind)
     in_hand = emit_plot(spec, HEADER, rows).read_bytes()
     assert emit_plot(spec, header, text_rows).read_bytes() == in_hand
+    assert b"nan" not in in_hand and b"inf" not in in_hand
