@@ -867,6 +867,8 @@ def run_experiment(r_grid, trials: int, seed, optim: bool, malicious_frac: float
     malicious runs are matched: honest agents keep identical construction
     streams in both.
     """
+    if not 0 <= malicious_frac <= 1:  # NaN fails too, before any market runs
+        raise ValueError(f"malicious_frac must be in [0, 1], got {malicious_frac}")
     entropy = np.random.SeedSequence(seed).entropy
     name = "Optim" if optim else "noOptim"
     conditions = [(name, 0.0)]

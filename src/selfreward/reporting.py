@@ -41,7 +41,7 @@ class RunManifest:
     """Self-describing record of one experiment run."""
 
     scenario: str
-    preset: str
+    preset: str | None
     seed: int
     config: dict
     outputs: list = field(default_factory=list)

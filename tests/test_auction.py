@@ -669,6 +669,16 @@ def test_run_experiment_row_schema():
     assert all(r[0] == "noOptim" for r in rows + purchases)
 
 
+@pytest.mark.parametrize("frac", [1.5, -0.25, math.nan])
+def test_run_experiment_refuses_malicious_frac_before_any_market(monkeypatch, frac):
+    def no_auctions(*args, **kwargs):
+        raise AssertionError("a market ran before malicious_frac was checked")
+
+    monkeypatch.setattr(auction, "run_trials", no_auctions)
+    with pytest.raises(ValueError, match=r"malicious_frac must be in \[0, 1\]"):
+        run_experiment([0.25, 0.5], 3, 0, False, frac)
+
+
 def test_run_experiment_resolves_its_seed_once(monkeypatch):
     built = []
 

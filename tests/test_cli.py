@@ -54,11 +54,18 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert not (tmp_path / "f").exists()
 
 
+def refused(capsys, argv) -> str:
+    """Run ``argv``, which argparse must refuse with exit 2; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_bad_config_value_exits_two(tmp_path, capsys):
-    rc = dispatch(["auction", "run", "--r-grid", "nonsense",
-                   "--out", str(tmp_path)])
-    assert rc == 2
-    assert "r-grid" in capsys.readouterr().err
+    err = refused(capsys, ["auction", "run", "--r-grid", "nonsense", "--out", str(tmp_path)])
+    assert "argument --r-grid: expected start:stop:count, got 'nonsense'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fish_run_writes_trace_and_manifest(tmp_path):
@@ -71,7 +78,9 @@ def test_fish_run_writes_trace_and_manifest(tmp_path):
     assert len(trace) == 201
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["scenario"] == "fish1d"
+    assert manifest["preset"] is None
     assert manifest["seed"] == 3
+    assert manifest["outputs"] == ["energy.svg", "trace.csv"]
     assert (out / "energy.svg").exists()
 
 
@@ -134,7 +143,11 @@ def test_lavaland_gen_train_eval_cycle(tmp_path):
     assert kern[0] == "seq,layer,row,col,value,center_dominant"
     assert len(kern) == 1 + 180
     assert (report / "histograms.csv").exists()
-    assert (report / "manifest.json").exists()
+    manifest = json.loads((report / "manifest.json").read_text())
+    assert manifest["scenario"] == "lavaland"
+    assert manifest["preset"] == "lava-a"
+    assert manifest["outputs"] == ["accuracy.json", "histograms.csv", "kernels.csv",
+                                   "traversal.svg"]
 
 
 def test_lavaland_eval_rerun_byte_identical(tmp_path):
@@ -185,6 +198,29 @@ def test_config_file_negative_seed_exits_two(tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("command,key,value,message", [
+    ("fish1d run", "steps", -1, "expected a non-negative integer, got -1"),
+    ("fish1d train", "iters", -1, "expected a non-negative integer, got -1"),
+    ("auction run", "trials", 0, "expected an integer of at least 1, got 0"),
+    ("auction run", "malicious_frac", 1.5, "expected a number in [0, 1], got 1.5"),
+    ("auction run", "r_grid", "0.5:2:4", "need 0 < start <= stop <= 1 and count >= 1"),
+], ids=["steps", "iters", "trials", "malicious_frac", "r_grid"])
+def test_config_value_passes_the_option_rule(tmp_path, capsys, monkeypatch,
+                                             command, key, value, message):
+    from selfreward import auction
+
+    def no_auctions(*args, **kwargs):
+        raise AssertionError("an auction ran before the config file was checked")
+
+    monkeypatch.setattr(auction, "run_trials", no_auctions)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = dispatch([*command.split(), "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert rc == 2
+    assert f"config file sets {key!r} to {value!r}; {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_file_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"steps": 50}))
@@ -217,11 +253,10 @@ def test_config_file_cannot_rename_the_command(tmp_path, capsys, key):
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_auction_nonpositive_trials_exits_two(tmp_path, capsys, trials):
     out = tmp_path / "auction"
-    rc = dispatch(["auction", "run", "--r-grid", "0.25:0.25:1", "--trials", trials,
-                   "--out", str(out)])
-    assert rc == 2
-    assert "--trials" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
+    err = refused(capsys, ["auction", "run", "--r-grid", "0.25:0.25:1", "--trials", trials,
+                           "--out", str(out)])
+    assert f"argument --trials: expected an integer of at least 1, got '{trials}'" in err
+    assert not out.exists()
 
 
 def test_auction_r_grid_above_one_rejected_before_running(tmp_path, capsys, monkeypatch):
@@ -232,9 +267,10 @@ def test_auction_r_grid_above_one_rejected_before_running(tmp_path, capsys, monk
 
     monkeypatch.setattr(auction, "run_trials", no_auctions)
     for grid in ("0.5:2:4", "nan:1:3", "0.5:nan:2"):
-        rc = dispatch(["auction", "run", "--r-grid", grid, "--out", str(tmp_path)])
-        assert rc == 2
-        assert "--r-grid" in capsys.readouterr().err
+        err = refused(capsys, ["auction", "run", "--r-grid", grid, "--out", str(tmp_path)])
+        assert f"argument --r-grid: need 0 < start <= stop <= 1 and count >= 1, " \
+               f"got '{grid}'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_auction_one_point_r_grid_with_distinct_ends_rejected(tmp_path, capsys, monkeypatch):
@@ -244,10 +280,9 @@ def test_auction_one_point_r_grid_with_distinct_ends_rejected(tmp_path, capsys, 
         raise AssertionError("an auction ran on a grid that drops its stop")
 
     monkeypatch.setattr(auction, "run_trials", no_auctions)
-    rc = dispatch(["auction", "run", "--r-grid", "0.25:0.5:1", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "--r-grid" in capsys.readouterr().err
-    assert not (tmp_path / "results.csv").exists()
+    err = refused(capsys, ["auction", "run", "--r-grid", "0.25:0.5:1", "--out", str(tmp_path)])
+    assert "argument --r-grid: a count of 1 needs start == stop" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("frac", ["1.5", "-0.25", "nan"])
@@ -259,17 +294,23 @@ def test_auction_malicious_frac_outside_unit_interval_rejected_before_running(
         raise AssertionError("an auction ran before --malicious-frac was checked")
 
     monkeypatch.setattr(auction, "run_trials", no_auctions)
-    rc = dispatch(["auction", "run", "--r-grid", "0.25:0.5:2", "--trials", "3",
-                   "--malicious-frac", frac, "--out", str(tmp_path)])
-    assert rc == 2
-    assert "--malicious-frac" in capsys.readouterr().err
+    err = refused(capsys, ["auction", "run", "--r-grid", "0.25:0.5:2", "--trials", "3",
+                           "--malicious-frac", frac, "--out", str(tmp_path)])
+    assert f"argument --malicious-frac: expected a number in [0, 1], got '{frac}'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lavaland_gen_nonpositive_count_exits_two_naming_it(tmp_path, capsys):
+    err = refused(capsys, ["lavaland", "gen", "--count", "0", "--preset", "lava-a",
+                           "--out", str(tmp_path / "bank.json")])
+    assert "argument --count: expected an integer of at least 1, got '0'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fish_train_negative_iters_exits_two(tmp_path, capsys):
     out = tmp_path / "params.json"
-    rc = dispatch(["fish1d", "train", "--iters", "-1", "--out", str(out)])
-    assert rc == 2
-    assert "--iters" in capsys.readouterr().err
+    err = refused(capsys, ["fish1d", "train", "--iters", "-1", "--out", str(out)])
+    assert "argument --iters: expected a non-negative integer, got '-1'" in err
     assert not out.exists()
 
 
@@ -294,10 +335,9 @@ def test_fish_train_stops_on_non_finite_loss(tmp_path, capsys, monkeypatch):
 
 def test_fish_run_negative_steps_exits_two(tmp_path, capsys):
     out = tmp_path / "fish"
-    rc = dispatch(["fish1d", "run", "--steps", "-5", "--out", str(out)])
-    assert rc == 2
-    assert "--steps" in capsys.readouterr().err
-    assert not (out / "trace.csv").exists()
+    err = refused(capsys, ["fish1d", "run", "--steps", "-5", "--out", str(out)])
+    assert "argument --steps: expected a non-negative integer, got '-5'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides", [{"trials": "3"}, {"trials": 2.5},
@@ -524,22 +564,21 @@ def test_lavaland_train_stops_on_non_finite_loss(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def jobs_refused(tmp_path, capsys, jobs):
+    err = refused(capsys, ["lavaland", "eval", "--bank", str(tmp_path / "never-read.json"),
+                           "--report", str(tmp_path / "r"), "--jobs", jobs])
+    assert f"argument --jobs: invalid choice: {jobs} (choose from 1)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_lavaland_eval_jobs_below_one_exits_two(tmp_path, capsys, jobs):
-    rc = dispatch(["lavaland", "eval", "--bank", str(tmp_path / "never-read.json"),
-                   "--report", str(tmp_path / "r"), "--jobs", jobs])
-    assert rc == 2
-    assert "--jobs must be at least 1" in capsys.readouterr().err
+    jobs_refused(tmp_path, capsys, jobs)
 
 
 @pytest.mark.parametrize("jobs", ["2", "64"])
 def test_lavaland_eval_jobs_above_one_exits_two(tmp_path, capsys, jobs):
-    rc = dispatch(["lavaland", "eval", "--bank", str(tmp_path / "never-read.json"),
-                   "--report", str(tmp_path / "r"), "--jobs", jobs])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"--jobs {jobs}: evaluation runs the maps batched in one process" in err
-    assert not (tmp_path / "r").exists()
+    jobs_refused(tmp_path, capsys, jobs)
 
 
 @pytest.mark.parametrize("command", ["lavaland train --bank", "lavaland eval --bank",
@@ -558,8 +597,11 @@ def test_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
 # sha256 of each report of the runs in report_digests, recorded from the code
 # that drew each plot from its CSV file (the honest Optim auction and the
 # untrained lavaland evaluation from the code whose CLI reshaped the runners'
-# dicts): plots drawn from the rows in hand, rows written by csv alone, and
-# rows the runners return under their own columns must keep every byte
+# dicts, the lavaland runs on their seed-6 bank from the code whose commands
+# checked their own options): plots drawn from the rows in hand, rows written
+# by csv alone, rows the runners return under their own columns and one
+# run-and-report path must keep every byte.  Training changes the paths on
+# the seed-6 bank, so the untrained evaluation pins reports of its own.
 REPORT_SHA256 = {
     "fish/trace.csv":
         "ce06ef9ab63e515a92cdc123d8ba45cd0f9a595aa4184d76bfebd83c7cd723b8",
@@ -594,17 +636,17 @@ REPORT_SHA256 = {
     "auction_honest_optim/rate_vs_supply.svg":
         "fe5538a72aa2ffc278fdd8634d5cf6ba62e3dbe19a5902c71ca96f8134995553",
     "lavaland/histograms.csv":
-        "d56ba863648a23fb2fd24a61df5d4714c4b72b3534ad8648e83423144ce96747",
+        "7dedece8c23c490ff82c7ff2f72655fd2b1074aacb4d09fd19b0e93c287b2b7a",
     "lavaland/accuracy.json":
-        "778eec3471deadc7e31be219e0fda5b04f65e81fc05cc42ede380b114043d8d8",
+        "e79d8fb0eb6b46d1f62f4ad2eeb8463fa942b27f2fa2ef57fd137b67146abf86",
     "lavaland/traversal.svg":
-        "0006623b9739042db7c27209d4f23c7a527ff37cca181ab1437a2d155446b500",
+        "3ac89e80cac2baa676ace0fa8bfa9083bf70743f0b73f414f772f0479ebb5728",
     "lavaland_untrained/histograms.csv":
-        "d56ba863648a23fb2fd24a61df5d4714c4b72b3534ad8648e83423144ce96747",
+        "d6184e357fd8dd25591942751daada1b89219706d1fb2e827ba31926f005aed4",
     "lavaland_untrained/accuracy.json":
-        "778eec3471deadc7e31be219e0fda5b04f65e81fc05cc42ede380b114043d8d8",
+        "112b964a7336abd6e870345453ba244a389ecc2f0b1654360e6c5b0fcb889fd7",
     "lavaland_untrained/traversal.svg":
-        "0006623b9739042db7c27209d4f23c7a527ff37cca181ab1437a2d155446b500",
+        "29bcae6daffea6812d0ed5575163d33297479161422d265893de37a33e85e5ed",
     "lavaland_untrained/kernels.csv":
         "f9f8f293cc78f7a7df8f0dc3972bf8d96d0086b6e621d61dc79abd02be519831",
 }
@@ -625,7 +667,8 @@ def report_digests(tmp_path) -> dict:
         [*malicious, "--out", str(tmp_path / "auction")],
         [*malicious, "--optim", "--out", str(tmp_path / "auction_optim")],
         [*auction, "--optim", "--out", str(tmp_path / "auction_honest_optim")],
-        ["lavaland", "gen", "--count", "8", "--preset", "lava-a", "--out", str(bank)],
+        ["lavaland", "gen", "--count", "8", "--preset", "lava-a", "--seed", "6",
+         "--out", str(bank)],
         ["lavaland", "train", "--bank", str(bank), "--out", str(lava_params)],
         ["lavaland", "eval", "--bank", str(bank), "--params", str(lava_params),
          "--report", str(tmp_path / "lavaland")],
