@@ -1,8 +1,11 @@
 """Command-line entry point: one dispatcher for the three scenarios.
 
 Each option's rule is its argparse type, which a --config value passes too.
-``fish1d run``, ``auction run`` and ``lavaland eval`` record their seed and
-options in ``manifest.json``; rerun with them, they rewrite every other file.
+``fish1d run``, ``auction run`` and ``lavaland eval`` record their command
+line in ``manifest.json`` as ``argv``; ``dispatch(manifest["argv"])``, run
+from the same directory, rewrites every other file byte for byte.  A command
+that raises ValueError (a bad --config, bank, params document or config
+field) or OSError exits 2 with the message.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from . import __version__, fish1d
 from . import auction as auction_mod
 from . import lavaland as lava_mod
-from .params import ParamsError, load_params, save_params
-from .reporting import ConfigError, PlotSpec, RunManifest, emit_plot, write_csv
+from .params import load_params, save_params
+from .reporting import PlotSpec, RunManifest, emit_plot, write_csv
 
 
 def _checked(convert, ok, what: str):
@@ -71,27 +74,27 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ConfigError(f"{args.config}: malformed config file: {err}") from err
+            raise ValueError(f"{args.config}: malformed config file: {err}") from err
         if not isinstance(overrides, dict):
-            raise ConfigError(f"{args.config}: config file must hold a JSON object, "
-                              f"not {type(overrides).__name__}")
+            raise ValueError(f"{args.config}: config file must hold a JSON object, "
+                             f"not {type(overrides).__name__}")
         actions = {action.dest: action for action in args._parser._actions
                    if action.dest not in ("help", "config")}
         for key, value in overrides.items():
             if key not in actions:
-                raise ConfigError(f"config file sets unknown option {key!r}")
+                raise ValueError(f"config file sets unknown option {key!r}")
             default = args._parser.get_default(key)
             if not (type(value) is type(default)
                     or (type(default) is float and type(value) is int)
                     or (default is None and isinstance(value, str))):
                 expected = "str" if default is None else type(default).__name__
-                raise ConfigError(f"config file sets {key!r} to {value!r}; "
-                                  f"expected {expected}")
+                raise ValueError(f"config file sets {key!r} to {value!r}; "
+                                 f"expected {expected}")
             if actions[key].type is not None:
                 try:
                     value = actions[key].type(value)
                 except argparse.ArgumentTypeError as err:
-                    raise ConfigError(f"config file sets {key!r} to {value!r}; {err}") from err
+                    raise ValueError(f"config file sets {key!r} to {value!r}; {err}") from err
             setattr(args, key, value)
 
 
@@ -165,8 +168,6 @@ def cmd_lava_gen(args):
 
 def cmd_lava_train(args):
     bank = lava_mod.load_bank(args.bank)
-    if not bank.maps:
-        raise ConfigError(f"{args.bank}: bank has no maps to train on")
     config = lava_mod.PRESETS[bank.preset]
     params = lava_mod.Robot2NNParams()
     losses = lava_mod.srd_train_lavaland(params, bank, config, seed=args.seed)
@@ -274,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv=None) -> int:
     """Run one command line; return its exit code.  A command returns
     (out_dir, preset, outputs) for the manifest written here, or None."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
@@ -285,8 +287,8 @@ def dispatch(argv=None) -> int:
                       if k not in ("func", "config") and not k.startswith("_")}
             RunManifest(args.scenario, preset, args.seed, config,
                         [str(p.relative_to(out_dir)) for p in outputs],
-                        round(time.time() - started, 3)).write(out_dir)
-    except (ConfigError, ParamsError, ValueError, OSError) as err:
+                        round(time.time() - started, 3), argv=argv).write(out_dir)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

@@ -76,6 +76,9 @@ steps (seeds 0-31), or 6 after ``fish1d train``'s default 12 000 (seeds
 strictly until it eats, so it steps every time.  Training changes theta at
 every step and is always stepped.
 
+``FishConfig`` holds the rule on each of its fields, ``food_period`` and
+``mem`` among them; ``FishWorld`` and ``DecisionMemory`` take its values.
+
 The graph forms (``FishNN.sense``/``decide``, ``FishPFC.judge`` and
 ``pfc_judge``) state the same network on the engine and stay as the
 reference: they read whatever the caller puts in ``w_act``/``b_act``, so
@@ -157,21 +160,19 @@ class FishConfig:
 
     def __post_init__(self):
         """Refuse values the fish cannot sense, live or train on; each
-        ValueError names its field.  ``food_period`` and ``mem`` are checked
-        where they are used, by ``FishWorld`` and ``DecisionMemory``."""
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if not self.selective_eps > 0:
-            raise ValueError(f"selective_eps must be positive, got {self.selective_eps}")
-        if not (self.energy_decay >= 0 and math.isfinite(self.energy_decay)):
-            raise ValueError(f"energy_decay must be at least 0 and finite, "
-                             f"got {self.energy_decay}")
-        if not 0 < self.initial_energy <= 1:
-            raise ValueError(f"initial_energy must be in (0, 1], got {self.initial_energy}")
-        for name in ("eat_bias", "move_delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        ValueError names its field."""
+        for name, need, ok in [
+            ("food_period", "at least 4", self.food_period >= 4),  # empty cells between food
+            ("energy_decay", "at least 0 and finite", 0 <= self.energy_decay < math.inf),
+            ("selective_eps", "positive", self.selective_eps > 0),
+            ("initial_energy", "in (0, 1]", 0 < self.initial_energy <= 1),
+            ("mem", "at least 1", self.mem >= 1),
+            ("learning_rate", "positive and finite", 0 < self.learning_rate < math.inf),
+            ("eat_bias", "finite", math.isfinite(self.eat_bias)),
+            ("move_delta", "finite", math.isfinite(self.move_delta)),
+        ]:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
 
 
 # One ``run_episode`` record, as ``fish1d run`` writes it to trace.csv.
@@ -189,8 +190,6 @@ class FishWorld:
     """
 
     def __init__(self, phase: int = 0, food_period: int = 5):
-        if food_period < 4:
-            raise ValueError("food_period must leave empty cells between food")
         self.food_period = food_period
         self.offset = phase % food_period
         self.window = tuple(FOOD_VALUE if (self.offset + i) % food_period == 0 else 0.0
@@ -344,8 +343,6 @@ class DecisionMemory:
     """
 
     def __init__(self, mem: int = 8):
-        if mem < 1:
-            raise ValueError(f"mem must be at least 1, got {mem}")
         self.mem = mem
         self.pushed = 0
         self.verdicts: list[tuple[float, float]] = [(0.0, 0.0)] * mem

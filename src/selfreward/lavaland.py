@@ -134,28 +134,26 @@ class LavaConfig:
     def __post_init__(self):
         """Refuse values that map generation, the planner or the trainer cannot
         run on; each ValueError names its field."""
-        for name in ("n_plans", "max_steps", "height", "width"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, need, ok in [
+            *[(name, "at least 1", getattr(self, name) >= 1)
+              for name in ("height", "width", "max_steps", "n_plans")],
+            ("grass_frac", "in [0, 1]", 0 <= self.grass_frac <= 1),
+            ("lava_frac", "in [0, 1)", 0 <= self.lava_frac < 1),
+            *[(name, "finite", math.isfinite(getattr(self, name)))
+              for name in ("p_target", "p_self", "p_grass", "p_dirt", "anti_return")],
+            ("unknown_avoidance", "at least 0 and finite",
+             0 <= self.unknown_avoidance < math.inf),
+            ("tau_recog", "at least 0", self.tau_recog >= 0),
+            ("selective_eps", "positive", self.selective_eps > 0),
+            ("explore_odds", "in [0, 1]", 0 <= self.explore_odds <= 1),
+            ("learning_rate", "positive and finite", 0 < self.learning_rate < math.inf),
+        ]:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
         if self.height * self.width < 2:
             raise ValueError(f"height x width must hold at least 2 cells, "
                              f"got {self.height}x{self.width}")
-        if not 0.0 <= self.lava_frac < 1.0:
-            raise ValueError(f"lava_frac must be in [0, 1), got {self.lava_frac}")
-        if not 0.0 <= self.grass_frac <= 1.0:
-            raise ValueError(f"grass_frac must be in [0, 1], got {self.grass_frac}")
-        if not 0.0 <= self.explore_odds <= 1.0:
-            raise ValueError(f"explore_odds must be in [0, 1], got {self.explore_odds}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if not 0 <= self.unknown_avoidance < math.inf:
-            raise ValueError(f"unknown_avoidance must be at least 0 and finite, "
-                             f"got {self.unknown_avoidance}")
         prefs = {f"p_{tile}": abs(p) for tile, p in self.preferences.items()}
-        for name in (*prefs, "anti_return"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # The plan fields stay below max_steps * sum|p_*| * max(1, unknown_avoidance)
         # * max(1, |anti_return|)**max_steps.  Its log is summed term by term, since
         # a float ** past the largest float raises OverflowError; the refusal names
@@ -170,10 +168,6 @@ class LavaConfig:
             raise ValueError(f"{name} = {getattr(self, name)} overflows the plan fields: "
                              f"max_steps * sum|p_*| * max(1, unknown_avoidance) * "
                              f"max(1, |anti_return|)**max_steps must be finite")
-        if not self.selective_eps > 0:
-            raise ValueError(f"selective_eps must be positive, got {self.selective_eps}")
-        if not self.tau_recog >= 0:
-            raise ValueError(f"tau_recog must be at least 0, got {self.tau_recog}")
 
     @property
     def preferences(self) -> dict:
@@ -306,7 +300,7 @@ def load_bank(path) -> MapBank:
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: malformed bank file: {err}") from err
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != 1:
+    if type(version) is not int or version != 1:  # json's true and 1.0 equal 1
         raise ValueError(f"{path}: unsupported bank version {version!r}")
     for key in ("preset", "seed", "maps"):
         if key not in doc:
@@ -316,6 +310,8 @@ def load_bank(path) -> MapBank:
                          f"choose from {sorted(PRESETS)}")
     if type(doc["seed"]) is not int or not isinstance(doc["maps"], list):
         raise ValueError(f"{path}: 'seed' must be an integer and 'maps' a list")
+    if not doc["maps"]:
+        raise ValueError(f"{path}: bank has no maps")
     maps = [_checked_map(m, f"{path}: map {i}") for i, m in enumerate(doc["maps"])]
     return MapBank(preset=doc["preset"], seed=doc["seed"], maps=maps)
 

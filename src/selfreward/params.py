@@ -15,7 +15,7 @@ import numpy as np
 FORMAT_VERSION = 1
 
 
-class ParamsError(Exception):
+class ParamsError(ValueError):
     """Problems with a parameter document."""
 
 
@@ -66,9 +66,10 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
         ) from err
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ParamsParseError(f"{path}: not a parameter document (missing format_version)")
-    if doc["format_version"] != FORMAT_VERSION:
+    version = doc["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:  # json's true and 1.0 equal 1
         raise ParamsVersionError(
-            f"{path}: unsupported format_version {doc['format_version']!r}, "
+            f"{path}: unsupported format_version {version!r}, "
             f"expected {FORMAT_VERSION}")
     meta = doc.get("meta")
     found = meta.get("scenario") if isinstance(meta, dict) else None
@@ -91,6 +92,8 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
                 raise ParamsParseError(f"{path}: parameter {name!r} values must be "
                                        f"a list of JSON numbers")
             out[name] = np.array(values, dtype=np.float64).reshape(entry["shape"])
+    except ParamsError:  # a ValueError, with its own message
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ParamsParseError(f"{path}: bad parameter entry: {err}") from err
     for name, arr in out.items():

@@ -2,10 +2,10 @@
 
 Everything here is built for byte-for-byte reproducibility: fixed float
 formatting, sorted JSON keys, no timestamps inside data files (wall-clock
-lives only in the manifest).  A command writes each report once, from the
-rows it holds: ``write_csv`` writes them and ``emit_plot`` draws the same
-rows.  ``csv`` writes a float by ``repr``, which round-trips, so the file and
-the plot hold the same numbers.
+lives only in the manifest, with the argv that ran).  A command writes each
+report once, from the rows it holds: ``write_csv`` writes them and
+``emit_plot`` draws the same rows.  ``csv`` writes a float by ``repr``,
+which round-trips, so the file and the plot hold the same numbers.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
-
-
-class ConfigError(ValueError):
-    """Invalid configuration value; the CLI maps this to exit code 2."""
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -38,7 +34,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 @dataclass
 class RunManifest:
-    """Self-describing record of one experiment run."""
+    """Self-describing record of one experiment run and the argv that ran it."""
 
     scenario: str
     preset: str | None
@@ -46,6 +42,7 @@ class RunManifest:
     config: dict
     outputs: list = field(default_factory=list)
     wall_clock_s: float = 0.0
+    argv: list = field(default_factory=list)
     code_version: str = __version__
 
     def write(self, out_dir) -> Path:
@@ -54,6 +51,7 @@ class RunManifest:
         path = out_dir / "manifest.json"
         doc = {
             "scenario": self.scenario,
+            "argv": list(self.argv),
             "preset": self.preset,
             "seed": self.seed,
             "config": self.config,
@@ -105,11 +103,11 @@ def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
     to ``write_csv``) to a self-contained SVG; deterministic for fixed rows.
 
     Each point is ``float(x), float(y)``; the series label is the ``str`` of
-    the series cell.  A column not in the header is a ConfigError.
+    the series cell.  A column not in the header is a ValueError.
     """
     for col in (spec.x_column, spec.y_column, spec.series_column):
         if col is not None and col not in header:
-            raise ConfigError(f"{spec.output_svg}: missing column {col!r}")
+            raise ValueError(f"{spec.output_svg}: missing column {col!r}")
 
     xi, yi = header.index(spec.x_column), header.index(spec.y_column)
     if spec.series_column is None:

@@ -1,6 +1,7 @@
 """Auction scenario: offers, sensors, decisions, server machine, trends."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -55,7 +56,7 @@ def run_block(r, seed, optim=False, malicious_frac=0.0, n=64, config=None):
 # -- config ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("field,value", [
+INVALID_CONFIG_VALUES = [
     ("base_price", 0.0), ("base_price", -5.0), ("base_price", float("inf")),
     ("base_price", float("nan")),
     ("price_step", 0.0), ("price_step", 1.0), ("price_step", float("nan")),
@@ -65,7 +66,15 @@ def run_block(r, seed, optim=False, malicious_frac=0.0, n=64, config=None):
     ("variant_flip_prob", -0.1), ("variant_flip_prob", 1.5),
     ("variant_flip_prob", float("nan")),
     ("finetune_rounds", -1), ("selective_eps", 0.0), ("selective_eps", float("nan")),
-])
+]
+
+
+def test_every_config_field_has_a_refusal_case():
+    assert {field for field, _ in INVALID_CONFIG_VALUES} == \
+        {f.name for f in dataclasses.fields(AuctionConfig)}
+
+
+@pytest.mark.parametrize("field,value", INVALID_CONFIG_VALUES)
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
         AuctionConfig(**{field: value})

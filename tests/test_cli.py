@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -219,6 +220,32 @@ def test_config_value_passes_the_option_rule(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert f"config file sets {key!r} to {value!r}; {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command", [
+    ["fish1d", "run", "--steps", "999", "--seed", "4", "--config", "{tmp}/cfg.json",
+     "--out", "{tmp}/out"],
+    ["auction", "run", "--r-grid", "0.25:0.5:2", "--trials", "2", "--malicious-frac", "0.5",
+     "--out", "{tmp}/out"],
+    ["lavaland", "eval", "--bank", "{tmp}/bank.json", "--seed", "3", "--report", "{tmp}/out"],
+], ids=lambda c: " ".join(c[:2]))
+def test_manifest_argv_reruns_to_the_same_bytes(tmp_path, command):
+    (tmp_path / "cfg.json").write_text(json.dumps({"steps": 120}))
+    assert dispatch(["lavaland", "gen", "--count", "4", "--preset", "lava-a",
+                     "--out", str(tmp_path / "bank.json")]) == 0
+    argv = [a.format(tmp=tmp_path) for a in command]
+    assert dispatch(argv) == 0
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+
+    def reports():
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    first = reports()
+    shutil.rmtree(out)
+    assert dispatch(manifest["argv"]) == 0
+    assert reports() == first and len(first) > 1
 
 
 def test_config_file_overrides(tmp_path):
@@ -459,6 +486,17 @@ def test_params_list_instead_of_object_exits_two(tmp_path, capsys, option):
     assert not out.exists()
 
 
+def test_params_values_that_are_not_numbers_exit_two_with_one_message(tmp_path, capsys):
+    # ParamsError is a ValueError: load_params must not wrap its own refusal again
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"format_version": 1,
+                               "params": {"w_act": {"shape": [1], "values": ["1"]}}}))
+    rc = dispatch(["fish1d", "run", "--trained", str(bad), "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: {bad}: parameter 'w_act' values must be "
+                                       f"a list of JSON numbers\n")
+
+
 def test_fish_run_of_a_starving_policy_writes_its_trace(tmp_path, capsys):
     from selfreward.fish1d import FishConfig, FishNN
 
@@ -514,7 +552,7 @@ def _bank_doc(**overrides):
     ("missing maps", {"format_version": 1, "preset": "lava-a", "seed": 0},
      "bank has no 'maps' entry"),
     ("unknown preset", _bank_doc(preset="lava-z"), "unknown preset 'lava-z'"),
-    ("no maps", _bank_doc(maps=[]), "bank has no maps to train on"),
+    ("no maps", _bank_doc(maps=[]), "bank has no maps"),
 ])
 def test_lavaland_train_refuses_malformed_bank(tmp_path, capsys, case, doc, message):
     if doc.get("maps"):  # map 0 stays good, so the message must name map 1
@@ -526,6 +564,40 @@ def test_lavaland_train_refuses_malformed_bank(tmp_path, capsys, case, doc, mess
     assert rc == 2, case
     assert message in capsys.readouterr().err
     assert not out.exists()  # refused before any training
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_lavaland_refuses_an_empty_bank_naming_it(tmp_path, capsys, command):
+    # load_bank refuses it, so train and eval give one message
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(_bank_doc(maps=[])))
+    out = tmp_path / "out"
+    out_option = "--report" if command == "eval" else "--out"
+    assert dispatch(["lavaland", command, "--bank", str(bank), out_option, str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bank}: bank has no maps\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("kind", ["bank", "params"])
+def test_format_version_must_be_the_integer_one(tmp_path, capsys, kind, version):
+    # json's true and 1.0 both compare equal to 1; only the integer is a version
+    from selfreward.lavaland import Robot2NNParams
+
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps(_bank_doc()))
+    params = _params_file(tmp_path, "lava.json", Robot2NNParams().export(), "lavaland")
+    bad = {"bank": bank, "params": params}[kind]
+    doc = json.loads(bad.read_text())
+    doc["format_version"] = version
+    bad.write_text(json.dumps(doc))
+    report = tmp_path / "r"
+    rc = dispatch(["lavaland", "eval", "--bank", str(bank), "--params", str(params),
+                   "--report", str(report)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: unsupported ") and repr(version) in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])

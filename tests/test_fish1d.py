@@ -1,5 +1,6 @@
 """Fish scenario: detectors, decisions, world dynamics, judge, training."""
 
+import dataclasses
 import math
 import operator
 from collections import deque
@@ -249,8 +250,6 @@ def test_memory_gradient_sums_the_window_jacobians():
 def test_memory_empty_z_raises():
     with pytest.raises(ValueError):
         DecisionMemory(4).z()
-    with pytest.raises(ValueError):
-        DecisionMemory(0)
 
 
 def perturbed_fish(rng):
@@ -606,7 +605,7 @@ def test_training_rejects_a_non_positive_learning_rate(learning_rate):
         srd_train(10, FishConfig(learning_rate=learning_rate), seed=0)
 
 
-@pytest.mark.parametrize("field,value", [
+INVALID_CONFIG_VALUES = [
     ("learning_rate", math.inf), ("selective_eps", 0.0), ("selective_eps", -0.01),
     ("selective_eps", math.nan), ("energy_decay", -0.1), ("energy_decay", math.inf),
     ("energy_decay", math.nan), ("initial_energy", 0.0), ("initial_energy", 1.5),
@@ -614,7 +613,16 @@ def test_training_rejects_a_non_positive_learning_rate(learning_rate):
     # a NaN eat_bias ran a fish that never ate, until it starved, with no message
     ("eat_bias", math.nan), ("eat_bias", math.inf), ("move_delta", math.nan),
     ("move_delta", -math.inf),
-])
+    ("food_period", 3), ("mem", 0),
+]
+
+
+def test_every_config_field_has_a_refusal_case():
+    assert {field for field, _ in INVALID_CONFIG_VALUES} == \
+        {f.name for f in dataclasses.fields(FishConfig)}
+
+
+@pytest.mark.parametrize("field,value", INVALID_CONFIG_VALUES)
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         FishConfig(**{field: value})

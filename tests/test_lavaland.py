@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -189,7 +190,7 @@ def test_bank_roundtrip(tmp_path):
 @st.composite
 def valid_banks(draw):
     maps = []
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         h = draw(st.integers(1, 5))
         w = draw(st.integers(2 if h == 1 else 1, 5))
         cells = draw(st.lists(st.sampled_from("gdl"), min_size=h * w, max_size=h * w))
@@ -213,6 +214,13 @@ def test_bank_roundtrip_any_valid_bank(tmp_path, bank):
     assert load_bank(path) == bank
     save_bank(tmp_path / "again.json", load_bank(path))
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_load_bank_refuses_a_bank_with_no_maps(tmp_path):
+    path = tmp_path / "bank.json"
+    save_bank(path, MapBank(preset="lava-a", seed=0, maps=[]))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bank has no maps$"):
+        load_bank(path)
 
 
 def test_map_structure():
@@ -536,7 +544,7 @@ def test_two_and_three_cell_maps_generate_train_and_evaluate():
     assert len(result.reached) == len(maps)
 
 
-@pytest.mark.parametrize("field,value", [
+INVALID_CONFIG_VALUES = [
     ("n_plans", 0), ("max_steps", 0), ("max_steps", -3),
     ("explore_odds", 1.5), ("explore_odds", -0.1), ("explore_odds", float("nan")),
     ("height", 0), ("width", 0),
@@ -549,7 +557,15 @@ def test_two_and_three_cell_maps_generate_train_and_evaluate():
     ("p_target", float("nan")), ("p_self", float("inf")), ("p_grass", -float("inf")),
     ("p_dirt", float("nan")), ("anti_return", float("nan")), ("anti_return", float("inf")),
     ("unknown_avoidance", float("inf")), ("unknown_avoidance", float("nan")),
-])
+]
+
+
+def test_every_config_field_has_a_refusal_case():
+    assert {field for field, _ in INVALID_CONFIG_VALUES} == \
+        {f.name for f in dataclasses.fields(LavaConfig)}
+
+
+@pytest.mark.parametrize("field,value", INVALID_CONFIG_VALUES)
 def test_config_rejects_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
         LavaConfig(**{field: value})

@@ -19,7 +19,6 @@ from selfreward.params import (
     save_params,
 )
 from selfreward.reporting import (
-    ConfigError,
     PlotSpec,
     RunManifest,
     emit_plot,
@@ -250,7 +249,7 @@ def test_plot_missing_column_named(tmp_path):
                           output_svg=out)):
         # with rows or without
         for rows in ([[0, 1.0, "a"]], []):
-            with pytest.raises(ConfigError, match="missing column 'nope'"):
+            with pytest.raises(ValueError, match="missing column 'nope'"):
                 emit_plot(spec, HEADER, rows)
     assert not (tmp_path / "p.svg").exists()
 
