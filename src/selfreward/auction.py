@@ -131,6 +131,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .configs import check_field_types
 from .layers import selective_core, tau, tau_slope
 
 __all__ = [
@@ -204,6 +205,7 @@ class AuctionConfig:
 
     def __post_init__(self):
         """Refuse values an auction cannot run on; each ValueError names its field."""
+        check_field_types(self)
         for name, need, ok in [
             ("base_price", "positive and finite", 0 < self.base_price < math.inf),
             ("price_step", "in (0, 1)", 0 < self.price_step < 1),

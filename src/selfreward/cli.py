@@ -11,6 +11,7 @@ field) or OSError exits 2 with the message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -210,7 +211,10 @@ def cmd_lava_eval(args):
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command line, built once per process: parsing
+    fills a new namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="selfreward",
         description="Interpretable self-reward controllers: fish, auction, lavaland.")

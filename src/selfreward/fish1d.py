@@ -67,17 +67,21 @@ the detectors and the judge are frozen, and nothing is drawn after
 tape position modulo ``food_period``, the window (which eating changes) and
 the energy.  Every value a trace record holds, bar the step number, is read
 from that state.  So ``run_episode`` steps only until the first state
-repeats, then tiles the cycle's records, renumbered, and moves
-``world.offset`` on by the cycle's moves.  The records and the end state are
-bit for bit those of stepping every time.  At the default config the cycle
-starts by step 15 and lasts 16 steps untrained and 11 after 500 training
-steps (seeds 0-31), or 6 after ``fish1d train``'s default 12 000 (seeds
-0-7).  A fish that dies never repeats a state, since its energy falls
-strictly until it eats, so it steps every time.  Training changes theta at
+repeats and returns a ``reporting.TiledRows``: it stores the records
+stepped so far and the step the cycle starts at, and reads every later
+record, renumbered, from the cycle; no record past the stepped ones is
+made.  It moves ``world.offset`` on by the whole cycles' moves and steps
+the rest, so the records and the end state are bit for bit those of
+stepping every time.  At the default config the cycle starts by step 15
+and lasts 16 steps untrained and 11 after 500 training steps (seeds 0-31),
+or 6 after ``fish1d train``'s default 12 000 (seeds 0-7).  A fish that dies
+never repeats a state, since its energy falls strictly until it eats, so it
+steps every time and its trace has no cycle.  Training changes theta at
 every step and is always stepped.
 
 ``FishConfig`` holds the rule on each of its fields, ``food_period`` and
-``mem`` among them; ``FishWorld`` and ``DecisionMemory`` take its values.
+``mem`` among them, once ``configs.check_field_types`` has checked their
+types; ``FishWorld`` and ``DecisionMemory`` take its values.
 
 The graph forms (``FishNN.sense``/``decide``, ``FishPFC.judge`` and
 ``pfc_judge``) state the same network on the engine and stay as the
@@ -89,7 +93,6 @@ actions and verdicts against them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections.abc import Sequence
@@ -101,6 +104,7 @@ from .autodiff import DiffTensor, ShapeError, as_tensor, concat
 # Unused here since training left the engine; bench/test_bench.py still checks
 # that the tracer rebinds fish1d.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
+from .configs import check_field_types
 from .layers import (
     conv1d,
     cross_entropy2_float,
@@ -113,6 +117,7 @@ from .layers import (
     tau_slope_float,
     threshold_activation,
 )
+from .reporting import TiledRows
 
 EAT, MOVE = 0, 1
 ACTION_NAMES = ("eat", "move")
@@ -161,6 +166,7 @@ class FishConfig:
     def __post_init__(self):
         """Refuse values the fish cannot sense, live or train on; each
         ValueError names its field."""
+        check_field_types(self)
         for name, need, ok in [
             ("food_period", "at least 4", self.food_period >= 4),  # empty cells between food
             ("energy_decay", "at least 0 and finite", 0 <= self.energy_decay < math.inf),
@@ -416,7 +422,7 @@ def sense_and_decide(nn: FishNN, theta: Sequence[float], world: FishWorld,
 
 
 def run_episode(nn: FishNN, pfc: FishPFC, world: FishWorld, state: FishState,
-                steps: int) -> list[tuple]:
+                steps: int) -> TiledRows:
     """Run the live loop without learning; one trace record per step.
 
     Each record is a tuple in ``TRACE_COLUMNS`` order: the step, the
@@ -426,44 +432,40 @@ def run_episode(nn: FishNN, pfc: FishPFC, world: FishWorld, state: FishState,
 
     The loop's state is (world.offset % food_period, window, energy).  On
     the first step whose state was seen before, at step s0, the records of
-    steps s0..step-1 repeat for as long as the episode lasts: they are
-    appended as whole copies with the step renumbered, and ``world.offset``
-    is advanced by the moves they made, instead of being stepped again.
-    The fewer than one cycle's steps left are stepped as usual, so world and
-    state end exactly as stepping every time leaves them.  This is exact
-    only while each record reads nothing but that state and the step: a
-    per-step trace of the named neurons (a_fh, a_ft, e, m, the gates, the
-    verdict) is such a record and must be tiled with the cycle in the same
-    way; anything else (a clock, a counter kept across steps) must go in the
-    key or switch the skip off.
+    steps s0..step-1 repeat for as long as the episode lasts, renumbered:
+    the trace is the ``TiledRows`` of the stepped records, with its cycle
+    from s0, and no record past them is made.  ``world.offset`` is advanced
+    by the whole cycles' moves, and the fewer than one cycle's steps left
+    are stepped, so world and state end exactly as stepping every time
+    leaves them.  This is exact only while each record reads nothing but
+    that state and the step: a per-step trace of the named neurons (a_fh,
+    a_ft, e, m, the gates, the verdict) is such a record and must be tiled
+    with the cycle in the same way; anything else (a clock, a counter kept
+    across steps) must go in the key or switch the skip off.
     """
     trace = []
     config = nn.config
     theta = nn.theta()
     seen = {}  # loop state -> (the step it was first seen at, world.offset then)
-    step = 0
-    while step < steps and state.alive:
+    for step in range(steps):
+        if not state.alive:
+            break
         key = (world.offset % world.food_period, world.window, state.energy)
         first, first_offset = seen.setdefault(key, (step, world.offset))
         if first < step:
-            # the loop has closed: trace[first:step] repeats from here on
-            period = step - first
-            copies = (steps - step) // period
-            # all columns but the step, each repeated until the steps run out
-            columns = list(zip(*trace[first:step]))[1:]
-            trace.extend(zip(range(step, step + copies * period),
-                             *map(itertools.cycle, columns)))
+            # the loop has closed: trace[first:] repeats from here on
+            copies, left = divmod(steps - step, step - first)
             world.offset += copies * (world.offset - first_offset)
-            step += copies * period
-            seen.clear()  # fewer than `period` steps remain, none of them a repeat
-            continue
+            for _ in range(left):
+                action = sense_and_decide(nn, theta, world, state)[0]
+                world_step(world, state, action, config)
+            return TiledRows(trace, first, steps)
         action, v0 = sense_and_decide(nn, theta, world, state)
         true, false = pfc.judge_values(v0)
         trace.append((step, state.energy, int(world.food_here), int(world.food_there),
                       ACTION_NAMES[action], "T" if true >= false else "F"))
         world_step(world, state, action, config)
-        step += 1
-    return trace
+    return TiledRows(trace, len(trace), len(trace))
 
 
 def srd_train(steps: int, config: FishConfig | None = None,

@@ -89,6 +89,7 @@ from .autodiff import ShapeError
 # Unused here since lavaland left the engine; bench/test_bench.py still checks
 # that the tracer rebinds lavaland.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
+from .configs import check_field_types
 from .layers import deconv_shifts, selective_core
 
 PALETTE = {
@@ -134,6 +135,7 @@ class LavaConfig:
     def __post_init__(self):
         """Refuse values that map generation, the planner or the trainer cannot
         run on; each ValueError names its field."""
+        check_field_types(self)
         for name, need, ok in [
             *[(name, "at least 1", getattr(self, name) >= 1)
               for name in ("height", "width", "max_steps", "n_plans")],

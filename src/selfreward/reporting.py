@@ -6,30 +6,124 @@ lives only in the manifest, with the argv that ran).  A command writes each
 report once, from the rows it holds: ``write_csv`` writes them and
 ``emit_plot`` draws the same rows.  ``csv`` writes a float by ``repr``,
 which round-trips, so the file and the plot hold the same numbers.
+
+Rows that end in a cycle repeated many times, as a closed loop's trace
+does, can be held as ``TiledRows``: the stepped rows, where their cycle
+starts and how many rows there are.  Both writers read such rows by the
+cycle and write the bytes of the list of all the rows.  ``write_csv``
+formats each cycle row once and writes each repeat as its row number and
+that text.  ``emit_plot`` reads any rows column by column, with no tuple
+per row, takes a ``TiledRows`` column from its cycle, and places and
+formats each distinct y of a line once.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
 
 
+class TiledRows(Sequence):
+    """Row tuples ``head``, then its cycle ``head[first:]`` repeated up to
+    ``length`` rows, renumbered.
+
+    Column 0 of each row is its index, so row ``s >= len(head)`` is
+    ``(s, *head[first + (s - first) % period][1:])``, with ``period =
+    len(head) - first``.  Rows with no cycle have ``length == len(head)``.
+    It indexes, slices (to a list), iterates and takes ``len`` as the list
+    of all its rows does, without holding that list.
+    """
+
+    __slots__ = ("head", "first", "length")
+
+    def __init__(self, head, first: int, length: int):
+        self.head = tuple(head)
+        if not (0 <= first and len(self.head) <= length
+                and (first < len(self.head) or length == len(self.head))):
+            raise ValueError(f"no cycle from row {first} of {len(self.head)} "
+                             f"fills {length} rows")
+        self.first, self.length = first, length
+
+    @property
+    def cycle(self) -> tuple:
+        """The head rows that repeat."""
+        return self.head[self.first:]
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self.length))]
+        s = index.__index__()
+        if s < 0:
+            s += self.length
+        if not 0 <= s < self.length:
+            raise IndexError("TiledRows index out of range")
+        if s < len(self.head):
+            return self.head[s]
+        period = len(self.head) - self.first
+        return (s, *self.head[self.first + (s - self.first) % period][1:])
+
+    def __iter__(self):
+        yield from self.head
+        if self.length > len(self.head):
+            columns = list(zip(*self.cycle))[1:]
+            yield from zip(range(len(self.head), self.length), *map(itertools.cycle, columns))
+
+    def column(self, i: int) -> list:
+        """Column ``i`` of every row."""
+        column = list(map(operator.itemgetter(i), self.head))
+        tiled = self.length - len(self.head)
+        if tiled and i == 0:
+            column.extend(range(len(self.head), self.length))
+        elif tiled:
+            column.extend(itertools.islice(itertools.cycle(column[self.first:]), tiled))
+        return column
+
+
+class _Echo:
+    """A file whose ``write`` hands the text back: ``csv.writer(_Echo()).writerow``
+    returns the line it would write."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write the header and rows as csv writes them: a str as it is, a float
     (numpy's included) by repr, anything else by str, and None as an empty
-    field."""
+    field.
+
+    Of ``TiledRows``, the head is written row by row; each cycle row is
+    formatted once, after its row number, and each repeat is written as its
+    own row number and that text.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        if not isinstance(rows, TiledRows):
+            writer.writerows(rows)
+            return
+        writer.writerows(rows.head)
+        if len(rows) == len(rows.head):  # no cycle, as of a fish that dies
+            return
+        # a row numbered 0 is written "0" and then the rest of its line
+        line = csv.writer(_Echo(), writer.dialect).writerow
+        tails = itertools.cycle([line((0, *row[1:]))[1:] for row in rows.cycle])
+        steps = range(len(rows.head), rows.length)
+        fh.write("".join([f"{s}{tail}" for s, tail in zip(steps, tails)]))
 
 
 @dataclass
@@ -98,9 +192,39 @@ def _axis(lo: float, hi: float, start: float, length: float):
     return lambda vs: [start + (v / 2 - lo) / span * length for v in vs]
 
 
+def _finite(xs: list, ys: list) -> tuple[list, list]:
+    """The points (x, y) of the two columns with both coordinates finite."""
+    if math.isfinite(sum(xs)) and math.isfinite(sum(ys)):  # an inf or a NaN makes its sum one
+        return xs, ys
+    keep = list(map(operator.and_, map(math.isfinite, xs), map(math.isfinite, ys)))
+    return list(itertools.compress(xs, keep)), list(itertools.compress(ys, keep))
+
+
+def _in_order(xs: list, ys: list) -> tuple[list, list]:
+    """The points sorted by x, then y; a trace's steps are in order already."""
+    if all(map(operator.lt, xs, itertools.islice(xs, 1, None))):
+        return xs, ys
+    points = sorted(zip(xs, ys))
+    return [x for x, _ in points], [y for _, y in points]
+
+
+def _polyline_points(xs: list, ys: list, px, py) -> str:
+    """The pixel pairs "x,y" of the points, placed by ``px`` and ``py``.
+
+    A long trace takes few distinct y, so each is placed and formatted once.
+    Where no y repeats (a fish that starves), a point is one format call.
+    """
+    distinct = list(set(ys))  # 0.0 and -0.0 are one key; both land on one pixel
+    if len(distinct) == len(ys):
+        return " ".join(["%.2f,%.2f" % xy for xy in zip(px(xs), py(ys))])
+    y_text = dict(zip(distinct, [",%.2f" % y for y in py(distinct)]))
+    return " ".join(map(operator.add, ["%.2f" % x for x in px(xs)],
+                        map(y_text.__getitem__, ys)))
+
+
 def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
-    """Render columns of ``rows`` (a list of rows under ``header``, as given
-    to ``write_csv``) to a self-contained SVG; deterministic for fixed rows.
+    """Render columns of ``rows`` (rows under ``header``, as given to
+    ``write_csv``) to a self-contained SVG; deterministic for fixed rows.
 
     Each point is ``float(x), float(y)``; the series label is the ``str`` of
     the series cell.  A column not in the header is a ValueError.
@@ -109,26 +233,29 @@ def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
         if col is not None and col not in header:
             raise ValueError(f"{spec.output_svg}: missing column {col!r}")
 
-    xi, yi = header.index(spec.x_column), header.index(spec.y_column)
+    column = (rows.column if isinstance(rows, TiledRows)
+              else lambda i: list(map(operator.itemgetter(i), rows)))
+    xs = list(map(float, column(header.index(spec.x_column))))
+    ys = list(map(float, column(header.index(spec.y_column))))
     if spec.series_column is None:
-        groups = {"": rows} if rows else {}
+        groups = {"": (xs, ys)} if xs else {}
     else:
-        si = header.index(spec.series_column)
         groups = {}
-        for row in rows:
-            groups.setdefault(str(row[si]), []).append(row)
-    get_x, get_y, isfinite = itemgetter(xi), itemgetter(yi), math.isfinite
+        for key, x, y in zip(map(str, column(header.index(spec.series_column))), xs, ys):
+            group_x, group_y = groups.setdefault(key, ([], []))
+            group_x.append(x)
+            group_y.append(y)
     # a non-finite point (say, the mean price of an auction with no sale) has
     # no place on the axes; its series keeps its label
-    series: dict[str, list[tuple[float, float]]] = {}
-    for key, group in groups.items():
-        points = zip(map(float, map(get_x, group)), map(float, map(get_y, group)))
-        series[key] = [(x, y) for x, y in points if isfinite(x) and isfinite(y)]
+    series = {key: _finite(*group) for key, group in groups.items()}
 
-    xs = [p[0] for pts in series.values() for p in pts] or [0.0, 1.0]
-    ys = [p[1] for pts in series.values() for p in pts] or [0.0, 1.0]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    all_x, all_y = [], []
+    for series_x, series_y in series.values():
+        all_x += series_x
+        all_y += series_y
+    all_x, all_y = all_x or [0.0, 1.0], all_y or [0.0, 1.0]  # no finite point
+    x_lo, x_hi = min(all_x), max(all_x)
+    y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -168,15 +295,13 @@ def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
 
     for idx, key in enumerate(sorted(series)):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        pts = sorted(series[key])
-        svg_xy = zip(px([x for x, _ in pts]), py([y for _, y in pts]))
+        xs, ys = _in_order(*series[key])
         if spec.kind == "line":
-            coords = " ".join(["%.2f,%.2f" % xy for xy in svg_xy])
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{coords}"/>')
+                f'points="{_polyline_points(xs, ys, px, py)}"/>')
         else:
-            for x, y in svg_xy:
+            for x, y in zip(px(xs), py(ys)):
                 parts.append(
                     f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
                     f'fill="{color}" fill-opacity="0.6"/>')

@@ -66,6 +66,9 @@ INVALID_CONFIG_VALUES = [
     ("variant_flip_prob", -0.1), ("variant_flip_prob", 1.5),
     ("variant_flip_prob", float("nan")),
     ("finetune_rounds", -1), ("selective_eps", 0.0), ("selective_eps", float("nan")),
+    # a value of the wrong type: a float for an integer, a string, a bool
+    ("max_rounds", 2.5), ("d_ic", 5.0), ("variant_count", 16.0), ("finetune_rounds", 0.5),
+    ("base_price", "5"), ("d_ic", True),
 ]
 
 

@@ -257,6 +257,19 @@ def test_config_file_overrides(tmp_path):
     assert len((out / "trace.csv").read_text().splitlines()) == 51
 
 
+def test_config_file_override_does_not_outlive_its_command(tmp_path):
+    # the parser is built once per process; a --config value lands on that
+    # command's arguments only, so the next command gets the default steps
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 50}))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert dispatch(["fish1d", "run", "--out", str(first), "--config", str(cfg)]) == 0
+    assert dispatch(["fish1d", "run", "--out", str(second)]) == 0
+    assert len((first / "trace.csv").read_text().splitlines()) == 51
+    assert len((second / "trace.csv").read_text().splitlines()) == 10001
+    assert json.loads((second / "manifest.json").read_text())["config"]["steps"] == 10000
+
+
 def test_config_file_unknown_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))

@@ -8,7 +8,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from selfreward import fish1d
@@ -43,6 +43,7 @@ from selfreward.fish1d import (
     world_step,
 )
 from selfreward.layers import cross_entropy_self
+from selfreward.reporting import PlotSpec, emit_plot, write_csv
 
 EPS = 0.01
 A_OFF = EPS / (0.25 + EPS)  # detector response to an empty window
@@ -323,7 +324,7 @@ def energies(trace):
 
 def test_empty_episode(nn, pfc):
     w, s = make_world(0, nn.config)
-    assert run_episode(nn, pfc, w, s, 0) == []
+    assert list(run_episode(nn, pfc, w, s, 0)) == []
 
 
 def test_untrained_fish_survives_long_run(nn, pfc):
@@ -372,7 +373,7 @@ def test_trace_is_deterministic(nn, pfc):
     t1 = run_episode(nn, pfc, *make_world(5, nn.config), 500)
     nn2, pfc2 = FishNN(FishConfig()), FishPFC()
     t2 = run_episode(nn2, pfc2, *make_world(5, nn2.config), 500)
-    assert t1 == t2
+    assert list(t1) == list(t2)
 
 
 def test_starving_fish_ends_the_episode_and_stops_training():
@@ -427,7 +428,7 @@ def assert_episode_matches_reference(nn, seed, steps):
     trace = run_episode(nn, pfc, world, state, steps)
     ref_world, ref_state = make_world(seed, nn.config)
     want = reference_episode(nn, pfc, ref_world, ref_state, steps)
-    assert trace == want
+    assert list(trace) == want
     assert [row[1].hex() for row in trace] == [row[1].hex() for row in want]
     assert (world.offset, world.window) == (ref_world.offset, ref_world.window)
     assert state.energy.hex() == ref_state.energy.hex()
@@ -485,6 +486,53 @@ def test_episode_simulates_only_until_the_loop_closes(seed, monkeypatch):
         FishNN(FishConfig(eat_bias=-100.0)), seed, 20000)
     assert not state.alive
     assert len(calls) == len(trace) < 100
+
+
+def assert_reads_as(rows, want, data):
+    """``rows`` takes len, indexes (negative too) and slices as the list ``want``."""
+    assert len(rows) == len(want)
+    for _ in range(4):
+        i = data.draw(st.integers(-len(want) - 2, len(want) + 1), label="index")
+        if -len(want) <= i < len(want):
+            assert rows[i] == want[i]
+        else:
+            with pytest.raises(IndexError):
+                rows[i]
+    cut = data.draw(st.slices(len(want) + 3), label="slice")
+    assert rows[cut] == want[cut]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(food_period=st.integers(4, 9),
+       energy_decay=st.one_of(st.sampled_from([0.0, 0.05, 0.2]), st.floats(0.0, 0.6)),
+       eat_bias=st.one_of(st.sampled_from([0.0, 0.5, -100.0]), st.floats(-6.0, 2.0)),
+       train_steps=st.sampled_from([0, 0, 30]),
+       seed=st.integers(0, 10_000),
+       # none, one, fewer than a loop needs to close (it starts by step 15
+       # and lasts at most 16 at the default config), or many cycles
+       steps=st.one_of(st.sampled_from([0, 1]), st.integers(2, 40), st.integers(41, 5000)),
+       data=st.data())
+def test_tiled_trace_reads_and_reports_as_its_list(
+        tmp_path, food_period, energy_decay, eat_bias, train_steps, seed, steps, data):
+    config = FishConfig(food_period=food_period, energy_decay=energy_decay,
+                        eat_bias=eat_bias)
+    try:
+        nn = srd_train(train_steps, config, seed=seed)[0]
+    except ValueError:  # starved: run it untrained
+        nn = FishNN(config)
+    pfc = FishPFC()
+    trace = run_episode(nn, pfc, *make_world(seed, config), steps)
+    want = reference_episode(nn, pfc, *make_world(seed, config), steps)
+    assert list(trace) == want
+    assert_reads_as(trace, want, data)
+    for rows, name in ((trace, "tiled"), (want, "list")):
+        write_csv(tmp_path / f"{name}.csv", TRACE_COLUMNS, rows)
+        emit_plot(PlotSpec(x_column="step", y_column="F",
+                           output_svg=str(tmp_path / f"{name}.svg")), TRACE_COLUMNS, rows)
+    for suffix in ("csv", "svg"):
+        assert ((tmp_path / f"tiled.{suffix}").read_bytes()
+                == (tmp_path / f"list.{suffix}").read_bytes())
 
 
 def test_zero_training_steps_changes_nothing():
@@ -614,6 +662,9 @@ INVALID_CONFIG_VALUES = [
     ("eat_bias", math.nan), ("eat_bias", math.inf), ("move_delta", math.nan),
     ("move_delta", -math.inf),
     ("food_period", 3), ("mem", 0),
+    # a value of the wrong type: a float for an integer, a string, a bool
+    ("food_period", 4.5), ("mem", 2.5), ("mem", "8"), ("energy_decay", "0.05"),
+    ("mem", True),
 ]
 
 

@@ -557,6 +557,9 @@ INVALID_CONFIG_VALUES = [
     ("p_target", float("nan")), ("p_self", float("inf")), ("p_grass", -float("inf")),
     ("p_dirt", float("nan")), ("anti_return", float("nan")), ("anti_return", float("inf")),
     ("unknown_avoidance", float("inf")), ("unknown_avoidance", float("nan")),
+    # a value of the wrong type: a float for an integer, a string, a bool
+    ("height", 12.0), ("width", 0.5), ("max_steps", 36.5), ("n_plans", 4.0),
+    ("p_target", "10"), ("n_plans", True),
 ]
 
 

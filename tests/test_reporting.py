@@ -21,6 +21,7 @@ from selfreward.params import (
 from selfreward.reporting import (
     PlotSpec,
     RunManifest,
+    TiledRows,
     emit_plot,
     write_csv,
 )
@@ -313,3 +314,59 @@ def test_plot_of_rows_in_hand_matches_plot_of_the_csv(tmp_path, rows, kind):
     in_hand = emit_plot(spec, HEADER, rows).read_bytes()
     assert emit_plot(spec, header, text_rows).read_bytes() == in_hand
     assert b"nan" not in in_hand and b"inf" not in in_hand
+
+
+CELLS = (st.floats() | st.integers() | st.booleans() | st.none()
+         | st.text(alphabet=",\"\n\r ab", max_size=3))
+
+
+@st.composite
+def tiled_rows(draw, cells=CELLS, width=st.integers(1, 4)):
+    """TiledRows of ``width`` columns, their cycle (if any) from a drawn row."""
+    n = draw(width)
+    head = [(s, *draw(st.tuples(*[cells] * (n - 1))))
+            for s in range(draw(st.integers(0, 6)))]
+    if not head or draw(st.booleans()):
+        return TiledRows(head, len(head), len(head))
+    return TiledRows(head, draw(st.integers(0, len(head) - 1)),
+                     draw(st.integers(len(head), 60)))
+
+
+def test_tiled_rows_refuse_a_length_no_cycle_fills():
+    with pytest.raises(ValueError):
+        TiledRows([(0, "a")], 1, 5)
+    with pytest.raises(ValueError):
+        TiledRows([(0, "a"), (1, "b")], 0, 1)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=tiled_rows(), data=st.data())
+def test_tiled_rows_read_and_write_as_their_list(tmp_path, rows, data):
+    period = len(rows.head) - rows.first
+    want = [*rows.head, *[(s, *rows.head[rows.first + (s - rows.first) % period][1:])
+                          for s in range(len(rows.head), len(rows))]]
+    assert list(rows) == want and len(rows) == len(want)
+    for i in data.draw(st.lists(st.integers(-len(want) - 2, len(want) + 1), max_size=4)):
+        if -len(want) <= i < len(want):
+            assert rows[i] == want[i]
+        else:
+            with pytest.raises(IndexError):
+                rows[i]
+    cut = data.draw(st.slices(len(want) + 3))
+    assert rows[cut] == want[cut]
+    header = [f"c{i}" for i in range(len(want[0]) if want else 1)]
+    write_csv(tmp_path / "tiled.csv", header, rows)
+    write_csv(tmp_path / "list.csv", header, want)
+    assert (tmp_path / "tiled.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=tiled_rows(st.floats(width=64) | st.integers(-5, 5) | EXTREMES, st.just(3)),
+       series=st.booleans(), kind=st.sampled_from(["line", "scatter"]))
+def test_tiled_rows_plot_as_their_list(tmp_path, rows, series, kind):
+    spec = PlotSpec(x_column="x", y_column="y", series_column="grp" if series else None,
+                    output_svg=str(tmp_path / "p.svg"), kind=kind)
+    tiled = emit_plot(spec, HEADER, rows).read_bytes()
+    assert emit_plot(spec, HEADER, list(rows)).read_bytes() == tiled
