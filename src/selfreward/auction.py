@@ -132,7 +132,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configs import check_field_types
-from .layers import selective_core, tau, tau_slope
+from .neurons import selective_core, tau, tau_slope
 
 __all__ = [
     "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Markets", "Offer",

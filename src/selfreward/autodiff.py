@@ -20,10 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-
-class ShapeError(ValueError):
-    """Operand shapes disagree; message names both shapes."""
-
+from .neurons import ShapeError
 
 _RECORDING = True
 

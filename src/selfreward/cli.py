@@ -6,6 +6,12 @@ line in ``manifest.json`` as ``argv``; ``dispatch(manifest["argv"])``, run
 from the same directory, rewrites every other file byte for byte.  A command
 that raises ValueError (a bad --config, bank, params document or config
 field) or OSError exits 2 with the message.
+
+A process imports only what its command runs: this module loads numpy and
+the ``params`` and ``reporting`` modules every command writes through, and
+each ``cmd_*`` function imports its own scenario.  So ``auction run`` never
+loads the autodiff engine, ``lavaland`` commands never load ``layers``, and
+no command loads another scenario.
 """
 
 from __future__ import annotations
@@ -19,9 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fish1d
-from . import auction as auction_mod
-from . import lavaland as lava_mod
+from . import __version__
 from .params import load_params, save_params
 from .reporting import PlotSpec, RunManifest, emit_plot, write_csv
 
@@ -112,6 +116,8 @@ def _table(out_dir: Path, name: str, header, rows, *plots: PlotSpec) -> list[Pat
 
 
 def cmd_fish_run(args):
+    from . import fish1d
+
     out_dir = Path(args.out)
     config = fish1d.FishConfig()
     nn, pfc = fish1d.FishNN(config), fish1d.FishPFC()
@@ -130,6 +136,8 @@ def cmd_fish_run(args):
 
 
 def cmd_fish_train(args):
+    from . import fish1d
+
     nn, _, losses = fish1d.srd_train(args.iters, fish1d.FishConfig(), seed=args.seed)
     save_params(args.out, nn.export_params(),
                 meta={"scenario": "fish1d", "iters": args.iters, "seed": args.seed})
@@ -141,18 +149,20 @@ def cmd_fish_train(args):
 
 
 def cmd_auction_run(args):
+    from . import auction
+
     out_dir = Path(args.out)
-    rows, purchases = auction_mod.run_experiment(args.r_grid, args.trials, args.seed,
-                                                 args.optim, args.malicious_frac)
+    rows, purchases = auction.run_experiment(args.r_grid, args.trials, args.seed,
+                                             args.optim, args.malicious_frac)
     results = _table(
-        out_dir, "results.csv", auction_mod.RESULT_COLUMNS, rows,
+        out_dir, "results.csv", auction.RESULT_COLUMNS, rows,
         PlotSpec(x_column="r", y_column="price", series_column="condition",
                  output_svg=str(out_dir / "price_vs_supply.svg"), kind="scatter",
                  title="purchase price vs item supply"),
         PlotSpec(x_column="r", y_column="purchase_rate", series_column="condition",
                  output_svg=str(out_dir / "rate_vs_supply.svg"), kind="scatter",
                  title="purchase rate vs item supply"))
-    outputs = results + _table(out_dir, "purchases.csv", auction_mod.PURCHASE_COLUMNS,
+    outputs = results + _table(out_dir, "purchases.csv", auction.PURCHASE_COLUMNS,
                                purchases)
     print(f"wrote {results[0]} ({len(rows)} trials over {len(args.r_grid)} supply points)")
     return out_dir, None, outputs
@@ -162,16 +172,20 @@ def cmd_auction_run(args):
 
 
 def cmd_lava_gen(args):
-    bank = lava_mod.generate_maps(args.count, args.preset, args.seed)
-    lava_mod.save_bank(args.out, bank)
+    from . import lavaland
+
+    bank = lavaland.generate_maps(args.count, args.preset, args.seed)
+    lavaland.save_bank(args.out, bank)
     print(f"wrote {args.out} ({args.count} {args.preset} maps)")
 
 
 def cmd_lava_train(args):
-    bank = lava_mod.load_bank(args.bank)
-    config = lava_mod.PRESETS[bank.preset]
-    params = lava_mod.Robot2NNParams()
-    losses = lava_mod.srd_train_lavaland(params, bank, config, seed=args.seed)
+    from . import lavaland
+
+    bank = lavaland.load_bank(args.bank)
+    config = lavaland.PRESETS[bank.preset]
+    params = lavaland.Robot2NNParams()
+    losses = lavaland.srd_train_lavaland(params, bank, config, seed=args.seed)
     save_params(args.out, params.export(),
                 meta={"scenario": "lavaland", "preset": bank.preset, "seed": args.seed})
     print(f"wrote {args.out} (mean loss {float(np.mean(losses)):.4f} "
@@ -179,12 +193,14 @@ def cmd_lava_train(args):
 
 
 def cmd_lava_eval(args):
-    bank = lava_mod.load_bank(args.bank)
-    params = lava_mod.Robot2NNParams()
+    from . import lavaland
+
+    bank = lavaland.load_bank(args.bank)
+    params = lavaland.Robot2NNParams()
     if args.params:
         params.load(load_params(args.params, scenario="lavaland",
                                 template=params.export()))
-    result = lava_mod.evaluate(params, bank, lava_mod.PRESETS[bank.preset], seed=args.seed)
+    result = lavaland.evaluate(params, bank, lavaland.PRESETS[bank.preset], seed=args.seed)
     report = Path(args.report)
     hist_rows = [[tile, count, n] for tile in ("grass", "dirt", "lava")
                  for count, n in result.traversal_histogram(tile).items()]
@@ -193,8 +209,8 @@ def cmd_lava_eval(args):
         PlotSpec(x_column="tiles_traversed", y_column="episodes", series_column="tile",
                  output_svg=str(report / "traversal.svg"),
                  title="tiles traversed per episode"))
-    outputs += _table(report, "kernels.csv", lava_mod.KERNEL_COLUMNS,
-                      lava_mod.inspect_kernels(params))
+    outputs += _table(report, "kernels.csv", lavaland.KERNEL_COLUMNS,
+                      lavaland.inspect_kernels(params))
     acc_path = report / "accuracy.json"
     acc_path.write_text(json.dumps({
         "preset": bank.preset,
@@ -255,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True)
     gen = lava.add_parser("gen", help="generate a map bank")
     gen.add_argument("--count", type=_at_least(1), default=4096)
-    gen.add_argument("--preset", required=True, choices=sorted(lava_mod.PRESETS))
+    gen.add_argument("--preset", required=True,
+                     help="map preset; an unknown name is refused with the list of presets")
     gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True, help="bank JSON to write")
     gen.set_defaults(func=cmd_lava_gen)

@@ -100,22 +100,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffTensor, ShapeError, as_tensor, concat
+from .autodiff import DiffTensor, as_tensor, concat
 # Unused here since training left the engine; bench/test_bench.py still checks
 # that the tracer rebinds fish1d.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
 from .configs import check_field_types
 from .layers import (
     conv1d,
-    cross_entropy2_float,
     fully_connected,
     selective_activation,
-    selective_core,
     softmax,
+    threshold_activation,
+)
+from .neurons import (
+    ShapeError,
+    cross_entropy2_float,
+    selective_core,
     softmax2_float,
     tau_float,
     tau_slope_float,
-    threshold_activation,
 )
 from .reporting import TiledRows
 

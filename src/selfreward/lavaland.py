@@ -85,12 +85,11 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .autodiff import ShapeError
 # Unused here since lavaland left the engine; bench/test_bench.py still checks
 # that the tracer rebinds lavaland.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
 from .configs import check_field_types
-from .layers import deconv_shifts, selective_core
+from .neurons import ShapeError, deconv_shifts, selective_core
 
 PALETTE = {
     "target": np.array([1.0, 1.0, 0.0]),
@@ -421,7 +420,7 @@ def _deconv_taps(h: int, w: int, transpose: bool = False) -> np.ndarray:
     """Gather indices of a 3x3 transposed convolution of an h x w grid.
 
     The grid is a flat row of h*w + 1 cells whose last cell is a zero slot.
-    Entry [s, c] indexes the input cell that ``layers.deconv_shifts`` term s
+    Entry [s, c] indexes the input cell that ``neurons.deconv_shifts`` term s
     deposits into output cell c; with ``transpose`` it is the output cell
     that input cell c feeds through term s, as the kernel gradient reads it.
     A tap that falls outside the grid indexes the zero slot.  Read-only: the
@@ -442,7 +441,7 @@ def _deconv_stack(grids_ext: np.ndarray, taps: np.ndarray, kernels: np.ndarray) 
     """Transposed 3x3 convolution of n flat grids with n kernels at once.
 
     ``grids_ext`` is (n, h*w + 1) with a zero last column, ``kernels`` is
-    (n, 3, 3).  Every cell sums its nine terms in ``layers.deconv_shifts``
+    (n, 3, 3).  Every cell sums its nine terms in ``neurons.deconv_shifts``
     order, as ``layers.deconv3x3`` does; the terms of dropped deposits are
     exact zeros, so each sum rounds the same way.
     """

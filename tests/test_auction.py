@@ -32,12 +32,8 @@ from selfreward.auction import (
     server_step,
     srd_finetune,
 )
-from selfreward.layers import (
-    LEAK_SLOPE,
-    cross_entropy_self,
-    fully_connected,
-    threshold_activation,
-)
+from selfreward.layers import cross_entropy_self, fully_connected, threshold_activation
+from selfreward.neurons import LEAK_SLOPE
 
 
 def fresh_model(seed=0, **config_kw):

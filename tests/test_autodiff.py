@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import selfreward
+from selfreward import autodiff, layers
+
 from selfreward.autodiff import (
     DiffTensor,
     SgdSettings,
@@ -171,3 +174,30 @@ def test_sgd_descends_convex_quadratic():
         backward(loss)
         sgd_step([theta], SgdSettings(learning_rate=0.1))
     assert all(b < a for a, b in zip(losses, losses[1:]))
+
+
+def test_package_exports_every_name_from_its_module():
+    for name in selfreward.__all__:
+        home = autodiff if hasattr(autodiff, name) else layers
+        assert getattr(selfreward, name) is getattr(home, name), name
+    assert selfreward.backward is autodiff.backward
+    assert selfreward.ShapeError is autodiff.ShapeError is layers.ShapeError
+    namespace = {}
+    exec("from selfreward import *", namespace)
+    assert set(selfreward.__all__) <= namespace.keys()
+    assert set(selfreward.__all__) <= set(dir(selfreward))
+
+
+def test_package_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="no attribute 'backwards'"):
+        getattr(selfreward, "backwards")
+
+
+def test_package_export_follows_a_rebinding_in_its_module(monkeypatch):
+    original = autodiff.backward
+    sentinel = object()
+    with monkeypatch.context() as patch:
+        patch.setattr(autodiff, "backward", sentinel)
+        assert selfreward.backward is sentinel
+    assert selfreward.backward is original
+    assert "backward" not in vars(selfreward)

@@ -36,13 +36,17 @@ def test_missing_required_flag_named(capsys):
     assert "--bank" in capsys.readouterr().err
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(selfreward.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def run_module(*args):
     """``python -m selfreward.cli ARGS`` in a fresh interpreter."""
-    src = str(Path(selfreward.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, "-m", "selfreward.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_env(), timeout=120)
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):
@@ -338,6 +342,40 @@ def test_auction_malicious_frac_outside_unit_interval_rejected_before_running(
                            "--malicious-frac", frac, "--out", str(tmp_path)])
     assert f"argument --malicious-frac: expected a number in [0, 1], got '{frac}'" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lavaland_gen_unknown_preset_exits_two_naming_every_preset(tmp_path, capsys):
+    # refused by generate_maps, not by argparse, so the parser loads no scenario
+    rc = dispatch(["lavaland", "gen", "--preset", "nope", "--count", "2",
+                   "--out", str(tmp_path / "bank.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("unknown preset 'nope'; choose from "
+            "['compare-a', 'lava-a', 'lava-noav-a', 'project-a']") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, loads, unloaded", [
+    ([], set(), {"autodiff", "layers", "fish1d", "auction", "lavaland", "streams"}),
+    (["auction", "run", "--trials", "1", "--r-grid", "0.5:0.5:1", "--out", "{tmp}/a"],
+     {"auction"}, {"autodiff", "layers", "fish1d", "lavaland"}),
+    (["fish1d", "run", "--steps", "10", "--out", "{tmp}/f"],
+     {"fish1d"}, {"auction", "lavaland"}),
+    (["lavaland", "gen", "--preset", "lava-a", "--count", "2", "--out", "{tmp}/bank.json"],
+     {"lavaland"}, {"fish1d", "auction", "layers"}),
+], ids=["import", "auction-run", "fish1d-run", "lavaland-gen"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, loads, unloaded):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code = ("import sys; from selfreward.cli import dispatch\n"
+            "code = dispatch(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('selfreward.')))\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=fresh_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.split(".", 1)[1] for m in proc.stdout.splitlines()[-1].split()}
+    assert loads <= loaded
+    assert not loaded & unloaded, sorted(loaded & unloaded)
 
 
 def test_lavaland_gen_nonpositive_count_exits_two_naming_it(tmp_path, capsys):

@@ -18,20 +18,22 @@ from selfreward.autodiff import (
 )
 from selfreward.layers import (
     conv1d,
-    cross_entropy2_float,
     cross_entropy_self,
-    cross_entropy_self_values,
     deconv3x3,
     fully_connected,
     selective_activation,
     softmax,
+    threshold_activation,
+)
+from selfreward.neurons import (
+    cross_entropy2_float,
+    cross_entropy_self_values,
     softmax2_float,
     softmax_values,
     tau,
     tau_float,
     tau_slope,
     tau_slope_float,
-    threshold_activation,
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
