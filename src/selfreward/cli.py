@@ -9,9 +9,10 @@ field) or OSError exits 2 with the message.
 
 A process imports only what its command runs: this module loads numpy and
 the ``params`` and ``reporting`` modules every command writes through, and
-each ``cmd_*`` function imports its own scenario.  So ``auction run`` never
-loads the autodiff engine, ``lavaland`` commands never load ``layers``, and
-no command loads another scenario.
+each ``cmd_*`` function imports its own scenario; ``lavaland gen`` imports
+only the maps module, ``lavamaps``.  So ``auction run`` and ``lavaland gen``
+never load the autodiff engine, ``lavaland`` commands never load ``layers``,
+and no command loads another scenario.
 """
 
 from __future__ import annotations
@@ -172,10 +173,10 @@ def cmd_auction_run(args):
 
 
 def cmd_lava_gen(args):
-    from . import lavaland
+    from . import lavamaps
 
-    bank = lavaland.generate_maps(args.count, args.preset, args.seed)
-    lavaland.save_bank(args.out, bank)
+    bank = lavamaps.generate_maps(args.count, args.preset, args.seed)
+    lavamaps.save_bank(args.out, bank)
     print(f"wrote {args.out} ({args.count} {args.preset} maps)")
 
 

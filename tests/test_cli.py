@@ -362,7 +362,7 @@ def test_lavaland_gen_unknown_preset_exits_two_naming_every_preset(tmp_path, cap
     (["fish1d", "run", "--steps", "10", "--out", "{tmp}/f"],
      {"fish1d"}, {"auction", "lavaland"}),
     (["lavaland", "gen", "--preset", "lava-a", "--count", "2", "--out", "{tmp}/bank.json"],
-     {"lavaland"}, {"fish1d", "auction", "layers"}),
+     {"lavamaps"}, {"lavaland", "autodiff", "layers", "neurons", "fish1d", "auction"}),
 ], ids=["import", "auction-run", "fish1d-run", "lavaland-gen"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, loads, unloaded):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -724,8 +724,11 @@ def test_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
 # checked their own options): plots drawn from the rows in hand, rows written
 # by csv alone, rows the runners return under their own columns and one
 # run-and-report path must keep every byte.  Training changes the paths on
-# the seed-6 bank, so the untrained evaluation pins reports of its own.
+# the seed-6 bank, so the untrained evaluation pins reports of its own.  The
+# bank itself was recorded from the code that generated each map cell by cell.
 REPORT_SHA256 = {
+    "bank.json":
+        "efc9fc6c7a29c6b188b3a8fe423a356147fcc5586d22fc4effa075191ffb3673",
     "fish/trace.csv":
         "ce06ef9ab63e515a92cdc123d8ba45cd0f9a595aa4184d76bfebd83c7cd723b8",
     "fish/energy.svg":
@@ -777,7 +780,8 @@ REPORT_SHA256 = {
 
 def report_digests(tmp_path) -> dict:
     """Run small fish, auction and lavaland commands (seed 0) and hash their
-    reports; trained parameters and trained kernels.csv are left out."""
+    reports and the lavaland bank; trained parameters and trained kernels.csv
+    are left out."""
     fish_params, bank, lava_params = (tmp_path / name for name in
                                       ("fish.json", "bank.json", "lava.json"))
     auction = ["auction", "run", "--trials", "2", "--r-grid", "0.25:0.5:2"]
@@ -813,8 +817,8 @@ def report_digests(tmp_path) -> dict:
         "lavaland_untrained": ["histograms.csv", "accuracy.json", "traversal.svg",
                                "kernels.csv"],
     }
-    return {f"{run}/{name}": hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest()
-            for run, names in reports.items() for name in names}
+    files = ["bank.json", *(f"{run}/{name}" for run, names in reports.items() for name in names)]
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in files}
 
 
 def test_reports_keep_their_bytes(tmp_path):

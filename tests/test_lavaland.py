@@ -29,6 +29,7 @@ from selfreward.autodiff import (
 from selfreward.layers import deconv3x3, selective_core
 from selfreward.lavaland import (
     KNOWN_TILES,
+    MAP_TRIES,
     PALETTE,
     PRESETS,
     SCORED_TILES,
@@ -166,6 +167,57 @@ def _engine_train(bank, config, seed):
 
 
 # -- map generation ------------------------------------------------------------
+
+
+def reference_generate_map(rng, config):
+    """``generate_map`` as first written, cell by cell: the reference that the
+    whole-grid version must equal, draw for draw."""
+    h, w = config.height, config.width
+    for _ in range(MAP_TRIES):
+        u = rng.random((h, w))
+        grid = np.where(u < config.lava_frac, "l",
+                        np.where(u < config.lava_frac + config.grass_frac, "g", "d"))
+        walkable = [(r, c) for r in range(h) for c in range(w) if grid[r, c] != "l"]
+        if len(walkable) < 2:
+            continue
+        pick = rng.choice(len(walkable), size=2, replace=False)
+        spawn, target = walkable[pick[0]], walkable[pick[1]]
+        grid[target] = "y"
+        rows = ["".join(grid[r]) for r in range(h)]
+        return TileMap(tiles=rows, spawn=spawn)
+    raise ValueError(f"lava_frac {config.lava_frac} left fewer than 2 walkable tiles "
+                     f"on a {h}x{w} map in {MAP_TRIES} draws; lower lava_frac")
+
+
+def assert_same_maps(maps, expected):
+    assert maps == expected
+    assert all(type(v) is int for m in maps for v in m.spawn)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_generated_banks_equal_the_per_cell_reference(preset):
+    for seed in range(8):
+        expected = [reference_generate_map(
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))),
+            PRESETS[preset]) for i in range(64)]
+        assert_same_maps(generate_maps(64, preset, seed).maps, expected)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(height=1, width=2), dict(height=2, width=1), dict(height=1, width=5),
+    # a 1x5 map keeps fewer than two walkable cells often, so these redraw
+    dict(height=1, width=5, lava_frac=0.5), dict(height=1, width=5, lava_frac=0.7),
+    dict(height=1, width=5, lava_frac=0.9), dict(height=2, width=1, lava_frac=0.5),
+    dict(grass_frac=0.0), dict(grass_frac=1.0), dict(lava_frac=0.1, grass_frac=1.0),
+    dict(height=3, width=4, lava_frac=0.6, grass_frac=0.7),
+], ids=str)
+def test_generate_map_equals_the_per_cell_reference_on_edge_configs(kw):
+    config = LavaConfig(**kw)
+    for seed in range(16):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_maps([generate_map(rng, config)],
+                         [reference_generate_map(reference_rng, config)])
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_bank_deterministic_and_sized():
@@ -410,6 +462,12 @@ def test_field_inputs_refuse_mixed_shapes_and_unknown_tiles():
     cfg = small_config()
     with pytest.raises(ValueError, match="must all be 4x4"):
         field_inputs([tiny_map(), TileMap(tiles=["dy", "dd"], spawn=(0, 0))], cfg)
+    # the same cell count in another shape is refused too
+    for first, second in [(["dy", "dd"], ["dydd"]), (["dydd"] * 3, ["ddyddd"] * 2)]:
+        h, w = len(first), len(first[0])
+        with pytest.raises(ValueError, match=f"must all be {h}x{w}"):
+            field_inputs([TileMap(tiles=first, spawn=(0, 0)),
+                          TileMap(tiles=second, spawn=(0, 0))], cfg)
     with pytest.raises(ValueError, match="unknown tile characters"):
         field_inputs([TileMap(tiles=["dy", "dx"], spawn=(0, 0))], cfg)
 
@@ -524,6 +582,11 @@ def test_generate_map_gives_up_when_lava_leaves_no_room():
     with pytest.raises(ValueError, match="lava_frac"):
         generate_map(np.random.default_rng(0), LavaConfig(lava_frac=0.99999))
     assert time.perf_counter() - start < 1.0
+    message = ("lava_frac 0.999 left fewer than 2 walkable tiles on a 1x2 map "
+               "in 1000 draws; lower lava_frac")
+    for generate in (generate_map, reference_generate_map):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(np.random.default_rng(0), LavaConfig(height=1, width=2, lava_frac=0.999))
 
 
 def test_two_and_three_cell_maps_generate_train_and_evaluate():
