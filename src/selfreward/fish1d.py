@@ -77,7 +77,10 @@ and lasts 16 steps untrained and 11 after 500 training steps (seeds 0-31),
 or 6 after ``fish1d train``'s default 12 000 (seeds 0-7).  A fish that dies
 never repeats a state, since its energy falls strictly until it eats, so it
 steps every time and its trace has no cycle.  Training changes theta at
-every step and is always stepped.
+every step and is always stepped.  So the cost of a long ``fish1d run`` is
+its reports: at 20 000 steps it steps a few dozen times, and nearly all of
+its time goes to ``trace.csv`` and ``energy.svg``, which ``reporting``
+writes from the cycle a column at a time.
 
 ``FishConfig`` holds the rule on each of its fields, ``food_period`` and
 ``mem`` among them, once ``configs.check_field_types`` has checked their

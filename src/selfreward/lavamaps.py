@@ -157,8 +157,10 @@ def palette_indices(maps: list[TileMap]) -> np.ndarray:
     b, h, w = len(maps), maps[0].height, maps[0].width
     codes = np.frombuffer("".join(["".join(m.tiles) for m in maps]).encode("ascii", "replace"),
                           dtype=np.uint8)
-    # equal cell counts are not enough: a 1x4 map would be read as 2x2
-    if codes.size != b * h * w or any((m.height, m.width) != (h, w) for m in maps):
+    # equal cell counts are not enough: a 1x4 map would be read as 2x2, and
+    # rows of widths 2, 1 and 3 as 3x2
+    if codes.size != b * h * w or any(m.height != h or any(len(row) != w for row in m.tiles)
+                                      for m in maps):
         raise ValueError(f"maps to stack must all be {h}x{w}")
     tiles = _CHAR_CODES[codes].reshape(b, h, w)
     if tiles.min() < 0:

@@ -10,11 +10,32 @@ which round-trips, so the file and the plot hold the same numbers.
 Rows that end in a cycle repeated many times, as a closed loop's trace
 does, can be held as ``TiledRows``: the stepped rows, where their cycle
 starts and how many rows there are.  Both writers read such rows by the
-cycle and write the bytes of the list of all the rows.  ``write_csv``
-formats each cycle row once and writes each repeat as its row number and
-that text.  ``emit_plot`` reads any rows column by column, with no tuple
-per row, takes a ``TiledRows`` column from its cycle, and places and
-formats each distinct y of a line once.
+cycle and write the bytes of the list of all the rows.
+
+How each writer formats:
+
+- ``write_csv`` writes a list of rows, and the head of ``TiledRows``,
+  through ``csv.writer``.  It formats each cycle row once, as the text after
+  its row number, and writes all the repeats in one pass
+  (``_numbered_text``): a matrix with one whole cycle of rows per line,
+  whose tails are the same in every line, and whose row numbers' digits are
+  written by array arithmetic.
+- ``emit_plot`` reads the x and y columns as float64 arrays; a
+  ``TiledRows`` column is its head and its tiled cycle.  It drops
+  non-finite points, finds the ranges and checks the x order on the arrays,
+  and places every point by the elementwise float operations of ``_axis``,
+  so each pixel is the double that placing one value at a time gives.
+  Polyline and circle coordinates are written by ``_fixed2``, all at once;
+  tick labels and other single numbers by Python formatting.
+
+``_fixed2`` writes exactly the text of ``"%.2f" % v`` for each v in [0,
+2**40), and refuses anything else; a pixel lies in [28, 620].  A double v
+is m * 2**e with m an integer below 2**53, so 100 * v is 100m / 2**k
+exactly, with k = -e >= 13 there and 100m below 2**60, which int64 holds.
+The shift by k gives the floor of that fraction and the bits shifted out
+its exact remainder, and rounding half to even on them gives the correctly
+rounded integer that "%.2f" prints the digits of.  Past k = 62, v is below
+2**-9 and prints as 0.00, which a shift of 62 gives too.
 """
 
 from __future__ import annotations
@@ -27,6 +48,8 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 
@@ -79,15 +102,42 @@ class TiledRows(Sequence):
             columns = list(zip(*self.cycle))[1:]
             yield from zip(range(len(self.head), self.length), *map(itertools.cycle, columns))
 
-    def column(self, i: int) -> list:
-        """Column ``i`` of every row."""
-        column = list(map(operator.itemgetter(i), self.head))
+    def column(self, i: int) -> np.ndarray:
+        """Column ``i`` of every row, each cell as ``float`` reads it: the
+        head's cells, then the row numbers (``i == 0``) or the cycle's cells
+        tiled."""
+        head = np.fromiter(map(float, map(operator.itemgetter(i), self.head)),
+                           np.float64, len(self.head))
         tiled = self.length - len(self.head)
-        if tiled and i == 0:
-            column.extend(range(len(self.head), self.length))
-        elif tiled:
-            column.extend(itertools.islice(itertools.cycle(column[self.first:]), tiled))
-        return column
+        if i == 0:
+            tail = np.arange(len(self.head), self.length, dtype=np.float64)
+        else:
+            cycle = head[self.first:]
+            tail = np.tile(cycle, -(-tiled // max(cycle.size, 1)))[:tiled]
+        return np.concatenate([head, tail])
+
+
+# Text columns: the text of row i of a table is column i of a uint8 matrix,
+# its bytes top to bottom.  A column shorter than the matrix is padded with
+# _PAD, a byte that UTF-8 never writes, and the padding is dropped when the
+# columns are joined into one text.
+_PAD = 0xFF
+
+
+def _decimal(ints: np.ndarray, min_digits: int = 1) -> np.ndarray:
+    """The decimal digits of each non-negative integer of ``ints``, at least
+    ``min_digits`` of them, as text columns aligned to the bottom."""
+    top = int(ints.max()) if ints.size else 0
+    digits = max(min_digits, len(str(top)))
+    text = np.empty((digits, ints.size), np.uint8)
+    rest = ints.astype(np.int32) if top < 2 ** 31 else ints  # int32 divides faster
+    for row in range(digits - 1, -1, -1):
+        higher = rest // 10
+        text[row] = rest - 10 * higher + ord("0")
+        if row < digits - min_digits:  # a leading zero is no digit
+            np.putmask(text[row], rest == 0, _PAD)
+        rest = higher
+    return text
 
 
 class _Echo:
@@ -105,8 +155,8 @@ def write_csv(path, header: list[str], rows) -> None:
     field.
 
     Of ``TiledRows``, the head is written row by row; each cycle row is
-    formatted once, after its row number, and each repeat is written as its
-    own row number and that text.
+    formatted once, after its row number, and every repeat is written in
+    one pass by ``_numbered_text``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -121,9 +171,38 @@ def write_csv(path, header: list[str], rows) -> None:
             return
         # a row numbered 0 is written "0" and then the rest of its line
         line = csv.writer(_Echo(), writer.dialect).writerow
-        tails = itertools.cycle([line((0, *row[1:]))[1:] for row in rows.cycle])
-        steps = range(len(rows.head), rows.length)
-        fh.write("".join([f"{s}{tail}" for s, tail in zip(steps, tails)]))
+        tails = [line((0, *row[1:]))[1:].encode("utf-8") for row in rows.cycle]
+        fh.flush()  # the text so far, before the body's bytes
+        fh.buffer.write(_numbered_text(len(rows.head), rows.length, tails))
+
+
+def _numbered_text(start: int, stop: int, tails: list[bytes]) -> bytes:
+    """The rows ``b"%d" % s + tails[(s - start) % len(tails)]`` for s in
+    ``range(start, stop)``, concatenated.
+
+    The rows whose numbers have k digits are made at once, in a matrix with
+    one whole cycle of rows per line: every line holds the same tails, and
+    each row's k digits sit in the same columns of every line.  The rows of
+    the first and last lines that lie outside the k-digit numbers are cut.
+    """
+    period, pieces, low = len(tails), [], start
+    while low < stop:
+        k = len(str(low))
+        high = min(stop, 10 ** k)
+        ends = np.cumsum([0, *(k + len(tail) for tail in tails)])  # of each row in a line
+        first = low - (low - start) % period  # the number of a line's first row
+        lines = -(-(high - first) // period)
+        matrix = np.empty((lines, ends[-1]), np.uint8)
+        matrix[:] = np.frombuffer(b"".join(b"0" * k + tail for tail in tails), np.uint8)
+        # the last k digits: the rows that are cut may have more or fewer
+        digits = _decimal(np.arange(first, first + lines * period), k)[-k:]
+        for digit, row in enumerate(digits):
+            matrix[:, ends[:-1] + digit] = row.reshape(lines, period)
+        begin, end = (line * ends[-1] + ends[row]
+                      for line, row in (divmod(s - first, period) for s in (low, high)))
+        pieces.append(matrix.reshape(-1)[begin:end])
+        low = high
+    return b"".join(pieces)
 
 
 @dataclass
@@ -184,42 +263,64 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def _axis(lo: float, hi: float, start: float, length: float):
     """The pixel position of each value in [lo, hi] on an axis from ``start``
-    to ``start + length``."""
+    to ``start + length``, as an array."""
     if math.isfinite(hi - lo):
         span = (hi - lo) or 1.0  # past 2**53, lo + 1.0 == lo: keep a unit span
-        return lambda vs: [start + (v - lo) / span * length for v in vs]
+        return lambda vs: start + (np.asarray(vs, dtype=np.float64) - lo) / span * length
     lo, span = lo / 2, hi / 2 - lo / 2  # a span past the largest double: halve each value
-    return lambda vs: [start + (v / 2 - lo) / span * length for v in vs]
+    return lambda vs: start + (np.asarray(vs, dtype=np.float64) / 2 - lo) / span * length
 
 
-def _finite(xs: list, ys: list) -> tuple[list, list]:
+def _fixed2(values: np.ndarray) -> np.ndarray:
+    """The text of ``"%.2f" % v`` for each v of ``values`` in [0, 2**40), as
+    text columns; why it is exact is in the module docstring.  A value
+    outside that range (-0.0, NaN and inf included) is a ValueError."""
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all((v < 2.0 ** 40) & ~np.signbit(v)):  # NaN fails the first test
+        raise ValueError("_fixed2 formats values in [0, 2**40) only")
+    mantissa, exponent = np.frexp(v)
+    scaled = (mantissa * 2.0 ** 53).astype(np.int64) * 100
+    shift = np.minimum(53 - exponent.astype(np.int64), 62)
+    # floor(scaled / 2**k) + 1 exactly when the remainder passes half, or
+    # equals it on an odd floor
+    cents = (scaled + ((1 << (shift - 1)) - 1 + ((scaled >> shift) & 1))) >> shift
+    digits = _decimal(cents, 3)
+    return np.concatenate([digits[:-2], np.full((1, v.size), ord("."), np.uint8), digits[-2:]])
+
+
+def _points_text(pieces: tuple[str, str, str], xs: np.ndarray, ys: np.ndarray) -> str:
+    """Row i is ``pieces[0]``, the "%.2f" text of ``xs[i]``, ``pieces[1]``,
+    that of ``ys[i]`` and ``pieces[2]``; the rows, concatenated."""
+    first, middle, last = (np.frombuffer(piece.encode("utf-8"), np.uint8)[:, None]
+                           for piece in pieces)
+    blocks = [first, _fixed2(xs), middle, _fixed2(ys), last]
+    text = np.empty((sum(map(len, blocks)), xs.size), np.uint8)
+    top = 0
+    for block in blocks:
+        text[top:top + len(block)] = block
+        top += len(block)
+    return text.T.tobytes().replace(bytes([_PAD]), b"").decode("utf-8")
+
+
+def _column(rows, i: int) -> np.ndarray:
+    """Column ``i`` of ``rows``, each cell as ``float`` reads it."""
+    if isinstance(rows, TiledRows):
+        return rows.column(i)
+    return np.fromiter(map(float, map(operator.itemgetter(i), rows)), np.float64)
+
+
+def _finite(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points (x, y) of the two columns with both coordinates finite."""
-    if math.isfinite(sum(xs)) and math.isfinite(sum(ys)):  # an inf or a NaN makes its sum one
-        return xs, ys
-    keep = list(map(operator.and_, map(math.isfinite, xs), map(math.isfinite, ys)))
-    return list(itertools.compress(xs, keep)), list(itertools.compress(ys, keep))
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    return (xs, ys) if keep.all() else (xs[keep], ys[keep])
 
 
-def _in_order(xs: list, ys: list) -> tuple[list, list]:
+def _in_order(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points sorted by x, then y; a trace's steps are in order already."""
-    if all(map(operator.lt, xs, itertools.islice(xs, 1, None))):
+    if np.all(xs[1:] > xs[:-1]):
         return xs, ys
-    points = sorted(zip(xs, ys))
-    return [x for x, _ in points], [y for _, y in points]
-
-
-def _polyline_points(xs: list, ys: list, px, py) -> str:
-    """The pixel pairs "x,y" of the points, placed by ``px`` and ``py``.
-
-    A long trace takes few distinct y, so each is placed and formatted once.
-    Where no y repeats (a fish that starves), a point is one format call.
-    """
-    distinct = list(set(ys))  # 0.0 and -0.0 are one key; both land on one pixel
-    if len(distinct) == len(ys):
-        return " ".join(["%.2f,%.2f" % xy for xy in zip(px(xs), py(ys))])
-    y_text = dict(zip(distinct, [",%.2f" % y for y in py(distinct)]))
-    return " ".join(map(operator.add, ["%.2f" % x for x in px(xs)],
-                        map(y_text.__getitem__, ys)))
+    order = np.lexsort((ys, xs))  # stable, as sorted() on (x, y) pairs is
+    return xs[order], ys[order]
 
 
 def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
@@ -233,29 +334,25 @@ def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
         if col is not None and col not in header:
             raise ValueError(f"{spec.output_svg}: missing column {col!r}")
 
-    column = (rows.column if isinstance(rows, TiledRows)
-              else lambda i: list(map(operator.itemgetter(i), rows)))
-    xs = list(map(float, column(header.index(spec.x_column))))
-    ys = list(map(float, column(header.index(spec.y_column))))
+    xs = _column(rows, header.index(spec.x_column))
+    ys = _column(rows, header.index(spec.y_column))
     if spec.series_column is None:
-        groups = {"": (xs, ys)} if xs else {}
+        groups = {"": slice(None)} if xs.size else {}
     else:
         groups = {}
-        for key, x, y in zip(map(str, column(header.index(spec.series_column))), xs, ys):
-            group_x, group_y = groups.setdefault(key, ([], []))
-            group_x.append(x)
-            group_y.append(y)
+        keys = map(str, map(operator.itemgetter(header.index(spec.series_column)), rows))
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
     # a non-finite point (say, the mean price of an auction with no sale) has
     # no place on the axes; its series keeps its label
-    series = {key: _finite(*group) for key, group in groups.items()}
+    series = {key: _finite(xs[index], ys[index]) for key, index in groups.items()}
 
-    all_x, all_y = [], []
-    for series_x, series_y in series.values():
-        all_x += series_x
-        all_y += series_y
-    all_x, all_y = all_x or [0.0, 1.0], all_y or [0.0, 1.0]  # no finite point
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
+    all_x = np.concatenate([np.empty(0), *(x for x, _ in series.values())])
+    all_y = np.concatenate([np.empty(0), *(y for _, y in series.values())])
+    if not all_x.size:  # no finite point
+        all_x = all_y = np.array([0.0, 1.0])
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -296,15 +393,16 @@ def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
     for idx, key in enumerate(sorted(series)):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
         xs, ys = _in_order(*series[key])
+        # each point lies in [lo, hi] on both axes, and the rounding of each
+        # operation of _axis is monotonic, so its pixels lie on the plot area
         if spec.kind == "line":
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{_polyline_points(xs, ys, px, py)}"/>')
-        else:
-            for x, y in zip(px(xs), py(ys)):
-                parts.append(
-                    f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
-                    f'fill="{color}" fill-opacity="0.6"/>')
+            points = _points_text(("", ",", " "), px(xs), py(ys))[:-1]
+            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                         f'points="{points}"/>')
+        elif xs.size:
+            parts.append(_points_text(
+                ('<circle cx="', '" cy="', f'" r="2.5" fill="{color}" fill-opacity="0.6"/>\n'),
+                px(xs), py(ys))[:-1])
         if key:
             parts.append(
                 f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * idx}" font-size="11" '

@@ -726,6 +726,9 @@ def test_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
 # run-and-report path must keep every byte.  Training changes the paths on
 # the seed-6 bank, so the untrained evaluation pins reports of its own.  The
 # bank itself was recorded from the code that generated each map cell by cell.
+# The 20 000-step fish runs, whose traces tile their cycle, were recorded from
+# the code that formatted each plot point with "%.2f" and each tiled CSV row
+# with its own f-string.
 REPORT_SHA256 = {
     "bank.json":
         "efc9fc6c7a29c6b188b3a8fe423a356147fcc5586d22fc4effa075191ffb3673",
@@ -737,6 +740,14 @@ REPORT_SHA256 = {
         "5aa8c97b380dcaa3f705c6146b4705db00a277367f1c829d515457c88642d0e7",
     "fish_trained/energy.svg":
         "6772708c92a4b9be2fa60235420f125b6904fa4f19f1b4f99d32246c894c5fa4",
+    "fish_long/trace.csv":
+        "a73aa2911035698e89c81b27d3bb20fab91ca10cd9fc6d61ed2ee5d8091fc668",
+    "fish_long/energy.svg":
+        "639a994f063a61c236e2d80b0a6e1fa86c90aaebcf814043026676afee404074",
+    "fish_long_trained/trace.csv":
+        "01ae8da6e25a50f81bbdfd388faf46b86190721957949042d3a0875363953a8c",
+    "fish_long_trained/energy.svg":
+        "bb6d9c9bc95bdba00b90a2d983fa7c9511a7c6bd4f05f3407ddcb1d6edc4a773",
     "auction/results.csv":
         "c15de17acb2d4e8960dc2d75c79ed3f0ed9df9eb68d94f467af1bb3bc6e5b387",
     "auction/purchases.csv":
@@ -791,6 +802,9 @@ def report_digests(tmp_path) -> dict:
         ["fish1d", "run", "--steps", "500", "--out", str(tmp_path / "fish")],
         ["fish1d", "run", "--steps", "500", "--trained", str(fish_params),
          "--out", str(tmp_path / "fish_trained")],
+        ["fish1d", "run", "--steps", "20000", "--out", str(tmp_path / "fish_long")],
+        ["fish1d", "run", "--steps", "20000", "--trained", str(fish_params),
+         "--out", str(tmp_path / "fish_long_trained")],
         [*malicious, "--out", str(tmp_path / "auction")],
         [*malicious, "--optim", "--out", str(tmp_path / "auction_optim")],
         [*auction, "--optim", "--out", str(tmp_path / "auction_honest_optim")],
@@ -807,6 +821,8 @@ def report_digests(tmp_path) -> dict:
     reports = {
         "fish": ["trace.csv", "energy.svg"],
         "fish_trained": ["trace.csv", "energy.svg"],
+        "fish_long": ["trace.csv", "energy.svg"],
+        "fish_long_trained": ["trace.csv", "energy.svg"],
         "auction": ["results.csv", "purchases.csv", "price_vs_supply.svg",
                     "rate_vs_supply.svg"],
         "auction_optim": ["results.csv", "purchases.csv", "price_vs_supply.svg",

@@ -26,6 +26,7 @@ from selfreward.autodiff import (
     square,
     tanh,
 )
+from selfreward.lavamaps import palette_indices
 from selfreward.layers import deconv3x3, selective_core
 from selfreward.lavaland import (
     KNOWN_TILES,
@@ -470,6 +471,17 @@ def test_field_inputs_refuse_mixed_shapes_and_unknown_tiles():
                           TileMap(tiles=second, spawn=(0, 0))], cfg)
     with pytest.raises(ValueError, match="unknown tile characters"):
         field_inputs([TileMap(tiles=["dy", "dx"], spawn=(0, 0))], cfg)
+
+
+@pytest.mark.parametrize("tiles", [["dy", "d", "ddd"], ["dy", "ddd", "d"], ["dd", "dyd", "d", "dd"]])
+def test_palette_indices_refuse_ragged_rows(tiles):
+    # as many cells as the first row's width times the height
+    h, w = len(tiles), len(tiles[0])
+    with pytest.raises(ValueError, match=f"must all be {h}x{w}"):
+        palette_indices([TileMap(tiles=tiles, spawn=(0, 0))])
+    with pytest.raises(ValueError, match=f"must all be {h}x{w}"):
+        palette_indices([TileMap(tiles=["dd"] * (h - 1) + ["dy"], spawn=(0, 0)),
+                         TileMap(tiles=tiles, spawn=(0, 0))])
 
 
 @pytest.mark.parametrize("h,w", [(1, 2), (1, 5), (2, 3), (12, 12)])

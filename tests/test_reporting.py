@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from selfreward import reporting
 from selfreward.params import (
     ParamsError,
     ParamsParseError,
@@ -22,6 +23,8 @@ from selfreward.reporting import (
     PlotSpec,
     RunManifest,
     TiledRows,
+    _fixed2,
+    _numbered_text,
     emit_plot,
     write_csv,
 )
@@ -293,6 +296,70 @@ def test_plot_of_one_value_past_two_to_the_53(tmp_path):
     assert 'points="64.00,374.00 620.00,374.00"' in out.read_text()
 
 
+def reference_svg(spec, header, rows) -> str:
+    """The SVG of ``emit_plot``, each point read, placed and formatted one
+    value at a time, in Python floats and "%.2f"."""
+    rows = list(rows)
+    ix, iy = header.index(spec.x_column), header.index(spec.y_column)
+    groups = {}
+    for row in rows:
+        key = "" if spec.series_column is None else str(row[header.index(spec.series_column)])
+        groups.setdefault(key, []).append((float(row[ix]), float(row[iy])))
+    series = {key: [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
+              for key, points in groups.items()}
+    everything = [point for points in series.values() for point in points]
+    all_x = [x for x, _ in everything] or [0.0, 1.0]
+    all_y = [y for _, y in everything] or [0.0, 1.0]
+    x_lo, x_hi, y_lo, y_hi = min(all_x), max(all_x), min(all_y), max(all_y)
+    x_hi = x_lo + 1.0 if x_hi == x_lo else x_hi
+    y_hi = y_lo + 1.0 if y_hi == y_lo else y_hi
+
+    def axis(lo, hi, start, length):
+        if math.isfinite(hi - lo):
+            span = (hi - lo) or 1.0
+            return lambda v: start + (v - lo) / span * length
+        lo, span = lo / 2, hi / 2 - lo / 2
+        return lambda v: start + (v / 2 - lo) / span * length
+
+    W, H, ML, MR, MT, MB = 640, 420, 64, 20, 28, 46
+    px, py = axis(x_lo, x_hi, ML, W - ML - MR), axis(y_lo, y_hi, H - MB, -(H - MT - MB))
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+             f'viewBox="0 0 {W} {H}">',
+             f'<rect width="{W}" height="{H}" fill="white"/>',
+             f'<line x1="{ML}" y1="{H - MB}" x2="{W - MR}" y2="{H - MB}" '
+             'stroke="black" stroke-width="1"/>',
+             f'<line x1="{ML}" y1="{MT}" x2="{ML}" y2="{H - MB}" stroke="black" stroke-width="1"/>']
+    for t in reporting._ticks(x_lo, x_hi):
+        parts.append(f'<text x="{px(t):.1f}" y="{H - MB + 16}" font-size="10" '
+                     f'text-anchor="middle">{t:.4g}</text>')
+    for t in reporting._ticks(y_lo, y_hi):
+        parts.append(f'<text x="{ML - 6}" y="{py(t):.1f}" font-size="10" '
+                     f'text-anchor="end">{t:.4g}</text>')
+    parts.append(f'<text x="{(ML + W - MR) / 2:.1f}" y="{H - 10}" font-size="12" '
+                 f'text-anchor="middle">{spec.x_column}</text>')
+    parts.append(f'<text x="14" y="{(MT + H - MB) / 2:.1f}" font-size="12" text-anchor="middle" '
+                 f'transform="rotate(-90 14 {(MT + H - MB) / 2:.1f})">{spec.y_column}</text>')
+    if spec.title:
+        parts.append(f'<text x="{W / 2:.1f}" y="18" font-size="13" '
+                     f'text-anchor="middle">{spec.title}</text>')
+    for idx, key in enumerate(sorted(series)):
+        color = reporting._SERIES_COLORS[idx % len(reporting._SERIES_COLORS)]
+        points = series[key]
+        if any(a[0] >= b[0] for a, b in zip(points, points[1:])):
+            points = sorted(points)
+        if spec.kind == "line":
+            text = " ".join("%.2f,%.2f" % (px(x), py(y)) for x, y in points)
+            parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                         f'points="{text}"/>')
+        else:
+            parts += [f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
+                      f'fill="{color}" fill-opacity="0.6"/>' for x, y in points]
+        if key:
+            parts.append(f'<text x="{W - MR - 4}" y="{MT + 14 + 14 * idx}" font-size="11" '
+                         f'text-anchor="end" fill="{color}">{key}</text>')
+    return "\n".join(parts) + "\n</svg>\n"
+
+
 EXTREMES = st.sampled_from([-1e308, 1e308])  # their difference overflows a double
 
 
@@ -314,6 +381,7 @@ def test_plot_of_rows_in_hand_matches_plot_of_the_csv(tmp_path, rows, kind):
     in_hand = emit_plot(spec, HEADER, rows).read_bytes()
     assert emit_plot(spec, header, text_rows).read_bytes() == in_hand
     assert b"nan" not in in_hand and b"inf" not in in_hand
+    assert in_hand == reference_svg(spec, HEADER, rows).encode()
 
 
 CELLS = (st.floats() | st.integers() | st.booleans() | st.none()
@@ -370,3 +438,68 @@ def test_tiled_rows_plot_as_their_list(tmp_path, rows, series, kind):
                     output_svg=str(tmp_path / "p.svg"), kind=kind)
     tiled = emit_plot(spec, HEADER, rows).read_bytes()
     assert emit_plot(spec, HEADER, list(rows)).read_bytes() == tiled
+    assert tiled == reference_svg(spec, HEADER, rows).encode()
+
+
+def fixed2_texts(values) -> list[str]:
+    text = _fixed2(np.asarray(values, dtype=np.float64))
+    return [bytes(column[column != reporting._PAD]).decode("ascii") for column in text.T]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(0, 2.0 ** 40, exclude_max=True)
+                  | st.floats(0, 640) | st.integers(0, 64000).map(lambda c: c / 100)))
+def test_fixed2_is_percent_2f(values):
+    assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
+
+def test_fixed2_is_percent_2f_on_every_binary_tie_below_640():
+    # k/8 is exact, and n + 1/8, 3/8, 5/8, 7/8 lie halfway between two cents
+    values = np.arange(640 * 8 + 1) / 8
+    assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
+
+def test_fixed2_is_percent_2f_a_ulp_either_side_of_each_half_cent_below_640():
+    halves = (2 * np.arange(64000) + 1) / 200  # the double nearest n + 0.005
+    values = np.concatenate([np.nextafter(halves, 0), halves, np.nextafter(halves, np.inf), [0.0]])
+    assert fixed2_texts(values) == ["%.2f" % v for v in values]
+
+
+def test_fixed2_edges_of_its_range():
+    values = [0.0, 5e-324, 2.0 ** -9, np.nextafter(2.0 ** 40, 0), 2.0 ** 39 + 0.005]
+    assert fixed2_texts(values) == ["%.2f" % v for v in values]
+    assert fixed2_texts([]) == []
+
+
+@pytest.mark.parametrize("value", [-0.0, -5e-324, -1.0, 2.0 ** 40, 1e300, math.inf, -math.inf,
+                                   math.nan])
+def test_fixed2_refuses_what_it_cannot_format(value):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*40\)"):
+        _fixed2(np.array([1.0, value]))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, -0.0, "a"], [-0.0, 0.0, "a"], [1.0, -0.0, "b"], [-0.0, 2.0, "b"]],  # signed zeros
+    [[-0.0, -0.0, "a"], [0.0, 0.0, "a"]],
+    [[0.5, math.nan, "a"], [math.inf, 1.0, "a"], [1.0, 2.0, "a"], [2.0, -math.inf, "b"]],
+    [[3, 1.0, "a"], [1, 2.0, "a"], [2, 0.5, "a"], [1, 1.5, "a"], [-1, 0.25, "b"]],  # x unsorted
+    [[0, 2.0 ** 53, "a"], [1, 2.0 ** 53, "a"]],
+    [[2.0 ** 60, 1.0, "a"], [2.0 ** 60 + 2.0 ** 8, -1e308, "a"], [1e308, 1e308, "b"]],
+    [],
+])
+@pytest.mark.parametrize("series", [None, "grp"])
+@pytest.mark.parametrize("kind", ["line", "scatter"])
+def test_plot_points_are_placed_and_formatted_one_value_at_a_time(tmp_path, rows, series, kind):
+    spec = PlotSpec(x_column="x", y_column="y", series_column=series,
+                    output_svg=str(tmp_path / "p.svg"), kind=kind, title="t")
+    assert emit_plot(spec, HEADER, rows).read_text() == reference_svg(spec, HEADER, rows)
+
+
+@pytest.mark.parametrize("start", [0, 7, 95, 998, 9990])
+@pytest.mark.parametrize("tails", [[b",a\n"], [b",1,eat,T\n", b",22,move,F\n", b"\n"],
+                                   [",\u00e9%d\x00\xff\n".encode("utf-8")] * 2 + [b",\n"] * 5])
+def test_numbered_text_is_each_row_number_and_its_tail(start, tails):
+    for stop in (start, start + 1, start + 3, 10050):
+        want = b"".join(b"%d" % s + tails[(s - start) % len(tails)] for s in range(start, stop))
+        assert _numbered_text(start, stop, tails) == want
