@@ -96,9 +96,14 @@ running trial, then one vectorised server step; fine-tuning gathers the
 learners' rows once, tunes them and writes them back.  Trials have
 independent seeds and each agent draws only from its own streams, so
 interleaving trials changes no draw and no bit: every trial ends as it
-would alone.  All of a block's agents live until its last trial ends, each
-with a ``noise_rng`` of about 1.6 KB and a clone-noise buffer of 2 KB, so a
-block holds at most ``LOCKSTEP_AGENTS`` agents.
+would alone.  All of a block's agents live until its last trial ends.  An
+FSN agent holds about 3 KB resident: a clone-noise buffer of 2 KB, its
+``noise_rng`` and its rows of the stacked arrays.  An always-hold agent
+draws nothing and has neither generator nor buffer, only about 100 B of
+rows.  So a block counts only FSN agents: it takes as many trials as fit
+``LOCKSTEP_AGENTS`` of them, up to ``LOCKSTEP_TRIALS`` trials, the cap that
+bounds a market of always-hold agents alone.  A half-malicious market thus
+runs twice the trials of an honest one per block, in the same memory.
 
 Every stream hangs off its trial's root, a plain ``(entropy, spawn_key)``
 pair: ``run_experiment`` gives trial t of supply point ri the root
@@ -281,18 +286,40 @@ def es_weight_rows(base_price: float = BASE_PRICE) -> np.ndarray:
 ES_BIASES = np.array([0.0, 0.0, 0.0, -0.5])
 ES_BIASES.flags.writeable = False  # row views share it
 
+BASE_OFFER_ROW = Offer().as_array()  # the base offer, whose price and demand a round sets
+BASE_OFFER_ROW.flags.writeable = False
+
 
 def _clone(x: np.ndarray, noise: np.ndarray, config: AuctionConfig) -> np.ndarray:
     """Clone each variable D_ic times; clones beyond the first get noise.
 
     Offer rows (..., 8) become blocks (..., 8, D_ic), one row of clones per
     variable; read row by row, that is the interleaved layout.  ``noise``
-    holds standard normal draws (..., 8, D_ic - 1); it is scaled in place.
+    holds standard normal draws (..., 8, D_ic - 1) of the same leading shape
+    as x.  A clone is ``clone_noise * noise + x``, the same double as
+    ``x + clone_noise * noise``; the clones are made in a new array, then
+    written after x in one pass.
     """
-    block = x[..., None].repeat(config.d_ic, axis=-1)
-    noise *= config.clone_noise
-    block[..., 1:] += noise
-    return block
+    x = x[..., None]
+    clones = noise * config.clone_noise
+    clones += x
+    return np.concatenate((x, clones), axis=-1)
+
+
+def _sum_clones(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=-1)``, bit for bit, for the D_ic clone terms of each
+    sensor.  numpy's add.reduce adds fewer than 8 terms one after another,
+    so those are added column by column, in order, which costs a few passes
+    over (..., 4) instead of a reduction over an axis this short; from 8
+    terms on it keeps 8 partial sums, so those take the reduction itself.
+    """
+    d = terms.shape[-1]
+    if d >= 8:
+        return terms.sum(axis=-1)
+    total = terms[..., 0]
+    for c in range(1, d):
+        total = total + terms[..., c]
+    return total
 
 
 def _decision_logits(x_es: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -417,10 +444,9 @@ def _draw_noise(rngs, shape: tuple) -> np.ndarray:
 def _sensors(es_rows: np.ndarray, es_biases: np.ndarray, x: np.ndarray, noise: np.ndarray,
              config: AuctionConfig) -> np.ndarray:
     """Sensor activations for offer rows x (..., 8) with the standard normal
-    clone noise ``noise`` (..., 8, D_ic - 1), which is scaled in place.  The
-    kernels (4, 8) and biases (4,) are shared, or stacked per row and
-    broadcastable against x."""
-    pre = (es_rows @ _clone(x, noise, config)).sum(axis=-1) / config.d_ic + es_biases
+    clone noise ``noise`` (..., 8, D_ic - 1).  The kernels (4, 8) and biases
+    (4,) are shared, or stacked per row and broadcastable against x."""
+    pre = _sum_clones(es_rows @ _clone(x, noise, config)) / config.d_ic + es_biases
     out = tau(pre)
     st = pre[..., ST]
     out[..., ST] = selective_core(st * st, config.selective_eps)
@@ -633,11 +659,16 @@ class TrialResult:
 ACTIVE, BOUGHT, QUITTED = 0, 1, 2
 STATUS_NAMES = ("active", "bought", "quit")
 
-# Agents per block of lockstep trials.  A block's agents all live until its
-# last trial ends, each with a noise_rng of about 1.6 KB and a noise buffer of
-# 2 KB besides its rows of the stacked arrays, so the block sets the peak
-# memory of a run.
+# Drawing (FSN) agents per block of lockstep trials, and the most trials a
+# block takes.  A block's agents all live until its last trial ends, so the
+# block sets the peak memory of a run.  A drawing agent holds about 3 KB
+# resident: its 2 KB clone-noise buffer, its noise_rng and its rows of the
+# stacked arrays (a block of 512 measured 1.5 MB; numpy 2.4, x86-64).  An
+# always-hold agent has no generator and no buffer, only about 100 B of rows,
+# so it is not counted; the trials cap bounds a market of always-hold agents
+# alone, whose 64 trials of 64 agents measured 0.4 MB.
 LOCKSTEP_AGENTS = 512
+LOCKSTEP_TRIALS = 64
 
 # Bids of clone noise an agent draws in one call once nothing else draws from
 # its stream between its bids.  Each round then reads one row of every
@@ -662,16 +693,21 @@ class Population:
     ``_agent_draws`` on a real generator instead.  All noise streams are then
     seeded in one ``streams.rngs`` call.
 
-    Clone noise is read through a buffer of ``CHUNK`` bids per agent,
-    ``noise`` (trials, n, CHUNK, 8, D_ic - 1): its unread rows are
-    ``noise[t, i, cursor[t, i]:]``, and an agent draws only when it bids
-    with none left.  A learner (``learners``: fine-tuning, epochs > 0) draws
-    its fine-tuning noise from the same stream between bids, so until its
-    bid in round ``finetune_rounds - 1`` it draws one row at a time; from
-    then on it draws a full buffer, as every other agent does from its
-    screening probe on.  Its stream holds the same numbers in the same
-    order as a draw per bid, and ``noise_rngs`` end ahead of that by the
-    unread rows.
+    Clone noise is read through a buffer of ``CHUNK`` bids per FSN agent,
+    ``noise`` (trials, n - n_malicious, CHUNK, 8, D_ic - 1), which holds no
+    rows for always-hold agents: the unread rows of agent i of trial t are
+    ``noise[t, i - n_malicious, cursor[t, i]:]``, and an agent draws only
+    when it bids with none left.  A learner (``learners``: fine-tuning,
+    epochs > 0) draws its fine-tuning noise from the same stream between
+    bids, so until its bid in round ``finetune_rounds - 1`` it draws one row
+    at a time; from then on it draws a full buffer, as every other agent
+    does from its screening probe on.  Its stream holds the same numbers in
+    the same order as a draw per bid, and ``noise_rngs`` end ahead of that
+    by the unread rows.
+
+    So an always-hold agent holds neither generator nor buffer, only its
+    rows of the stacked arrays, and ``run_trials`` counts FSN agents alone
+    against ``LOCKSTEP_AGENTS``.
     """
 
     def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig,
@@ -681,7 +717,7 @@ class Population:
         from . import streams
 
         shape = (len(roots), n)
-        self.config = config
+        self.config, self.n_malicious = config, n_malicious
         self.fsn = np.zeros(shape, dtype=bool)
         self.fsn[:, n_malicious:] = True
         self.w_dec = np.tile(W_DECISION, (*shape, 1, 1))
@@ -690,7 +726,7 @@ class Population:
         self.batch_size = np.zeros(shape, dtype=int)
         self.learning_rate = np.zeros(shape)
         self.noise_rngs = np.full(shape, None)
-        self.noise = np.empty((*shape, CHUNK, 8, config.d_ic - 1))
+        self.noise = np.empty((len(roots), n - n_malicious, CHUNK, 8, config.d_ic - 1))
         self.cursor = np.full(shape, CHUNK)
         fsn = self.fsn.nonzero()  # trial by trial, as the streams come
         if fsn[0].size:  # a block of malicious agents only has nothing to draw
@@ -715,19 +751,36 @@ class Population:
         stacked forward, ``_bid`` over every live agent, on each agent's next
         buffered row of clone noise."""
         chunk = self.noise.shape[2]
-        empty = live & (self.cursor == chunk)
+        at = np.flatnonzero(live)  # agent i of trial t is row t * n + i of the flat views
+        trial = at // live.shape[1]
+        # and row t * (n - n_malicious) + i - n_malicious of the flat buffers
+        own = at - self.n_malicious * (trial + 1)
+        cursor = self.cursor.reshape(-1)
+        rows = cursor[at]
+        empty = rows == chunk
         if empty.any():
+            rows[empty] = self._refill(at[empty], own[empty], k)
+        cursor[at] = rows + 1
+        buffers = self.noise.reshape(math.prod(self.noise.shape[:3]), *self.noise.shape[3:])
+        noise = np.take(buffers, own * chunk + rows, axis=0)
+        return _bid(es_weight_rows(self.config.base_price), ES_BIASES, np.take(x, trial, axis=0),
+                    noise, np.take(self.w_dec.reshape(-1, 3, 4), at, axis=0),
+                    np.take(self.b_dec.reshape(-1, 3), at, axis=0), self.config)
+
+    def _refill(self, agents: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:
+        """Fill the used-up buffers, rows ``own``, of the agents at flat
+        indices ``agents`` before their bid in round k; returns the row each
+        reads first."""
+        chunk = self.noise.shape[2]
+        first = np.zeros(len(agents), dtype=int)
+        if k < self.config.finetune_rounds - 1:
             # a learner draws fine-tuning noise before its next bid: draw only this one
-            one = self.learners[empty] & (k < self.config.finetune_rounds - 1)
-            first = np.where(one, chunk - 1, 0)
-            self.cursor[empty] = first
-            for rng, t, i, f in zip(self.noise_rngs[empty], *empty.nonzero(), first.tolist()):
-                rng.standard_normal(out=self.noise[t, i, f:])
-        at = live.nonzero()
-        noise = self.noise[(*at, self.cursor[at])]
-        self.cursor[at] += 1
-        return _bid(es_weight_rows(self.config.base_price), ES_BIASES, x[at[0]], noise,
-                    self.w_dec[at], self.b_dec[at], self.config)
+            first[self.learners.reshape(-1)[agents]] = chunk - 1
+        buffers = self.noise.reshape(math.prod(self.noise.shape[:2]), *self.noise.shape[2:])
+        rngs = self.noise_rngs.reshape(-1)
+        for j, row, f in zip(agents.tolist(), own.tolist(), first.tolist()):
+            rngs[j].standard_normal(out=buffers[row, f:])
+        return first
 
 
 class Markets:
@@ -749,30 +802,34 @@ class Markets:
         return (self.status == ACTIVE) & self.running[:, None]
 
     def offers(self) -> np.ndarray:
-        x = np.tile(Offer().as_array(), (len(self.price), 1))
+        x = np.empty((len(self.price), len(BASE_OFFER_ROW)))
+        x[:] = BASE_OFFER_ROW
         x[:, 0], x[:, 7] = self.price, self.demand
         return x
 
-    def step(self, decisions: np.ndarray) -> None:
-        """One bidding round of every running market, by ``server_step``'s rules."""
-        config, running, active = self.config, self.running, self.active()
+    def step(self, decisions: np.ndarray, active: np.ndarray) -> None:
+        """One bidding round of every running market, by ``server_step``'s
+        rules: ``decisions`` (trials, n) of the round's active agents, which
+        ``active`` gives as ``active()`` did when the round began."""
+        config, running, stock = self.config, self.running, self.stock
         buy = active & (decisions == BUY)
         n_buy, n_active = buy.sum(axis=1), active.sum(axis=1)
         self.status[active & (decisions == QUIT)] = QUITTED
-        marked_up = running & (n_buy > self.stock)
+        marked_up = running & (n_buy > stock)
         sells = running & ~marked_up
-        for t in np.flatnonzero(sells & (n_buy > 0)):
+        sold = sells & (n_buy > 0)
+        for t in np.flatnonzero(sold):
             buyers = np.flatnonzero(buy[t])
             self.status[t, buyers] = BOUGHT
             price, k = float(self.price[t]), int(self.rounds[t])
             self.ledgers[t] += [Purchase(agent=int(i), price=price, round=k) for i in buyers]
-        self.stock[sells] -= n_buy[sells]
-        sold_out = sells & (n_buy > 0) & (self.stock == 0)
-        self.price[marked_up] *= 1 + config.price_step
-        self.price[sells & ~sold_out] *= 1 - config.price_step
-        self.demand[running] = n_buy[running] / np.maximum(n_active[running], 1)
-        self.rounds[running] += 1
-        self.running = (running & (self.stock > 0) & (self.status == ACTIVE).any(axis=1)
+        np.subtract(stock, n_buy, out=stock, where=sells)
+        np.multiply(self.price, 1 + config.price_step, out=self.price, where=marked_up)
+        np.multiply(self.price, 1 - config.price_step, out=self.price,
+                    where=sells & ~(sold & (stock == 0)))
+        np.divide(n_buy, np.maximum(n_active, 1), out=self.demand, where=running)
+        self.rounds += running
+        self.running = (running & (stock > 0) & (self.status == ACTIVE).any(axis=1)
                         & (self.rounds < config.max_rounds))
 
 
@@ -780,15 +837,16 @@ def run_trials(r: float, roots, n: int = 64, optim: bool = False, malicious_frac
                config: AuctionConfig | None = None) -> list[TrialResult]:
     """Full auctions with n agents and round(r*n) units of stock, one per
     root ``(entropy, spawn_key)``, run in lockstep blocks of up to
-    ``LOCKSTEP_AGENTS`` agents.  Each result is the one its trial gives when
-    run alone."""
+    ``LOCKSTEP_AGENTS`` FSN agents and ``LOCKSTEP_TRIALS`` trials.  Each
+    result is the one its trial gives when run alone."""
     if not 0 < r <= 1:
         raise ValueError(f"item-supply fraction r must be in (0, 1], got {r}")
     if not 0 <= malicious_frac <= 1:
         raise ValueError(f"malicious_frac must be in [0, 1], got {malicious_frac}")
     config = config or AuctionConfig()
     stock = round(r * n)
-    per_block = max(1, LOCKSTEP_AGENTS // max(n, 1))
+    drawing = n - round(malicious_frac * n)
+    per_block = min(LOCKSTEP_TRIALS, max(1, LOCKSTEP_AGENTS // max(drawing, 1)))
     out = []
     for start in range(0, len(roots), per_block):
         # keep only the markets, so a block's agents are freed before the next is built
@@ -828,7 +886,8 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
     markets = Markets(len(roots), n, round(r * n), config)
     k = 0
     while markets.running.any():
-        live = markets.active() & pop.fsn
+        active = markets.active()
+        live = active & pop.fsn
         if optim and k < config.finetune_rounds:
             at = (live & pop.learners).nonzero()
             pop.w_dec[at], pop.b_dec[at] = _finetune(
@@ -837,7 +896,7 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
                 ES_BIASES, variants[at[0]], config)
         decisions = np.full(live.shape, HOLD)
         decisions[live] = pop.decide(live, markets.offers(), k)
-        markets.step(decisions)
+        markets.step(decisions, active)
         k += 1
     return pop, markets
 

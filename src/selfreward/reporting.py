@@ -25,8 +25,10 @@ How each writer formats:
   non-finite points, finds the ranges and checks the x order on the arrays,
   and places every point by the elementwise float operations of ``_axis``,
   so each pixel is the double that placing one value at a time gives.
-  Polyline and circle coordinates are written by ``_fixed2``, all at once;
-  tick labels and other single numbers by Python formatting.
+  Polyline and circle coordinates are written by ``_fixed2``, all of a
+  plot's x pixels in one call and all its y pixels in another, whatever
+  the number of series; tick labels and other single numbers by Python
+  formatting.
 
 ``_fixed2`` writes exactly the text of ``"%.2f" % v`` for each v in [0,
 2**40), and refuses anything else; a pixel lies in [28, 620].  A double v
@@ -288,13 +290,15 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
     return np.concatenate([digits[:-2], np.full((1, v.size), ord("."), np.uint8), digits[-2:]])
 
 
-def _points_text(pieces: tuple[str, str, str], xs: np.ndarray, ys: np.ndarray) -> str:
-    """Row i is ``pieces[0]``, the "%.2f" text of ``xs[i]``, ``pieces[1]``,
-    that of ``ys[i]`` and ``pieces[2]``; the rows, concatenated."""
+def _points_text(pieces: tuple[str, str, str], x_text: np.ndarray,
+                 y_text: np.ndarray) -> str:
+    """Row i is ``pieces[0]``, column i of ``x_text``, ``pieces[1]``, that
+    of ``y_text`` and ``pieces[2]``; the rows, concatenated.  The text
+    columns are ``_fixed2``'s."""
     first, middle, last = (np.frombuffer(piece.encode("utf-8"), np.uint8)[:, None]
                            for piece in pieces)
-    blocks = [first, _fixed2(xs), middle, _fixed2(ys), last]
-    text = np.empty((sum(map(len, blocks)), xs.size), np.uint8)
+    blocks = [first, x_text, middle, y_text, last]
+    text = np.empty((sum(map(len, blocks)), x_text.shape[1]), np.uint8)
     top = 0
     for block in blocks:
         text[top:top + len(block)] = block
@@ -390,19 +394,26 @@ def emit_plot(spec: PlotSpec, header: list[str], rows) -> Path:
             f'<text x="{_W / 2:.1f}" y="18" font-size="13" '
             f'text-anchor="middle">{spec.title}</text>')
 
-    for idx, key in enumerate(sorted(series)):
+    keys = sorted(series)
+    points = [_in_order(*series[key]) for key in keys]
+    # each point lies in [lo, hi] on both axes, and the rounding of each
+    # operation of _axis is monotonic, so its pixels lie on the plot area.
+    # Every series' pixels are formatted in one _fixed2 call per axis, and
+    # series i reads its own text columns.
+    x_text = _fixed2(px(np.concatenate([np.empty(0), *(xs for xs, _ in points)])))
+    y_text = _fixed2(py(np.concatenate([np.empty(0), *(ys for _, ys in points)])))
+    ends = np.cumsum([0] + [xs.size for xs, _ in points]).tolist()
+    for idx, key in enumerate(keys):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        xs, ys = _in_order(*series[key])
-        # each point lies in [lo, hi] on both axes, and the rounding of each
-        # operation of _axis is monotonic, so its pixels lie on the plot area
+        cols = slice(ends[idx], ends[idx + 1])
         if spec.kind == "line":
-            points = _points_text(("", ",", " "), px(xs), py(ys))[:-1]
+            text = _points_text(("", ",", " "), x_text[:, cols], y_text[:, cols])[:-1]
             parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                         f'points="{points}"/>')
-        elif xs.size:
+                         f'points="{text}"/>')
+        elif ends[idx + 1] > ends[idx]:
             parts.append(_points_text(
                 ('<circle cx="', '" cy="', f'" r="2.5" fill="{color}" fill-opacity="0.6"/>\n'),
-                px(xs), py(ys))[:-1])
+                x_text[:, cols], y_text[:, cols])[:-1])
         if key:
             parts.append(
                 f'<text x="{_W - _MR - 4}" y="{_MT + 14 + 14 * idx}" font-size="11" '

@@ -33,7 +33,7 @@ from selfreward.auction import (
     srd_finetune,
 )
 from selfreward.layers import cross_entropy_self, fully_connected, threshold_activation
-from selfreward.neurons import LEAK_SLOPE
+from selfreward.neurons import LEAK_SLOPE, selective_core, tau
 
 
 def fresh_model(seed=0, **config_kw):
@@ -201,6 +201,41 @@ def test_es_clone_layout_interleaves_variables():
     assert arr.shape == (40,)
     np.testing.assert_array_equal(arr[:5], [0.0, 0.5, 0.5, 0.5, 0.5])
     np.testing.assert_array_equal(arr[5:10], [1.0, 1.5, 1.5, 1.5, 1.5])
+
+
+def reference_stacked_sensors(es_rows, es_biases, x, noise, config):
+    """``_sensors`` as first written: the clone block made by repeating x and
+    adding the noise scaled in place, and the clone terms summed by numpy's
+    reduction."""
+    block = x[..., None].repeat(config.d_ic, axis=-1)
+    noise = noise.copy()
+    noise *= config.clone_noise
+    block[..., 1:] += noise
+    pre = (es_rows @ block).sum(axis=-1) / config.d_ic + es_biases
+    out = tau(pre)
+    st = pre[..., 3]
+    out[..., 3] = selective_core(st * st, config.selective_eps)
+    return out
+
+
+@pytest.mark.parametrize("d_ic", [1, 2, 5, 7, 8, 9, 16])
+def test_sensors_match_the_first_written_forward_bit_for_bit(d_ic):
+    """The clone terms are summed in order below 8 and by numpy's reduction
+    from 8 on, where numpy keeps partial sums: the same bits at every D_ic,
+    with the shared kernels a bid uses and the stacked ones of fine-tuning."""
+    config = AuctionConfig(d_ic=d_ic, clone_noise=0.3)
+    rng = np.random.default_rng(d_ic)
+    x = rng.uniform(-3.0, 8.0, size=(64, 8))
+    noise = rng.standard_normal((64, 8, d_ic - 1))
+    es_rows = es_weight_rows() + rng.uniform(-1.0, 1.0, size=(4, 8))
+    es_biases = auction.ES_BIASES + rng.uniform(-1.0, 1.0, size=4)
+    stacked_rows = es_rows + rng.uniform(-1.0, 1.0, size=(4, 1, 4, 8))
+    stacked_biases = es_biases + rng.uniform(-1.0, 1.0, size=(4, 1, 4))
+    for args in [(es_rows, es_biases, x, noise),
+                 (stacked_rows, stacked_biases, x.reshape(4, 16, 8), noise.reshape(4, 16, 8, -1))]:
+        want = reference_stacked_sensors(*args, config)
+        got = auction._sensors(*args, config)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- decisions ---------------------------------------------------------------------
@@ -793,7 +828,7 @@ def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed)
             np.testing.assert_array_equal(pop.b_dec[0, i], m.b_dec)
             # the block's stream runs ahead by its unread rows: they are the
             # reference's next draws, and after them the two streams agree
-            unread = pop.noise[0, i, pop.cursor[0, i]:]
+            unread = pop.noise[0, i - round(malicious_frac * 64), pop.cursor[0, i]:]
             np.testing.assert_array_equal(unread, m.noise_rng.standard_normal(unread.shape))
             assert pop.noise_rngs[0, i].bit_generator.state == m.noise_rng.bit_generator.state
     if optim:  # fine-tuning moved the weights that were compared
@@ -896,7 +931,7 @@ def test_noise_chunk_size_changes_no_draw(monkeypatch, optim, malicious_frac):
         pop, markets = auction._run_block(0.0625, roots, 64, optim, malicious_frac, config)
         upcoming = []
         for t, i in zip(*pop.fsn.nonzero()):
-            unread = pop.noise[t, i, pop.cursor[t, i]:]
+            unread = pop.noise[t, i - round(malicious_frac * 64), pop.cursor[t, i]:]
             more = copy.deepcopy(pop.noise_rngs[t, i]).standard_normal(
                 (8 - len(unread), *unread.shape[1:]))
             upcoming.append(np.concatenate([unread, more]))
@@ -961,7 +996,11 @@ def trial_path(markets, config):
 @pytest.mark.parametrize("seed", range(4))
 def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
     n, trials = 16, 3
-    monkeypatch.setattr(auction, "LOCKSTEP_AGENTS", 2 * n)  # blocks of 2 and 1 trials
+    # blocks of 2 and 1 trials in both markets: the honest one by its drawing
+    # agents, the half-malicious one, whose 8 drawing agents a trial would
+    # fit 4 trials in a block, by the trials cap
+    monkeypatch.setattr(auction, "LOCKSTEP_AGENTS", 2 * n)
+    monkeypatch.setattr(auction, "LOCKSTEP_TRIALS", 2)
     config = AuctionConfig(max_rounds=12)
     r_grid = [0.005, 0.25, 1.0]  # round(0.005 * 16) == 0: no stock
     paths = set()
@@ -974,7 +1013,7 @@ def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
         paths |= {trial_path(m, config) for m in markets}
         # each trial of a block also ends with the agents it has alone
         roots = [(seed, (9, trial)) for trial in range(trials)]
-        frac = 0.5 * (seed % 2)
+        frac = (0.0, 0.5, 1.0, 0.5)[seed]
         pop, block = auction._run_block(0.25, roots, n, optim, frac, config)
         for t, root in enumerate(roots):
             solo, alone = auction._run_block(0.25, [root], n, optim, frac, config)
@@ -988,6 +1027,27 @@ def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
             assert [g.bit_generator.state for g in pop.noise_rngs[t, pop.fsn[t]]] == \
                 [g.bit_generator.state for g in solo.noise_rngs[0, solo.fsn[0]]]
     assert paths >= {"no stock", "sold out in round 1", "all quit", "max rounds", "other"}
+
+
+@pytest.mark.parametrize("malicious_frac", [0.0, 0.5, 1.0])
+def test_blocks_count_drawing_agents_up_to_the_trials_cap(monkeypatch, malicious_frac):
+    """A block takes as many trials as fit ``LOCKSTEP_AGENTS`` drawing (FSN)
+    agents, but no more than ``LOCKSTEP_TRIALS``: always-hold agents draw
+    nothing, so a half-malicious market runs twice the honest market's
+    trials per block, and an all-malicious one is held by the cap."""
+    n, full = 64, {0.0: 8, 0.5: 16, 1.0: 64}[malicious_frac]  # 512 drawing agents, 64 trials
+    sizes = []
+    run_block = auction._run_block
+
+    def recording_run_block(r, roots, *args):
+        sizes.append(len(roots))
+        return run_block(r, roots, *args)
+
+    monkeypatch.setattr(auction, "_run_block", recording_run_block)
+    roots = [(3, (0, t)) for t in range(2 * full + 1)]
+    results = auction.run_trials(0.25, roots, n, False, malicious_frac,
+                                 AuctionConfig(max_rounds=2))
+    assert sizes == [full, full, 1] and len(results) == len(roots)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1011,7 +1071,7 @@ def test_markets_step_matches_server_step(seed):
                 for agent, d in zip(state.agents, row):
                     agent.decision = d
                 server_step(state)
-        markets.step(decisions)
+        markets.step(decisions, markets.active())
         for t, state in enumerate(states):
             assert markets.running[t] == (not state.terminated)
             assert (markets.price[t], markets.stock[t], markets.demand[t], markets.rounds[t]) \
