@@ -61,10 +61,14 @@ The list API is the per-agent form: ``FsnModel.decide_offer`` runs one
 agent's forward on one offer, ``screen_model`` screens one model,
 ``srd_finetune`` tunes each learner alone through ``_finetune``, and
 ``server_step`` asks each active agent of an ``AuctionState`` for its
-decision.  No workload runs it; it stays in the package because the
-benchmark's spans wrap its names (``srd_finetune``, ``FsnModel.__init__``,
-``FsnModel.es_forward_values``, ``screen_model``, ``make_offer_variants``
-and ``server_step``) and because the tests hold the runner against it.
+decision.  It holds the runner's own representations: an offer is an
+8-float row (``offer_row``; ``make_offer_variants`` gives a (count, 8)
+array), and an agent's status is a code, ``ACTIVE``, ``BOUGHT`` or
+``QUITTED``, as in ``Markets``.  No workload runs it; it stays in the
+package because the benchmark's spans wrap its names (``srd_finetune``,
+``FsnModel.__init__``, ``FsnModel.es_forward_values``, ``screen_model``,
+``make_offer_variants`` and ``server_step``) and because the tests hold the
+runner against it.
 
 ``Population`` is the one stacked path.  A round's agents bid and are
 screened together: one forward over the (n, 8, D_ic) clone blocks with the
@@ -136,19 +140,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configs import check_field_types
-from .neurons import selective_core, tau, tau_slope
+from .configs import check_fields
+from .neurons import cross_entropy_self_values, selective_core, tau, tau_slope
 
 __all__ = [
-    "AuctionConfig", "AuctionState", "AlwaysHoldModel", "FsnModel", "Markets", "Offer",
-    "Population", "TrialResult", "base_offer", "make_offer_variants", "run_auction",
-    "run_experiment", "run_trials", "screen_model", "server_step", "srd_finetune",
+    "ACTIVE", "BASE_OFFER_ROW", "BOUGHT", "QUITTED", "AuctionConfig", "AuctionState",
+    "AlwaysHoldModel", "FsnModel", "Markets", "Population", "TrialResult",
+    "make_offer_variants", "offer_row", "run_auction", "run_experiment", "run_trials",
+    "screen_model", "server_step", "srd_finetune",
 ]
 
-BUY, HOLD, QUIT = 0, 1, 2
-DECISION_NAMES = ("buy", "hold", "quit")
+BUY, HOLD, QUIT = 0, 1, 2  # decisions
+ACTIVE, BOUGHT, QUITTED = 0, 1, 2  # an agent's status in its auction
 
 PG, SZ, LSR, ST = 0, 1, 2, 3
+PRICE, DEMAND = 0, 7  # the offer row's price and previous-round demand columns
 
 BASE_PRICE = 5.0
 DELTA = 0.001
@@ -210,63 +216,42 @@ class AuctionConfig:
 
     def __post_init__(self):
         """Refuse values an auction cannot run on; each ValueError names its field."""
-        check_field_types(self)
-        for name, need, ok in [
-            ("base_price", "positive and finite", 0 < self.base_price < math.inf),
-            ("price_step", "in (0, 1)", 0 < self.price_step < 1),
-            *[(name, "at least 1", getattr(self, name) >= 1)
+        check_fields(self, [
+            ("base_price", "positive and finite", lambda v: 0 < v < math.inf),
+            ("price_step", "in (0, 1)", lambda v: 0 < v < 1),
+            *[(name, "at least 1", lambda v: v >= 1)
               for name in ("max_rounds", "d_ic", "variant_count")],
-            ("clone_noise", "at least 0 and finite", 0 <= self.clone_noise < math.inf),
-            ("variant_scale", "in [0, 1)", 0 <= self.variant_scale < 1),
-            ("variant_flip_prob", "in [0, 1]", 0 <= self.variant_flip_prob <= 1),
-            ("finetune_rounds", "at least 0", self.finetune_rounds >= 0),
-            ("selective_eps", "positive", self.selective_eps > 0),
-        ]:
-            if not ok:
-                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
+            ("clone_noise", "at least 0 and finite", lambda v: 0 <= v < math.inf),
+            ("variant_scale", "in [0, 1)", lambda v: 0 <= v < 1),
+            ("variant_flip_prob", "in [0, 1]", lambda v: 0 <= v <= 1),
+            ("finetune_rounds", "at least 0", lambda v: v >= 0),
+            ("selective_eps", "positive", lambda v: v > 0),
+        ])
 
 
-@dataclass
-class Offer:
-    """One fish offer: the 8-entry vector the agents evaluate."""
-
-    price: float = BASE_PRICE
-    length: float = 1.0
-    weight: float = 1.0
-    gill: float = 1.0
-    subtype: tuple = (0.5, 0.5, 0.5)
-    demand: float = 0.5
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.price, self.length, self.weight, self.gill,
-                         *self.subtype, self.demand])
+def offer_row(*, price: float = BASE_PRICE, length: float = 1.0, weight: float = 1.0,
+              gill: float = 1.0, subtype: tuple = (0.5, 0.5, 0.5),
+              demand: float = 0.5) -> np.ndarray:
+    """One fish offer, the 8-float row (p, l, w, g, st1, st2, st3, f) the agents read."""
+    return np.array([price, length, weight, gill, *subtype, demand], dtype=float)
 
 
-def base_offer() -> Offer:
-    return Offer()
+BASE_OFFER_ROW = offer_row()  # the base offer, whose price and demand a round sets
+BASE_OFFER_ROW.flags.writeable = False
 
 
-def make_offer_variants(base: Offer, count: int = 16,
-                        seed=None, scale: float = 0.05,
-                        flip_prob: float = 0.2) -> list[Offer]:
-    """Perturbed copies of the base offer, the agents' fine-tuning set."""
+def make_offer_variants(base: np.ndarray, count: int = 16, seed=None, scale: float = 0.05,
+                        flip_prob: float = 0.2) -> np.ndarray:
+    """Perturbed copies (count, 8) of the offer row ``base``, the agents' fine-tuning
+    set: per variant, four uniform quality and price factors, then three flip draws."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    variants = []
-    for _ in range(count):
-        factors = rng.uniform(1 - scale, 1 + scale, size=4)
-        flips = rng.random(3) < flip_prob
-        st = tuple(-s if f else s for s, f in zip(base.subtype, flips))
-        variants.append(Offer(
-            price=base.price * factors[0],
-            length=base.length * factors[1],
-            weight=base.weight * factors[2],
-            gill=base.gill * factors[3],
-            subtype=st,
-            demand=base.demand,
-        ))
-    return variants
+    rows = np.tile(base, (count, 1))
+    for row in rows:
+        row[:4] *= rng.uniform(1 - scale, 1 + scale, size=4)
+        row[4:7] = np.where(rng.random(3) < flip_prob, -row[4:7], row[4:7])
+    return rows
 
 
 @functools.lru_cache(maxsize=8)
@@ -285,9 +270,6 @@ def es_weight_rows(base_price: float = BASE_PRICE) -> np.ndarray:
 
 ES_BIASES = np.array([0.0, 0.0, 0.0, -0.5])
 ES_BIASES.flags.writeable = False  # row views share it
-
-BASE_OFFER_ROW = Offer().as_array()  # the base offer, whose price and demand a round sets
-BASE_OFFER_ROW.flags.writeable = False
 
 
 def _clone(x: np.ndarray, noise: np.ndarray, config: AuctionConfig) -> np.ndarray:
@@ -374,10 +356,6 @@ class FsnModel:
          noise_seed) = _agent_draws(rng)
         self.noise_rng = np.random.default_rng(noise_seed)
 
-    @property
-    def malicious(self) -> bool:
-        return False
-
     def es_forward_values(self, x: np.ndarray) -> np.ndarray:
         """Sensor activations (PG, SZ, LSR, ST) for offer rows (..., 8)."""
         noise = _draw_noise([self.noise_rng], (1, *x.shape, self.config.d_ic - 1))
@@ -399,15 +377,11 @@ class FsnModel:
         """
         return _judge_gates(x_es, logits)[0]
 
-    def decide_offer(self, offer: Offer) -> int:
-        """Buy / hold / quit decision on one offer: ``_bid`` for this one agent."""
-        x = offer.as_array()
+    def decide_offer(self, x: np.ndarray) -> int:
+        """Buy / hold / quit decision on one offer row x: ``_bid`` for this one agent."""
         noise = _draw_noise([self.noise_rng], (1, len(x), self.config.d_ic - 1))
         return int(_bid(self.es_rows[None], self.es_biases[None], x[None], noise,
                         self.w_dec[None], self.b_dec[None], self.config)[0])
-
-    def export_params(self) -> dict:
-        return {"w_dec": self.w_dec.copy(), "b_dec": self.b_dec.copy()}
 
 
 class AlwaysHoldModel:
@@ -421,15 +395,8 @@ class AlwaysHoldModel:
                  config: AuctionConfig | None = None):
         self.config = config or AuctionConfig()
 
-    @property
-    def malicious(self) -> bool:
-        return True
-
-    def decide_offer(self, offer: Offer) -> int:
+    def decide_offer(self, x: np.ndarray) -> int:
         return HOLD
-
-    def export_params(self) -> dict:
-        return {}
 
 
 def _draw_noise(rngs, shape: tuple) -> np.ndarray:
@@ -462,9 +429,9 @@ def _bid(es_rows, es_biases, x: np.ndarray, noise: np.ndarray, w: np.ndarray, b:
     return _decision_logits(x_es[:, None, :], w, b)[:, 0].argmax(axis=-1)
 
 
-def _screening_probe(config: AuctionConfig) -> Offer:
-    """The very cheap offer that every sensible negotiator buys."""
-    return Offer(price=0.25 * config.base_price)
+def _screening_probe(config: AuctionConfig) -> np.ndarray:
+    """The very cheap offer row that every sensible negotiator buys."""
+    return offer_row(price=0.25 * config.base_price)
 
 
 def screen_model(model, config: AuctionConfig | None = None) -> bool:
@@ -490,18 +457,17 @@ def srd_finetune(models, variants, k: int) -> None:
 
     Only the decision layer learns.  Malicious models, agents whose sampled
     epoch count is zero, and every agent once k reaches its config's
-    ``finetune_rounds`` sit the round out.  ``variants``, a list of Offers,
+    ``finetune_rounds`` sit the round out.  ``variants``, offer rows (V, 8),
     is every model's fine-tuning set.  Each learner runs ``_finetune`` on
     arrays of one; its new weights are written back.
     """
-    offers = np.array([v.as_array() for v in variants])
     for m in models:
-        if m.malicious or not m.epochs or k >= m.config.finetune_rounds:
+        if isinstance(m, AlwaysHoldModel) or not m.epochs or k >= m.config.finetune_rounds:
             continue
         w, b = _finetune(m.w_dec[None], m.b_dec[None], np.array([m.learning_rate]),
                          np.array([m.epochs]), np.array([m.batch_size]),
                          np.array([m.noise_rng]), m.es_rows[None], m.es_biases[None],
-                         offers[None], m.config)
+                         variants[None], m.config)
         m.w_dec[...], m.b_dec[...] = w[0], b[0]
 
 
@@ -557,11 +523,7 @@ def _lockstep_sgd(w, b, lr, epochs, batch, x_es: np.ndarray,
         w_on, b_on = w[on], b[on]
         logits = _decision_logits(x, w_on, b_on)
         judged, pre, gates = _judge_gates(x, logits)
-        z = (judged * kept).sum(axis=1)
-        top = z.max(axis=1, keepdims=True)
-        lse = top + np.log(np.exp(z - top).sum(axis=1, keepdims=True))
-        dz = np.exp(z - lse)
-        dz[np.arange(len(on)), z.argmax(axis=1)] -= 1.0
+        dz = cross_entropy_self_values((judged * kept).sum(axis=1))[1]
         dpre = (dz @ _PFC_OUT_W)[:, None, :] * tau_slope(pre, gates) * kept
         dlogits = dpre @ _PFC_GATES_W[:, 4:]
         w[on] = w_on - lr[on, None, None] * (dlogits.transpose(0, 2, 1) @ x)
@@ -586,19 +548,16 @@ class AuctionState:
     price: float
     demand_frac: float = 0.5
     k: int = 0
-    status: list[str] = field(default_factory=list)
+    status: list[int] = field(default_factory=list)  # ACTIVE, BOUGHT or QUITTED per agent
     ledger: list[Purchase] = field(default_factory=list)
     terminated: bool = False
 
     def __post_init__(self):
         if not self.status:
-            self.status = ["active"] * len(self.agents)
+            self.status = [ACTIVE] * len(self.agents)
 
     def active_indices(self) -> list[int]:
-        return [i for i, s in enumerate(self.status) if s == "active"]
-
-    def current_offer(self) -> Offer:
-        return Offer(price=self.price, demand=self.demand_frac)
+        return [i for i, s in enumerate(self.status) if s == ACTIVE]
 
 
 def server_step(state: AuctionState) -> AuctionState:
@@ -610,7 +569,7 @@ def server_step(state: AuctionState) -> AuctionState:
         raise RuntimeError("cannot step a terminated auction")
     cfg = state.config
     active_before = state.active_indices()
-    offer = state.current_offer()
+    offer = offer_row(price=state.price, demand=state.demand_frac)
     decisions = [state.agents[i].decide_offer(offer) for i in active_before]
 
     buyers = [i for i, d in zip(active_before, decisions) if d == BUY]
@@ -618,13 +577,13 @@ def server_step(state: AuctionState) -> AuctionState:
     n_buy = len(buyers)
 
     for i in quitters:
-        state.status[i] = "quit"
+        state.status[i] = QUITTED
 
     if n_buy > state.stock:
         state.price *= 1 + cfg.price_step
     else:
         for i in buyers:
-            state.status[i] = "bought"
+            state.status[i] = BOUGHT
             state.ledger.append(Purchase(agent=i, price=state.price, round=state.k))
         state.stock -= n_buy
         if n_buy and state.stock == 0:
@@ -655,9 +614,6 @@ class TrialResult:
     def mean_price(self) -> float:
         return float(np.mean(self.prices)) if self.prices else float("nan")
 
-
-ACTIVE, BOUGHT, QUITTED = 0, 1, 2
-STATUS_NAMES = ("active", "bought", "quit")
 
 # Drawing (FSN) agents per block of lockstep trials, and the most trials a
 # block takes.  A block's agents all live until its last trial ends, so the
@@ -785,14 +741,14 @@ class Population:
 
 class Markets:
     """Server-side state of a block of auctions, one row per trial: price,
-    stock, the previous round's demand, rounds run, each agent's status (a
-    code into STATUS_NAMES), whether it still runs, and its ledger."""
+    stock, the previous round's demand, rounds run, each agent's status
+    (ACTIVE, BOUGHT or QUITTED), whether it still runs, and its ledger."""
 
     def __init__(self, trials: int, n: int, stock: int, config: AuctionConfig):
         self.config = config
         self.price = np.full(trials, config.base_price)
         self.stock = np.full(trials, stock)
-        self.demand = np.full(trials, Offer().demand)
+        self.demand = np.full(trials, BASE_OFFER_ROW[DEMAND])
         self.rounds = np.zeros(trials, dtype=int)
         self.status = np.full((trials, n), ACTIVE)
         self.running = np.ones(trials, dtype=bool)
@@ -804,7 +760,7 @@ class Markets:
     def offers(self) -> np.ndarray:
         x = np.empty((len(self.price), len(BASE_OFFER_ROW)))
         x[:] = BASE_OFFER_ROW
-        x[:, 0], x[:, 7] = self.price, self.demand
+        x[:, PRICE], x[:, DEMAND] = self.price, self.demand
         return x
 
     def step(self, decisions: np.ndarray, active: np.ndarray) -> None:
@@ -872,16 +828,15 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
     # The agents are built from the sensor template and W_DECISION, so only
     # the cheap-offer probe can flag one; every agent takes it, since it
     # draws clone noise.
-    probe = np.tile(_screening_probe(config).as_array(), (len(roots), 1))
+    probe = np.tile(_screening_probe(config), (len(roots), 1))
     passed = pop.decide(pop.fsn, probe, -1) == BUY
     if malicious_frac == 0 and not passed.all():
         raise RuntimeError("screener flagged a model outside malicious mode")
 
     if optim:  # from their own stream, spawn key (0,), so skipping them draws nothing
-        variants = np.array([[v.as_array() for v in make_offer_variants(
-            base_offer(), config.variant_count, rng,
-            scale=config.variant_scale, flip_prob=config.variant_flip_prob)]
-            for rng in streams.rngs(roots, [0])])
+        variants = np.array([make_offer_variants(
+            BASE_OFFER_ROW, config.variant_count, rng, scale=config.variant_scale,
+            flip_prob=config.variant_flip_prob) for rng in streams.rngs(roots, [0])])
 
     markets = Markets(len(roots), n, round(r * n), config)
     k = 0

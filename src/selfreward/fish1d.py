@@ -83,7 +83,7 @@ its time goes to ``trace.csv`` and ``energy.svg``, which ``reporting``
 writes from the cycle a column at a time.
 
 ``FishConfig`` holds the rule on each of its fields, ``food_period`` and
-``mem`` among them, once ``configs.check_field_types`` has checked their
+``mem`` among them, once ``configs.check_fields`` has checked their
 types; ``FishWorld`` and ``DecisionMemory`` take its values.
 
 The graph forms (``FishNN.sense``/``decide``, ``FishPFC.judge`` and
@@ -107,7 +107,7 @@ from .autodiff import DiffTensor, as_tensor, concat
 # Unused here since training left the engine; bench/test_bench.py still checks
 # that the tracer rebinds fish1d.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
-from .configs import check_field_types
+from .configs import check_fields
 from .layers import (
     conv1d,
     fully_connected,
@@ -172,19 +172,16 @@ class FishConfig:
     def __post_init__(self):
         """Refuse values the fish cannot sense, live or train on; each
         ValueError names its field."""
-        check_field_types(self)
-        for name, need, ok in [
-            ("food_period", "at least 4", self.food_period >= 4),  # empty cells between food
-            ("energy_decay", "at least 0 and finite", 0 <= self.energy_decay < math.inf),
-            ("selective_eps", "positive", self.selective_eps > 0),
-            ("initial_energy", "in (0, 1]", 0 < self.initial_energy <= 1),
-            ("mem", "at least 1", self.mem >= 1),
-            ("learning_rate", "positive and finite", 0 < self.learning_rate < math.inf),
-            ("eat_bias", "finite", math.isfinite(self.eat_bias)),
-            ("move_delta", "finite", math.isfinite(self.move_delta)),
-        ]:
-            if not ok:
-                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
+        check_fields(self, [
+            ("food_period", "at least 4", lambda v: v >= 4),  # empty cells between food
+            ("energy_decay", "at least 0 and finite", lambda v: 0 <= v < math.inf),
+            ("selective_eps", "positive", lambda v: v > 0),
+            ("initial_energy", "in (0, 1]", lambda v: 0 < v <= 1),
+            ("mem", "at least 1", lambda v: v >= 1),
+            ("learning_rate", "positive and finite", lambda v: 0 < v < math.inf),
+            ("eat_bias", "finite", math.isfinite),
+            ("move_delta", "finite", math.isfinite),
+        ])
 
 
 # One ``run_episode`` record, as ``fish1d run`` writes it to trace.csv.

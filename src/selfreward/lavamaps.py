@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configs import check_field_types
+from .configs import check_fields
 
 PALETTE = {
     "target": np.array([1.0, 1.0, 0.0]),
@@ -68,23 +68,19 @@ class LavaConfig:
     def __post_init__(self):
         """Refuse values that map generation, the planner or the trainer cannot
         run on; each ValueError names its field."""
-        check_field_types(self)
-        for name, need, ok in [
-            *[(name, "at least 1", getattr(self, name) >= 1)
+        check_fields(self, [
+            *[(name, "at least 1", lambda v: v >= 1)
               for name in ("height", "width", "max_steps", "n_plans")],
-            ("grass_frac", "in [0, 1]", 0 <= self.grass_frac <= 1),
-            ("lava_frac", "in [0, 1)", 0 <= self.lava_frac < 1),
-            *[(name, "finite", math.isfinite(getattr(self, name)))
+            ("grass_frac", "in [0, 1]", lambda v: 0 <= v <= 1),
+            ("lava_frac", "in [0, 1)", lambda v: 0 <= v < 1),
+            *[(name, "finite", math.isfinite)
               for name in ("p_target", "p_self", "p_grass", "p_dirt", "anti_return")],
-            ("unknown_avoidance", "at least 0 and finite",
-             0 <= self.unknown_avoidance < math.inf),
-            ("tau_recog", "at least 0", self.tau_recog >= 0),
-            ("selective_eps", "positive", self.selective_eps > 0),
-            ("explore_odds", "in [0, 1]", 0 <= self.explore_odds <= 1),
-            ("learning_rate", "positive and finite", 0 < self.learning_rate < math.inf),
-        ]:
-            if not ok:
-                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
+            ("unknown_avoidance", "at least 0 and finite", lambda v: 0 <= v < math.inf),
+            ("tau_recog", "at least 0", lambda v: v >= 0),
+            ("selective_eps", "positive", lambda v: v > 0),
+            ("explore_odds", "in [0, 1]", lambda v: 0 <= v <= 1),
+            ("learning_rate", "positive and finite", lambda v: 0 < v < math.inf),
+        ])
         if self.height * self.width < 2:
             raise ValueError(f"height x width must hold at least 2 cells, "
                              f"got {self.height}x{self.width}")

@@ -6,10 +6,12 @@ residual), the threshold gate ``tau`` (a monotone saturating tanh after a
 leaky rectifier) and its slope ``tau_slope``, ``softmax_values``, the
 self-labelled loss ``cross_entropy_self_values``, and the nine shifted terms
 of a 3x3 transposed convolution, ``deconv_shifts``.  The scenarios run on
-these directly, and this module imports nothing but numpy, so a scenario
-that uses them never loads the engine.  The recorded ops in ``layers``
-compute their values through the same functions and add a vjp, and the
-tests use them as the reference for each scenario's closed-form gradients.
+these directly (the auction's fine-tuning takes its loss from
+``cross_entropy_self_values``, a row per learner), and this module imports
+nothing but numpy, so a scenario that uses them never loads the engine.  The
+recorded ops in ``layers`` compute their values through the same functions
+and add a vjp, and the tests use them as the reference for each scenario's
+closed-form gradients.
 
 A controller as small as the fish works on a handful of Python floats, where
 a numpy call costs more than its arithmetic.  So the gate, its slope and the
@@ -104,11 +106,13 @@ def cross_entropy2_float(z0: float, z1: float) -> tuple[float, tuple[float, floa
     return lse - z1, (g0, g1 - 1.0)
 
 
-def cross_entropy_self_values(z: np.ndarray) -> tuple[float, np.ndarray]:
-    """cross_entropy_self on a plain array: (loss, softmax(z) - onehot(argmax z))."""
-    label = int(np.argmax(z))
-    m = z.max()
-    lse = m + np.log(np.exp(z - m).sum())
-    gz = np.exp(z - lse)
-    gz[label] -= 1.0
-    return float(lse - z[label]), gz
+def cross_entropy_self_values(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cross_entropy_self of each row of z (..., k): the losses (...) and
+    softmax(z) - onehot(argmax z), a tie going to the first of its entries."""
+    rows = z.reshape(-1, z.shape[-1])
+    at, label = np.arange(len(rows)), rows.argmax(axis=1)
+    top = rows.max(axis=1, keepdims=True)
+    lse = top + np.log(np.exp(rows - top).sum(axis=1, keepdims=True))
+    gz = np.exp(rows - lse)
+    gz[at, label] -= 1.0
+    return (lse[:, 0] - rows[at, label]).reshape(z.shape[:-1]), gz.reshape(z.shape)

@@ -8,6 +8,7 @@ load(save(P)) reproduces every value.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,9 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
     scenario is refused.  With ``template`` (name -> array), the document
     must hold exactly those names, each with the template array's shape.
     ``params`` must be a JSON object whose entries hold their ``values`` as
-    a flat list of JSON numbers; anything else is a ParamsParseError.
+    a flat list of JSON numbers and their ``shape`` as a list of
+    non-negative integers whose product is the number of values; anything
+    else is a ParamsParseError.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -91,7 +94,13 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
                     and all(type(v) in (int, float) for v in values)):
                 raise ParamsParseError(f"{path}: parameter {name!r} values must be "
                                        f"a list of JSON numbers")
-            out[name] = np.array(values, dtype=np.float64).reshape(entry["shape"])
+            shape = entry["shape"]
+            if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+                    and math.prod(shape) == len(values)):
+                raise ParamsParseError(f"{path}: parameter {name!r} shape must be a list of "
+                                       f"non-negative integers whose product is its "
+                                       f"{len(values)} values, got {shape!r}")
+            out[name] = np.array(values, dtype=np.float64).reshape(shape)
     except ParamsError:  # a ValueError, with its own message
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as err:

@@ -10,15 +10,19 @@ import pytest
 from selfreward import auction, streams
 from selfreward.autodiff import DiffTensor, SgdSettings, backward, concat, sgd_step
 from selfreward.auction import (
+    ACTIVE,
+    BASE_OFFER_ROW,
+    BOUGHT,
     BUY,
+    DEMAND,
     HOLD,
+    PRICE,
     QUIT,
+    QUITTED,
     AlwaysHoldModel,
     AuctionConfig,
     AuctionState,
     FsnModel,
-    Offer,
-    base_offer,
     W_DECISION,
     _PFC_GATES_B,
     _PFC_GATES_W,
@@ -26,6 +30,7 @@ from selfreward.auction import (
     _PFC_OUT_W,
     es_weight_rows,
     make_offer_variants,
+    offer_row,
     run_auction,
     run_experiment,
     screen_model,
@@ -91,34 +96,51 @@ def test_config_keeps_edge_values():
 
 
 def test_base_offer_vector():
-    np.testing.assert_allclose(base_offer().as_array(),
-                               [5.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
+    np.testing.assert_allclose(BASE_OFFER_ROW, [5.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5])
+    assert offer_row(price=2.0, subtype=(0.5, -0.5, 0.5), demand=0.25).tolist() == \
+        [2.0, 1.0, 1.0, 1.0, 0.5, -0.5, 0.5, 0.25]
 
 
 def test_variants_deterministic():
-    a = make_offer_variants(base_offer(), 16, seed=3)
-    b = make_offer_variants(base_offer(), 16, seed=3)
-    assert [v.as_array().tolist() for v in a] == [v.as_array().tolist() for v in b]
-    assert len(a) == 16
+    a = make_offer_variants(BASE_OFFER_ROW, 16, seed=3)
+    b = make_offer_variants(BASE_OFFER_ROW, 16, seed=3)
+    assert a.tolist() == b.tolist()
+    assert a.shape == (16, 8)
+
+
+def test_variants_keep_the_per_variant_draws():
+    """Per variant, four uniform factors then three flip draws, as the
+    variants were first drawn one offer at a time: the same floats, bit for bit."""
+    base = offer_row(price=4.5, length=0.9, weight=1.1, gill=0.8, subtype=(0.5, -0.5, 0.5),
+                     demand=0.3)
+    rng = np.random.default_rng(12)
+    want = []
+    for _ in range(16):
+        factors = rng.uniform(1 - 0.05, 1 + 0.05, size=4)
+        flips = rng.random(3) < 0.2
+        want.append([*(b * f for b, f in zip(base[:4], factors)),
+                     *(-s if f else s for s, f in zip(base[4:7], flips)), base[7]])
+    got = make_offer_variants(base, 16, seed=12)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_variants_zero_scale_copies_continuous_parts():
-    vs = make_offer_variants(base_offer(), 4, seed=0, scale=0.0, flip_prob=0.0)
+    vs = make_offer_variants(BASE_OFFER_ROW, 4, seed=0, scale=0.0, flip_prob=0.0)
     for v in vs:
-        np.testing.assert_allclose(v.as_array(), base_offer().as_array())
+        np.testing.assert_allclose(v, BASE_OFFER_ROW)
 
 
 def test_variants_perturb_within_bounds():
-    vs = make_offer_variants(base_offer(), 32, seed=1)
+    vs = make_offer_variants(BASE_OFFER_ROW, 32, seed=1)
     for v in vs:
-        assert 4.75 <= v.price <= 5.25
-        assert all(s in (-0.5, 0.5) for s in v.subtype)
-        assert v.demand == 0.5
+        assert 4.75 <= v[PRICE] <= 5.25
+        assert all(s in (-0.5, 0.5) for s in v[4:7])
+        assert v[DEMAND] == 0.5
 
 
 def test_variants_count_validated():
     with pytest.raises(ValueError):
-        make_offer_variants(base_offer(), 0)
+        make_offer_variants(BASE_OFFER_ROW, 0)
 
 
 # -- sensor stage ------------------------------------------------------------------
@@ -151,13 +173,13 @@ def reference_decide(m, offer):
     """One agent on one offer, alone: the per-agent loop's decision."""
     if not isinstance(m, FsnModel):
         return m.decide_offer(offer)
-    logits = reference_sensors(m, offer.as_array()) @ m.w_dec.T + m.b_dec
+    logits = reference_sensors(m, offer) @ m.w_dec.T + m.b_dec
     return int(logits.argmax())
 
 
 def test_es_forward_base_offer_zero_noise():
     m = fresh_model(clone_noise=0.0)
-    x = base_offer().as_array()
+    x = BASE_OFFER_ROW
     got = m.es_forward_values(x)
     want = hand_es(x)
     np.testing.assert_allclose(got, want, atol=1e-12)
@@ -168,7 +190,7 @@ def test_es_forward_base_offer_zero_noise():
 
 def test_es_forward_subtype_mismatch_drops_st():
     m = fresh_model(clone_noise=0.0)
-    x = Offer(subtype=(0.5, -0.5, 0.5)).as_array()
+    x = offer_row(subtype=(0.5, -0.5, 0.5))
     got = m.es_forward_values(x)
     assert got[3] == pytest.approx(hand_es(x)[3], abs=1e-12)
     assert got[3] < 0.1  # mismatch suppresses the match detector
@@ -176,14 +198,14 @@ def test_es_forward_subtype_mismatch_drops_st():
 
 def test_es_forward_high_demand_raises_lsr():
     m = fresh_model(clone_noise=0.0)
-    lo = m.es_forward_values(Offer(demand=0.0).as_array())[2]
-    hi = m.es_forward_values(Offer(demand=1.0).as_array())[2]
+    lo = m.es_forward_values(offer_row(demand=0.0))[2]
+    hi = m.es_forward_values(offer_row(demand=1.0))[2]
     assert lo < 0.05
     assert hi == pytest.approx(math.tanh(1.001 * 1.0 + 0.0095), abs=1e-6)
 
 
 def test_es_forward_rows_match_single_offers():
-    offers = np.array([Offer(price=p, demand=d).as_array()
+    offers = np.array([offer_row(price=p, demand=d)
                        for p, d in ((4.0, 0.1), (5.0, 0.5), (6.5, 0.9))])
     a = fresh_model(seed=5)
     b = fresh_model(seed=5)
@@ -243,19 +265,19 @@ def test_sensors_match_the_first_written_forward_bit_for_bit(d_ic):
 
 def test_cheap_offer_bought():
     m = fresh_model(seed=1)
-    assert m.decide_offer(Offer(price=1.0)) == BUY
+    assert m.decide_offer(offer_row(price=1.0)) == BUY
 
 
 def test_expensive_offer_held():
     m = fresh_model(seed=1)
-    assert m.decide_offer(Offer(price=9.0)) == HOLD
+    assert m.decide_offer(offer_row(price=9.0)) == HOLD
 
 
 def test_lowering_price_strictly_raises_buy_logit():
     m = fresh_model(clone_noise=0.0)
     logits = []
     for p in (6.0, 5.0, 4.0, 3.0):
-        x = m.es_forward_values(Offer(price=p).as_array())
+        x = m.es_forward_values(offer_row(price=p))
         logits.append(m.decide_values(x)[0][BUY])
     assert all(b > a for a, b in zip(logits, logits[1:]))
 
@@ -277,7 +299,7 @@ def test_decide_offer_matches_per_agent_reference():
     reference = copy.deepcopy(agents)
     seen = set()
     for price in (1.0, 4.0, 5.0, 5.5, 6.0, 9.0, 0.5, 5.25):
-        offer = Offer(price=price, demand=price / 10)
+        offer = offer_row(price=price, demand=price / 10)
         got = [m.decide_offer(offer) for m in agents]
         assert got == [reference_decide(m, offer) for m in reference]
         seen.update(got)
@@ -290,7 +312,7 @@ def test_decide_offer_matches_per_agent_reference():
 def test_malicious_model_always_holds():
     m = AlwaysHoldModel(np.random.default_rng(0))
     for p in (0.5, 5.0, 50.0):
-        assert m.decide_offer(Offer(price=p)) == HOLD
+        assert m.decide_offer(offer_row(price=p)) == HOLD
 
 
 # -- judge -------------------------------------------------------------------------
@@ -342,19 +364,18 @@ def test_pfc_matches_hand_formula():
 def test_finetune_noop_after_window():
     m = fresh_model(seed=2)
     m.epochs = 2
-    before = m.export_params()
-    srd_finetune([m], make_offer_variants(base_offer(), 16, seed=0), k=4)
-    after = m.export_params()
-    np.testing.assert_array_equal(before["w_dec"], after["w_dec"])
-    np.testing.assert_array_equal(before["b_dec"], after["b_dec"])
+    w_before, b_before = m.w_dec.copy(), m.b_dec.copy()
+    srd_finetune([m], make_offer_variants(BASE_OFFER_ROW, 16, seed=0), k=4)
+    np.testing.assert_array_equal(w_before, m.w_dec)
+    np.testing.assert_array_equal(b_before, m.b_dec)
 
 
 def test_finetune_noop_for_zero_epochs():
     m = fresh_model(seed=2)
     m.epochs = 0
-    before = m.export_params()
-    srd_finetune([m], make_offer_variants(base_offer(), 16, seed=0), k=0)
-    np.testing.assert_array_equal(before["w_dec"], m.export_params()["w_dec"])
+    w_before = m.w_dec.copy()
+    srd_finetune([m], make_offer_variants(BASE_OFFER_ROW, 16, seed=0), k=0)
+    np.testing.assert_array_equal(w_before, m.w_dec)
 
 
 def test_finetune_sampled_settings_in_range():
@@ -372,18 +393,18 @@ def engine_finetune(model, variants, k):
     layers, and takes one SGD step on a cross-entropy against the judge's
     own verdict.
     """
-    if k >= model.config.finetune_rounds or model.malicious or model.epochs == 0:
+    if (k >= model.config.finetune_rounds or isinstance(model, AlwaysHoldModel)
+            or model.epochs == 0):
         return
     w = DiffTensor(model.w_dec.copy(), requires_grad=True)
     b = DiffTensor(model.b_dec.copy(), requires_grad=True)
     settings = SgdSettings(model.learning_rate)
-    arrays = [v.as_array() for v in variants]
     for _ in range(model.epochs):
-        order = model.noise_rng.permutation(len(arrays))
+        order = model.noise_rng.permutation(len(variants))
         for start in range(0, len(order), model.batch_size):
             z = None
             for idx in order[start:start + model.batch_size]:
-                x_es = DiffTensor(model.es_forward_values(arrays[idx]))
+                x_es = DiffTensor(model.es_forward_values(variants[idx]))
                 logits = fully_connected(x_es, w, b)
                 gates = threshold_activation(
                     fully_connected(concat([x_es, logits]), _PFC_GATES_W, _PFC_GATES_B))
@@ -407,22 +428,21 @@ def lockstep_agents(settings=((2, 4), (1, 15), (2, 7), (0, 5), (1, 6))):
 def lockstep_finetune(models, variants, k):
     """One fine-tuning round of the models' learners stacked into one
     ``_finetune`` call, as ``_run_block`` makes it over a block's rows."""
-    learners = [m for m in models
-                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
+    learners = [m for m in models if not isinstance(m, AlwaysHoldModel)
+                and m.epochs and k < m.config.finetune_rounds]
     if not learners:
         return
-    offers = np.array([v.as_array() for v in variants])
     config = learners[0].config
     w, b = auction._finetune(*(np.array([getattr(m, name) for m in learners]) for name in (
         "w_dec", "b_dec", "learning_rate", "epochs", "batch_size", "noise_rng")),
         es_weight_rows(config.base_price), auction.ES_BIASES,
-        np.broadcast_to(offers, (len(learners), *offers.shape)), config)
+        np.broadcast_to(variants, (len(learners), *variants.shape)), config)
     for m, w_i, b_i in zip(learners, w, b):
         m.w_dec[...], m.b_dec[...] = w_i, b_i
 
 
 def test_lockstep_finetune_matches_engine_reference():
-    variants = make_offer_variants(base_offer(), 16, seed=4)
+    variants = make_offer_variants(BASE_OFFER_ROW, 16, seed=4)
     ours = lockstep_agents() + [AlwaysHoldModel(np.random.default_rng(0))]
     solo = lockstep_agents() + [AlwaysHoldModel(np.random.default_rng(0))]
     ref = lockstep_agents()
@@ -486,7 +506,7 @@ def test_lockstep_step_matches_central_differences():
 def test_lockstep_padding_leaves_finished_agent_bit_identical():
     # the first agent's two steps run at the same array shapes in both
     # rounds; only the number of steps the other agent takes after them differs
-    variants = make_offer_variants(base_offer(), 16, seed=4)
+    variants = make_offer_variants(BASE_OFFER_ROW, 16, seed=4)
     finished = []
     for long_epochs in (1, 2):
         short, long = lockstep_agents(((1, 15), (long_epochs, 4)))
@@ -503,7 +523,7 @@ def test_lockstep_finetune_gives_every_schedule_its_solo_result():
     step pads only to the widest batch of the learners still stepping, and a
     learner whose schedule has ended sits out the later steps untouched."""
     settings = [(epochs, batch) for epochs in (1, 2) for batch in range(4, 16)]
-    variants = make_offer_variants(base_offer(), 16, seed=4)
+    variants = make_offer_variants(BASE_OFFER_ROW, 16, seed=4)
     together, alone = lockstep_agents(settings), lockstep_agents(settings)
     lockstep_finetune(together, variants, 0)
     for m in alone:
@@ -531,11 +551,11 @@ def test_finetune_does_not_lower_cheap_buy_logit():
     m = fresh_model(seed=3)
     m.epochs = 2
     m.learning_rate = 1e-4
-    cheap = Offer(price=3.0).as_array()
+    cheap = offer_row(price=3.0)
     x = m.es_forward_values(cheap)
     before = m.decide_values(x)[0][BUY]
     for k in range(4):
-        srd_finetune([m], make_offer_variants(base_offer(), 16, seed=1), k)
+        srd_finetune([m], make_offer_variants(BASE_OFFER_ROW, 16, seed=1), k)
     after = m.decide_values(x)[0][BUY]
     assert after >= before - 1e-9
 
@@ -546,7 +566,6 @@ def test_finetune_does_not_lower_cheap_buy_logit():
 class StubAgent:
     def __init__(self, decision):
         self.decision = decision
-        self.malicious = False
 
     def decide_offer(self, offer):
         return self.decision
@@ -572,7 +591,7 @@ def test_low_demand_sells_and_marks_down():
     assert len(s.ledger) == 1 and s.ledger[0].price == pytest.approx(5.0)
     assert s.stock == 1
     assert s.price == pytest.approx(5.0 * 0.95)
-    assert s.status[0] == "bought"
+    assert s.status[0] == BOUGHT
     assert s.demand_frac == pytest.approx(1 / 3)
 
 
@@ -594,7 +613,7 @@ def test_zero_buys_only_drops_price():
 def test_quit_retires_agents():
     s = make_state([QUIT, HOLD], stock=2)
     server_step(s)
-    assert s.status[0] == "quit"
+    assert s.status[0] == QUITTED
     assert s.active_indices() == [1]
 
 
@@ -631,7 +650,7 @@ def test_auction_conservation_and_statuses():
     assert result.units_sold + markets.stock[0] == round(0.25 * 64)
     agents_in_ledger = [p.agent for p in ledger]
     assert len(agents_in_ledger) == len(set(agents_in_ledger))
-    assert set(markets.status[0].tolist()) <= set(range(len(auction.STATUS_NAMES)))
+    assert set(markets.status[0].tolist()) <= {ACTIVE, BOUGHT, QUITTED}
     assert all(p.price > 0 for p in ledger)
 
 
@@ -675,7 +694,7 @@ def reference_screen(m, config):
     signs = np.sign(m.w_dec[BUY])
     if not (signs[0] < 0 and all(signs[i] > 0 for i in (1, 2, 3))):
         return False
-    return reference_decide(m, Offer(price=0.25 * config.base_price)) == BUY
+    return reference_decide(m, offer_row(price=0.25 * config.base_price)) == BUY
 
 
 def test_screen_model_matches_per_model_reference():
@@ -748,17 +767,16 @@ def test_matched_seeds_share_honest_agent_construction():
 def reference_finetune(models, variants, k):
     """srd_finetune with each learner's sensor rows filled one epoch at a
     time through the single-agent forward; the steps are the library's."""
-    learners = [m for m in models
-                if not m.malicious and m.epochs and k < m.config.finetune_rounds]
+    learners = [m for m in models if not isinstance(m, AlwaysHoldModel)
+                and m.epochs and k < m.config.finetune_rounds]
     if not learners:
         return
-    offers = np.array([v.as_array() for v in variants])
-    n_var = len(offers)
+    n_var = len(variants)
     x_es = np.zeros((len(learners), max(m.epochs for m in learners) * n_var, 4))
     for i, m in enumerate(learners):
         for e in range(m.epochs):
             order = m.noise_rng.permutation(n_var)
-            x_es[i, e * n_var:(e + 1) * n_var] = reference_sensors(m, offers[order])
+            x_es[i, e * n_var:(e + 1) * n_var] = reference_sensors(m, variants[order])
     w, b = auction._lockstep_sgd(
         np.array([m.w_dec for m in learners]), np.array([m.b_dec for m in learners]),
         np.array([m.learning_rate for m in learners]), np.array([m.epochs for m in learners]),
@@ -795,7 +813,7 @@ def reference_auction(r, optim, malicious_frac, seed, n=64):
     passed = [reference_screen(m, config) for m in agents]
     assert all(passed) or malicious_frac > 0
     variants = make_offer_variants(
-        base_offer(), config.variant_count,
+        BASE_OFFER_ROW, config.variant_count,
         np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (0,)),
         scale=config.variant_scale, flip_prob=config.variant_flip_prob)
     bidders = [ReferenceAgent(m) if isinstance(m, FsnModel) else m for m in agents]
@@ -1076,7 +1094,7 @@ def test_markets_step_matches_server_step(seed):
             assert markets.running[t] == (not state.terminated)
             assert (markets.price[t], markets.stock[t], markets.demand[t], markets.rounds[t]) \
                 == (state.price, state.stock, state.demand_frac, state.k)
-            assert [auction.STATUS_NAMES[s] for s in markets.status[t]] == state.status
+            assert markets.status[t].tolist() == state.status
             assert markets.ledgers[t] == state.ledger
     for state in states:
         ends.add("sold out" if state.stock == 0 else

@@ -548,6 +548,22 @@ def test_params_values_that_are_not_numbers_exit_two_with_one_message(tmp_path, 
                                        f"a list of JSON numbers\n")
 
 
+@pytest.mark.parametrize("shape", [[2, -1], [-1, 3]])
+def test_fish_run_refuses_a_malformed_shape_naming_the_parameter(tmp_path, capsys, shape):
+    """Shapes that numpy's reshape reads as w_act's (2, 3) are still refused."""
+    from selfreward.fish1d import FishConfig, FishNN
+
+    path = _params_file(tmp_path, "p.json", FishNN(FishConfig()).export_params(), "fish1d")
+    doc = json.loads(path.read_text())
+    doc["params"]["w_act"]["shape"] = shape
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "f"
+    rc = dispatch(["fish1d", "run", "--steps", "10", "--trained", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: parameter 'w_act' shape must be")
+    assert not out.exists()
+
+
 def test_fish_run_of_a_starving_policy_writes_its_trace(tmp_path, capsys):
     from selfreward.fish1d import FishConfig, FishNN
 

@@ -285,6 +285,38 @@ def test_cel_infimum_approached():
     assert cross_entropy_self(np.array([60.0, 0.0])).item() < 1e-20
 
 
+def first_written_cel(z):
+    """``cross_entropy_self_values`` of one 1-D z, as first written."""
+    label = int(np.argmax(z))
+    m = z.max()
+    lse = m + np.log(np.exp(z - m).sum())
+    gz = np.exp(z - lse)
+    gz[label] -= 1.0
+    return float(lse - z[label]), gz
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cel_rows_match_one_row_calls_bit_for_bit(k):
+    """Each row of an (n, k) call is the 1-D call on that row, bit for bit,
+    and that is the formula as first written; a tie labels its first entry."""
+    z = np.random.default_rng(k).normal(scale=3.0, size=(40, k))
+    z[:4] = np.array([0.0, 1.5, -7.0, 40.0])[:, None]  # every entry tied
+    z[4:8, 0] = z[4:8, 1] = z[4:8].max(axis=1)  # the first two tied at the top
+    z[8:12, -1] = z[8:12, -2] = z[8:12].max(axis=1)  # the last two tied at the top
+    loss, gz = cross_entropy_self_values(z)
+    assert loss.shape == (40,) and gz.shape == (40, k)
+    for row, row_loss, row_gz in zip(z, loss, gz):
+        want_loss, want_gz = cross_entropy_self_values(row)
+        assert row_loss.tobytes() == want_loss.tobytes()
+        assert row_gz.tobytes() == want_gz.tobytes()
+        first_loss, first_gz = first_written_cel(row)
+        assert want_loss.tobytes() == np.float64(first_loss).tobytes()
+        assert want_gz.tobytes() == first_gz.tobytes()
+        assert np.flatnonzero(row_gz < 0).tolist() == [int(np.flatnonzero(row == row.max())[0])]
+    stacked_loss, stacked_gz = cross_entropy_self_values(z.reshape(4, 10, k))
+    assert stacked_loss.tobytes() == loss.tobytes() and stacked_gz.tobytes() == gz.tobytes()
+
+
 # -- gradient oracle: central finite differences ----------------------------------
 
 

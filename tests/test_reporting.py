@@ -145,6 +145,31 @@ def test_params_values_that_are_not_json_numbers_refused(tmp_path, values):
         load_params(path)
 
 
+@pytest.mark.parametrize("shape", [
+    2, [-1], [2, -1], [-2, -1], [True, 2], [2.0], [3], [1, 3], [], "2", None, {"0": 2},
+])
+def test_params_malformed_shape_refused(tmp_path, shape):
+    """A shape is a list of non-negative integers whose product is the number
+    of values; numpy's reshape would take 2, [-1], [2, -1] and [True, 2]."""
+    path = tmp_path / "p.json"
+    doc = {"format_version": 1, "params": {"w": {"shape": shape, "values": [0.5, 1.5]}}}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParamsParseError,
+                       match=re.escape(f"{path}: parameter 'w' shape must be a list of "
+                                       "non-negative integers whose product is its 2 values")):
+        load_params(path, template={"w": np.zeros(2)})
+
+
+@pytest.mark.parametrize("shape, values", [
+    ([], [0.5]), ([0], []), ([2, 0, 3], []), ([1, 2], [0.5, 1.5]),
+])
+def test_params_well_formed_shapes_load(tmp_path, shape, values):
+    path = tmp_path / "p.json"
+    doc = {"format_version": 1, "params": {"w": {"shape": shape, "values": values}}}
+    path.write_text(json.dumps(doc))
+    assert load_params(path)["w"].shape == tuple(shape)
+
+
 def test_params_integer_values_read_as_floats(tmp_path):
     path = tmp_path / "p.json"
     doc = {"format_version": 1, "params": {"w": {"shape": [2], "values": [1, -2]}}}
