@@ -140,6 +140,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import streams
 from .configs import check_fields
 from .neurons import cross_entropy_self_values, selective_core, tau, tau_slope
 
@@ -668,10 +669,6 @@ class Population:
 
     def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig,
                  optim: bool):
-        # imported on use, here and below: importing the package, which every
-        # command's process does first, then need not compile it
-        from . import streams
-
         shape = (len(roots), n)
         self.config, self.n_malicious = config, n_malicious
         self.fsn = np.zeros(shape, dtype=bool)
@@ -819,8 +816,6 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
     """``run_trials`` for one block: each round, one forward over the block's
     active agents and one server step over its running trials.  Returns the
     block's final agents and markets."""
-    from . import streams
-
     n_malicious = round(malicious_frac * n)
     pop = Population(roots, n, n_malicious, config, optim)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .params import load_params, save_params
+from .params import load_params, read_document, save_params, write_document
 from .reporting import PlotSpec, RunManifest, emit_plot, write_csv
 
 
@@ -77,13 +76,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     float, a string for a default of None), then pass the option's own type.
     """
     if getattr(args, "config", None):
-        try:
-            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ValueError(f"{args.config}: malformed config file: {err}") from err
-        if not isinstance(overrides, dict):
-            raise ValueError(f"{args.config}: config file must hold a JSON object, "
-                             f"not {type(overrides).__name__}")
+        overrides = read_document(args.config, "config")
         actions = {action.dest: action for action in args._parser._actions
                    if action.dest not in ("help", "config")}
         for key, value in overrides.items():
@@ -181,10 +174,10 @@ def cmd_lava_gen(args):
 
 
 def cmd_lava_train(args):
-    from . import lavaland
+    from . import lavaland, lavamaps
 
-    bank = lavaland.load_bank(args.bank)
-    config = lavaland.PRESETS[bank.preset]
+    bank = lavamaps.load_bank(args.bank)
+    config = lavamaps.PRESETS[bank.preset]
     params = lavaland.Robot2NNParams()
     losses = lavaland.srd_train_lavaland(params, bank, config, seed=args.seed)
     save_params(args.out, params.export(),
@@ -194,14 +187,14 @@ def cmd_lava_train(args):
 
 
 def cmd_lava_eval(args):
-    from . import lavaland
+    from . import lavaland, lavamaps
 
-    bank = lavaland.load_bank(args.bank)
+    bank = lavamaps.load_bank(args.bank)
     params = lavaland.Robot2NNParams()
     if args.params:
         params.load(load_params(args.params, scenario="lavaland",
                                 template=params.export()))
-    result = lavaland.evaluate(params, bank, lavaland.PRESETS[bank.preset], seed=args.seed)
+    result = lavaland.evaluate(params, bank, lavamaps.PRESETS[bank.preset], seed=args.seed)
     report = Path(args.report)
     hist_rows = [[tile, count, n] for tile in ("grass", "dirt", "lava")
                  for count, n in result.traversal_histogram(tile).items()]
@@ -213,13 +206,13 @@ def cmd_lava_eval(args):
     outputs += _table(report, "kernels.csv", lavaland.KERNEL_COLUMNS,
                       lavaland.inspect_kernels(params))
     acc_path = report / "accuracy.json"
-    acc_path.write_text(json.dumps({
+    write_document(acc_path, {
         "preset": bank.preset,
         "maps": len(bank.maps),
         "accuracy": result.accuracy,
         "mean_traversed": {t: result.mean_traversed(t)
                            for t in ("grass", "dirt", "lava")},
-    }, indent=1, sort_keys=True), encoding="utf-8")
+    })
     print(f"accuracy {result.accuracy:.4f} over {len(bank.maps)} maps "
           f"-> {acc_path}")
     return report, bank.preset, [*outputs, acc_path]

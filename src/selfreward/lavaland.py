@@ -67,13 +67,12 @@ runs it for all of a map's plans from one draw.  Both walks read their
 neighbors from ``_grid_tables``.
 
 The maps themselves, their generation and the bank file live in
-``lavamaps``, whose names this module re-exports.  Every map has streams of
-its own under the run's seed: map i of a bank is generated from
-``SeedSequence(seed, spawn_key=(i,))`` (see ``lavamaps``), and imagines from
-spawn key (2, i) in training and (3, i) in evaluation.  Each bank,
-training block and evaluation batch seeds all of its maps' streams in one
-``streams.rngs`` call, numpy's seeding hash run over every key at once, and
-builds each map's generator only as the map comes up.
+``lavamaps``.  Every map has streams of its own under the run's seed: map i
+of a bank is generated from ``SeedSequence(seed, spawn_key=(i,))`` (see
+``lavamaps``), and imagines from spawn key (2, i) in training and (3, i) in
+evaluation.  Each bank, training block and evaluation batch seeds all of its
+maps' streams in one ``streams.rngs`` call, numpy's seeding hash run over
+every key at once, and builds each map's generator only as the map comes up.
 """
 
 from __future__ import annotations
@@ -85,14 +84,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import streams
 # Unused here since lavaland left the engine; bench/test_bench.py still checks
 # that the tracer rebinds lavaland.backward.  Drop it with that check.
 from .autodiff import backward  # noqa: F401
-# The map code lives in lavamaps; each of its names is also lavaland's.
-from .lavamaps import (  # noqa: F401
-    CHAR_INDEX, CHAR_TILES, MAP_TRIES, PALETTE, PALETTE_RGB, PRESETS, TILE_CHARS, _CHAR_CODES,
-    LavaConfig, MapBank, TileMap, _checked_map, generate_map, generate_maps, load_bank,
-    palette_indices, save_bank)
+from .lavamaps import (PALETTE, PALETTE_RGB, _CHAR_CODES, LavaConfig, MapBank, TileMap,
+                       palette_indices)
+# bench/metrics.py spans lavaland.generate_maps and lavaland.load_bank by name
+from .lavamaps import generate_maps, load_bank  # noqa: F401
 from .neurons import ShapeError, deconv_shifts, selective_core
 
 KNOWN_TILES = ("target", "grass", "dirt")  # what the designer modelled
@@ -561,8 +560,6 @@ def srd_train_lavaland(params: Robot2NNParams, bank: MapBank,
     A map whose loss is not finite stops training with a ValueError naming
     it, before its update touches the kernels.
     """
-    from . import streams
-
     losses = []
     maps, first = bank.maps, 0
     while first < len(maps):
@@ -730,8 +727,6 @@ def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray
     """``EvalResult``'s four arrays for same-shape maps at bank places ``indices``.
     Fields are built ``FIELD_BATCH`` maps at a time, keeping only the last
     layer, and the whole batch walks in one ``_walk_lockstep``."""
-    from . import streams
-
     b, h, w = len(maps), maps[0].height, maps[0].width
     hw = h * w
     tiles = np.empty((b, hw), dtype=_CHAR_CODES.dtype)

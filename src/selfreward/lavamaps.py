@@ -11,25 +11,25 @@ spawn and then the target.  Map i of a bank is drawn from its own stream,
 ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so a bank is fixed by
 its preset, seed and count.
 
-A bank file is a JSON object written with sorted keys and one-space indent:
+A bank file is a JSON document (``params.write_document``):
 ``format_version`` (1), ``preset`` (a ``PRESETS`` name), ``seed`` and
 ``maps``, a list of ``{"spawn": [row, col], "tiles": [row strings]}``.
 ``load_bank`` refuses a file the planner cannot use and names the map.
 
 ``lavaland gen`` imports this module alone; the planner, trainer and
-evaluator live in ``lavaland``, which re-exports every name here.
+evaluator live in ``lavaland``, which imports from here the names it uses.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import streams
 from .configs import check_fields
+from .params import read_document, write_document
 
 PALETTE = {
     "target": np.array([1.0, 1.0, 0.0]),
@@ -200,10 +200,6 @@ class MapBank:
 def generate_maps(count: int, preset: str, seed: int) -> MapBank:
     """Deterministic bank of maps for one preset: map i from its own stream,
     ``SeedSequence(seed, spawn_key=(i,))``."""
-    # imported on use, here and in lavaland: importing the package, which every
-    # command's process does first, then need not compile it
-    from . import streams
-
     if count < 1:
         raise ValueError("count must be >= 1")
     if preset not in PRESETS:
@@ -214,13 +210,12 @@ def generate_maps(count: int, preset: str, seed: int) -> MapBank:
 
 
 def save_bank(path, bank: MapBank) -> None:
-    doc = {
+    write_document(path, {
         "format_version": 1,
         "preset": bank.preset,
         "seed": bank.seed,
         "maps": [{"tiles": m.tiles, "spawn": list(m.spawn)} for m in bank.maps],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+    })
 
 
 def load_bank(path) -> MapBank:
@@ -228,13 +223,7 @@ def load_bank(path) -> MapBank:
 
     A ValueError names the file and, for a bad map, the map's index.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ValueError(f"{path}: malformed bank file: {err}") from err
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if type(version) is not int or version != 1:  # json's true and 1.0 equal 1
-        raise ValueError(f"{path}: unsupported bank version {version!r}")
+    doc = read_document(path, "bank", version=1)
     for key in ("preset", "seed", "maps"):
         if key not in doc:
             raise ValueError(f"{path}: bank has no {key!r} entry")

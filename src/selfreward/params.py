@@ -1,6 +1,12 @@
-"""Versioned JSON save/load for named parameter sets.
+"""The package's JSON documents, and versioned save/load for named parameter sets.
 
-The on-disk document maps parameter names to shape plus a flat value array.
+Every JSON file the package reads or writes goes through this module:
+``read_document`` reads one (a parameter, bank or config file) and refuses
+a malformed one with a ValueError that names the file, and
+``write_document`` writes one with sorted keys, one-space indent and UTF-8,
+so a document's bytes depend on its contents alone.
+
+A parameter document maps parameter names to shape plus a flat value array.
 Floats round-trip bit-exactly (json emits shortest-repr doubles), so a
 load(save(P)) reproduces every value.
 """
@@ -17,20 +23,46 @@ FORMAT_VERSION = 1
 
 
 class ParamsError(ValueError):
-    """Problems with a parameter document."""
+    """Problems with a parameter document's entries."""
 
 
-class ParamsParseError(ParamsError):
-    """Malformed file; message includes the byte offset when known."""
+def read_document(path, what: str, version: int | None = None) -> dict:
+    """The JSON object held in the file at ``path``, a ``what`` file.
+
+    With ``version``, the object's ``format_version`` must be that integer.
+    A ValueError names the file and, for text that does not decode, the byte
+    offset where it fails.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+        doc = json.loads(text)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: malformed {what} file at byte offset {err.start}: "
+                         f"not UTF-8 text") from err
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: malformed {what} file at byte offset "
+                         f"{len(text[:err.pos].encode('utf-8'))}: {err.msg}") from err
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} file must hold a JSON object, "
+                         f"not {type(doc).__name__}")
+    if version is not None:
+        if "format_version" not in doc:
+            raise ValueError(f"{path}: not a {what} document (missing format_version)")
+        found = doc["format_version"]
+        if type(found) is not int or found != version:  # json's true and 1.0 equal 1
+            raise ValueError(f"{path}: unsupported {what} format_version {found!r}, "
+                             f"expected {version}")
+    return doc
 
 
-class ParamsVersionError(ParamsError):
-    """Document version not understood by this code."""
+def write_document(path, doc: dict) -> None:
+    """Write ``doc`` as JSON with sorted keys, one-space indent and UTF-8."""
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
 
 
 def save_params(path, params: dict, meta: dict | None = None) -> None:
     """Write a name -> array mapping as a version-tagged JSON document."""
-    doc = {
+    write_document(path, {
         "format_version": FORMAT_VERSION,
         "meta": meta or {},
         "params": {
@@ -40,8 +72,7 @@ def save_params(path, params: dict, meta: dict | None = None) -> None:
             }
             for name, arr in params.items()
         },
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+    })
 
 
 def load_params(path, scenario: str | None = None, template: dict | None = None) -> dict:
@@ -53,38 +84,20 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
     ``params`` must be a JSON object whose entries hold their ``values`` as
     a flat list of JSON numbers and their ``shape`` as a list of
     non-negative integers whose product is the number of values; anything
-    else is a ParamsParseError.
+    else is a ParamsError.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise ParamsParseError(f"{path}: malformed parameter file at byte offset "
-                               f"{err.start}: not UTF-8 text") from err
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        offset = len(text[:err.pos].encode("utf-8"))
-        raise ParamsParseError(
-            f"{path}: malformed parameter file at byte offset {offset}: {err.msg}"
-        ) from err
-    if not isinstance(doc, dict) or "format_version" not in doc:
-        raise ParamsParseError(f"{path}: not a parameter document (missing format_version)")
-    version = doc["format_version"]
-    if type(version) is not int or version != FORMAT_VERSION:  # json's true and 1.0 equal 1
-        raise ParamsVersionError(
-            f"{path}: unsupported format_version {version!r}, "
-            f"expected {FORMAT_VERSION}")
+    doc = read_document(path, "parameter", version=FORMAT_VERSION)
     meta = doc.get("meta")
     found = meta.get("scenario") if isinstance(meta, dict) else None
     if scenario is not None and found is not None and found != scenario:
         raise ParamsError(f"{path}: parameters are for scenario {found!r}, "
                           f"not {scenario!r}")
     if "params" not in doc:
-        raise ParamsParseError(f"{path}: not a parameter document (missing params)")
+        raise ParamsError(f"{path}: not a parameter document (missing params)")
     entries = doc["params"]
     if not isinstance(entries, dict):
-        raise ParamsParseError(f"{path}: 'params' must be a JSON object, "
-                               f"not {type(entries).__name__}")
+        raise ParamsError(f"{path}: 'params' must be a JSON object, "
+                          f"not {type(entries).__name__}")
     out = {}
     try:
         for name, entry in entries.items():
@@ -92,19 +105,19 @@ def load_params(path, scenario: str | None = None, template: dict | None = None)
             # json reads numbers as int or float; bool is an int subclass
             if not (isinstance(values, list)
                     and all(type(v) in (int, float) for v in values)):
-                raise ParamsParseError(f"{path}: parameter {name!r} values must be "
-                                       f"a list of JSON numbers")
+                raise ParamsError(f"{path}: parameter {name!r} values must be "
+                                  f"a list of JSON numbers")
             shape = entry["shape"]
             if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
                     and math.prod(shape) == len(values)):
-                raise ParamsParseError(f"{path}: parameter {name!r} shape must be a list of "
-                                       f"non-negative integers whose product is its "
-                                       f"{len(values)} values, got {shape!r}")
+                raise ParamsError(f"{path}: parameter {name!r} shape must be a list of "
+                                  f"non-negative integers whose product is its "
+                                  f"{len(values)} values, got {shape!r}")
             out[name] = np.array(values, dtype=np.float64).reshape(shape)
     except ParamsError:  # a ValueError, with its own message
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ParamsParseError(f"{path}: bad parameter entry: {err}") from err
+        raise ParamsError(f"{path}: bad parameter entry: {err}") from err
     for name, arr in out.items():
         if not np.isfinite(arr).all():  # json reads NaN, Infinity and 1e999
             raise ParamsError(f"{path}: parameter {name!r} holds a non-finite value")

@@ -1,11 +1,12 @@
 """Run manifests, deterministic CSV output, and self-contained SVG plots.
 
 Everything here is built for byte-for-byte reproducibility: fixed float
-formatting, sorted JSON keys, no timestamps inside data files (wall-clock
-lives only in the manifest, with the argv that ran).  A command writes each
-report once, from the rows it holds: ``write_csv`` writes them and
-``emit_plot`` draws the same rows.  ``csv`` writes a float by ``repr``,
-which round-trips, so the file and the plot hold the same numbers.
+formatting, sorted JSON keys (``params.write_document``), no timestamps
+inside data files (wall-clock lives only in the manifest, with the argv that
+ran).  A command writes each report once, from the rows it holds:
+``write_csv`` writes them and ``emit_plot`` draws the same rows.  ``csv``
+writes a float by ``repr``, which round-trips, so the file and the plot hold
+the same numbers.
 
 Rows that end in a cycle repeated many times, as a closed loop's trace
 does, can be held as ``TiledRows``: the stepped rows, where their cycle
@@ -44,16 +45,16 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .params import write_document
 
 
 class TiledRows(Sequence):
@@ -224,17 +225,8 @@ class RunManifest:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "manifest.json"
-        doc = {
-            "scenario": self.scenario,
-            "argv": list(self.argv),
-            "preset": self.preset,
-            "seed": self.seed,
-            "config": self.config,
-            "outputs": sorted(str(p) for p in self.outputs),
-            "wall_clock_s": self.wall_clock_s,
-            "code_version": self.code_version,
-        }
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="utf-8")
+        write_document(path, {**asdict(self),
+                              "outputs": sorted(str(p) for p in self.outputs)})
         return path
 
 

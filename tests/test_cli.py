@@ -431,7 +431,7 @@ def test_config_file_wrong_type_exits_two(tmp_path, capsys, overrides):
 
 @pytest.mark.parametrize("text,message", [
     ("[1, 2]", "config file must hold a JSON object, not list"),
-    ("{", "malformed config file: Expecting property name"),
+    ("{", "malformed config file at byte offset 1: Expecting property name"),
 ])
 def test_config_file_not_an_object_exits_two(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
@@ -587,7 +587,7 @@ def test_lavaland_bank_that_is_not_json_exits_two(tmp_path, capsys):
     rc = dispatch(["lavaland", "eval", "--bank", str(bank), "--report",
                    str(tmp_path / "r")])
     assert rc == 2
-    assert f"error: {bank}: malformed bank file: Expecting value" in \
+    assert f"error: {bank}: malformed bank file at byte offset 0: Expecting value" in \
         capsys.readouterr().err
 
 
@@ -686,16 +686,16 @@ def test_lavaland_eval_refuses_non_finite_params(tmp_path, capsys, token):
 
 
 def test_lavaland_train_stops_on_non_finite_loss(tmp_path, capsys, monkeypatch):
-    from selfreward import lavaland
+    from selfreward import lavamaps
 
     bank = tmp_path / "bank.json"
     assert dispatch(["lavaland", "gen", "--count", "3", "--preset", "project-a",
                      "--out", str(bank)]) == 0
     # LavaConfig refuses a NaN preference, so set it past that check: any
     # loss that still turns non-finite must stop training
-    config = lavaland.LavaConfig()
+    config = lavamaps.LavaConfig()
     config.p_grass = float("nan")
-    monkeypatch.setitem(lavaland.PRESETS, "project-a", config)
+    monkeypatch.setitem(lavamaps.PRESETS, "project-a", config)
     out = tmp_path / "params.json"
     rc = dispatch(["lavaland", "train", "--bank", str(bank), "--out", str(out)])
     assert rc == 2
@@ -731,6 +731,57 @@ def test_file_that_is_not_utf8_exits_two_naming_it(tmp_path, capsys, command):
     assert dispatch([*argv, out_option, str(out), option, str(bad)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: malformed ")
     assert not out.exists()
+
+
+_MALFORMED = {
+    "not-utf8": (b'{"\xc3\xa9": "\xff"}',
+                 "malformed {what} file at byte offset 8: not UTF-8 text"),
+    # the comma's offset counts both bytes of the é before it
+    "trailing-comma": ('{"é": 1,}'.encode("utf-8"),
+                       "malformed {what} file at byte offset 9: "
+                       "Expecting property name enclosed in double quotes"),
+    "array": (b"[1]", "{what} file must hold a JSON object, not list"),
+    "version-true": (b'{"format_version": true}',
+                     "unsupported {what} format_version True, expected 1"),
+}
+
+
+@pytest.mark.parametrize("kind, case", [
+    (kind, case) for kind in ("params", "bank", "config") for case in _MALFORMED
+    if not (kind == "config" and case == "version-true")])  # a config has no version
+def test_malformed_json_files_are_refused_the_same_way(tmp_path, capsys, kind, case):
+    content, message = _MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = {
+        "params": ["fish1d", "run", "--steps", "10", "--trained", str(bad), "--out", str(out)],
+        "bank": ["lavaland", "eval", "--bank", str(bad), "--report", str(out)],
+        "config": ["fish1d", "run", "--steps", "10", "--config", str(bad), "--out", str(out)],
+    }[kind]
+    what = {"params": "parameter", "bank": "bank", "config": "config"}[kind]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message.format(what=what)}\n"
+    assert not out.exists()
+
+
+def test_every_json_file_written_reads_back_as_its_sorted_dump(tmp_path):
+    from selfreward.params import read_document
+
+    bank, params, report = tmp_path / "bank.json", tmp_path / "params.json", tmp_path / "r"
+    assert dispatch(["lavaland", "gen", "--count", "2", "--preset", "lava-a",
+                     "--out", str(bank)]) == 0
+    assert dispatch(["lavaland", "train", "--bank", str(bank), "--out", str(params)]) == 0
+    assert dispatch(["lavaland", "eval", "--bank", str(bank), "--params", str(params),
+                     "--report", str(report)]) == 0
+    docs = {path: read_document(path, path.stem, version)
+            for path, version in [(bank, 1), (params, 1), (report / "manifest.json", None),
+                                  (report / "accuracy.json", None)]}
+    for path, doc in docs.items():
+        assert path.read_bytes().decode("utf-8") == json.dumps(doc, indent=1, sort_keys=True)
+    assert sorted(docs[report / "manifest.json"]) == [
+        "argv", "code_version", "config", "outputs", "preset", "scenario", "seed",
+        "wall_clock_s"]
 
 
 # sha256 of each report of the runs in report_digests, recorded from the code

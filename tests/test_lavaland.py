@@ -26,38 +26,40 @@ from selfreward.autodiff import (
     square,
     tanh,
 )
-from selfreward.lavamaps import palette_indices
-from selfreward.layers import deconv3x3, selective_core
 from selfreward.lavaland import (
     KNOWN_TILES,
-    MAP_TRIES,
-    PALETTE,
-    PRESETS,
     SCORED_TILES,
     EvalResult,
-    LavaConfig,
-    MapBank,
     Robot2NNParams,
     ScoreField,
-    TileMap,
     build_fields,
     deconv_seq,
     evaluate,
     field_inputs,
-    generate_map,
-    generate_maps,
     get_aba,
     imagine_and_act,
     inspect_kernels,
     kernel_fields,
     kernel_gradient,
-    load_bank,
     make_plan,
     plan_quality_loss,
-    save_bank,
     srd_train_lavaland,
     unknown_mask,
 )
+from selfreward.lavamaps import (
+    MAP_TRIES,
+    PALETTE,
+    PRESETS,
+    LavaConfig,
+    MapBank,
+    TileMap,
+    generate_map,
+    generate_maps,
+    load_bank,
+    palette_indices,
+    save_bank,
+)
+from selfreward.layers import deconv3x3, selective_core
 
 
 def small_config(**kw):
