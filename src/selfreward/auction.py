@@ -26,10 +26,10 @@ neuron that are averaged: augmentation happens inside the agent, so only
 the bare offer crosses the wire.  A decision layer maps (PG, SZ, LSR, ST)
 to buy / hold / quit logits, and a frozen judge scores each decision:
 holding at a high price and buying at a low one read True, quitting on a
-desirable fish reads False.  The sensors (``es_forward_values``), the
-decision layer (``decide_values``) and the judge (``pfc``) are plain numpy
-over rows, with any number of leading batch axes; bidding and fine-tuning
-share this one forward.
+desirable fish reads False.  The sensors (``_sensors``), the decision layer
+(``_decision_logits``) and the judge (``_judge_gates``) are plain numpy over
+rows, with any number of leading batch axes; bidding and fine-tuning share
+this one forward.
 
 During the first few rounds agents may fine-tune the decision layer on
 perturbed copies of the offer, labelling each batch with their own judge
@@ -61,10 +61,11 @@ The list API is the per-agent form: ``FsnModel.decide_offer`` runs one
 agent's forward on one offer, ``screen_model`` screens one model,
 ``srd_finetune`` tunes each learner alone through ``_finetune``, and
 ``server_step`` asks each active agent of an ``AuctionState`` for its
-decision.  It holds the runner's own representations: an offer is an
-8-float row (``offer_row``; ``make_offer_variants`` gives a (count, 8)
-array), and an agent's status is a code, ``ACTIVE``, ``BOUGHT`` or
-``QUITTED``, as in ``Markets``.  No workload runs it; it stays in the
+decision.  It holds the runner's own representations, as in ``Markets``: an
+offer is an 8-float row (``offer_row``; ``make_offer_variants`` gives the
+config's (variant_count, 8) array), an agent's status is a code,
+``ACTIVE``, ``BOUGHT`` or ``QUITTED``, and a trial's sales are their prices,
+one float per unit sold.  No workload runs it; it stays in the
 package because the benchmark's spans wrap its names (``srd_finetune``,
 ``FsnModel.__init__``, ``FsnModel.es_forward_values``, ``screen_model``,
 ``make_offer_variants`` and ``server_step``) and because the tests hold the
@@ -94,7 +95,7 @@ The trials of an experiment run in lockstep too (``run_trials``;
 trials holds its agents as one ``Population`` of stacked arrays over
 (trial, agent): decision weights, optimizer settings, a ``noise_rng`` each
 and an is-FSN mask.  Each trial keeps its own price, stock, demand, round
-count, status row, ledger and termination flag (``Markets``).  A round
+count, status row, sale prices and termination flag (``Markets``).  A round
 makes one sensor and decision forward over the active agents of every
 running trial, then one vectorised server step; fine-tuning gathers the
 learners' rows once, tunes them and writes them back.  Trials have
@@ -195,8 +196,15 @@ _PFC_OUT_B = np.array([0.0, JUDGE_FALSE_BIAS])
 
 def _judge_gates(x_es: np.ndarray,
                  logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Judge logits [True, False], gate pre-activations and gates (PGL, BC, FQ)
-    for rows of sensor state and decision logits."""
+    """Judge logits [True, False], gate pre-activations and gates for rows of
+    sensor state and decision logits.
+
+    Gate neurons over (PG, SZ, LSR, ST, B, L, Q):
+    PGL = tau(PG + L - 1)  held out at a high price (a correct call),
+    BC  = tau(B - PG)      bought cheap (also correct),
+    FQ  = tau(Q + (SZ + LSR + ST)/3 - 1)  quit on a desirable fish.
+    True sums PGL and BC; False carries FQ plus a small default bias.
+    """
     pre = np.concatenate([x_es, logits], axis=-1) @ _PFC_GATES_W.T + _PFC_GATES_B
     gates = tau(pre)
     return gates @ _PFC_OUT_W.T + _PFC_OUT_B, pre, gates
@@ -241,17 +249,16 @@ BASE_OFFER_ROW = offer_row()  # the base offer, whose price and demand a round s
 BASE_OFFER_ROW.flags.writeable = False
 
 
-def make_offer_variants(base: np.ndarray, count: int = 16, seed=None, scale: float = 0.05,
-                        flip_prob: float = 0.2) -> np.ndarray:
-    """Perturbed copies (count, 8) of the offer row ``base``, the agents' fine-tuning
-    set: per variant, four uniform quality and price factors, then three flip draws."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    rows = np.tile(base, (count, 1))
+def make_offer_variants(base: np.ndarray, rng: np.random.Generator,
+                        config: AuctionConfig) -> np.ndarray:
+    """The agents' fine-tuning set: ``config.variant_count`` perturbed copies of
+    the offer row ``base``, drawn from rng per variant: four uniform quality and
+    price factors within ``variant_scale``, then three flips of odds
+    ``variant_flip_prob``."""
+    rows = np.tile(base, (config.variant_count, 1))
     for row in rows:
-        row[:4] *= rng.uniform(1 - scale, 1 + scale, size=4)
-        row[4:7] = np.where(rng.random(3) < flip_prob, -row[4:7], row[4:7])
+        row[:4] *= rng.uniform(1 - config.variant_scale, 1 + config.variant_scale, size=4)
+        row[4:7] = np.where(rng.random(3) < config.variant_flip_prob, -row[4:7], row[4:7])
     return rows
 
 
@@ -361,22 +368,6 @@ class FsnModel:
         """Sensor activations (PG, SZ, LSR, ST) for offer rows (..., 8)."""
         noise = _draw_noise([self.noise_rng], (1, *x.shape, self.config.d_ic - 1))
         return _sensors(self.es_rows, self.es_biases, x[None], noise, self.config)[0]
-
-    def decide_values(self, x_es: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Buy / hold / quit logits for sensor rows (..., 4), and their argmax."""
-        logits = _decision_logits(x_es[..., None, :], self.w_dec, self.b_dec)[..., 0, :]
-        return logits, logits.argmax(axis=-1)
-
-    def pfc(self, x_es: np.ndarray, logits: np.ndarray) -> np.ndarray:
-        """Judge logits [True, False] for rows of sensor state and decision logits.
-
-        Gate neurons over (PG, SZ, LSR, ST, B, L, Q):
-        PGL = tau(PG + L - 1)  held out at a high price (a correct call),
-        BC  = tau(B - PG)      bought cheap (also correct),
-        FQ  = tau(Q + (SZ + LSR + ST)/3 - 1)  quit on a desirable fish.
-        True sums PGL and BC; False carries FQ plus a small default bias.
-        """
-        return _judge_gates(x_es, logits)[0]
 
     def decide_offer(self, x: np.ndarray) -> int:
         """Buy / hold / quit decision on one offer row x: ``_bid`` for this one agent."""
@@ -533,13 +524,6 @@ def _lockstep_sgd(w, b, lr, epochs, batch, x_es: np.ndarray,
 
 
 @dataclass
-class Purchase:
-    agent: int
-    price: float
-    round: int
-
-
-@dataclass
 class AuctionState:
     """Server-side bidding state for one auction."""
 
@@ -547,10 +531,10 @@ class AuctionState:
     stock: int
     agents: list
     price: float
-    demand_frac: float = 0.5
+    demand_frac: float = float(BASE_OFFER_ROW[DEMAND])
     k: int = 0
     status: list[int] = field(default_factory=list)  # ACTIVE, BOUGHT or QUITTED per agent
-    ledger: list[Purchase] = field(default_factory=list)
+    prices: list[float] = field(default_factory=list)  # one per unit sold, in order
     terminated: bool = False
 
     def __post_init__(self):
@@ -585,7 +569,7 @@ def server_step(state: AuctionState) -> AuctionState:
     else:
         for i in buyers:
             state.status[i] = BOUGHT
-            state.ledger.append(Purchase(agent=i, price=state.price, round=state.k))
+        state.prices += [state.price] * n_buy
         state.stock -= n_buy
         if n_buy and state.stock == 0:
             state.terminated = True
@@ -601,15 +585,9 @@ def server_step(state: AuctionState) -> AuctionState:
 
 @dataclass
 class TrialResult:
-    r: float
-    available: int
-    prices: list[float]
+    prices: list[float]  # one per unit sold, in order
     purchase_rate: float
     rounds: int
-
-    @property
-    def units_sold(self) -> int:
-        return len(self.prices)
 
     @property
     def mean_price(self) -> float:
@@ -739,7 +717,8 @@ class Population:
 class Markets:
     """Server-side state of a block of auctions, one row per trial: price,
     stock, the previous round's demand, rounds run, each agent's status
-    (ACTIVE, BOUGHT or QUITTED), whether it still runs, and its ledger."""
+    (ACTIVE, BOUGHT or QUITTED), whether it still runs, and its sale prices,
+    one float per unit sold."""
 
     def __init__(self, trials: int, n: int, stock: int, config: AuctionConfig):
         self.config = config
@@ -749,7 +728,7 @@ class Markets:
         self.rounds = np.zeros(trials, dtype=int)
         self.status = np.full((trials, n), ACTIVE)
         self.running = np.ones(trials, dtype=bool)
-        self.ledgers = [[] for _ in range(trials)]
+        self.prices = [[] for _ in range(trials)]
 
     def active(self) -> np.ndarray:
         return (self.status == ACTIVE) & self.running[:, None]
@@ -771,11 +750,10 @@ class Markets:
         marked_up = running & (n_buy > stock)
         sells = running & ~marked_up
         sold = sells & (n_buy > 0)
-        for t in np.flatnonzero(sold):
-            buyers = np.flatnonzero(buy[t])
-            self.status[t, buyers] = BOUGHT
-            price, k = float(self.price[t]), int(self.rounds[t])
-            self.ledgers[t] += [Purchase(agent=int(i), price=price, round=k) for i in buyers]
+        self.status[buy & sold[:, None]] = BOUGHT
+        for t, price, units in zip(np.flatnonzero(sold).tolist(), self.price[sold].tolist(),
+                                   n_buy[sold].tolist()):
+            self.prices[t] += [price] * units
         np.subtract(stock, n_buy, out=stock, where=sells)
         np.multiply(self.price, 1 + config.price_step, out=self.price, where=marked_up)
         np.multiply(self.price, 1 - config.price_step, out=self.price,
@@ -805,10 +783,8 @@ def run_trials(r: float, roots, n: int = 64, optim: bool = False, malicious_frac
         # keep only the markets, so a block's agents are freed before the next is built
         markets = _run_block(r, roots[start:start + per_block], n, optim, malicious_frac,
                              config)[1]
-        out += [TrialResult(r=r, available=stock, prices=[p.price for p in ledger],
-                            purchase_rate=len(ledger) / stock if stock else 0.0,
-                            rounds=int(rounds))
-                for ledger, rounds in zip(markets.ledgers, markets.rounds)]
+        out += [TrialResult(prices, len(prices) / stock if stock else 0.0, rounds)
+                for prices, rounds in zip(markets.prices, markets.rounds.tolist())]
     return out
 
 
@@ -829,9 +805,8 @@ def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, 
         raise RuntimeError("screener flagged a model outside malicious mode")
 
     if optim:  # from their own stream, spawn key (0,), so skipping them draws nothing
-        variants = np.array([make_offer_variants(
-            BASE_OFFER_ROW, config.variant_count, rng, scale=config.variant_scale,
-            flip_prob=config.variant_flip_prob) for rng in streams.rngs(roots, [0])])
+        variants = np.array([make_offer_variants(BASE_OFFER_ROW, rng, config)
+                             for rng in streams.rngs(roots, [0])])
 
     markets = Markets(len(roots), n, round(r * n), config)
     k = 0

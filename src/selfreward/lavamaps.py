@@ -12,9 +12,10 @@ spawn and then the target.  Map i of a bank is drawn from its own stream,
 its preset, seed and count.
 
 A bank file is a JSON document (``params.write_document``):
-``format_version`` (1), ``preset`` (a ``PRESETS`` name), ``seed`` and
-``maps``, a list of ``{"spawn": [row, col], "tiles": [row strings]}``.
-``load_bank`` refuses a file the planner cannot use and names the map.
+``format_version`` (1), ``preset`` (a ``PRESETS`` name), ``seed`` (a
+non-negative integer, as ``lavaland gen --seed`` takes) and ``maps``, a
+list of ``{"spawn": [row, col], "tiles": [row strings]}``.  ``load_bank``
+refuses a file the planner cannot use and names the map.
 
 ``lavaland gen`` imports this module alone; the planner, trainer and
 evaluator live in ``lavaland``, which imports from here the names it uses.
@@ -230,8 +231,8 @@ def load_bank(path) -> MapBank:
     if not isinstance(doc["preset"], str) or doc["preset"] not in PRESETS:
         raise ValueError(f"{path}: unknown preset {doc['preset']!r}; "
                          f"choose from {sorted(PRESETS)}")
-    if type(doc["seed"]) is not int or not isinstance(doc["maps"], list):
-        raise ValueError(f"{path}: 'seed' must be an integer and 'maps' a list")
+    if type(doc["seed"]) is not int or doc["seed"] < 0 or not isinstance(doc["maps"], list):
+        raise ValueError(f"{path}: 'seed' must be a non-negative integer and 'maps' a list")
     if not doc["maps"]:
         raise ValueError(f"{path}: bank has no maps")
     maps = [_checked_map(m, f"{path}: map {i}") for i, m in enumerate(doc["maps"])]

@@ -2,9 +2,11 @@
 
 Every JSON file the package reads or writes goes through this module:
 ``read_document`` reads one (a parameter, bank or config file) and refuses
-a malformed one with a ValueError that names the file, and
-``write_document`` writes one with sorted keys, one-space indent and UTF-8,
-so a document's bytes depend on its contents alone.
+a malformed one with a ValueError that names the file: text that is not
+UTF-8 or not JSON, JSON nested too deeply for Python's recursion limit, or
+a value that is not an object.  ``write_document`` writes one with sorted
+keys, one-space indent and UTF-8, so a document's bytes depend on its
+contents alone.
 
 A parameter document maps parameter names to shape plus a flat value array.
 Floats round-trip bit-exactly (json emits shortest-repr doubles), so a
@@ -42,6 +44,9 @@ def read_document(path, what: str, version: int | None = None) -> dict:
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: malformed {what} file at byte offset "
                          f"{len(text[:err.pos].encode('utf-8'))}: {err.msg}") from err
+    except RecursionError as err:
+        raise ValueError(f"{path}: malformed {what} file: nested too deeply "
+                         f"to decode") from err
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {what} file must hold a JSON object, "
                          f"not {type(doc).__name__}")

@@ -28,6 +28,8 @@ from selfreward.auction import (
     _PFC_GATES_W,
     _PFC_OUT_B,
     _PFC_OUT_W,
+    _decision_logits,
+    _judge_gates,
     es_weight_rows,
     make_offer_variants,
     offer_row,
@@ -101,11 +103,16 @@ def test_base_offer_vector():
         [2.0, 1.0, 1.0, 1.0, 0.5, -0.5, 0.5, 0.25]
 
 
+def offer_variants(seed, **config_kw):
+    """The fine-tuning set drawn from ``default_rng(seed)`` under these config fields."""
+    return make_offer_variants(BASE_OFFER_ROW, np.random.default_rng(seed),
+                               AuctionConfig(**config_kw))
+
+
 def test_variants_deterministic():
-    a = make_offer_variants(BASE_OFFER_ROW, 16, seed=3)
-    b = make_offer_variants(BASE_OFFER_ROW, 16, seed=3)
+    a, b = offer_variants(3), offer_variants(3)
     assert a.tolist() == b.tolist()
-    assert a.shape == (16, 8)
+    assert a.shape == (AuctionConfig().variant_count, 8)
 
 
 def test_variants_keep_the_per_variant_draws():
@@ -120,27 +127,23 @@ def test_variants_keep_the_per_variant_draws():
         flips = rng.random(3) < 0.2
         want.append([*(b * f for b, f in zip(base[:4], factors)),
                      *(-s if f else s for s, f in zip(base[4:7], flips)), base[7]])
-    got = make_offer_variants(base, 16, seed=12)
+    got = make_offer_variants(base, np.random.default_rng(12), AuctionConfig())
     assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_variants_zero_scale_copies_continuous_parts():
-    vs = make_offer_variants(BASE_OFFER_ROW, 4, seed=0, scale=0.0, flip_prob=0.0)
+    vs = offer_variants(0, variant_count=4, variant_scale=0.0, variant_flip_prob=0.0)
+    assert vs.shape == (4, 8)
     for v in vs:
         np.testing.assert_allclose(v, BASE_OFFER_ROW)
 
 
 def test_variants_perturb_within_bounds():
-    vs = make_offer_variants(BASE_OFFER_ROW, 32, seed=1)
+    vs = offer_variants(1, variant_count=32)
     for v in vs:
         assert 4.75 <= v[PRICE] <= 5.25
         assert all(s in (-0.5, 0.5) for s in v[4:7])
         assert v[DEMAND] == 0.5
-
-
-def test_variants_count_validated():
-    with pytest.raises(ValueError):
-        make_offer_variants(BASE_OFFER_ROW, 0)
 
 
 # -- sensor stage ------------------------------------------------------------------
@@ -273,12 +276,15 @@ def test_expensive_offer_held():
     assert m.decide_offer(offer_row(price=9.0)) == HOLD
 
 
+def buy_logit(m, x_es):
+    """The buy logit of model m's decision layer on one sensor row."""
+    return _decision_logits(x_es[None], m.w_dec, m.b_dec)[0, BUY]
+
+
 def test_lowering_price_strictly_raises_buy_logit():
     m = fresh_model(clone_noise=0.0)
-    logits = []
-    for p in (6.0, 5.0, 4.0, 3.0):
-        x = m.es_forward_values(offer_row(price=p))
-        logits.append(m.decide_values(x)[0][BUY])
+    logits = [buy_logit(m, m.es_forward_values(offer_row(price=p)))
+              for p in (6.0, 5.0, 4.0, 3.0)]
     assert all(b > a for a, b in zip(logits, logits[1:]))
 
 
@@ -319,34 +325,30 @@ def test_malicious_model_always_holds():
 
 
 def test_pfc_approves_holding_at_high_price():
-    m = fresh_model()
     x_es = np.array([0.9, 0.75, 0.4, 0.99])
     logits = np.array([0.4, 1.5, 0.2])  # hold winning
-    out = m.pfc(x_es, logits)
+    out = _judge_gates(x_es, logits)[0]
     assert out[0] > out[1]
 
 
 def test_pfc_flags_quitting_on_desirable_fish():
-    m = fresh_model()
     x_es = np.array([0.3, 0.95, 0.9, 0.99])
     logits = np.array([0.1, 0.2, 1.8])  # quit winning
-    out = m.pfc(x_es, logits)
+    out = _judge_gates(x_es, logits)[0]
     assert out[1] > out[0]
 
 
 def test_pfc_defaults_false_on_quiet_input():
     from selfreward.auction import JUDGE_FALSE_BIAS
-    m = fresh_model()
-    out = m.pfc(np.zeros(4), np.zeros(3))
+    out = _judge_gates(np.zeros(4), np.zeros(3))[0]
     assert out[1] > out[0]
     assert out[1] == pytest.approx(math.tanh(-0.01) + JUDGE_FALSE_BIAS, abs=1e-9)
 
 
 def test_pfc_matches_hand_formula():
-    m = fresh_model()
     x_es = np.array([0.8, 0.7, 0.5, 0.9])
     logits = np.array([1.1, 0.9, -0.2])
-    out = m.pfc(x_es, logits)
+    out = _judge_gates(x_es, logits)[0]
 
     def tau(v):
         return math.tanh(v) if v >= 0 else math.tanh(0.01 * v)
@@ -365,7 +367,7 @@ def test_finetune_noop_after_window():
     m = fresh_model(seed=2)
     m.epochs = 2
     w_before, b_before = m.w_dec.copy(), m.b_dec.copy()
-    srd_finetune([m], make_offer_variants(BASE_OFFER_ROW, 16, seed=0), k=4)
+    srd_finetune([m], offer_variants(0), k=4)
     np.testing.assert_array_equal(w_before, m.w_dec)
     np.testing.assert_array_equal(b_before, m.b_dec)
 
@@ -374,7 +376,7 @@ def test_finetune_noop_for_zero_epochs():
     m = fresh_model(seed=2)
     m.epochs = 0
     w_before = m.w_dec.copy()
-    srd_finetune([m], make_offer_variants(BASE_OFFER_ROW, 16, seed=0), k=0)
+    srd_finetune([m], offer_variants(0), k=0)
     np.testing.assert_array_equal(w_before, m.w_dec)
 
 
@@ -442,7 +444,7 @@ def lockstep_finetune(models, variants, k):
 
 
 def test_lockstep_finetune_matches_engine_reference():
-    variants = make_offer_variants(BASE_OFFER_ROW, 16, seed=4)
+    variants = offer_variants(4)
     ours = lockstep_agents() + [AlwaysHoldModel(np.random.default_rng(0))]
     solo = lockstep_agents() + [AlwaysHoldModel(np.random.default_rng(0))]
     ref = lockstep_agents()
@@ -506,7 +508,7 @@ def test_lockstep_step_matches_central_differences():
 def test_lockstep_padding_leaves_finished_agent_bit_identical():
     # the first agent's two steps run at the same array shapes in both
     # rounds; only the number of steps the other agent takes after them differs
-    variants = make_offer_variants(BASE_OFFER_ROW, 16, seed=4)
+    variants = offer_variants(4)
     finished = []
     for long_epochs in (1, 2):
         short, long = lockstep_agents(((1, 15), (long_epochs, 4)))
@@ -523,7 +525,7 @@ def test_lockstep_finetune_gives_every_schedule_its_solo_result():
     step pads only to the widest batch of the learners still stepping, and a
     learner whose schedule has ended sits out the later steps untouched."""
     settings = [(epochs, batch) for epochs in (1, 2) for batch in range(4, 16)]
-    variants = make_offer_variants(BASE_OFFER_ROW, 16, seed=4)
+    variants = offer_variants(4)
     together, alone = lockstep_agents(settings), lockstep_agents(settings)
     lockstep_finetune(together, variants, 0)
     for m in alone:
@@ -553,10 +555,10 @@ def test_finetune_does_not_lower_cheap_buy_logit():
     m.learning_rate = 1e-4
     cheap = offer_row(price=3.0)
     x = m.es_forward_values(cheap)
-    before = m.decide_values(x)[0][BUY]
+    before = buy_logit(m, x)
     for k in range(4):
-        srd_finetune([m], make_offer_variants(BASE_OFFER_ROW, 16, seed=1), k)
-    after = m.decide_values(x)[0][BUY]
+        srd_finetune([m], offer_variants(1), k)
+    after = buy_logit(m, x)
     assert after >= before - 1e-9
 
 
@@ -580,7 +582,7 @@ def test_excess_demand_marks_up_without_sales():
     s = make_state([BUY, BUY, BUY], stock=2)
     server_step(s)
     assert s.price == pytest.approx(5.0 * 1.05)
-    assert s.ledger == [] and s.stock == 2
+    assert s.prices == [] and s.stock == 2
     assert s.demand_frac == pytest.approx(1.0)
     assert s.k == 1
 
@@ -588,7 +590,7 @@ def test_excess_demand_marks_up_without_sales():
 def test_low_demand_sells_and_marks_down():
     s = make_state([BUY, HOLD, HOLD], stock=2)
     server_step(s)
-    assert len(s.ledger) == 1 and s.ledger[0].price == pytest.approx(5.0)
+    assert s.prices == [pytest.approx(5.0)]
     assert s.stock == 1
     assert s.price == pytest.approx(5.0 * 0.95)
     assert s.status[0] == BOUGHT
@@ -599,7 +601,7 @@ def test_matched_demand_terminates():
     s = make_state([BUY, BUY, HOLD], stock=2)
     server_step(s)
     assert s.terminated and s.stock == 0
-    assert len(s.ledger) == 2
+    assert len(s.prices) == 2
 
 
 def test_zero_buys_only_drops_price():
@@ -645,13 +647,12 @@ def test_price_strictly_increasing_under_excess_demand():
 def test_auction_conservation_and_statuses():
     result = run_auction(0.25, seed=5)
     _, markets = run_block(0.25, 5)
-    ledger = markets.ledgers[0]
-    assert [p.price for p in ledger] == result.prices
-    assert result.units_sold + markets.stock[0] == round(0.25 * 64)
-    agents_in_ledger = [p.agent for p in ledger]
-    assert len(agents_in_ledger) == len(set(agents_in_ledger))
+    assert markets.prices[0] == result.prices
+    assert len(result.prices) + markets.stock[0] == round(0.25 * 64)
+    # each buyer bought one unit
+    assert (markets.status[0] == BOUGHT).sum() == len(result.prices) > 0
     assert set(markets.status[0].tolist()) <= {ACTIVE, BOUGHT, QUITTED}
-    assert all(p.price > 0 for p in ledger)
+    assert all(p > 0 for p in result.prices)
 
 
 def test_auction_deterministic():
@@ -669,8 +670,7 @@ def test_auction_rejects_bad_config():
 
 def test_all_malicious_sells_nothing_price_falls():
     result = run_auction(0.25, malicious_frac=1.0, seed=1)
-    assert result.units_sold == 0
-    assert result.purchase_rate == 0.0
+    assert result.prices == [] and result.purchase_rate == 0.0
     _, markets = run_block(0.25, 1, malicious_frac=1.0)
     assert markets.price[0] < 5.0 * 0.95 ** 60
 
@@ -716,7 +716,8 @@ def test_screen_model_matches_per_model_reference():
 
 def test_flagged_models_only_admitted_in_malicious_mode():
     result = run_auction(0.25, malicious_frac=0.5, seed=2)
-    assert result.available == 16  # runs fine with flagged agents admitted
+    # runs fine with flagged agents admitted
+    assert result.purchase_rate == len(result.prices) / 16
     # honest mode constructs no flagged models, so no error either way
     run_auction(0.25, malicious_frac=0.0, seed=2)
 
@@ -812,10 +813,8 @@ def reference_auction(r, optim, malicious_frac, seed, n=64):
                     == np.random.default_rng(noise_seed).bit_generator.state)
     passed = [reference_screen(m, config) for m in agents]
     assert all(passed) or malicious_frac > 0
-    variants = make_offer_variants(
-        BASE_OFFER_ROW, config.variant_count,
-        np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (0,)),
-        scale=config.variant_scale, flip_prob=config.variant_flip_prob)
+    variants = make_offer_variants(BASE_OFFER_ROW, np.random.default_rng(
+        np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key + (0,))), config)
     bidders = [ReferenceAgent(m) if isinstance(m, FsnModel) else m for m in agents]
     state = AuctionState(config=config, stock=round(r * n), agents=bidders,
                          price=config.base_price)
@@ -824,7 +823,7 @@ def reference_auction(r, optim, malicious_frac, seed, n=64):
             reference_finetune([agents[i] for i in state.active_indices()],
                                variants, state.k)
         server_step(state)
-    return [p.price for p in state.ledger], state.k, agents
+    return state.prices, state.k, agents
 
 
 @pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
@@ -837,7 +836,7 @@ def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed)
     pop, markets = run_block(r, seed, optim, malicious_frac)
     prices, rounds, agents = reference_auction(r, optim, malicious_frac, seed)
     assert result.prices == prices and result.rounds == rounds
-    assert [p.price for p in markets.ledgers[0]] == prices and markets.rounds[0] == rounds
+    assert markets.prices[0] == prices and markets.rounds[0] == rounds
     assert len(prices) > 0
     assert pop.fsn[0].tolist() == [isinstance(m, FsnModel) for m in agents]
     for i, m in enumerate(agents):
@@ -953,7 +952,7 @@ def test_noise_chunk_size_changes_no_draw(monkeypatch, optim, malicious_frac):
             more = copy.deepcopy(pop.noise_rngs[t, i]).standard_normal(
                 (8 - len(unread), *unread.shape[1:]))
             upcoming.append(np.concatenate([unread, more]))
-        seen[chunk] = (markets.ledgers, markets.rounds.tolist(), pop.w_dec, pop.b_dec,
+        seen[chunk] = (markets.prices, markets.rounds.tolist(), pop.w_dec, pop.b_dec,
                        np.array(upcoming))
         assert markets.rounds.max() > 8  # some agent drew a second chunk of 8
     for chunk in (1, 3):
@@ -1000,8 +999,8 @@ DECISION_LAYERS = {
 
 def trial_path(markets, config):
     """How the one trial of markets ended."""
-    ledger, stock, rounds = markets.ledgers[0], markets.stock[0], markets.rounds[0]
-    if not ledger and stock == 0:
+    prices, stock, rounds = markets.prices[0], markets.stock[0], markets.rounds[0]
+    if not prices and stock == 0:
         return "no stock"
     if rounds == 1 and stock == 0:
         return "sold out in round 1"
@@ -1036,9 +1035,11 @@ def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
         for t, root in enumerate(roots):
             solo, alone = auction._run_block(0.25, [root], n, optim, frac, config)
             assert (block.rounds[t], block.price[t], block.stock[t], block.demand[t],
-                    block.status[t].tolist(), block.ledgers[t]) == \
+                    block.status[t].tolist(), block.prices[t]) == \
                 (alone.rounds[0], alone.price[0], alone.stock[0], alone.demand[0],
-                 alone.status[0].tolist(), alone.ledgers[0])
+                 alone.status[0].tolist(), alone.prices[0])
+            # each buyer bought one unit
+            assert (block.status[t] == BOUGHT).sum() == len(block.prices[t])
             np.testing.assert_array_equal(pop.fsn[t], solo.fsn[0])
             np.testing.assert_array_equal(pop.w_dec[t], solo.w_dec[0])
             np.testing.assert_array_equal(pop.b_dec[t], solo.b_dec[0])
@@ -1095,7 +1096,7 @@ def test_markets_step_matches_server_step(seed):
             assert (markets.price[t], markets.stock[t], markets.demand[t], markets.rounds[t]) \
                 == (state.price, state.stock, state.demand_frac, state.k)
             assert markets.status[t].tolist() == state.status
-            assert markets.ledgers[t] == state.ledger
+            assert markets.prices[t] == state.prices
     for state in states:
         ends.add("sold out" if state.stock == 0 else
                  "all left" if not state.active_indices() else "max rounds")

@@ -620,6 +620,8 @@ def _bank_doc(**overrides):
      "bank has no 'maps' entry"),
     ("unknown preset", _bank_doc(preset="lava-z"), "unknown preset 'lava-z'"),
     ("no maps", _bank_doc(maps=[]), "bank has no maps"),
+    # the rule lavaland gen --seed applies
+    ("negative seed", _bank_doc(seed=-1), "'seed' must be a non-negative integer"),
 ])
 def test_lavaland_train_refuses_malformed_bank(tmp_path, capsys, case, doc, message):
     if doc.get("maps"):  # map 0 stays good, so the message must name map 1
@@ -741,6 +743,9 @@ _MALFORMED = {
                        "malformed {what} file at byte offset 9: "
                        "Expecting property name enclosed in double quotes"),
     "array": (b"[1]", "{what} file must hold a JSON object, not list"),
+    # json decodes by recursion, so 100 000 levels pass Python's recursion limit
+    "nested": (b"[" * 100_000 + b"]" * 100_000,
+               "malformed {what} file: nested too deeply to decode"),
     "version-true": (b'{"format_version": true}',
                      "unsupported {what} format_version True, expected 1"),
 }
