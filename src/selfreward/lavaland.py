@@ -53,18 +53,25 @@ flags and the starting peak) that every plan copies, and one stream draw.
 
 Evaluation runs the bank's maps in lockstep.  Maps are independent (map i
 imagines from its own stream), so ``evaluate`` builds fields for a few maps
-at once, ``field_inputs`` then ``kernel_fields`` without the inner layers,
-and walks plan k of a whole batch of same-shape maps at once, paying numpy's
-call overhead once per step for the batch instead of once per map.  Each map
-reads its up-front stream through its own cursor, and each step repeats
-``_walk``'s float operations in its order.  The episodes come back as
-bank-order arrays (``EvalResult``: reached, steps, score and the tiles of
-each type traversed), each batch written in at its maps' places, and every
-map's entries equal the map-by-map result.  ``_walk`` is the one per-map
-walk: ``make_plan`` runs it for one plan, drawing one scalar per step that
-has a runner-up, and ``imagine_and_act`` (training's and the tests' path)
-runs it for all of a map's plans from one draw.  Both walks read their
-neighbors from ``_grid_tables``.
+at once and walks plan k of a whole batch of same-shape maps at once, paying
+numpy's call overhead once per step for the batch instead of once per map.
+A map's self grid is the one-hot grid at its spawn and evaluation's kernels
+are fixed, so a batch builds each distinct spawn cell's self field once
+(``_self_fields``) and runs ``deconv_seq`` per map only on the target, grass
+and dirt grids, keeping only the last layer (``_eval_v_sigma``).  That is
+exact: the self field is the same ``deconv_seq`` on the same grid and
+kernels, and ``combine_fields`` sums the four fields in ``SCORED_TILES``
+order as ``kernel_fields`` does, so every map's v_sigma equals
+``build_fields``' bit for bit.  A bank of 512 12x12 maps holds about 140
+distinct spawn cells.  Each map reads its up-front stream through its own
+cursor, and each step repeats ``_walk``'s float operations in its order.
+The episodes come back as bank-order arrays (``EvalResult``: reached,
+steps, score and the tiles of each type traversed), each batch written in
+at its maps' places, and every map's entries equal the map-by-map result.
+``_walk`` is the one per-map walk: ``make_plan`` runs it for one plan,
+drawing one scalar per step that has a runner-up, and ``imagine_and_act``
+(training's and the tests' path) runs it for all of a map's plans from one
+draw.  Both walks read their neighbors from ``_grid_tables``.
 
 The maps themselves, their generation and the bank file live in
 ``lavamaps``.  Every map has streams of its own under the run's seed: map i
@@ -274,22 +281,29 @@ def field_inputs(maps: list[TileMap], config: LavaConfig) -> FieldInputs:
                        grids=grids, preferences=prefs)
 
 
-def kernel_fields(grids: np.ndarray, kernels: np.ndarray, preferences: np.ndarray,
-                  keep_layers: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def combine_fields(fields: np.ndarray, preferences: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B maps' (B, 4, N) per-type fields, in SCORED_TILES order, scaled by
+    ``preferences``, and their (B, N) sum v_sigma, added in SCORED_TILES order."""
+    v1 = fields * preferences[:, None]
+    return v1, v1[:, 0] + v1[:, 1] + v1[:, 2] + v1[:, 3]
+
+
+def kernel_fields(grids: np.ndarray, kernels: np.ndarray,
+                  preferences: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernel half: B maps' (B, 4, H, W) ``grids`` through the (4, 5, 3, 3)
-    ``kernels``, scaled by ``preferences`` and summed.
+    ``kernels``, then ``combine_fields``.
 
     Returns ``deconv_seq``'s activations over the B * 4 grids, the (B, 4, H, W)
     per-type fields and the (B, H, W) v_sigma.  Each map's slice takes the
     float operations of that map alone, so it equals ``build_fields`` bit for
-    bit.  ``keep_layers`` goes to ``deconv_seq``: evaluation needs only the field.
+    bit.  Evaluation builds the self field once per spawn cell instead
+    (``_self_fields``), through the same ``deconv_seq`` and ``combine_fields``.
     """
     b, _, h, w = grids.shape
     activations = deconv_seq(kernels if b == 1 else np.tile(kernels, (b, 1, 1, 1)),
-                             grids.reshape(b * 4, h, w), keep_layers)
-    v1 = (activations[-1, :, :-1].reshape(b, 4, h * w) * preferences[:, None]).reshape(
-        b, 4, h, w)
-    return activations, v1, v1[:, 0] + v1[:, 1] + v1[:, 2] + v1[:, 3]
+                             grids.reshape(b * 4, h, w))
+    v1, v_sigma = combine_fields(activations[-1, :, :-1].reshape(b, 4, h * w), preferences)
+    return activations, v1.reshape(b, 4, h, w), v_sigma.reshape(b, h, w)
 
 
 def _map_fields(inputs: FieldInputs, j: int, tile_map: TileMap,
@@ -609,12 +623,53 @@ class EvalResult:
 
 
 # Maps per field build in evaluation.  More maps share more call overhead, but the
-# deconv's (4 * maps, 9, H*W) gather grows: 330 KB at 8 maps of 12x12.
-FIELD_BATCH = 8
-# Grid cells per lockstep walk, about 455 maps of 12x12; a bank splits into
-# even batches (512 maps into 2 of 256).  A batch holds about 3.3 KB per 12x12
-# map, so at most about 1.5 MB.
-WALK_CELLS = 1 << 16
+# deconv's (3 * maps, 9, H*W) gather grows: a build of 16 maps of 12x12 peaks at
+# about 0.75 MB (tracemalloc).
+FIELD_BATCH = 16
+# Self fields per deconv_seq call in evaluation: as many grids as a field build runs.
+SELF_CHUNK = 3 * FIELD_BATCH
+# Grid cells per lockstep walk, about 910 maps of 12x12; a bank splits into
+# even batches (512 maps walk as one).  A batch, its field builds included,
+# peaks at about 4 KB per 12x12 map, so at about 3.6 MB (tracemalloc, 910 maps).
+WALK_CELLS = 1 << 17
+_SELF = SCORED_TILES.index("self")
+_NOT_SELF = [k for k, t in enumerate(SCORED_TILES) if t != "self"]
+
+
+def _self_fields(cells: np.ndarray, shape: tuple, kernels: np.ndarray) -> np.ndarray:
+    """The self DeconvSeq's field, (n, H*W), of the one-hot grid at each flat
+    index of ``cells`` through its (5, 3, 3) ``kernels``, ``SELF_CHUNK`` grids
+    per ``deconv_seq`` call.
+
+    A map's self grid is the one-hot grid at its spawn (``field_inputs``'
+    w_self), so this is that map's self field: the same ``deconv_seq`` on the
+    same grid and kernels, and each grid's row takes its own float operations.
+    """
+    h, w = shape
+    fields = np.empty((len(cells), h * w))
+    for j in range(0, len(cells), SELF_CHUNK):
+        chunk = cells[j:j + SELF_CHUNK]
+        grids = np.zeros((len(chunk), h * w))
+        grids[np.arange(len(chunk)), chunk] = 1.0
+        fields[j:j + SELF_CHUNK] = deconv_seq(np.tile(kernels, (len(chunk), 1, 1, 1)),
+                                              grids.reshape(-1, h, w), keep_layers=False)[0, :, :-1]
+    return fields
+
+
+def _eval_v_sigma(inputs: FieldInputs, self_fields: np.ndarray,
+                  kernels: np.ndarray) -> np.ndarray:
+    """v_sigma, (B, H*W), of the B maps of ``inputs`` whose self fields are
+    ``self_fields``: the other three types through ``deconv_seq``, keeping
+    only the last layer, then ``combine_fields``.  Equals ``build_fields``'
+    v_sigma bit for bit."""
+    b, n_types, h, w = inputs.grids.shape
+    fields = np.empty((b, n_types, h * w))
+    fields[:, _SELF] = self_fields
+    fields[:, _NOT_SELF] = deconv_seq(
+        np.tile(kernels[_NOT_SELF], (b, 1, 1, 1)),
+        inputs.grids[:, _NOT_SELF].reshape(-1, h, w), keep_layers=False)[0, :, :-1].reshape(
+            b, len(_NOT_SELF), h * w)
+    return combine_fields(fields, inputs.preferences)[1]
 
 
 def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns: np.ndarray,
@@ -725,25 +780,32 @@ def _walk_lockstep(grid0: np.ndarray, unknown: np.ndarray, shape: tuple, spawns:
 def _evaluate_batch(maps: list[TileMap], indices: list[int], kernels: np.ndarray,
                     config: LavaConfig, seed: int) -> tuple[np.ndarray, ...]:
     """``EvalResult``'s four arrays for same-shape maps at bank places ``indices``.
-    Fields are built ``FIELD_BATCH`` maps at a time, keeping only the last
-    layer, and the whole batch walks in one ``_walk_lockstep``."""
+
+    The self field of each distinct spawn cell is built once (``_self_fields``)
+    and shared by the maps that spawn there: the same ``deconv_seq`` on the
+    same grid and kernels gives each of them the same bits.  The other fields
+    are built ``FIELD_BATCH`` maps at a time and summed in ``SCORED_TILES``
+    order (``_eval_v_sigma``), and the whole batch walks in one
+    ``_walk_lockstep``."""
     b, h, w = len(maps), maps[0].height, maps[0].width
     hw = h * w
+    spawns = np.array([r * w + c for r, c in (m.spawn for m in maps)])
+    targets = np.array([r * w + c for r, c in (m.target for m in maps)])
+    cells, spawn_rows = np.unique(spawns, return_inverse=True)
+    self_fields = _self_fields(cells, (h, w), kernels[_SELF])
     tiles = np.empty((b, hw), dtype=_CHAR_CODES.dtype)
     grid0 = np.empty((b, hw + 1))
     unknown = np.empty((b, hw), dtype=bool)
     for j in range(0, b, FIELD_BATCH):
         inputs = field_inputs(maps[j:j + FIELD_BATCH], config)
-        _, _, v_sigma = kernel_fields(inputs.grids, kernels, inputs.preferences, keep_layers=False)
+        grid0[j:j + FIELD_BATCH, :hw] = _eval_v_sigma(
+            inputs, self_fields[spawn_rows[j:j + FIELD_BATCH]], kernels)
         tiles[j:j + FIELD_BATCH] = inputs.tiles.reshape(-1, hw)
-        grid0[j:j + FIELD_BATCH, :hw] = v_sigma.reshape(-1, hw)
         unknown[j:j + FIELD_BATCH] = inputs.w_unknown.reshape(-1, hw)
     # every map's whole stream in one draw, kept only as its explore decisions
     explore = np.empty((b, config.n_plans * config.max_steps), dtype=bool)
     for j, rng in enumerate(streams.rngs([(seed, (3,))], indices)):
         explore[j] = _explore_draws(rng, config, explore.shape[1])
-    spawns = np.array([r * w + c for r, c in (m.spawn for m in maps)])
-    targets = np.array([r * w + c for r, c in (m.target for m in maps)])
     trajectory, steps, reached, score = _walk_lockstep(grid0, unknown, (h, w), spawns,
                                                        targets, explore, config)
     terrain = tiles[np.arange(b)[:, None], trajectory]
@@ -760,8 +822,11 @@ def evaluate(params: Robot2NNParams, bank: MapBank, config: LavaConfig,
     spawn_key=(3, i))``, and executes the best, as ``imagine_and_act`` does.
     Maps of one shape run in lockstep batches of up to ``WALK_CELLS`` grid
     cells (``_evaluate_batch``), each written into the result's arrays at
-    its maps' places in the bank.  Every map's entries equal the map-by-map
-    result.
+    its maps' places in the bank.  A batch builds the self field once per
+    distinct spawn cell, which is exact because a map's self field is
+    ``deconv_seq`` on the one-hot grid at its spawn through the same fixed
+    kernels, summed with the other fields in the same order.  Every map's
+    entries equal the map-by-map result.
     """
     if not bank.maps:
         raise ValueError("evaluation bank is empty")

@@ -239,6 +239,9 @@ def load_bank(path) -> MapBank:
     return MapBank(preset=doc["preset"], seed=doc["seed"], maps=maps)
 
 
+_KNOWN_CHARS = dict.fromkeys(map(ord, CHAR_INDEX))  # str.translate deletes these
+
+
 def _checked_map(entry, where: str) -> TileMap:
     """A TileMap from a bank entry: rectangular rows of known tile characters,
     exactly one target, and a [row, col] spawn inside the map, off lava and
@@ -249,12 +252,13 @@ def _checked_map(entry, where: str) -> TileMap:
     if not (isinstance(tiles, list) and tiles
             and all(isinstance(row, str) and row for row in tiles)):
         raise ValueError(f"{where}: 'tiles' must be a non-empty list of non-empty strings")
-    if len({len(row) for row in tiles}) != 1:
+    width = len(tiles[0])
+    if any(len(row) != width for row in tiles):
         raise ValueError(f"{where}: rows are not all the same length")
     flat = "".join(tiles)
-    unknown = sorted(set(flat) - set(CHAR_INDEX))
+    unknown = flat.translate(_KNOWN_CHARS)
     if unknown:
-        raise ValueError(f"{where}: unknown tile characters {unknown}; "
+        raise ValueError(f"{where}: unknown tile characters {sorted(set(unknown))}; "
                          f"expected {sorted(CHAR_INDEX)}")
     if flat.count(TILE_CHARS["target"]) != 1:
         raise ValueError(f"{where}: {flat.count(TILE_CHARS['target'])} target tiles, "

@@ -147,7 +147,8 @@ class SeedWords(ISpawnableSeedSequence):
         self.n_children_spawned = 0
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words == 4 and np.dtype(dtype) == np.uint64:
+        # PCG64 asks for (4, np.uint64), so that is tested before building a dtype
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
             return self.words.copy()
         return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key).generate_state(
             n_words, dtype)

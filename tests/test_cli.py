@@ -611,6 +611,20 @@ def _bank_doc(**overrides):
      "map 1: spawn [-1, 0] lies outside the 3x3 map"),
     ("unknown tile", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyx", "ddd"], "spawn": [0, 0]}]),
      "map 1: unknown tile characters ['x']"),
+    ("two unknown tiles, one non-ASCII",
+     _bank_doc(maps=[{}, {"tiles": ["d\u00e9d", "dyx", "ddd"], "spawn": [0, 0]}]),
+     "map 1: unknown tile characters ['x', '\u00e9']"),
+    ("no target", _bank_doc(maps=[{}, {"tiles": ["dgd", "ddd", "ddd"], "spawn": [0, 0]}]),
+     "map 1: 0 target tiles"),
+    ("non-string row", _bank_doc(maps=[{}, {"tiles": ["dgd", 7, "ddd"], "spawn": [0, 0]}]),
+     "map 1: 'tiles' must be a non-empty list of non-empty strings"),
+    ("empty row", _bank_doc(maps=[{}, {"tiles": ["dgd", "", "ddd"], "spawn": [0, 0]}]),
+     "map 1: 'tiles' must be a non-empty list of non-empty strings"),
+    ("boolean spawn", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyd", "ddd"], "spawn": [True, 0]}]),
+     "map 1: spawn [True, 0] is not a [row, col] pair of integers"),
+    ("fractional spawn", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyd", "ddd"],
+                                              "spawn": [0.5, 1]}]),
+     "map 1: spawn [0.5, 1] is not a [row, col] pair of integers"),
     ("spawn out of bounds", _bank_doc(maps=[{}, {"tiles": ["dgd", "dyd", "ddd"],
                                                  "spawn": [0, 3]}]),
      "map 1: spawn [0, 3] lies outside the 3x3 map"),

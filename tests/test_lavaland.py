@@ -444,21 +444,24 @@ def test_batched_fields_equal_one_map_builds_bitwise(preset):
     srd_train_lavaland(params, generate_maps(16, preset, seed=5), cfg, seed=5)
     maps = generate_maps(7, preset, seed=6).maps
     inputs = field_inputs(maps, cfg)
-    for keep_layers in (True, False):
-        activations, v1, v_sigma = kernel_fields(inputs.grids, params.kernels,
-                                                 inputs.preferences, keep_layers=keep_layers)
-        assert activations.shape[0] == (6 if keep_layers else 1)
-        last = activations[-1].reshape(len(maps), len(SCORED_TILES), -1)
-        for j, m in enumerate(maps):
-            one = build_fields(m, params, cfg)
-            np.testing.assert_array_equal(_bits(v_sigma[j]), _bits(one.v_sigma))
-            np.testing.assert_array_equal(_bits(inputs.w_unknown[j]), _bits(one.w_unknown))
-            np.testing.assert_array_equal(_bits(last[j]), _bits(one.activations[-1]))
-            for k, t in enumerate(SCORED_TILES):
-                np.testing.assert_array_equal(_bits(v1[j, k]), _bits(one.v1[t]))
-            if keep_layers:
-                np.testing.assert_array_equal(
-                    _bits(activations[:, 4 * j:4 * j + 4]), _bits(one.activations))
+    activations, v1, v_sigma = kernel_fields(inputs.grids, params.kernels, inputs.preferences)
+    assert activations.shape[0] == 6
+    # evaluation's path: each spawn cell's self field once, the other types
+    # through deconv_seq without the inner layers
+    spawns = np.array([r * m.width + c for m in maps for r, c in [m.spawn]])
+    cells, rows = np.unique(spawns, return_inverse=True)
+    self_fields = lavaland._self_fields(cells, (maps[0].height, maps[0].width),
+                                        params.kernels[SCORED_TILES.index("self")])
+    eval_v_sigma = lavaland._eval_v_sigma(inputs, self_fields[rows], params.kernels)
+    for j, m in enumerate(maps):
+        one = build_fields(m, params, cfg)
+        np.testing.assert_array_equal(_bits(v_sigma[j]), _bits(one.v_sigma))
+        np.testing.assert_array_equal(_bits(eval_v_sigma[j]), _bits(one.v_sigma.ravel()))
+        np.testing.assert_array_equal(_bits(inputs.w_unknown[j]), _bits(one.w_unknown))
+        for k, t in enumerate(SCORED_TILES):
+            np.testing.assert_array_equal(_bits(v1[j, k]), _bits(one.v1[t]))
+        np.testing.assert_array_equal(
+            _bits(activations[:, 4 * j:4 * j + 4]), _bits(one.activations))
 
 
 def test_field_inputs_refuse_mixed_shapes_and_unknown_tiles():
@@ -987,7 +990,8 @@ def test_lockstep_evaluation_of_a_mixed_shape_bank():
 
 @pytest.mark.parametrize("n_maps,field_batch,walk_cells", [
     (23, 3, 5 * 144),  # walks of 5, 5, 5, 5 and 3 maps; fields of 3 and 2
-    (461, lavaland.FIELD_BATCH, lavaland.WALK_CELLS),
+    # walks of 462 and 461 maps; fields of 16 and, last in each walk, 14 and 13
+    (923, lavaland.FIELD_BATCH, lavaland.WALK_CELLS),
 ])
 def test_lockstep_evaluation_of_uneven_batches(monkeypatch, n_maps, field_batch, walk_cells):
     assert n_maps % field_batch and (n_maps * 144) % walk_cells
@@ -1000,6 +1004,34 @@ def test_lockstep_evaluation_of_uneven_batches(monkeypatch, n_maps, field_batch,
     result = _assert_matches_per_map(params, generate_maps(n_maps, "lava-a", seed=10), cfg,
                                      seed=11)
     assert 0.0 < result.accuracy < 1.0  # walks that run out of steps are in the batches
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_lockstep_evaluation_of_shared_spawn_cells(monkeypatch, trained):
+    # 30 maps spawn on at most three cells, 10 more on cells of their own; self
+    # fields of 3 grids per deconv_seq call split the distinct cells over calls
+    monkeypatch.setattr(lavaland, "SELF_CHUNK", 3)
+    cfg = PRESETS["lava-a"]
+    params = Robot2NNParams()
+    if trained:
+        srd_train_lavaland(params, generate_maps(16, "lava-a", seed=12), cfg, seed=12)
+    maps = generate_maps(40, "lava-a", seed=13).maps
+
+    def respawn(m, cells):
+        """m spawned on the first of ``cells`` that is grass or dirt."""
+        cell = next(c for c in cells if m.terrain_at(divmod(c, m.width)) in ("grass", "dirt"))
+        return TileMap(tiles=m.tiles, spawn=divmod(cell, m.width))
+
+    shared = [respawn(m, np.roll([0, 77, 143], k).tolist() + list(range(144)))
+              for k, m in enumerate(maps[:30])]
+    own = []
+    for k, m in enumerate(maps[30:]):
+        taken = {r * m.width + c for r, c in (o.spawn for o in own)}
+        own.append(respawn(m, [c for c in range(13 * k + 1, 144) if c not in taken]))
+    assert len({m.spawn for m in shared}) <= 3 and len({m.spawn for m in own}) == 10
+    bank = MapBank("lava-a", 13, shared + own)
+    assert len({m.spawn for m in bank.maps}) > lavaland.SELF_CHUNK
+    _assert_matches_per_map(params, bank, cfg, seed=14)
 
 
 def test_evaluate_rejects_non_finite_kernels():

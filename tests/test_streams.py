@@ -147,7 +147,8 @@ def test_seed_sequence_stands_in_for_numpys():
     seq = rng.bit_generator.seed_seq
     ref = np.random.SeedSequence(2 ** 40, spawn_key=(3, 9))
     assert isinstance(seq, np.random.bit_generator.ISpawnableSeedSequence)
-    for n_words, dtype in [(4, np.uint64), (3, np.uint32), (8, np.uint64), (1, np.uint32)]:
+    for n_words, dtype in [(4, np.uint64), (4, "u8"), (4, np.dtype(np.uint64)), (3, np.uint32),
+                           (8, np.uint64), (1, np.uint32)]:
         np.testing.assert_array_equal(seq.generate_state(n_words, dtype),
                                       ref.generate_state(n_words, dtype))
     # the words handed out are a copy
