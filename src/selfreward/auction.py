@@ -91,24 +91,34 @@ single-agent call, so every decision is the one the agent would take alone,
 bit for bit.
 
 The trials of an experiment run in lockstep too (``run_trials``;
-``run_auction`` is ``run_trials`` for one resolved seed).  A block of
-trials holds its agents as one ``Population`` of stacked arrays over
-(trial, agent): decision weights, optimizer settings, a ``noise_rng`` each
-and an is-FSN mask.  Each trial keeps its own price, stock, demand, round
-count, status row, sale prices and termination flag (``Markets``).  A round
+``run_auction`` is ``run_trials`` for one market on one resolved seed).  A
+block runs every market of a supply point over the same roots, the honest
+one and the one with malicious agents: ``Markets`` holds one row per
+(market, root), each with its own price, stock, demand, round count, status
+row, sale prices and termination flag, and ``Population`` holds one
+negotiator state per (root, agent) that draws in any of the markets:
+decision weights, optimizer settings, a ``noise_rng``, a clone-noise buffer
+and its cursor.  Agent i of every market reads the state of (root, i).
+Twins, agent i >= round(f * n) of the malicious market and agent i of the
+honest one on the same root, have the same construction draws, fine-tuning
+variants and noise stream, and a state changes only by its own draws and
+fine-tuning steps, which no market's price or demand touches.  So twins
+hold equal states while both are active, and an agent that has bought,
+quit or ended never reads its state again: one state serves both.  A round
 makes one sensor and decision forward over the active agents of every
-running trial, then one vectorised server step; fine-tuning gathers the
-learners' rows once, tunes them and writes them back.  Trials have
-independent seeds and each agent draws only from its own streams, so
-interleaving trials changes no draw and no bit: every trial ends as it
-would alone.  All of a block's agents live until its last trial ends.  An
-FSN agent holds about 3 KB resident: a clone-noise buffer of 2 KB, its
-``noise_rng`` and its rows of the stacked arrays.  An always-hold agent
-draws nothing and has neither generator nor buffer, only about 100 B of
-rows.  So a block counts only FSN agents: it takes as many trials as fit
-``LOCKSTEP_AGENTS`` of them, up to ``LOCKSTEP_TRIALS`` trials, the cap that
-bounds a market of always-hold agents alone.  A half-malicious market thus
-runs twice the trials of an honest one per block, in the same memory.
+running market, each on its state's next row of clone noise, taken once per
+state however many twins bid; then one vectorised server step.  Fine-tuning
+gathers the learner states that any live agent reads, tunes each once and
+writes them back.  Roots have independent seeds and each state draws only
+from its own streams, so interleaving roots and pairing markets changes no
+draw and no bit: every trial ends as it would alone.
+
+All of a block's states live until its last market ends, so the block sets
+the peak memory of a run.  An always-hold agent draws nothing and has no
+state, only its status in its market.  So a block counts states: it takes
+as many roots as fit ``LOCKSTEP_AGENTS`` states, up to ``LOCKSTEP_TRIALS``
+roots, the cap that bounds markets of always-hold agents alone; their
+comment gives the memory a full block takes.
 
 Every stream hangs off its trial's root, a plain ``(entropy, spawn_key)``
 pair: ``run_experiment`` gives trial t of supply point ri the root
@@ -119,7 +129,7 @@ stream numpy seeds from ``entropy`` and spawn key ``spawn_key + (1, i)``,
 and its ``noise_rng`` is ``default_rng(seed)``; the fine-tuning variants
 come from spawn key ``spawn_key + (0,)``.  A block builds no generator for
 the construction draws: ``streams.random_raw`` gives the first six words of
-every agent stream of its trials at once, and ``_decode_draws`` reads the
+every state's stream at once, and ``_decode_draws`` reads the
 draws off them as numpy's ``uniform`` and ``integers`` do (a row whose
 bounded draw numpy would redraw takes ``_agent_draws`` on a real
 generator).  It seeds the noise streams and the variant streams in one
@@ -594,123 +604,126 @@ class TrialResult:
         return float(np.mean(self.prices)) if self.prices else float("nan")
 
 
-# Drawing (FSN) agents per block of lockstep trials, and the most trials a
-# block takes.  A block's agents all live until its last trial ends, so the
-# block sets the peak memory of a run.  A drawing agent holds about 3 KB
-# resident: its 2 KB clone-noise buffer, its noise_rng and its rows of the
-# stacked arrays (a block of 512 measured 1.5 MB; numpy 2.4, x86-64).  An
-# always-hold agent has no generator and no buffer, only about 100 B of rows,
-# so it is not counted; the trials cap bounds a market of always-hold agents
-# alone, whose 64 trials of 64 agents measured 0.4 MB.
+# Negotiator states per block of lockstep trials, and the most roots a block
+# takes.  A block holds one state per (root, agent) that draws in any of its
+# markets, n - round(f * n) states per root for its smallest malicious
+# fraction f: an honest market and its half-malicious twin take the honest
+# market's 64 states per root of 64 agents.  A state holds about 3 KB
+# resident, its 2 KB clone-noise buffer, its noise_rng and its rows of the
+# stacked arrays.  A full block of 8 such roots, both markets, traced a peak
+# of 2.3 MB (2.0 MB for the honest market alone), and 3.7 MB with
+# fine-tuning (tracemalloc; numpy 2.4, x86-64).  An always-hold agent has no
+# state, only a status in its market, so it is not counted; the roots cap
+# bounds markets of always-hold agents alone, whose 64 roots of 64 agents
+# traced 0.13 MB.
 LOCKSTEP_AGENTS = 512
 LOCKSTEP_TRIALS = 64
 
-# Bids of clone noise an agent draws in one call once nothing else draws from
+# Bids of clone noise a state draws in one call once nothing else draws from
 # its stream between its bids.  Each round then reads one row of every
-# bidder's buffer, and only the agents whose buffer is empty draw.  A draw of
-# 8 bids costs about three draws of one, and the median agent bids 7 to 16
-# times over the CLI's supply grids; of 1, 2, 4, 8 and 16, 8 ran fastest or
-# level with the fastest on every grid timed (2-core host).
+# bidding state's buffer, and only the states whose buffer is empty draw.  A
+# draw of 8 bids costs about three draws of one, and the median agent bids 7
+# to 16 times over the CLI's supply grids; of 1, 2, 4, 8 and 16, 8 ran fastest
+# or level with the fastest on every grid timed (2-core host).
 CHUNK = 8
 
 
 class Population:
-    """The agents of a block of trials as stacked arrays over (trial, agent).
+    """The negotiators of a block of trials as stacked arrays over (root,
+    agent): one state per agent ``first``..n-1 of each root, the agents that
+    draw in any of the block's markets.  A state is an agent's decision
+    weights, optimizer settings, ``noise_rng``, clone-noise buffer and cursor.
 
-    Agents 0..n_malicious-1 of each trial are always-hold malicious ones
-    (``fsn`` False): they draw nothing, and their rows are never read.
-    Agent i of the rest takes the construction draws of ``_agent_draws`` on
-    its own stream, spawn key (1, i) under its trial's ``(entropy,
-    spawn_key)`` root.  No generator is built for them: ``streams.random_raw``
-    gives every agent stream's first six words in one pass, and
-    ``_decode_draws`` reads the draws off them as numpy would.  A row whose
-    bounded draw numpy would redraw (about one in 10**9) takes
-    ``_agent_draws`` on a real generator instead.  All noise streams are then
-    seeded in one ``streams.rngs`` call.
+    Agent i of every market of a root reads state (root, i - first): one
+    state serves every twin (module docstring: why this is exact), and ends
+    as the state of the twin that stayed active longest ends alone.  A round
+    takes each state's next noise row once, and fine-tunes a learner state
+    once, however many of its twins are live.
 
-    Clone noise is read through a buffer of ``CHUNK`` bids per FSN agent,
-    ``noise`` (trials, n - n_malicious, CHUNK, 8, D_ic - 1), which holds no
-    rows for always-hold agents: the unread rows of agent i of trial t are
-    ``noise[t, i - n_malicious, cursor[t, i]:]``, and an agent draws only
-    when it bids with none left.  A learner (``learners``: fine-tuning,
-    epochs > 0) draws its fine-tuning noise from the same stream between
-    bids, so until its bid in round ``finetune_rounds - 1`` it draws one row
-    at a time; from then on it draws a full buffer, as every other agent
-    does from its screening probe on.  Its stream holds the same numbers in
-    the same order as a draw per bid, and ``noise_rngs`` end ahead of that
-    by the unread rows.
+    Agent i of a root takes the construction draws of ``_agent_draws`` on its
+    own stream, spawn key (1, i) under the root's ``(entropy, spawn_key)``.  No
+    generator is built for them: ``streams.random_raw`` gives every state's
+    first six stream words in one pass, and ``_decode_draws`` reads the draws
+    off them as numpy would.  A row whose bounded draw numpy would redraw
+    (about one in 10**9) takes ``_agent_draws`` on a real generator instead.
+    All noise streams are then seeded in one ``streams.rngs`` call.
 
-    So an always-hold agent holds neither generator nor buffer, only its
-    rows of the stacked arrays, and ``run_trials`` counts FSN agents alone
-    against ``LOCKSTEP_AGENTS``.
+    Clone noise is read through a buffer of ``CHUNK`` bids per state,
+    ``noise`` (roots, states, CHUNK, 8, D_ic - 1): the unread rows of state
+    (t, s) are ``noise[t, s, cursor[t, s]:]``, and a state draws only when it
+    bids with none left.  A learner (``learners``: fine-tuning, epochs > 0)
+    draws its fine-tuning noise from the same stream between bids, so until
+    its bid in round ``finetune_rounds - 1`` it draws one row at a time; from
+    then on it draws a full buffer, as every other state does from its
+    screening probe on.  Its stream holds the same numbers in the same order
+    as a draw per bid, and ``noise_rngs`` end ahead of that by the unread rows.
     """
 
-    def __init__(self, roots, n: int, n_malicious: int, config: AuctionConfig,
-                 optim: bool):
-        shape = (len(roots), n)
-        self.config, self.n_malicious = config, n_malicious
-        self.fsn = np.zeros(shape, dtype=bool)
-        self.fsn[:, n_malicious:] = True
+    def __init__(self, roots, n: int, first: int, config: AuctionConfig, optim: bool):
+        shape = (len(roots), n - first)
+        self.config, self.first = config, first
         self.w_dec = np.tile(W_DECISION, (*shape, 1, 1))
-        self.b_dec = np.zeros((*shape, 3))
-        self.epochs = np.zeros(shape, dtype=int)
-        self.batch_size = np.zeros(shape, dtype=int)
-        self.learning_rate = np.zeros(shape)
-        self.noise_rngs = np.full(shape, None)
-        self.noise = np.empty((len(roots), n - n_malicious, CHUNK, 8, config.d_ic - 1))
+        self.noise = np.empty((*shape, CHUNK, 8, config.d_ic - 1))
         self.cursor = np.full(shape, CHUNK)
-        fsn = self.fsn.nonzero()  # trial by trial, as the streams come
-        if fsn[0].size:  # a block of malicious agents only has nothing to draw
-            *draws, redraw = _decode_draws(streams.random_raw(
-                [(entropy, key + (1,)) for entropy, key in roots], AGENT_WORDS,
-                range(n_malicious, n)))
-            for j in np.flatnonzero(redraw):
-                entropy, key = roots[fsn[0][j]]
-                rng = next(streams.rngs([(entropy, key + (1,))], [int(fsn[1][j])]))
-                for column, value in zip(draws, _agent_draws(rng)):
-                    column[j] = value
-            b_dec, epochs, batch_size, learning_rate, noise_seeds = draws
-            self.b_dec[fsn], self.epochs[fsn] = b_dec, epochs
-            self.batch_size[fsn], self.learning_rate[fsn] = batch_size, learning_rate
-            self.noise_rngs[fsn] = np.fromiter(streams.rngs(noise_seeds), dtype=object,
-                                               count=len(noise_seeds))
-        self.learners = self.fsn & (self.epochs > 0) & optim
+        *draws, redraw = _decode_draws(streams.random_raw(
+            [(entropy, key + (1,)) for entropy, key in roots], AGENT_WORDS, range(first, n)))
+        for j in np.flatnonzero(redraw):
+            t, s = divmod(int(j), shape[1])
+            entropy, key = roots[t]
+            rng = next(streams.rngs([(entropy, key + (1,))], [first + s]))
+            for column, value in zip(draws, _agent_draws(rng)):
+                column[j] = value
+        b_dec, epochs, batch_size, learning_rate, noise_seeds = draws
+        self.b_dec = b_dec.reshape(*shape, 3)
+        self.epochs = epochs.reshape(shape).astype(int)
+        self.batch_size = batch_size.reshape(shape).astype(int)
+        self.learning_rate = learning_rate.reshape(shape)
+        self.noise_rngs = np.fromiter(streams.rngs(noise_seeds), dtype=object,
+                                      count=len(noise_seeds)).reshape(shape)
+        self.learners = (self.epochs > 0) & optim
+
+    def readers(self, live: np.ndarray) -> np.ndarray:
+        """The (root, state) mask of the states that the agents under the
+        mask live read: live is (markets * roots, n), market m's row for root
+        t at m * roots + t, with no always-hold agent under it."""
+        roots = len(self.cursor)
+        return live.reshape(-1, roots, live.shape[1])[:, :, self.first:].any(axis=0)
 
     def decide(self, live: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-        """Decisions of the FSN agents under the (trial, agent) mask live on
-        offer rows x (trials, 8) in round k (-1 for the screening probe): one
-        stacked forward, ``_bid`` over every live agent, on each agent's next
-        buffered row of clone noise."""
+        """Decisions of the agents under the mask live (``readers``) on offer
+        rows x (markets * roots, 8) in round k (-1 for the screening probe):
+        each bidding state takes its next buffered row of clone noise once,
+        then one stacked forward, ``_bid`` over every live agent, on its
+        state's row, weights and biases."""
+        roots, states = self.cursor.shape
         chunk = self.noise.shape[2]
-        at = np.flatnonzero(live)  # agent i of trial t is row t * n + i of the flat views
-        trial = at // live.shape[1]
-        # and row t * (n - n_malicious) + i - n_malicious of the flat buffers
-        own = at - self.n_malicious * (trial + 1)
         cursor = self.cursor.reshape(-1)
-        rows = cursor[at]
+        bidding = np.flatnonzero(self.readers(live))
+        rows = cursor[bidding]
         empty = rows == chunk
         if empty.any():
-            rows[empty] = self._refill(at[empty], own[empty], k)
-        cursor[at] = rows + 1
+            rows[empty] = self._refill(bidding[empty], k)
+        cursor[bidding] = rows + 1
+        row, agent = live.nonzero()
+        state = (row % roots) * states + agent - self.first
         buffers = self.noise.reshape(math.prod(self.noise.shape[:3]), *self.noise.shape[3:])
-        noise = np.take(buffers, own * chunk + rows, axis=0)
-        return _bid(es_weight_rows(self.config.base_price), ES_BIASES, np.take(x, trial, axis=0),
-                    noise, np.take(self.w_dec.reshape(-1, 3, 4), at, axis=0),
-                    np.take(self.b_dec.reshape(-1, 3), at, axis=0), self.config)
+        noise = np.take(buffers, state * chunk + cursor[state] - 1, axis=0)
+        return _bid(es_weight_rows(self.config.base_price), ES_BIASES, np.take(x, row, axis=0),
+                    noise, np.take(self.w_dec.reshape(-1, 3, 4), state, axis=0),
+                    np.take(self.b_dec.reshape(-1, 3), state, axis=0), self.config)
 
-    def _refill(self, agents: np.ndarray, own: np.ndarray, k: int) -> np.ndarray:
-        """Fill the used-up buffers, rows ``own``, of the agents at flat
-        indices ``agents`` before their bid in round k; returns the row each
-        reads first."""
+    def _refill(self, states: np.ndarray, k: int) -> np.ndarray:
+        """Fill the used-up buffers of the states at flat indices ``states``
+        before their bid in round k; returns the row each reads first."""
         chunk = self.noise.shape[2]
-        first = np.zeros(len(agents), dtype=int)
+        first = np.zeros(len(states), dtype=int)
         if k < self.config.finetune_rounds - 1:
             # a learner draws fine-tuning noise before its next bid: draw only this one
-            first[self.learners.reshape(-1)[agents]] = chunk - 1
+            first[self.learners.reshape(-1)[states]] = chunk - 1
         buffers = self.noise.reshape(math.prod(self.noise.shape[:2]), *self.noise.shape[2:])
         rngs = self.noise_rngs.reshape(-1)
-        for j, row, f in zip(agents.tolist(), own.tolist(), first.tolist()):
-            rngs[j].standard_normal(out=buffers[row, f:])
+        for j, f in zip(states.tolist(), first.tolist()):
+            rngs[j].standard_normal(out=buffers[j, f:])
         return first
 
 
@@ -764,57 +777,67 @@ class Markets:
                         & (self.rounds < config.max_rounds))
 
 
-def run_trials(r: float, roots, n: int = 64, optim: bool = False, malicious_frac: float = 0.0,
-               config: AuctionConfig | None = None) -> list[TrialResult]:
+def run_trials(r: float, roots, n: int = 64, optim: bool = False,
+               malicious_fracs: tuple[float, ...] = (0.0,),
+               config: AuctionConfig | None = None) -> list[list[TrialResult]]:
     """Full auctions with n agents and round(r*n) units of stock, one per
-    root ``(entropy, spawn_key)``, run in lockstep blocks of up to
-    ``LOCKSTEP_AGENTS`` FSN agents and ``LOCKSTEP_TRIALS`` trials.  Each
-    result is the one its trial gives when run alone."""
+    market and root ``(entropy, spawn_key)``: market m has
+    round(malicious_fracs[m] * n) always-hold agents.  Every market runs
+    over the same roots, in lockstep blocks of up to ``LOCKSTEP_AGENTS``
+    negotiator states and ``LOCKSTEP_TRIALS`` roots, twins sharing their
+    state (``Population``).  Returns one result list per market, one result
+    per root, each the one its trial gives when run alone."""
     if not 0 < r <= 1:
         raise ValueError(f"item-supply fraction r must be in (0, 1], got {r}")
-    if not 0 <= malicious_frac <= 1:
-        raise ValueError(f"malicious_frac must be in [0, 1], got {malicious_frac}")
+    for frac in malicious_fracs:
+        if not 0 <= frac <= 1:
+            raise ValueError(f"malicious_frac must be in [0, 1], got {frac}")
     config = config or AuctionConfig()
     stock = round(r * n)
-    drawing = n - round(malicious_frac * n)
-    per_block = min(LOCKSTEP_TRIALS, max(1, LOCKSTEP_AGENTS // max(drawing, 1)))
-    out = []
+    states = n - min(round(frac * n) for frac in malicious_fracs)
+    per_block = min(LOCKSTEP_TRIALS, max(1, LOCKSTEP_AGENTS // max(states, 1)))
+    out = [[] for _ in malicious_fracs]
     for start in range(0, len(roots), per_block):
-        # keep only the markets, so a block's agents are freed before the next is built
-        markets = _run_block(r, roots[start:start + per_block], n, optim, malicious_frac,
-                             config)[1]
-        out += [TrialResult(prices, len(prices) / stock if stock else 0.0, rounds)
-                for prices, rounds in zip(markets.prices, markets.rounds.tolist())]
+        block = roots[start:start + per_block]
+        # keep only the markets, so a block's states are freed before the next is built
+        markets = _run_block(r, block, n, optim, malicious_fracs, config)[1]
+        results = [TrialResult(prices, len(prices) / stock if stock else 0.0, rounds)
+                   for prices, rounds in zip(markets.prices, markets.rounds.tolist())]
+        for m, market in enumerate(out):
+            market += results[m * len(block):(m + 1) * len(block)]
     return out
 
 
-def _run_block(r, roots, n, optim, malicious_frac, config) -> tuple[Population, Markets]:
-    """``run_trials`` for one block: each round, one forward over the block's
-    active agents and one server step over its running trials.  Returns the
-    block's final agents and markets."""
-    n_malicious = round(malicious_frac * n)
-    pop = Population(roots, n, n_malicious, config, optim)
+def _run_block(r, roots, n, optim, malicious_fracs, config) -> tuple[Population, Markets]:
+    """``run_trials`` for one block: each round, one forward over the active
+    agents of every market and one server step over its running trials.
+    Market m's trial on root t is row m * len(roots) + t of the markets.
+    Returns the block's final states and markets."""
+    n_malicious = [round(frac * n) for frac in malicious_fracs]
+    pop = Population(roots, n, min(n_malicious), config, optim)
+    # the agents with a state: agent i of market m draws when i >= n_malicious[m]
+    drawing = np.arange(n) >= np.repeat(n_malicious, len(roots))[:, None]
 
     # screening: flagged models enter only when malicious mode is explicit.
     # The agents are built from the sensor template and W_DECISION, so only
     # the cheap-offer probe can flag one; every agent takes it, since it
     # draws clone noise.
-    probe = np.tile(_screening_probe(config), (len(roots), 1))
-    passed = pop.decide(pop.fsn, probe, -1) == BUY
-    if malicious_frac == 0 and not passed.all():
+    probe = np.tile(_screening_probe(config), (len(drawing), 1))
+    passed = pop.decide(drawing, probe, -1) == BUY
+    if min(malicious_fracs) == 0 and not passed.all():
         raise RuntimeError("screener flagged a model outside malicious mode")
 
     if optim:  # from their own stream, spawn key (0,), so skipping them draws nothing
         variants = np.array([make_offer_variants(BASE_OFFER_ROW, rng, config)
                              for rng in streams.rngs(roots, [0])])
 
-    markets = Markets(len(roots), n, round(r * n), config)
+    markets = Markets(len(drawing), n, round(r * n), config)
     k = 0
     while markets.running.any():
         active = markets.active()
-        live = active & pop.fsn
+        live = active & drawing
         if optim and k < config.finetune_rounds:
-            at = (live & pop.learners).nonzero()
+            at = (pop.readers(live) & pop.learners).nonzero()
             pop.w_dec[at], pop.b_dec[at] = _finetune(
                 pop.w_dec[at], pop.b_dec[at], pop.learning_rate[at], pop.epochs[at],
                 pop.batch_size[at], pop.noise_rngs[at], es_weight_rows(config.base_price),
@@ -830,10 +853,11 @@ def run_auction(r: float, n: int = 64, optim: bool = False,
                 malicious_frac: float = 0.0, seed=None,
                 config: AuctionConfig | None = None) -> TrialResult:
     """One full auction with n agents and round(r*n) units of stock:
-    ``run_trials`` for one seed (an int, int list, None or ``SeedSequence``)."""
+    ``run_trials`` for one market on one seed (an int, int list, None or
+    ``SeedSequence``)."""
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return run_trials(r, [(root.entropy, root.spawn_key)], n, optim, malicious_frac,
-                      config)[0]
+    return run_trials(r, [(root.entropy, root.spawn_key)], n, optim, (malicious_frac,),
+                      config)[0][0]
 
 
 # ``run_experiment``'s rows, as ``auction run`` writes them to results.csv and purchases.csv.
@@ -847,26 +871,28 @@ def run_experiment(r_grid, trials: int, seed, optim: bool, malicious_frac: float
     ``malicious_frac > 0``, the one with that fraction of malicious agents.
 
     Returns one row per trial under ``RESULT_COLUMNS`` and one per purchase
-    under ``PURCHASE_COLUMNS``, each a tuple.  A row's condition is ``Optim``
-    or ``noOptim``, after ``malicious-`` in the malicious market.  The
-    per-(r, trial) seed is independent of the market, so honest and
-    malicious runs are matched: honest agents keep identical construction
-    streams in both.
+    under ``PURCHASE_COLUMNS``, each a tuple, the honest market's rows
+    first.  A row's condition is ``Optim`` or ``noOptim``, after
+    ``malicious-`` in the malicious market.  The per-(r, trial) root is
+    independent of the market, so honest and malicious runs are matched:
+    honest agents keep identical construction streams in both, and each
+    supply point runs both markets in one ``run_trials`` call, twins sharing
+    their negotiator states.
     """
     if not 0 <= malicious_frac <= 1:  # NaN fails too, before any market runs
         raise ValueError(f"malicious_frac must be in [0, 1], got {malicious_frac}")
     entropy = np.random.SeedSequence(seed).entropy
     name = "Optim" if optim else "noOptim"
-    conditions = [(name, 0.0)]
+    conditions, fracs = [name], (0.0,)
     if malicious_frac > 0:
-        conditions.append((f"malicious-{name}", malicious_frac))
+        conditions, fracs = [name, f"malicious-{name}"], (0.0, malicious_frac)
+    runs = [run_trials(r, [(entropy, (ri, trial)) for trial in range(trials)], n=n,
+                       optim=optim, malicious_fracs=fracs, config=config)
+            for ri, r in enumerate(r_grid)]
     rows, purchases = [], []
-    for condition, frac in conditions:
-        for ri, r in enumerate(r_grid):
-            roots = [(entropy, (ri, trial)) for trial in range(trials)]
-            results = run_trials(r, roots, n=n, optim=optim, malicious_frac=frac,
-                                 config=config)
-            for trial, result in enumerate(results):
+    for m, condition in enumerate(conditions):
+        for r, markets in zip(r_grid, runs):
+            for trial, result in enumerate(markets[m]):
                 rows.append((condition, r, trial, result.mean_price, result.purchase_rate))
                 purchases += [(condition, r, trial, p) for p in result.prices]
     return rows, purchases

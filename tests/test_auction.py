@@ -50,9 +50,9 @@ def fresh_model(seed=0, **config_kw):
 
 def run_block(r, seed, optim=False, malicious_frac=0.0, n=64, config=None):
     """The auction ``run_auction`` runs for these arguments, through
-    ``_run_block``: its final Population and Markets, one trial each."""
+    ``_run_block``: its final Population and Markets, one market of one trial."""
     root = np.random.SeedSequence(seed)
-    return auction._run_block(r, [(root.entropy, root.spawn_key)], n, optim, malicious_frac,
+    return auction._run_block(r, [(root.entropy, root.spawn_key)], n, optim, (malicious_frac,),
                               config or AuctionConfig())
 
 
@@ -760,9 +760,9 @@ def test_matched_seeds_share_honest_agent_construction():
     honest, _ = run_block(0.5, 11)
     mal, _ = run_block(0.5, 11, malicious_frac=0.5)
     # agents 32..63 exist in both worlds with identical sampled settings
-    assert honest.fsn[0, 32:].all() and mal.fsn[0, 32:].all()
+    assert (honest.first, mal.first) == (0, 32)
     for name in ("b_dec", "epochs", "batch_size", "learning_rate"):
-        np.testing.assert_array_equal(getattr(honest, name)[0, 32:], getattr(mal, name)[0, 32:])
+        np.testing.assert_array_equal(getattr(honest, name)[0, 32:], getattr(mal, name)[0])
 
 
 def reference_finetune(models, variants, k):
@@ -838,16 +838,16 @@ def test_run_auction_matches_per_agent_reference(optim, r, malicious_frac, seed)
     assert result.prices == prices and result.rounds == rounds
     assert markets.prices[0] == prices and markets.rounds[0] == rounds
     assert len(prices) > 0
-    assert pop.fsn[0].tolist() == [isinstance(m, FsnModel) for m in agents]
-    for i, m in enumerate(agents):
-        if isinstance(m, FsnModel):
-            np.testing.assert_array_equal(pop.w_dec[0, i], m.w_dec)
-            np.testing.assert_array_equal(pop.b_dec[0, i], m.b_dec)
-            # the block's stream runs ahead by its unread rows: they are the
-            # reference's next draws, and after them the two streams agree
-            unread = pop.noise[0, i - round(malicious_frac * 64), pop.cursor[0, i]:]
-            np.testing.assert_array_equal(unread, m.noise_rng.standard_normal(unread.shape))
-            assert pop.noise_rngs[0, i].bit_generator.state == m.noise_rng.bit_generator.state
+    # agent i has state i - first exactly when it is an FSN agent
+    assert [i >= pop.first for i in range(64)] == [isinstance(m, FsnModel) for m in agents]
+    for s, m in enumerate(agents[pop.first:]):
+        np.testing.assert_array_equal(pop.w_dec[0, s], m.w_dec)
+        np.testing.assert_array_equal(pop.b_dec[0, s], m.b_dec)
+        # the block's stream runs ahead by its unread rows: they are the
+        # reference's next draws, and after them the two streams agree
+        unread = pop.noise[0, s, pop.cursor[0, s]:]
+        np.testing.assert_array_equal(unread, m.noise_rng.standard_normal(unread.shape))
+        assert pop.noise_rngs[0, s].bit_generator.state == m.noise_rng.bit_generator.state
     if optim:  # fine-tuning moved the weights that were compared
         assert any(not np.array_equal(m.w_dec, W_DECISION)
                    for m in agents if isinstance(m, FsnModel))
@@ -860,9 +860,9 @@ def test_all_malicious_block_matches_per_agent_reference(optim):
     pop, markets = run_block(0.25, 8, optim, 1.0)
     prices, rounds, agents = reference_auction(0.25, optim, 1.0, 8)
     assert result.prices == prices == [] and result.rounds == rounds == markets.rounds[0]
-    assert not pop.fsn.any() and all(type(a) is AlwaysHoldModel for a in agents)
+    assert pop.cursor.shape == (1, 0) and all(type(a) is AlwaysHoldModel for a in agents)
     roots = [(8, (0, t)) for t in range(3)]
-    results = auction.run_trials(0.25, roots, optim=optim, malicious_frac=1.0)
+    results, = auction.run_trials(0.25, roots, optim=optim, malicious_fracs=(1.0,))
     assert [(r.prices, r.rounds) for r in results] == [([], rounds)] * 3
 
 
@@ -926,30 +926,34 @@ def test_population_on_the_fallback_for_every_row_matches(monkeypatch):
     monkeypatch.setattr(auction, "_decode_draws",
                         lambda words: (*decode(words)[:-1], np.ones(len(words), dtype=bool)))
     slow = auction.Population(roots, 16, 5, AuctionConfig(), False)
-    for name in ("fsn", "b_dec", "epochs", "batch_size", "learning_rate"):
+    for name in ("b_dec", "epochs", "batch_size", "learning_rate"):
         np.testing.assert_array_equal(getattr(slow, name), getattr(fast, name))
         assert getattr(slow, name).dtype == getattr(fast, name).dtype
-    assert [g.bit_generator.state for g in slow.noise_rngs[slow.fsn]] == \
-        [g.bit_generator.state for g in fast.noise_rngs[fast.fsn]]
+    assert fast.noise_rngs.shape == (len(roots), 11)
+    assert [g.bit_generator.state for g in slow.noise_rngs.flat] == \
+        [g.bit_generator.state for g in fast.noise_rngs.flat]
 
 
-@pytest.mark.parametrize("optim, malicious_frac", [
-    (False, 0.0), (True, 0.0), (False, 0.5), (True, 0.5)],
-    ids=["noOptim", "Optim", "malicious-noOptim", "malicious-Optim"])
-def test_noise_chunk_size_changes_no_draw(monkeypatch, optim, malicious_frac):
+@pytest.mark.parametrize("optim, malicious_fracs", [
+    (False, (0.0,)), (True, (0.0,)), (False, (0.5,)), (True, (0.5,)),
+    (False, (0.0, 0.5)), (True, (0.0, 0.5))],
+    ids=["noOptim", "Optim", "malicious-noOptim", "malicious-Optim", "paired-noOptim",
+         "paired-Optim"])
+def test_noise_chunk_size_changes_no_draw(monkeypatch, optim, malicious_fracs):
     """CHUNK 1 draws one row per bid, as the per-agent reference does; 3 and
     8 must leave every stream at the same place, seen through the rows each
-    agent would read next: its unread rows, then its stream's."""
+    state would read next: its unread rows, then its stream's.  In a paired
+    block, each stream is shared by twins."""
     roots = [(11, (0, t)) for t in range(4)]
     config = AuctionConfig()
     seen = {}
     for chunk in (8, 1, 3):
         monkeypatch.setattr(auction, "CHUNK", chunk)
-        pop, markets = auction._run_block(0.0625, roots, 64, optim, malicious_frac, config)
+        pop, markets = auction._run_block(0.0625, roots, 64, optim, malicious_fracs, config)
         upcoming = []
-        for t, i in zip(*pop.fsn.nonzero()):
-            unread = pop.noise[t, i - round(malicious_frac * 64), pop.cursor[t, i]:]
-            more = copy.deepcopy(pop.noise_rngs[t, i]).standard_normal(
+        for t, s in np.ndindex(pop.cursor.shape):
+            unread = pop.noise[t, s, pop.cursor[t, s]:]
+            more = copy.deepcopy(pop.noise_rngs[t, s]).standard_normal(
                 (8 - len(unread), *unread.shape[1:]))
             upcoming.append(np.concatenate([unread, more]))
         seen[chunk] = (markets.prices, markets.rounds.tolist(), pop.w_dec, pop.b_dec,
@@ -982,7 +986,7 @@ def looped_experiment(r_grid, trials, seed, optim, malicious_frac, n, config):
                 rows.append((condition, r, trial, result.mean_price, result.purchase_rate))
                 purchases += [(condition, r, trial, p) for p in result.prices]
                 markets.append(auction._run_block(r, [(seq.entropy, seq.spawn_key)], n, optim,
-                                                  frac, config)[1])
+                                                  (frac,), config)[1])
     return (rows, purchases), markets
 
 
@@ -1009,18 +1013,70 @@ def trial_path(markets, config):
     return "max rounds" if rounds == config.max_rounds else "other"
 
 
+def check_blocks_against_solo_runs(monkeypatch, r, roots, n, optim, fracs, config):
+    """Run ``run_trials`` on these markets and check each of its blocks
+    against every trial's solo ``_run_block``: each (market, root) row ends as
+    its trial alone, and each state as the twin that stayed active longest
+    alone.  Returns the root counts of the blocks and how each pair of twins
+    ended: "equal" bids, or the "honest" or "malicious" one "longer"."""
+    run_block, decide, blocks = auction._run_block, auction.Population.decide, []
+
+    def counting_decide(pop, live, x, k):  # each row's bids per agent, the probe counted
+        pop.bids = getattr(pop, "bids", 0) + live
+        return decide(pop, live, x, k)
+
+    def recording_run_block(r, block_roots, *args):
+        pop, markets = run_block(r, block_roots, *args)
+        blocks.append((block_roots, pop, markets))
+        return pop, markets
+
+    monkeypatch.setattr(auction.Population, "decide", counting_decide)
+    monkeypatch.setattr(auction, "_run_block", recording_run_block)
+    auction.run_trials(r, roots, n, optim, fracs, config)
+    monkeypatch.setattr(auction, "_run_block", run_block)
+    twins = set()
+    for block_roots, pop, block in blocks:
+        for t, root in enumerate(block_roots):
+            solo = [run_block(r, [root], n, optim, (frac,), config) for frac in fracs]
+            for m, (_, alone) in enumerate(solo):
+                row = m * len(block_roots) + t
+                assert (block.rounds[row], block.price[row], block.stock[row],
+                        block.demand[row], block.status[row].tolist(), block.prices[row]) == \
+                    (alone.rounds[0], alone.price[0], alone.stock[0], alone.demand[0],
+                     alone.status[0].tolist(), alone.prices[0])
+                # each buyer bought one unit
+                assert (block.status[row] == BOUGHT).sum() == len(block.prices[row])
+            for s in range(pop.cursor.shape[1]):
+                i = pop.first + s  # agent i of each market that has it reads state s
+                bids = [(twin.bids[0, i], m) for m, (twin, _) in enumerate(solo)
+                        if i >= twin.first]
+                twin = solo[max(bids)[1]][0]
+                j = i - twin.first
+                np.testing.assert_array_equal(pop.w_dec[t, s], twin.w_dec[0, j])
+                np.testing.assert_array_equal(pop.b_dec[t, s], twin.b_dec[0, j])
+                assert pop.cursor[t, s] == twin.cursor[0, j]
+                assert pop.noise_rngs[t, s].bit_generator.state == \
+                    twin.noise_rngs[0, j].bit_generator.state
+                if len(bids) == 2:
+                    (honest, _), (malicious, _) = bids
+                    twins.add("equal" if honest == malicious else
+                              "honest longer" if honest > malicious else "malicious longer")
+    return [len(block_roots) for block_roots, _, _ in blocks], twins
+
+
 @pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
 @pytest.mark.parametrize("seed", range(4))
 def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
     n, trials = 16, 3
-    # blocks of 2 and 1 trials in both markets: the honest one by its drawing
-    # agents, the half-malicious one, whose 8 drawing agents a trial would
-    # fit 4 trials in a block, by the trials cap
+    # blocks of 2 roots, the last of 1: an honest market, alone or beside a
+    # malicious one, takes 16 states a root, 2 roots by the states bound; a
+    # half-malicious market alone takes 8, which would fit 4 roots, and an
+    # all-malicious one none, so those two are held by the roots cap
     monkeypatch.setattr(auction, "LOCKSTEP_AGENTS", 2 * n)
     monkeypatch.setattr(auction, "LOCKSTEP_TRIALS", 2)
     config = AuctionConfig(max_rounds=12)
     r_grid = [0.005, 0.25, 1.0]  # round(0.005 * 16) == 0: no stock
-    paths = set()
+    paths, twins = set(), set()
     for w_dec, b_dec in DECISION_LAYERS.values():
         monkeypatch.setattr(auction, "W_DECISION", w_dec)
         monkeypatch.setattr(auction, "B_DECISION", b_dec)
@@ -1028,33 +1084,29 @@ def test_lockstep_trials_match_per_trial_runs(monkeypatch, optim, seed):
         want, markets = looped_experiment(r_grid, trials, seed, optim, 0.5, n, config)
         assert repr(got) == repr(want)
         paths |= {trial_path(m, config) for m in markets}
-        # each trial of a block also ends with the agents it has alone
-        roots = [(seed, (9, trial)) for trial in range(trials)]
-        frac = (0.0, 0.5, 1.0, 0.5)[seed]
-        pop, block = auction._run_block(0.25, roots, n, optim, frac, config)
-        for t, root in enumerate(roots):
-            solo, alone = auction._run_block(0.25, [root], n, optim, frac, config)
-            assert (block.rounds[t], block.price[t], block.stock[t], block.demand[t],
-                    block.status[t].tolist(), block.prices[t]) == \
-                (alone.rounds[0], alone.price[0], alone.stock[0], alone.demand[0],
-                 alone.status[0].tolist(), alone.prices[0])
-            # each buyer bought one unit
-            assert (block.status[t] == BOUGHT).sum() == len(block.prices[t])
-            np.testing.assert_array_equal(pop.fsn[t], solo.fsn[0])
-            np.testing.assert_array_equal(pop.w_dec[t], solo.w_dec[0])
-            np.testing.assert_array_equal(pop.b_dec[t], solo.b_dec[0])
-            assert [g.bit_generator.state for g in pop.noise_rngs[t, pop.fsn[t]]] == \
-                [g.bit_generator.state for g in solo.noise_rngs[0, solo.fsn[0]]]
+        # and each block's (market, root) rows and states, the twins of a
+        # paired block ending every way
+        roots = [(seed, (9, trial)) for trial in range(5)]
+        for fracs in [((0.0, 0.5, 1.0, 0.5)[seed],), (0.0, 0.5), (0.0, 1.0)]:
+            sizes, ends = check_blocks_against_solo_runs(monkeypatch, 0.5, roots, n, optim,
+                                                        fracs, config)
+            assert sizes == [2, 2, 1]
+            twins |= ends
     assert paths >= {"no stock", "sold out in round 1", "all quit", "max rounds", "other"}
+    assert twins == {"equal", "honest longer", "malicious longer"}
 
 
-@pytest.mark.parametrize("malicious_frac", [0.0, 0.5, 1.0])
-def test_blocks_count_drawing_agents_up_to_the_trials_cap(monkeypatch, malicious_frac):
-    """A block takes as many trials as fit ``LOCKSTEP_AGENTS`` drawing (FSN)
-    agents, but no more than ``LOCKSTEP_TRIALS``: always-hold agents draw
-    nothing, so a half-malicious market runs twice the honest market's
-    trials per block, and an all-malicious one is held by the cap."""
-    n, full = 64, {0.0: 8, 0.5: 16, 1.0: 64}[malicious_frac]  # 512 drawing agents, 64 trials
+@pytest.mark.parametrize("malicious_fracs", [(0.0,), (0.5,), (1.0,), (0.0, 0.5), (0.0, 1.0)],
+                         ids=["0.0", "0.5", "1.0", "paired-0.5", "paired-1.0"])
+def test_blocks_count_drawing_agents_up_to_the_trials_cap(monkeypatch, malicious_fracs):
+    """A block takes as many roots as fit ``LOCKSTEP_AGENTS`` negotiator
+    states, but no more than ``LOCKSTEP_TRIALS``: always-hold agents have no
+    state, so a half-malicious market alone runs twice the honest market's
+    roots per block, and an all-malicious one is held by the cap.  Paired
+    with the honest market, a malicious market's agents read their honest
+    twins' states, so the pair takes the honest market's roots per block."""
+    n = 64  # 512 states, 64 roots
+    full = {(0.0,): 8, (0.5,): 16, (1.0,): 64, (0.0, 0.5): 8, (0.0, 1.0): 8}[malicious_fracs]
     sizes = []
     run_block = auction._run_block
 
@@ -1064,9 +1116,32 @@ def test_blocks_count_drawing_agents_up_to_the_trials_cap(monkeypatch, malicious
 
     monkeypatch.setattr(auction, "_run_block", recording_run_block)
     roots = [(3, (0, t)) for t in range(2 * full + 1)]
-    results = auction.run_trials(0.25, roots, n, False, malicious_frac,
+    results = auction.run_trials(0.25, roots, n, False, malicious_fracs,
                                  AuctionConfig(max_rounds=2))
-    assert sizes == [full, full, 1] and len(results) == len(roots)
+    assert sizes == [full, full, 1]
+    assert [len(market) for market in results] == [len(roots)] * len(malicious_fracs)
+
+
+@pytest.mark.parametrize("optim", [False, True], ids=["noOptim", "Optim"])
+def test_paired_markets_build_one_noise_generator_per_root_and_agent(monkeypatch, optim):
+    """A half-malicious experiment runs both markets of a supply point in one
+    block, each malicious negotiator reading its honest twin's state: it
+    builds trials * n noise generators per supply point, as the honest
+    market alone does, not 1.5 times that."""
+    built = []
+    rngs = streams.rngs
+
+    def counting_rngs(seeds, index=None):
+        for rng in rngs(seeds, index):
+            built.append(index is None)  # noise streams are seeded without an index
+            yield rng
+
+    monkeypatch.setattr(streams, "rngs", counting_rngs)
+    n, trials, r_grid = 16, 5, [0.25, 0.5]
+    for frac in (0.5, 0.0):
+        built.clear()
+        run_experiment(r_grid, trials, 0, optim, frac, n=n)
+        assert sum(built) == len(r_grid) * trials * n
 
 
 @pytest.mark.parametrize("seed", range(4))
