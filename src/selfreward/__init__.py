@@ -26,7 +26,6 @@ _EXPORTS = {
     "no_grad": "autodiff",
     "parameter": "autodiff",
     "sgd_step": "autodiff",
-    "zero_grads": "autodiff",
     "conv1d": "layers",
     "cross_entropy_self": "layers",
     "deconv3x3": "layers",

@@ -104,12 +104,6 @@ class DiffTensor:
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, as_tensor(-1.0))
-
 
 def as_tensor(value) -> DiffTensor:
     """Coerce floats/arrays to constant tensors; pass tensors through."""
@@ -176,18 +170,6 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 
     def vjp(g):
         return _reduce_to(g * bv, a.shape), _reduce_to(g * av, b.shape)
-
-    return record(out, (a, b), vjp)
-
-
-def div(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    _check_same_shape(a, b, "div")
-    out = a.values / b.values
-    av, bv = a.values, b.values
-
-    def vjp(g):
-        return (_reduce_to(g / bv, a.shape),
-                _reduce_to(-g * av / (bv * bv), b.shape))
 
     return record(out, (a, b), vjp)
 
@@ -380,8 +362,3 @@ def sgd_step(params: Iterable[DiffTensor], settings: SgdSettings) -> None:
         if p._grad is not None:
             p.values = p.values - settings.learning_rate * np.asarray(p._grad)
             p._grad = None
-
-
-def zero_grads(params: Iterable[DiffTensor]) -> None:
-    for p in params:
-        p.zero_grad()

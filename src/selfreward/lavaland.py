@@ -47,7 +47,7 @@ tests keep that graph as the reference), so the trained kernels equal it
 bit for bit.  Map i's fields read the kernels map i-1 left, so training
 runs the maps one after another, and does each piece of per-map work once:
 the kernel-free half of the fields (``field_inputs``) once per block of
-same-shape maps, and per map only the kernel half (``kernel_fields``), one
+same-shape maps, and per map only the kernel half (``_map_fields``), one
 plan start (``_plan_start``: v0, the pinned and blended grid, the live
 flags and the starting peak) that every plan copies, and one stream draw.
 
@@ -58,10 +58,11 @@ numpy's call overhead once per step for the batch instead of once per map.
 A map's self grid is the one-hot grid at its spawn and evaluation's kernels
 are fixed, so a batch builds each distinct spawn cell's self field once
 (``_self_fields``) and runs ``deconv_seq`` per map only on the target, grass
-and dirt grids, keeping only the last layer (``_eval_v_sigma``).  That is
+and dirt grids, reading only its last layer (``_eval_v_sigma``).  That is
 exact: the self field is the same ``deconv_seq`` on the same grid and
-kernels, and ``combine_fields`` sums the four fields in ``SCORED_TILES``
-order as ``kernel_fields`` does, so every map's v_sigma equals
+kernels, each grid of a ``deconv_seq`` batch takes its own float
+operations, and ``combine_fields`` sums the four fields in ``SCORED_TILES``
+order as ``build_fields`` does, so every map's v_sigma equals
 ``build_fields``' bit for bit.  A bank of 512 12x12 maps holds about 140
 distinct spawn cells.  Each map reads its up-front stream through its own
 cursor, and each step repeats ``_walk``'s float operations in its order.
@@ -155,9 +156,6 @@ class Robot2NNParams:
         init[1, 1] = KERNEL_INIT_CENTER
         self.kernels = np.tile(init, (len(SCORED_TILES), N_LAYERS, 1, 1))
 
-    def count(self) -> int:
-        return self.kernels.size
-
     def export(self) -> dict:
         return {f"{t}/{i}": self.kernels[j, i].copy()
                 for j, t in enumerate(SCORED_TILES) for i in range(N_LAYERS)}
@@ -208,7 +206,7 @@ def _deconv_stack(grids_ext: np.ndarray, taps: np.ndarray, kernels: np.ndarray) 
     return np.add.reduce(terms, axis=1)  # over the 9 terms, one after another
 
 
-def deconv_seq(kernels: np.ndarray, grids: np.ndarray, keep_layers: bool = True) -> np.ndarray:
+def deconv_seq(kernels: np.ndarray, grids: np.ndarray) -> np.ndarray:
     """Stacked DeconvSeqs: grids (n, H, W) through kernels (n, 5, 3, 3).
 
     Each layer is ``layers.deconv3x3`` on every grid at once, followed by
@@ -218,18 +216,17 @@ def deconv_seq(kernels: np.ndarray, grids: np.ndarray, keep_layers: bool = True)
 
     Returns the (6, n, H*W + 1) activations: the input grids, then each
     layer's tanh output, flattened, each row followed by a zero slot.  The
-    last is the field; the others feed ``kernel_gradient``.  Without
-    ``keep_layers`` each layer overwrites the one before, and only the
-    field is returned, as a (1, n, H*W + 1) array.
+    last is the field; the others feed ``kernel_gradient``.  Each grid's
+    row takes the float operations of that grid alone, so a grid's field is
+    the same in any batch.
     """
     n, h, w = grids.shape
     taps = _deconv_taps(h, w)
-    last = kernels.shape[1] if keep_layers else 0
-    activations = np.zeros((last + 1, n, h * w + 1))
+    activations = np.zeros((kernels.shape[1] + 1, n, h * w + 1))
     activations[0, :, :-1] = grids.reshape(n, -1)
     for layer in range(kernels.shape[1]):
-        activations[min(layer + 1, last), :, :-1] = np.tanh(
-            _deconv_stack(activations[min(layer, last)], taps, kernels[:, layer]))
+        activations[layer + 1, :, :-1] = np.tanh(
+            _deconv_stack(activations[layer], taps, kernels[:, layer]))
     return activations
 
 
@@ -288,34 +285,20 @@ def combine_fields(fields: np.ndarray, preferences: np.ndarray) -> tuple[np.ndar
     return v1, v1[:, 0] + v1[:, 1] + v1[:, 2] + v1[:, 3]
 
 
-def kernel_fields(grids: np.ndarray, kernels: np.ndarray,
-                  preferences: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel half: B maps' (B, 4, H, W) ``grids`` through the (4, 5, 3, 3)
-    ``kernels``, then ``combine_fields``.
-
-    Returns ``deconv_seq``'s activations over the B * 4 grids, the (B, 4, H, W)
-    per-type fields and the (B, H, W) v_sigma.  Each map's slice takes the
-    float operations of that map alone, so it equals ``build_fields`` bit for
-    bit.  Evaluation builds the self field once per spawn cell instead
-    (``_self_fields``), through the same ``deconv_seq`` and ``combine_fields``.
-    """
-    b, _, h, w = grids.shape
-    activations = deconv_seq(kernels if b == 1 else np.tile(kernels, (b, 1, 1, 1)),
-                             grids.reshape(b * 4, h, w))
-    v1, v_sigma = combine_fields(activations[-1, :, :-1].reshape(b, 4, h * w), preferences)
-    return activations, v1.reshape(b, 4, h, w), v_sigma.reshape(b, h, w)
-
-
 def _map_fields(inputs: FieldInputs, j: int, tile_map: TileMap,
                 kernels: np.ndarray) -> ScoreField:
-    """Map j of ``inputs`` (which is ``tile_map``) through the kernels."""
-    activations, v1, v_sigma = kernel_fields(inputs.grids[j:j + 1], kernels,
-                                             inputs.preferences)
+    """Map j of ``inputs`` (which is ``tile_map``) through the (4, 5, 3, 3)
+    kernels: the kernel half of its fields, ``deconv_seq`` on its four grids,
+    then ``combine_fields``."""
+    activations = deconv_seq(kernels, inputs.grids[j])
+    v1, v_sigma = combine_fields(activations[None, -1, :, :-1], inputs.preferences)
+    shape = (tile_map.height, tile_map.width)
     detectors = dict(zip(KNOWN_TILES, inputs.detectors[:, j]))
     detectors["self"] = inputs.w_self[j]
     return ScoreField(detectors=detectors, w_unknown=inputs.w_unknown[j], kernels=kernels,
                       activations=activations, preferences=inputs.preferences,
-                      v1=dict(zip(SCORED_TILES, v1[0])), v_sigma=v_sigma[0],
+                      v1=dict(zip(SCORED_TILES, v1[0].reshape(-1, *shape))),
+                      v_sigma=v_sigma[0].reshape(shape),
                       spawn=tile_map.spawn, target=tile_map.target)
 
 
@@ -568,8 +551,8 @@ def srd_train_lavaland(params: Robot2NNParams, bank: MapBank,
     ``imagine_and_act``, ``plan_quality_loss`` and a ``kernel_gradient``
     step, but the kernel-free half of the fields (``field_inputs``) is built
     once per block of up to ``TRAIN_BLOCK`` consecutive same-shape maps, and
-    per map only ``kernel_fields`` runs.  The kernels and losses equal the
-    map-by-map loop bit for bit.
+    per map only the kernel half (``_map_fields``) runs.  The kernels and
+    losses equal the map-by-map loop bit for bit.
 
     A map whose loss is not finite stops training with a ValueError naming
     it, before its update touches the kernels.
@@ -652,22 +635,22 @@ def _self_fields(cells: np.ndarray, shape: tuple, kernels: np.ndarray) -> np.nda
         grids = np.zeros((len(chunk), h * w))
         grids[np.arange(len(chunk)), chunk] = 1.0
         fields[j:j + SELF_CHUNK] = deconv_seq(np.tile(kernels, (len(chunk), 1, 1, 1)),
-                                              grids.reshape(-1, h, w), keep_layers=False)[0, :, :-1]
+                                              grids.reshape(-1, h, w))[-1, :, :-1]
     return fields
 
 
 def _eval_v_sigma(inputs: FieldInputs, self_fields: np.ndarray,
                   kernels: np.ndarray) -> np.ndarray:
     """v_sigma, (B, H*W), of the B maps of ``inputs`` whose self fields are
-    ``self_fields``: the other three types through ``deconv_seq``, keeping
-    only the last layer, then ``combine_fields``.  Equals ``build_fields``'
+    ``self_fields``: the other three types through ``deconv_seq``, reading
+    its last layer, then ``combine_fields``.  Equals ``build_fields``'
     v_sigma bit for bit."""
     b, n_types, h, w = inputs.grids.shape
     fields = np.empty((b, n_types, h * w))
     fields[:, _SELF] = self_fields
     fields[:, _NOT_SELF] = deconv_seq(
         np.tile(kernels[_NOT_SELF], (b, 1, 1, 1)),
-        inputs.grids[:, _NOT_SELF].reshape(-1, h, w), keep_layers=False)[0, :, :-1].reshape(
+        inputs.grids[:, _NOT_SELF].reshape(-1, h, w))[-1, :, :-1].reshape(
             b, len(_NOT_SELF), h * w)
     return combine_fields(fields, inputs.preferences)[1]
 

@@ -47,7 +47,6 @@ import csv
 import itertools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,15 +56,15 @@ from . import __version__
 from .params import write_document
 
 
-class TiledRows(Sequence):
+class TiledRows:
     """Row tuples ``head``, then its cycle ``head[first:]`` repeated up to
     ``length`` rows, renumbered.
 
     Column 0 of each row is its index, so row ``s >= len(head)`` is
     ``(s, *head[first + (s - first) % period][1:])``, with ``period =
     len(head) - first``.  Rows with no cycle have ``length == len(head)``.
-    It indexes, slices (to a list), iterates and takes ``len`` as the list
-    of all its rows does, without holding that list.
+    It iterates and takes ``len`` as the list of all its rows does, and gives
+    one column as an array (``column``), without holding that list.
     """
 
     __slots__ = ("head", "first", "length")
@@ -85,19 +84,6 @@ class TiledRows(Sequence):
 
     def __len__(self) -> int:
         return self.length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self.length))]
-        s = index.__index__()
-        if s < 0:
-            s += self.length
-        if not 0 <= s < self.length:
-            raise IndexError("TiledRows index out of range")
-        if s < len(self.head):
-            return self.head[s]
-        period = len(self.head) - self.first
-        return (s, *self.head[self.first + (s - self.first) % period][1:])
 
     def __iter__(self):
         yield from self.head

@@ -6,10 +6,10 @@ each ``SeedSequence`` in Python, about 19 us apiece, and an auction builds
 two streams for each of its thousands of agents.  ``rngs`` runs the same
 hash over N items at once as uint32 array arithmetic, vectorised over the
 items and over the four pool lanes, and hands each ``PCG64`` its
-precomputed words through a minimal seed sequence.  So every generator
-starts in the state numpy's would, bit for bit, and its
-``bit_generator.seed_seq`` still exposes ``entropy`` and ``spawn_key`` and
-spawns the children numpy's would.
+precomputed words through a minimal seed sequence, ``SeedWords``.  So
+every generator starts in the state numpy's would, bit for bit.  Its
+``bit_generator.seed_seq`` holds only those words: it neither spawns nor
+generates any other state, and no scenario asks it to.
 
 Some streams serve only a few draws, such as an auction agent's
 construction draws.  ``random_raw`` gives the first k words of each item's
@@ -38,7 +38,7 @@ import functools
 from typing import Iterator
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 MASK32 = 0xFFFFFFFF
 POOL_SIZE = 4
@@ -139,95 +139,71 @@ def _hash(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         np.uint64, copy=False)
 
 
-class SeedWords(ISpawnableSeedSequence):
-    """A ``SeedSequence`` whose ``generate_state(4, np.uint64)`` is known."""
+class SeedWords(ISeedSequence):
+    """A seed sequence that holds the four words ``PCG64`` seeds from."""
 
-    def __init__(self, words: np.ndarray, entropy, spawn_key: tuple):
-        self.words, self.entropy, self.spawn_key = words, entropy, spawn_key
-        self.n_children_spawned = 0
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         # PCG64 asks for (4, np.uint64), so that is tested before building a dtype
         if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
             return self.words.copy()
-        return np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key).generate_state(
-            n_words, dtype)
-
-    def spawn(self, n_children: int) -> list:
-        first, self.n_children_spawned = (self.n_children_spawned,
-                                          self.n_children_spawned + n_children)
-        return [np.random.SeedSequence(self.entropy, spawn_key=self.spawn_key + (i,))
-                for i in range(first, first + n_children)]
+        raise ValueError(f"only generate_state(4, np.uint64) is known, not ({n_words}, {dtype})")
 
 
-def _stack(word_lists: list, rows: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Word lists as the columns of a zero-padded uint32 array of at least
-    ``rows`` rows, and their lengths."""
-    lengths = np.array([len(w) for w in word_lists], dtype=int)
-    out = np.zeros((lengths.max(initial=rows), len(word_lists)), dtype=np.uint32)
-    for j, w in enumerate(word_lists):
-        out[:len(w), j] = w
-    return out, lengths
-
-
-def _seed_words(seeds, index=None) -> tuple[np.ndarray, Iterator]:
-    """Each item's ``generate_state(4, np.uint64)`` as (N, 4) uint64, and an
-    iterator over its (entropy, spawn_key); ``rngs`` states the arguments."""
+def _seed_words(seeds, index=None) -> np.ndarray:
+    """Each item's ``generate_state(4, np.uint64)`` as (N, 4) uint64;
+    ``rngs`` states the arguments."""
     if index is None:
-        if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
-            if seeds.size and seeds.min() < 0:
-                raise ValueError(f"expected non-negative integer, got {seeds.min()}")
-            seeds = seeds.astype(np.uint64).ravel()
-            # two words each: under the pool size, a trailing 0 word hashes as none
-            entropy = np.zeros((POOL_SIZE, len(seeds)), dtype=np.uint32)
-            entropy[0], entropy[1] = seeds & MASK32, seeds >> 32
-            lengths = np.full(len(seeds), 2)
-            seeds = seeds.tolist()
-        else:
-            entropy, lengths = _stack([_words(s) for s in seeds], POOL_SIZE)
-        items = ((s, ()) for s in seeds)
-    else:
-        index = [int(i) for i in index]
-        if index and min(index) < 0:
-            raise ValueError(f"expected non-negative integer, got {min(index)}")
-        if max(index, default=0) <= MASK32:
-            tail, tail_lengths = np.array(index, dtype=np.uint32)[None], 1
-        else:
-            tail, tail_lengths = _stack([_words(i) for i in index])
-        roots = [(e, tuple(key)) for e, key in seeds]
-        # a spawned item's entropy is padded with zeros to the pool size
-        bases = [np.array(run + [0] * (POOL_SIZE - len(run)) + _words(key), dtype=np.uint32)
-                 for run, key in ((_words(e), key) for e, key in roots)]
-        n_idx = len(index)
-        entropy = np.zeros((max([len(b) + len(tail) for b in bases], default=POOL_SIZE),
-                            len(roots) * n_idx), dtype=np.uint32)
-        lengths = np.empty(entropy.shape[1], dtype=int)
-        for r, base in enumerate(bases):
-            cols = slice(r * n_idx, (r + 1) * n_idx)
-            entropy[:len(base), cols] = base[:, None]
-            entropy[len(base):len(base) + len(tail), cols] = tail
-            lengths[cols] = len(base) + tail_lengths
-        items = ((e, key + (i,)) for e, key in roots for i in index)
-    return _hash(entropy, lengths), items
+        seeds = np.asarray(seeds)
+        if seeds.size and seeds.dtype.kind not in "iu":
+            raise TypeError(f"seeds must be integers, got {seeds.dtype}")
+        if seeds.ndim != 1 or seeds.size and seeds.min() < 0:
+            raise ValueError(f"expected one row of non-negative integers, got {seeds!r}")
+        seeds = seeds.astype(np.uint64)
+        # two words each: under the pool size, a trailing 0 word hashes as none
+        entropy = np.zeros((POOL_SIZE, len(seeds)), dtype=np.uint32)
+        entropy[0], entropy[1] = seeds & MASK32, seeds >> 32
+        return _hash(entropy, np.full(len(seeds), 2))
+    index = [int(i) for i in index]
+    if index and not (0 <= min(index) and max(index) <= MASK32):
+        raise ValueError(f"indices must lie in [0, 2**32), got {min(index)} to {max(index)}")
+    tail = np.array(index, dtype=np.uint32)
+    # a spawned item's entropy is padded with zeros to the pool size
+    bases = [np.array(run + [0] * (POOL_SIZE - len(run)) + _words(key), dtype=np.uint32)
+             for run, key in ((_words(e), key) for e, key in seeds)]
+    n_idx = len(index)
+    entropy = np.zeros((max([len(b) + 1 for b in bases], default=POOL_SIZE),
+                        len(bases) * n_idx), dtype=np.uint32)
+    lengths = np.empty(entropy.shape[1], dtype=int)
+    for r, base in enumerate(bases):
+        cols = slice(r * n_idx, (r + 1) * n_idx)
+        entropy[:len(base), cols] = base[:, None]
+        entropy[len(base), cols] = tail
+        lengths[cols] = len(base) + 1
+    return _hash(entropy, lengths)
 
 
 def rngs(seeds, index=None) -> Iterator:
     """Generators for N items, each in the state numpy gives it.
 
-    Without ``index``, item j is ``default_rng(SeedSequence(seeds[j]))``:
-    ``seeds`` holds plain entropies (non-negative ints or int sequences),
-    or is an integer array.  With ``index``, each of ``seeds`` is a root
-    ``(entropy, spawn_key)`` and the items run root by root, then index by
-    index: item (r, i) is ``default_rng(SeedSequence(entropy_r,
-    spawn_key=spawn_key_r + (i,)))``.
+    Without ``index``, ``seeds`` is a 1-D integer array (or what numpy reads
+    as one) of N non-negative seeds, and item j is
+    ``default_rng(SeedSequence(seeds[j]))``.  With ``index``, each of
+    ``seeds`` is a root ``(entropy, spawn_key)``: a non-negative integer or a
+    sequence of them, and a tuple of them.  ``index`` holds integers in [0,
+    2**32), and the items run root by root, then index by index: item (r, i)
+    is ``default_rng(SeedSequence(entropy_r, spawn_key=spawn_key_r + (i,)))``.
 
     All N items are hashed at once, here; each generator is built only when
-    the returned iterator reaches it.  A negative value raises a ValueError,
-    as numpy's does.
+    the returned iterator reaches it, and its ``bit_generator.seed_seq`` is a
+    ``SeedWords``.  A negative value raises a ValueError, as numpy's does,
+    and so does an index of 2**32 or more; a seed that is not an integer
+    raises a TypeError.
     """
-    words, items = _seed_words(seeds, index)
-    return (np.random.Generator(np.random.PCG64(SeedWords(w, e, key)))
-            for w, (e, key) in zip(words, items))
+    return (np.random.Generator(np.random.PCG64(SeedWords(w)))
+            for w in _seed_words(seeds, index))
 
 
 def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
@@ -250,7 +226,7 @@ def random_raw(seeds, k: int, index=None) -> np.ndarray:
     """The first k outputs of each item's ``PCG64``, as (N, k) uint64: the
     words ``rngs(seeds, index)``'s generators give ``bit_generator.random_raw(k)``.
     """
-    words, _ = _seed_words(seeds, index)
+    words = _seed_words(seeds, index)
     w0, w1, w2, w3 = words.T
     # numpy's seeding: state = 0, inc = (initseq << 1) | 1; step (state = inc);
     # state += initstate; step

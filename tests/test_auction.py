@@ -871,7 +871,7 @@ def test_all_malicious_block_matches_per_agent_reference(optim):
 
 def test_decoded_draws_match_agent_draws():
     roots = [(0, (1,)), (2 ** 80 + 5, (3, 1)), ([7, 2 ** 40], (1,))]
-    index = range(2 ** 32 - 300, 2 ** 32 + 400)  # indices of one and of two words
+    index = range(2 ** 32 - 700, 2 ** 32)  # up to the largest index
     *draws, redraw = auction._decode_draws(streams.random_raw(roots, auction.AGENT_WORDS,
                                                               index))
     assert not redraw.any()

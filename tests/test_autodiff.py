@@ -19,7 +19,6 @@ from selfreward.autodiff import (
     scatter_constant,
     sgd_step,
     total,
-    zero_grads,
 )
 
 
@@ -49,7 +48,7 @@ def test_backward_accumulates_until_cleared():
     backward(x * x)
     backward(x * x)
     assert x.grad == pytest.approx(12.0)
-    zero_grads([x])
+    x.zero_grad()
     backward(x * x)
     assert x.grad == pytest.approx(6.0)
 

@@ -33,13 +33,13 @@ from selfreward.lavaland import (
     Robot2NNParams,
     ScoreField,
     build_fields,
+    combine_fields,
     deconv_seq,
     evaluate,
     field_inputs,
     get_aba,
     imagine_and_act,
     inspect_kernels,
-    kernel_fields,
     kernel_gradient,
     make_plan,
     plan_quality_loss,
@@ -357,7 +357,7 @@ def test_unknown_mask_threshold_is_strict():
 
 def test_parameter_count_is_180():
     params = Robot2NNParams()
-    assert params.count() == 180
+    assert params.kernels.size == 180
     assert params.kernels.shape == (4, 5, 3, 3)
     assert len(params.export()) == 20
 
@@ -444,10 +444,16 @@ def test_batched_fields_equal_one_map_builds_bitwise(preset):
     srd_train_lavaland(params, generate_maps(16, preset, seed=5), cfg, seed=5)
     maps = generate_maps(7, preset, seed=6).maps
     inputs = field_inputs(maps, cfg)
-    activations, v1, v_sigma = kernel_fields(inputs.grids, params.kernels, inputs.preferences)
+    # every map's four grids in one deconv_seq call: each grid's rows take
+    # its own float operations, as evaluation's batches rely on
+    b, n_types, h, w = inputs.grids.shape
+    activations = deconv_seq(np.tile(params.kernels, (b, 1, 1, 1)),
+                             inputs.grids.reshape(-1, h, w))
     assert activations.shape[0] == 6
+    v1, v_sigma = combine_fields(activations[-1, :, :-1].reshape(b, n_types, h * w),
+                                 inputs.preferences)
     # evaluation's path: each spawn cell's self field once, the other types
-    # through deconv_seq without the inner layers
+    # through deconv_seq, reading its last layer
     spawns = np.array([r * m.width + c for m in maps for r, c in [m.spawn]])
     cells, rows = np.unique(spawns, return_inverse=True)
     self_fields = lavaland._self_fields(cells, (maps[0].height, maps[0].width),
@@ -455,11 +461,11 @@ def test_batched_fields_equal_one_map_builds_bitwise(preset):
     eval_v_sigma = lavaland._eval_v_sigma(inputs, self_fields[rows], params.kernels)
     for j, m in enumerate(maps):
         one = build_fields(m, params, cfg)
-        np.testing.assert_array_equal(_bits(v_sigma[j]), _bits(one.v_sigma))
+        np.testing.assert_array_equal(_bits(v_sigma[j]), _bits(one.v_sigma.ravel()))
         np.testing.assert_array_equal(_bits(eval_v_sigma[j]), _bits(one.v_sigma.ravel()))
         np.testing.assert_array_equal(_bits(inputs.w_unknown[j]), _bits(one.w_unknown))
         for k, t in enumerate(SCORED_TILES):
-            np.testing.assert_array_equal(_bits(v1[j, k]), _bits(one.v1[t]))
+            np.testing.assert_array_equal(_bits(v1[j, k]), _bits(one.v1[t].ravel()))
         np.testing.assert_array_equal(
             _bits(activations[:, 4 * j:4 * j + 4]), _bits(one.activations))
 

@@ -12,9 +12,15 @@ from selfreward.autodiff import (
     ShapeError,
     backward,
     concat,
+    gather,
+    mean,
     parameter,
+    pick,
+    scatter_constant,
+    square,
+    sub,
+    tanh,
     total,
-    zero_grads,
 )
 from selfreward.layers import (
     conv1d,
@@ -336,7 +342,8 @@ def numeric_grad(build_loss, param, step=1e-5):
 
 
 def assert_grads_match(build_loss, params, rel=1e-4):
-    zero_grads(params)
+    for p in params:
+        p.zero_grad()
     backward(build_loss())
     for p in params:
         num = numeric_grad(build_loss, p)
@@ -392,3 +399,33 @@ def test_two_layer_cel_grads_match_oracle():
         return cross_entropy_self(fully_connected(h, w2, b2))
 
     assert_grads_match(build_loss, [w1, b1, w2, b2])
+
+
+def _primitive_losses(rng):
+    """One scalar loss per engine primitive that no layer composes, each
+    weighted by fixed random constants so that every gradient entry differs."""
+    vec = parameter(rng.normal(size=6))
+    grid = parameter(rng.normal(size=(4, 5)))
+    scalar = parameter(0.7)
+    w_vec = DiffTensor(rng.normal(size=6))
+    w_grid = DiffTensor(rng.normal(size=(4, 5)))
+    positions = [(0, 1), (2, 3), (0, 1), (3, 4)]  # a repeated cell sums its reads
+    w_read = DiffTensor(rng.normal(size=len(positions)))
+    return {
+        # a scalar operand on either side takes the sum of its gradient
+        "sub": ([vec, scalar], lambda: total(sub(vec, scalar) * w_vec)
+                + total(sub(scalar, vec) * w_vec * w_vec)),
+        "tanh": ([vec], lambda: total(tanh(vec) * w_vec)),
+        "square": ([vec], lambda: total(square(vec) * w_vec)),
+        "mean": ([grid], lambda: mean(grid * w_grid * grid)),
+        "pick": ([vec], lambda: pick(vec, 2) * pick(vec, 4) + pick(vec, 2)),
+        "gather": ([grid], lambda: total(gather(grid, positions) * w_read)),
+        "scatter_constant": ([grid], lambda: total(
+            scatter_constant(grid * grid, positions, 3.0) * w_grid)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_primitive_losses(np.random.default_rng(0))))
+def test_engine_primitive_grads_match_oracle(name):
+    params, build_loss = _primitive_losses(np.random.default_rng(21))[name]
+    assert_grads_match(build_loss, params)
